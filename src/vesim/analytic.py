@@ -5,7 +5,8 @@ Analytical solvers for the single-vesicle transport ODEs.
 Two modes share one phase-by-phase engine:
 
   * exact  -- Lambert-W substrate law plus a variation-of-constants proton
-              law whose integral is evaluated by adaptive quadrature;
+              law whose integral is evaluated by a batched 7/15-point
+              Gauss-Kronrod rule;
   * closed -- linearized release flux, giving piecewise-linear substrate
               and a pure exponential proton relaxation per phase.
 
@@ -43,7 +44,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import lambertw as _lambertw
 
 from . import buffering
@@ -63,13 +63,47 @@ _EXP_SAFE = 700.0  # exp() overflow bound for float64
 # C + k_a (mol/m^3) below which the buffered law counts as stalled
 _STALL_CONC = 1e-150
 
+# 15-point Kronrod rule and its embedded 7-point Gauss rule on [-1, 1]
+# (Piessens et al., QUADPACK, 1983, routine qk15): the non-negative nodes
+# in descending order, their Kronrod weights, and the Gauss weights of
+# the nodes 2, 4, 6 and 8 of that list.
+_XGK = (0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.000000000000000000000000000000000)
+_WGK = (0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082,
+       0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975,
+       0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XGK] + list(_XGK[-2::-1]))
+_K15_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
+_G7_HALF = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3])
+_G7_WEIGHTS = np.array(_G7_HALF + _G7_HALF[-2::-1])
+# Bisections allowed per sample interval before QuadratureError
+_MAX_SUBDIVISIONS = 200
+
 
 class LambertDomainError(ValueError):
     """Argument below -1/e, outside the real principal branch."""
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach tolerance.
+    """The Gauss-Kronrod rule missed tolerance on a sample interval.
+
+    Raised when an interval's |K15 - G7| error estimate still exceeds
+    max(1e-4*scale*d, 1e-8*|value|) once its bisection budget is spent.
 
     Attributes:
         estimate: the best value achieved before giving up
@@ -317,6 +351,9 @@ def exact_proton_series(c_start: float, c_s_start: float,
 
         C(t+d) = C(t)*e^(-a d) + int_0^d g(u) e^(-a (d-u)) du,
         g(u) = b - (gamma_sym_h/(v_in*beta)) * W(f(u)) / (W(f(u)) + 1).
+
+    All sample intervals of the segment are integrated at once by
+    `_gauss_kronrod` (one Lambert-W call per batch), then chained.
     """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     a, b = coeffs.a, coeffs.b
@@ -328,34 +365,90 @@ def exact_proton_series(c_start: float, c_s_start: float,
     y0 = math.log(c_s_start / k_m) + c_s_start / k_m
     decay = rates.symport_rate_substrate / (spec.v_in * k_m)
 
-    def saturation(u):
+    t_prev = np.concatenate(([0.0], offsets[:-1]))
+    d = offsets - t_prev
+    moving = d > 0.0
+    t_k, d_k = offsets[moving], d[moving]
+    # The exponential weight kills contributions older than ~45/a; the
+    # neglected remainder is below 1e-19 relative.
+    lo = np.maximum(t_prev[moving],
+                    t_k - (45.0 / a if a > 0.0 else math.inf))
+
+    def integrand(u, rows):
         w = lambert_w0_exp(y0 - decay * u)
-        return w / (w + 1.0)
+        return ((b - drain_coeff * w / (w + 1.0))
+                * np.exp(-a * (t_k[rows, None] - u)))
 
     scale = abs(b) + drain_coeff
-    out = np.empty_like(offsets)
-    t_prev, c = 0.0, c_start
-    for k, t_k in enumerate(offsets):
-        d = t_k - t_prev
-        if d > 0.0:
-            lo = t_prev
-            if a * d > 45.0:
-                # The exponential weight kills contributions older than
-                # ~45/a; the neglected remainder is below 1e-19 relative.
-                lo = t_k - 45.0 / a
-            val, abserr = quad(
-                lambda u: (b - drain_coeff * saturation(u))
-                * math.exp(-a * (t_k - u)),
-                lo, t_k, epsabs=1e-12 * scale * d + 1e-300, epsrel=1e-8,
-                limit=200, full_output=True)[:2]
-            if abserr > max(1e-4 * scale * d, 1e-8 * abs(val)) + 1e-300:
-                raise QuadratureError(
-                    f"phase integral did not converge (abserr={abserr:g})",
-                    estimate=c * math.exp(-a * d) + val, abserr=abserr)
-            c = c * math.exp(-a * d) + val
-        out[k] = c
-        t_prev = t_k
+    integral = np.zeros_like(offsets)
+    integral[moving], abserr = _gauss_kronrod(
+        integrand, lo, t_k, 1e-12 * scale * d_k + 1e-300, 1e-8)
+
+    c, chained = c_start, []
+    for growth, val in zip(np.exp(-a * d).tolist(), integral.tolist()):
+        c = c * growth + val
+        chained.append(c)
+    out = np.array(chained)
+
+    failed = np.flatnonzero(abserr > np.maximum(
+        1e-4 * scale * d_k, 1e-8 * np.abs(integral[moving])) + 1e-300)
+    if failed.size:
+        k = failed[0]
+        raise QuadratureError(
+            f"phase integral did not converge (abserr={abserr[k]:g})",
+            estimate=float(out[moving][k]), abserr=float(abserr[k]))
     return out
+
+
+def _gauss_kronrod(integrand, lo, hi, epsabs, epsrel):
+    """Integrals over every interval [lo_i, hi_i] and their error estimates.
+
+    The 15 Kronrod nodes are mapped onto all intervals at once, and
+    `integrand(u, rows)` is called with u of shape (m, 15) and the index
+    of the interval each row belongs to. A rule's error estimate is
+    |K15 - G7|. In every interval whose summed estimate exceeds
+    max(epsabs_i, epsrel*|I_i|), each piece whose estimate exceeds its
+    length's share of that tolerance is bisected, all in one batched rule
+    per round. An interval stops refining when the next round would pass
+    `_MAX_SUBDIVISIONS` bisections. Returns the integrals and the summed
+    estimates.
+    """
+    n = lo.size
+    owner, p_lo, p_hi = np.arange(n), lo, hi
+    p_val, p_err = val, err = _kronrod_rule(integrand, lo, hi, owner)
+    spent = np.zeros(n, dtype=int)
+    while True:
+        tol = np.maximum(epsabs, epsrel * np.abs(val))
+        split = ((err > tol)[owner]
+                 & (p_err * (hi - lo)[owner] > tol[owner] * (p_hi - p_lo)))
+        wanted = np.bincount(owner[split], minlength=n)
+        split &= (spent + wanted <= _MAX_SUBDIVISIONS)[owner]
+        if not split.any():
+            return val, err
+        spent += np.bincount(owner[split], minlength=n)
+        mid = 0.5 * (p_lo[split] + p_hi[split])
+        halves = np.concatenate((owner[split], owner[split]))
+        h_lo = np.concatenate((p_lo[split], mid))
+        h_hi = np.concatenate((mid, p_hi[split]))
+        h_val, h_err = _kronrod_rule(integrand, h_lo, h_hi, halves)
+        keep = ~split
+        owner = np.concatenate((owner[keep], halves))
+        p_lo = np.concatenate((p_lo[keep], h_lo))
+        p_hi = np.concatenate((p_hi[keep], h_hi))
+        p_val = np.concatenate((p_val[keep], h_val))
+        p_err = np.concatenate((p_err[keep], h_err))
+        val = np.bincount(owner, p_val, minlength=n)
+        err = np.bincount(owner, p_err, minlength=n)
+
+
+def _kronrod_rule(integrand, lo, hi, rows):
+    """One 15-point Kronrod rule per interval, and its |K15 - G7|."""
+    half = 0.5 * (hi - lo)
+    u = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    f = integrand(u, rows)
+    k15 = (f @ _K15_WEIGHTS) * half
+    g7 = (f @ _G7_WEIGHTS) * half
+    return k15, np.abs(k15 - g7)
 
 
 @dataclass

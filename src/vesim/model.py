@@ -178,15 +178,6 @@ class SystemState:
     c_hb_in: float = 0.0
     c_hb_out: float = 0.0
 
-    @staticmethod
-    def from_unbuffered(t: float, c_h_in: float, c_s_in: float,
-                        spec: VesicleSpec, env: Environment,
-                        rates: DerivedRates) -> "SystemState":
-        """Build a state deriving c_h_out from free-H+ conservation."""
-        c_h_out = (rates.total_free_protons - c_h_in * spec.v_in) / env.v_out
-        return SystemState(t=t, c_h_in=c_h_in, c_s_in=c_s_in,
-                           c_h_out=max(c_h_out, 0.0))
-
 
 def switch_concentration(total_free_protons: float, v_in: float,
                          v_out: float, xi: float) -> float:

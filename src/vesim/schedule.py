@@ -99,12 +99,6 @@ class LightSignal:
                    if i + 1 < len(self.intervals) else self.horizon)
         return t1, t3, t1_next
 
-    def switch_times(self) -> list[float]:
-        out = []
-        for t_on, t_off in self.intervals:
-            out.extend((t_on, t_off))
-        return out
-
 
 @dataclass(frozen=True)
 class CycleRecord:

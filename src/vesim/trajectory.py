@@ -72,17 +72,6 @@ class Trajectory:
                 return ev.t
         return None
 
-    def at(self, t: float) -> dict:
-        """Nearest-sample snapshot (for reporting, not interpolation)."""
-        k = int(np.argmin(np.abs(self.t - t)))
-        return {
-            "t": float(self.t[k]),
-            "c_h_in": float(self.c_h_in[k]),
-            "c_h_out": float(self.c_h_out[k]),
-            "c_s_in": float(self.c_s_in[k]),
-            "c_s_out": float(self.c_s_out[k]),
-        }
-
     def interp(self, name: str, times: np.ndarray) -> np.ndarray:
         return np.interp(times, self.t, getattr(self, name))
 
@@ -129,13 +118,6 @@ def read_trajectory_csv(path) -> dict:
     if "light" in out:
         out["light"] = np.array([int(v) for v in out["light"]])
     return out
-
-
-def max_relative_difference(a: np.ndarray, b: np.ndarray,
-                            floor: float = 0.0) -> float:
-    """max |a-b| / max(|b|, floor); floor guards near-zero baselines."""
-    denom = np.maximum(np.abs(b), floor if floor > 0 else np.finfo(float).tiny)
-    return float(np.max(np.abs(a - b) / denom))
 
 
 def sample_grid(horizon: float, interval: float) -> np.ndarray:

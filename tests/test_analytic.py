@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
 
-from vesim.analytic import (PhaseCoefficients, buffered_log_ratio,
-                            closed_form_proton, closed_form_substrate,
-                            exact_depletion_offset, exact_proton_series,
-                            exact_substrate, phase_coefficients,
-                            run_analytic)
+from vesim import analytic
+from vesim.analytic import (PhaseCoefficients, QuadratureError,
+                            buffered_log_ratio, closed_form_proton,
+                            closed_form_substrate, exact_depletion_offset,
+                            exact_proton_series, exact_substrate,
+                            phase_coefficients, run_analytic)
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
 from vesim.model import (ModelError, VesicleSpec, default_environment,
                          default_kinetics, default_vesicle, derive_rates)
@@ -191,6 +193,73 @@ class TestExactProton:
         series = exact_proton_series(c0, 3.14, co, rates, spec, kin,
                                      np.array([dt_end]))
         assert series[0] == pytest.approx(c, rel=1e-6)
+
+    def test_quadrature_error_when_budget_is_spent(self, setup,
+                                                   monkeypatch):
+        # across 40 e-folds of the exponential weight one 15-point rule
+        # misses tolerance; bisection recovers it, a zero budget cannot
+        spec, kin, env, rates = setup
+        co = phase_coefficients(spec, rates, env, True, True)
+        args = (rates.switch_conc, 3.14, co, rates, spec, kin,
+                np.array([40.0 / co.a]))
+        converged = exact_proton_series(*args)
+        monkeypatch.setattr(analytic, "_MAX_SUBDIVISIONS", 0)
+        with pytest.raises(QuadratureError) as info:
+            exact_proton_series(*args)
+        assert math.isfinite(info.value.estimate)
+        assert math.isfinite(info.value.abserr)
+        assert info.value.estimate == pytest.approx(converged[0], rel=1e-2)
+
+
+def test_gauss_kronrod_constants_integrate_polynomials_exactly():
+    x = analytic._GK_NODES
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert analytic._K15_WEIGHTS @ x ** k == pytest.approx(exact,
+                                                              abs=1e-15)
+        if k <= 13:
+            assert analytic._G7_WEIGHTS @ x ** k == pytest.approx(exact,
+                                                                 abs=1e-15)
+
+
+def _chained_quad_reference(c_start, c_s_start, co, rates, spec, kin,
+                            offsets):
+    """quad per sample interval of (b - drain*sat(u))*e^(-a(t_k - u)),
+    chained through c_k = c_(k-1)*e^(-a*d_k) + I_k."""
+    a, b, drain = co.a, co.b, -co.j_sym_b / co.beta
+
+    def g(u, t_k):
+        c_s = float(exact_substrate(c_s_start, rates, spec, kin, u))
+        return (b - drain * c_s / (c_s + kin.k_m)) * math.exp(-a * (t_k - u))
+
+    out, c, t_prev = [], c_start, 0.0
+    for t_k in offsets:
+        val = quad(g, t_prev, t_k, args=(t_k,), epsabs=0.0, epsrel=1e-13,
+                   limit=500)[0]
+        c = c * math.exp(-a * (t_k - t_prev)) + val
+        out.append(c)
+        t_prev = t_k
+    return np.array(out)
+
+
+@given(c_s_ratio=_log10_floats(-3, 3), beta=st.floats(1.0, 50.0),
+       light=st.booleans(),
+       steps=st.lists(_log10_floats(-4, 1.5), min_size=1, max_size=6),
+       long_gap=st.floats(45.5, 400.0), at=st.integers(0, 6))
+@settings(deadline=None, max_examples=60)
+def test_exact_series_matches_chained_quad(c_s_ratio, beta, light, steps,
+                                           long_gap, at):
+    spec, kin, env = default_vesicle(), default_kinetics(), \
+        default_environment()
+    rates = derive_rates(spec, kin, env)
+    co = phase_coefficients(spec, rates, env, light, True, beta=beta)
+    # uneven gaps, one of them longer than 45 e-folds of the weight
+    steps.insert(min(at, len(steps)), long_gap / co.a)
+    offsets = np.cumsum(steps)
+    args = (rates.switch_conc, c_s_ratio * kin.k_m, co, rates, spec, kin,
+            offsets)
+    np.testing.assert_allclose(exact_proton_series(*args),
+                               _chained_quad_reference(*args), rtol=1e-9)
 
 
 class TestRunAnalytic:
