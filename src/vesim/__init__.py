@@ -9,13 +9,13 @@ statistics.
 """
 
 from .analytic import lambert_w0, lambert_w0_exp, run_analytic
-from .buffering import attenuation_factor, equilibrate, free_proton_conc
+from .buffering import free_proton_conc
 from .ensemble import (EnsembleConfig, PopulationDistributions,
                        jensen_gap_check, run_ensemble, sample_vesicle)
-from .fdm import FdmConfig, simulate_mvs_shared_pool, simulate_svs, step_svs
+from .fdm import FdmConfig, simulate_mvs_shared_pool, simulate_svs
 from .model import (AVOGADRO, DerivedRates, Environment, KineticConstants,
-                    SystemState, VesicleSpec, derive_rates, leakage_flux,
-                    pump_flux, symport_flux)
+                    VesicleSpec, derive_rates, leakage_flux, pump_flux,
+                    symport_flux)
 from .schedule import CycleSchedule, LightSignal, clip_cycle_times
 from .trajectory import Trajectory
 
@@ -24,10 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AVOGADRO", "CycleSchedule", "DerivedRates", "EnsembleConfig",
     "Environment", "FdmConfig", "KineticConstants", "LightSignal",
-    "PopulationDistributions", "SystemState", "Trajectory", "VesicleSpec",
-    "attenuation_factor", "clip_cycle_times", "derive_rates", "equilibrate",
-    "free_proton_conc", "jensen_gap_check", "lambert_w0", "lambert_w0_exp",
-    "leakage_flux", "pump_flux", "run_analytic", "run_ensemble",
-    "sample_vesicle", "simulate_mvs_shared_pool", "simulate_svs",
-    "step_svs", "symport_flux",
+    "PopulationDistributions", "Trajectory", "VesicleSpec",
+    "clip_cycle_times", "derive_rates", "free_proton_conc",
+    "jensen_gap_check", "lambert_w0", "lambert_w0_exp", "leakage_flux",
+    "pump_flux", "run_analytic", "run_ensemble", "sample_vesicle",
+    "simulate_mvs_shared_pool", "simulate_svs", "symport_flux",
 ]

@@ -8,38 +8,19 @@ T with total ligand B0, the free concentration as the positive root of
 
     C^2 + C*(B0 + k_a - T) - k_a*T = 0.
 
-The finite-difference solver re-equilibrates with `equilibrate` after every
-flux update. The analytical solvers divide the free-H+ flux by the exact
-local slowdown dT/dC = `buffering_slowdown`, whose separable law they
-integrate in closed form (`schedule.buffered_relaxation_time`).
+The finite-difference solver re-equilibrates both compartments after every
+flux update, with `free_proton_conc` for one vesicle and with its array
+form `free_proton_conc_array` for the shared-pool vesicles. The analytical
+solvers divide the free-H+ flux by the exact local slowdown dT/dC =
+`buffering_slowdown`, whose separable law they integrate in closed form
+(`schedule.buffered_relaxation_time`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class BufferedCompartment:
-    """One well-stirred volume holding free and buffer-complexed protons.
-
-    Attributes:
-        total_h: free + complexed H+ amount (mol)
-        volume: compartment volume (m^3)
-        buffer_total: total ligand concentration B0 (mol/m^3)
-        k_a: dissociation constant (mol/m^3)
-    """
-
-    total_h: float
-    volume: float
-    buffer_total: float
-    k_a: float
-
-    def equilibrium(self) -> tuple[float, float]:
-        total_conc = self.total_h / self.volume
-        c_free = free_proton_conc(total_conc, self.buffer_total, self.k_a)
-        return c_free, total_conc - c_free
+import numpy as np
 
 
 def free_proton_conc(total_conc: float, buffer_total: float,
@@ -66,9 +47,20 @@ def free_proton_conc(total_conc: float, buffer_total: float,
     return 0.5 * (disc - q)
 
 
-def equilibrate(comp: BufferedCompartment) -> tuple[float, float]:
-    """(free, complexed) concentrations in mol/m^3 of a compartment."""
-    return comp.equilibrium()
+def free_proton_conc_array(total_conc: np.ndarray, buffer_total: float,
+                           k_a: float) -> np.ndarray:
+    """`free_proton_conc` of every element of `total_conc`.
+
+    Evaluates the same expressions in the same order, so each element is
+    bit-identical to the scalar root.
+    """
+    if buffer_total <= 0.0:
+        return np.where(total_conc > 0.0, total_conc, 0.0)
+    q = buffer_total + k_a - total_conc
+    disc = np.sqrt(q * q + 4.0 * k_a * total_conc)
+    root = np.where(q >= 0.0, 2.0 * k_a * total_conc / (q + disc),
+                    0.5 * (disc - q))
+    return np.where(total_conc > 0.0, root, 0.0)
 
 
 def complexed_conc(c_free: float, buffer_total: float, k_a: float) -> float:
@@ -84,27 +76,11 @@ def total_conc_from_free(c_free: float, buffer_total: float,
     return c_free + complexed_conc(c_free, buffer_total, k_a)
 
 
-def attenuation_factor(c_h: float, buffer_total: float, k_a: float) -> float:
-    """H+ flux attenuation caused by the buffer, clamped to >= 1.
-
-    beta = k_a * B0 / (c_h + k_a)^2, the slowdown at one H+ concentration
-    without its +1 term. Values below 1 would correspond to an
-    effectively unbuffered medium, so they are clamped to 1. No solver
-    uses it: rather than hold a factor fixed across a cycle phase, the
-    analytic solvers integrate the exact slowdown `buffering_slowdown`.
-    """
-    if buffer_total <= 0.0:
-        return 1.0
-    beta = k_a * buffer_total / (c_h + k_a) ** 2
-    return max(beta, 1.0)
-
-
 def buffering_slowdown(c_h: float, buffer_total: float, k_a: float) -> float:
     """Exact local slowdown dT/dC = 1 + k_a*B0/(c_h+k_a)^2 of free-H+ motion.
 
-    Differs from `attenuation_factor` by the +1 term and the absence of
-    clamping; used for stability estimates of explicit stepping and by
-    the analytic solvers' buffered proton law.
+    Used for stability estimates of explicit stepping and by the analytic
+    solvers' buffered proton law.
     """
     if buffer_total <= 0.0:
         return 1.0

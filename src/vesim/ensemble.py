@@ -31,7 +31,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .analytic import lambert_w0_exp, run_analytic
-from .fdm import FdmConfig, simulate_svs
 from .model import (AVOGADRO, Environment, KineticConstants, VesicleSpec)
 from .schedule import LightSignal
 from .trajectory import Trajectory
@@ -274,24 +273,16 @@ def _first_start_last_end(traj: Trajectory) -> tuple[float, float]:
             ends[-1] if ends else math.nan)
 
 
-def _simulate_one(spec: VesicleSpec, kin: KineticConstants,
-                  env: Environment, signal: LightSignal, solver: str,
-                  sample_times: np.ndarray,
-                  fdm_cfg: FdmConfig | None) -> Trajectory:
-    if solver == "fdm":
-        traj = simulate_svs(spec, kin, env, signal, fdm_cfg or FdmConfig())
-        return traj
-    return run_analytic(spec, kin, env, signal, solver,
-                        sample_times=sample_times)
-
-
 def run_experiment(dist: PopulationDistributions, kin: KineticConstants,
                    env_base: Environment, signal: LightSignal,
                    cfg: EnsembleConfig, rng: np.random.Generator,
                    solver: str = "closed",
-                   sample_times: np.ndarray | None = None,
-                   fdm_cfg: FdmConfig | None = None) -> ExperimentResult:
-    """Sample n_mod vesicles and simulate each as an independent SVS."""
+                   sample_times: np.ndarray | None = None) -> ExperimentResult:
+    """Sample n_mod vesicles and simulate each as an independent SVS.
+
+    `solver` is an analytic mode, 'exact' or 'closed'; `run_analytic`
+    raises ModelError for any other value.
+    """
     if sample_times is None:
         sample_times = np.linspace(0.0, signal.horizon, 161)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
@@ -302,14 +293,10 @@ def run_experiment(dist: PopulationDistributions, kin: KineticConstants,
     t2 = np.empty(cfg.n_mod)
     t4 = np.empty(cfg.n_mod)
     for m, spec in enumerate(specs):
-        traj = _simulate_one(spec, kin, env, signal, solver, sample_times,
-                             fdm_cfg)
-        if solver == "fdm":
-            c_h_in[m] = traj.interp("c_h_in", sample_times)
-            c_s_out[m] = traj.interp("c_s_out", sample_times)
-        else:
-            c_h_in[m] = traj.c_h_in
-            c_s_out[m] = traj.c_s_out
+        traj = run_analytic(spec, kin, env, signal, solver,
+                            sample_times=sample_times)
+        c_h_in[m] = traj.c_h_in
+        c_s_out[m] = traj.c_s_out
         t2[m], t4[m] = _first_start_last_end(traj)
     return ExperimentResult(t=np.asarray(sample_times), c_h_in=c_h_in,
                             c_s_out=c_s_out, symport_start=t2,
@@ -355,9 +342,8 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
 
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
     mean_spec = mean_parameter_spec(dist)
-    mean_traj = _simulate_one(mean_spec, kin, env, signal,
-                              solver if solver != "fdm" else "closed",
-                              sample_times, None)
+    mean_traj = run_analytic(mean_spec, kin, env, signal, solver,
+                             sample_times=sample_times)
 
     n_ex = cfg.n_ex
     var_kw = dict(axis=0, ddof=1) if n_ex > 1 else dict(axis=0, ddof=0)
@@ -379,32 +365,6 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
                                      else math.nan for r in results]),
         config=cfg, solver=solver,
     )
-
-
-def aggregate_substrate(series: np.ndarray, grids=None) -> np.ndarray:
-    """Uniform average of per-vesicle extravesicular substrate series.
-
-    With uniformly split extravesicular volumes the population estimate
-    is the plain mean over the modeled vesicles. `grids`, when given,
-    must all be identical.
-    """
-    series = np.asarray(series)
-    if grids is not None:
-        ref = np.asarray(grids[0])
-        for g in grids[1:]:
-            if len(g) != len(ref) or not np.array_equal(np.asarray(g), ref):
-                raise ValueError("vesicle series use mismatched time grids")
-    return series.mean(axis=0)
-
-
-def inter_experiment_variance(per_experiment: np.ndarray,
-                              n_ex: int | None = None) -> np.ndarray:
-    """Pointwise unbiased variance across experiments (ddof=1)."""
-    per_experiment = np.asarray(per_experiment)
-    n = per_experiment.shape[0] if n_ex is None else n_ex
-    if n < 2:
-        raise ValueError("inter-experiment variance needs n_ex >= 2")
-    return per_experiment[:n].var(axis=0, ddof=1)
 
 
 @dataclass(frozen=True)

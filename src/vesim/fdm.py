@@ -10,6 +10,12 @@ interaction. Explicit Euler at a fixed step keeps the baseline
 bit-reproducible; a stiffness check refuses steps that the fastest phase
 coefficient would destabilize.
 
+The flux laws are those of `model.py`. The shared-pool kernel calls them
+on per-vesicle arrays and re-equilibrates with `free_proton_conc_array`;
+the single-vesicle loop inlines them in the same arithmetic order, since
+it runs near the interpreter's per-step floor, and a test pins the two
+bit for bit.
+
 Symport threshold crossings are detected by the sign change of
 (C_H_in - C_switch) with linear interpolation between steps and then
 assembled into the same cycle schedule the analytic solvers produce.
@@ -24,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import DEPLETION_FRACTION_OF_KM
-from .buffering import buffering_slowdown, free_proton_conc, total_conc_from_free
+from .buffering import (buffering_slowdown, free_proton_conc,
+                        free_proton_conc_array, total_conc_from_free)
 from .model import (DerivedRates, Environment, KineticConstants, VesicleSpec,
-                    derive_rates)
+                    derive_rates, leakage_flux, net_proton_inflow, pump_flux,
+                    symport_flux)
 from .schedule import LightSignal, schedule_from_crossings
 from .trajectory import Event, Trajectory
 
@@ -116,44 +124,6 @@ def _light_steps(signal: LightSignal, dt: float, n_steps: int) -> np.ndarray:
     return light
 
 
-def step_svs(state, spec: VesicleSpec, rates: DerivedRates,
-             kin: KineticConstants, env: Environment, light_on: bool,
-             dt: float):
-    """One forward-Euler step of a single vesicle system.
-
-    Compartment totals are advanced with fluxes evaluated at the free
-    concentrations of `state`, then both compartments re-equilibrate.
-    Total H+ (free + complexed) is conserved exactly by construction;
-    substrate overshoot below zero is clamped. The bulk integrator in
-    `simulate_svs` performs these identical updates in its inner loop.
-
-    Args:
-        state: a SystemState with free concentrations and, when buffered,
-            the complexed concentrations of both compartments
-    Returns:
-        The advanced SystemState at state.t + dt.
-    """
-    from .model import SystemState, net_proton_inflow, symport_flux
-
-    b0, k_a = env.buffer_total, env.k_a
-    th_in = (state.c_h_in + state.c_hb_in) * spec.v_in
-    th_out = (state.c_h_out + state.c_hb_out) * env.v_out
-    f_s, _ = symport_flux(state, rates, kin)
-    net_in = net_proton_inflow(state, spec, rates, kin, env, light_on)
-
-    th_in += dt * net_in
-    th_out -= dt * net_in
-    cs_in = max(state.c_s_in - dt * f_s / spec.v_in, 0.0)
-
-    t_in = th_in / spec.v_in
-    t_out = th_out / env.v_out
-    c_in = free_proton_conc(t_in, b0, k_a)
-    c_out = free_proton_conc(t_out, b0, k_a)
-    return SystemState(t=state.t + dt, c_h_in=c_in, c_s_in=cs_in,
-                       c_h_out=c_out, c_hb_in=t_in - c_in,
-                       c_hb_out=t_out - c_out)
-
-
 def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  signal: LightSignal, cfg: FdmConfig | None = None,
                  rates: DerivedRates | None = None) -> Trajectory:
@@ -190,8 +160,6 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     rec_chout = np.empty(n_rec)
     rec_csin = np.empty(n_rec)
     rec_csout = np.empty(n_rec)
-    rec_hbin = np.empty(n_rec)
-    rec_hbout = np.empty(n_rec)
     rec_light = np.empty(n_rec, dtype=int)
 
     crossings: list[tuple[float, int]] = []
@@ -214,13 +182,15 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
             rec_chout[idx] = c_out
             rec_csin[idx] = cs_in
             rec_csout[idx] = ts_out / v_out
-            rec_hbin[idx] = th_in / v_in - c_in
-            rec_hbout[idx] = th_out / v_out - c_out
             rec_light[idx] = 1 if (k < n_steps and light[k]) else 0
             ri += 1
         if k == n_steps:
             break
 
+        # model.pump_flux, symport_flux, leakage_flux and
+        # net_proton_inflow, inlined in their arithmetic order; the test
+        # TestSharedPool::test_single_vesicle_degenerates_to_svs pins this
+        # step bit for bit to the shared-pool kernel, which calls them.
         lit = light[k]
         pump = gamma_p * (c_out / c_out0) if (lit and gamma_p > 0.0
                                               and c_out0 > 0.0) else 0.0
@@ -283,7 +253,6 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         c_s_out=rec_csout, light=rec_light,
         cycle=np.asarray(cycles, dtype=int), phase=phases, schedule=sched,
         solver="fdm", derived=rates, events=events,
-        c_hb_in=rec_hbin, c_hb_out=rec_hbout,
         conservation_drift=max(max_h_drift, max_s_drift),
     )
 
@@ -352,16 +321,6 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     h_total0 = th_in.sum() + pool_th
     s_total0 = (cs_in * v_in).sum()
 
-    def free_vec(total_conc: np.ndarray) -> np.ndarray:
-        if b0 <= 0.0:
-            return np.maximum(total_conc, 0.0)
-        q = b0 + k_a - total_conc
-        disc = np.sqrt(q * q + 4.0 * k_a * total_conc)
-        pos = 2.0 * k_a * total_conc / (q + disc)
-        neg = 0.5 * (disc - q)
-        out = np.where(q >= 0.0, pos, neg)
-        return np.where(total_conc > 0.0, out, 0.0)
-
     n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
     rec_t = np.empty(n_rec)
     rec_chin = np.empty((n_rec, n_ves))
@@ -375,7 +334,7 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     depleted = np.zeros(n_ves, dtype=bool)
     dep_threshold = DEPLETION_FRACTION_OF_KM * km
 
-    c_in = free_vec(th_in / v_in)
+    c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
     c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
     diff_prev = c_in - c_switch
     active_at_start = diff_prev >= 0.0
@@ -395,14 +354,10 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
         if k == n_steps:
             break
 
-        lit = light[k]
-        pump = gamma_p * (c_pool / c_out0) if (lit and c_out0 > 0) else 0.0
-        active = (c_in >= c_switch) & (cs_in > 0.0) & (gamma_s > 0.0)
-        mm = np.where(active, cs_in / (cs_in + km), 0.0)
-        f_s = gamma_s * mm
-        f_h = gamma_h * mm
-        leak = gamma_l * (c_in - c_pool)
-        net_in = sign * (pump - leak - f_h)
+        pump = pump_flux(c_pool, c_out0, gamma_p, light[k])
+        f_s, f_h = symport_flux(c_in, cs_in, c_switch, gamma_s, gamma_h, km)
+        leak = leakage_flux(c_in, c_pool, gamma_l)
+        net_in = net_proton_inflow(pump, leak, f_h, sign)
 
         th_in += dt * net_in
         pool_th -= dt * net_in.sum()
@@ -418,7 +373,7 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
             depleted |= under
             cs_in[under] = 0.0
 
-        c_in = free_vec(th_in / v_in)
+        c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
         c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
 
         diff = c_in - c_switch

@@ -4,7 +4,12 @@ Physical quantities, derived rates and instantaneous flux laws.
 
 All quantities are SI: lengths in m, volumes in m^3, concentrations in
 mol/m^3, amounts in mol, rates in mol/s (per vesicle) or 1/s (per protein).
-The three flux laws (pump, symport, leakage) are shared by every solver.
+The flux laws (pump, symport, leakage and their net H+ balance) take plain
+concentrations and rates, floats or numpy arrays alike. They are the
+finite-difference step's physics: the shared-pool kernel calls them, and
+the scalar single-vesicle loop inlines them in the same arithmetic order
+(pinned bit for bit by tests/test_fdm.py). The analytic solvers linearise
+the same laws per cycle phase (`analytic.phase_coefficients`).
 """
 
 from __future__ import annotations
@@ -163,22 +168,6 @@ class DerivedRates:
     switch_conc: float
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Instantaneous concentrations of one SVS.
-
-    `c_h_in`/`c_h_out` are free concentrations; the complexed amounts
-    `c_hb_in`/`c_hb_out` are nonzero only in buffered finite-difference runs.
-    """
-
-    t: float
-    c_h_in: float
-    c_s_in: float
-    c_h_out: float
-    c_hb_in: float = 0.0
-    c_hb_out: float = 0.0
-
-
 def switch_concentration(total_free_protons: float, v_in: float,
                          v_out: float, xi: float) -> float:
     """Intravesicular H+ concentration at which the symporters activate.
@@ -221,50 +210,44 @@ def derive_rates(spec: VesicleSpec, kin: KineticConstants,
     )
 
 
-def pump_flux(state: SystemState, rates: DerivedRates, env: Environment,
-              light_on: bool) -> float:
-    """H+ influx (mol/s) driven by the pumps; zero in the dark.
+def pump_flux(c_out, c_out0: float, gamma_p, light_on: bool):
+    """H+ influx (mol/s) driven by the pumps: gamma_p * (c_out / c_out0).
 
-    Scales with the available extravesicular H+ relative to its initial
-    value, so an exhausted reservoir shuts the pumps down smoothly.
+    Scales with the extravesicular free H+ relative to its initial value,
+    so an exhausted reservoir shuts the pumps down smoothly; zero in the
+    dark and when the reservoir starts empty. Concentrations and rates
+    may be floats or numpy arrays.
     """
-    if not light_on or rates.pump_rate == 0.0:
+    if not light_on or c_out0 <= 0.0:
         return 0.0
-    if env.c_h_out0 <= 0.0:
-        return 0.0
-    ratio = max(state.c_h_out, 0.0) / env.c_h_out0
-    return ratio * rates.pump_rate
+    return gamma_p * (c_out / c_out0)
 
 
-def symport_flux(state: SystemState, rates: DerivedRates,
-                 kin: KineticConstants) -> tuple[float, float]:
+def symport_flux(c_in, c_s, c_switch, gamma_s, gamma_h, k_m: float):
     """(substrate, H+) outflux in mol/s through the release module.
 
-    Michaelis-Menten in the substrate, gated by the activation threshold
-    on the intravesicular H+ concentration. Both fluxes vanish on
-    substrate depletion (c_s_in <= 0).
+    Michaelis-Menten in the substrate, mm = gate * c_s / (c_s + k_m),
+    gated on by c_in >= c_switch while substrate remains (c_s > 0); the
+    fluxes are gamma_s * mm and gamma_h * mm. Concentrations and rates
+    may be floats or numpy arrays.
     """
-    if state.c_s_in <= 0.0 or state.c_h_in < rates.switch_conc:
-        return 0.0, 0.0
-    flux_s = rates.symport_rate_substrate * state.c_s_in / (state.c_s_in + kin.k_m)
-    return flux_s, kin.stoichiometry * flux_s
+    gate = (c_in >= c_switch) & (c_s > 0.0)
+    mm = gate * c_s / (c_s + k_m)
+    return gamma_s * mm, gamma_h * mm
 
 
-def leakage_flux(state: SystemState, rates: DerivedRates) -> float:
+def leakage_flux(c_in, c_out, gamma_l):
     """Passive H+ flux (mol/s) across the membrane; positive = outward."""
-    return rates.leak_rate * (state.c_h_in - state.c_h_out)
+    return gamma_l * (c_in - c_out)
 
 
-def net_proton_inflow(state: SystemState, spec: VesicleSpec,
-                      rates: DerivedRates, kin: KineticConstants,
-                      env: Environment, light_on: bool) -> float:
-    """Net H+ flow into the vesicle (mol/s): pump - leak - symport.
+def net_proton_inflow(pump, leak, symport_h, sign):
+    """Net H+ flow into the vesicle (mol/s): sign * (pump - leak - symport).
 
-    Antiporter mode flips the sign of all three terms.
+    `sign` is `VesicleSpec.flux_sign`; antiporter mode flips all three
+    terms.
     """
-    _, flux_h = symport_flux(state, rates, kin)
-    net = pump_flux(state, rates, env, light_on) - leakage_flux(state, rates) - flux_h
-    return spec.flux_sign * net
+    return sign * (pump - leak - symport_h)
 
 
 def default_vesicle() -> VesicleSpec:

@@ -59,8 +59,6 @@ class Trajectory:
     solver: str
     derived: DerivedRates
     events: list[Event] = field(default_factory=list)
-    c_hb_in: np.ndarray | None = None
-    c_hb_out: np.ndarray | None = None
     conservation_drift: float = 0.0
 
     def __len__(self) -> int:
@@ -71,9 +69,6 @@ class Trajectory:
             if ev.kind == "depletion":
                 return ev.t
         return None
-
-    def interp(self, name: str, times: np.ndarray) -> np.ndarray:
-        return np.interp(times, self.t, getattr(self, name))
 
 
 CSV_COLUMNS = ("t", "C_H_in", "C_H_out", "C_S_in", "C_S_out",

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vesim.buffering import (BufferedCompartment, attenuation_factor,
-                             buffering_slowdown, complexed_conc, equilibrate,
-                             free_proton_conc, total_conc_from_free)
+from vesim.buffering import (buffering_slowdown, complexed_conc,
+                             free_proton_conc, free_proton_conc_array,
+                             total_conc_from_free)
 
 
 def bisect_free_conc(total, b0, ka, tol=1e-12):
@@ -23,12 +24,10 @@ def bisect_free_conc(total, b0, ka, tol=1e-12):
 
 
 def test_unbuffered_identity():
+    # without a ligand every proton stays free
     assert free_proton_conc(0.123, 0.0, 6.2e-5) == 0.123
-    comp = BufferedCompartment(total_h=1e-20, volume=1e-17, buffer_total=0.0,
-                               k_a=6.2e-5)
-    c, chb = equilibrate(comp)
-    assert c == pytest.approx(1e-3, rel=1e-12)
-    assert chb == 0.0
+    assert free_proton_conc(1e-20 / 1e-17, 0.0, 6.2e-5) == 1e-20 / 1e-17
+    assert complexed_conc(1e-3, 0.0, 6.2e-5) == 0.0
 
 
 def test_zero_total():
@@ -49,9 +48,8 @@ def test_reference_complex_concentration():
 
 def test_mass_action_residual_at_equilibrium():
     total = total_conc_from_free(3.98e-5, 20.0, 6.2e-5)
-    comp = BufferedCompartment(total_h=total * 1e-17, volume=1e-17,
-                               buffer_total=20.0, k_a=6.2e-5)
-    c, chb = equilibrate(comp)
+    c = free_proton_conc(total, 20.0, 6.2e-5)
+    chb = total - c
     assert 0.0 <= chb <= 20.0
     # k_a = C*(B0 - C_HB)/C_HB to relative 1e-12
     assert c * (20.0 - chb) / chb == pytest.approx(6.2e-5, rel=1e-12)
@@ -76,19 +74,24 @@ def test_free_conc_matches_bisection_oracle(total, b0, ka):
     assert total - c <= b0 + 1e-13 * max(1.0, total)
 
 
-def test_attenuation_reference_value():
-    # k_a*B0/(C+k_a)^2 at pH 7.4, B0 = 20
-    beta = attenuation_factor(3.98e-5, 20.0, 6.2e-5)
-    assert beta == pytest.approx(6.2e-5 * 20 / (1.018e-4) ** 2, rel=1e-12)
-    assert beta == pytest.approx(1.1966e5, rel=1e-3)
-
-
-def test_attenuation_clamped_to_one():
-    assert attenuation_factor(3.98e-5, 0.0, 6.2e-5) == 1.0
-    assert attenuation_factor(100.0, 1e-6, 6.2e-5) == 1.0
-
-
-def test_slowdown_exceeds_attenuation_by_one():
-    beta = attenuation_factor(3.98e-5, 20.0, 6.2e-5)
+def test_slowdown_reference_value():
+    # 1 + k_a*B0/(C+k_a)^2 at pH 7.4, B0 = 20
     slow = buffering_slowdown(3.98e-5, 20.0, 6.2e-5)
-    assert slow == pytest.approx(beta + 1.0, rel=1e-12)
+    assert slow == pytest.approx(1.0 + 6.2e-5 * 20 / (1.018e-4) ** 2,
+                                 rel=1e-12)
+    assert slow == pytest.approx(1.0 + 1.1966e5, rel=1e-3)
+    assert buffering_slowdown(3.98e-5, 0.0, 6.2e-5) == 1.0
+
+
+@given(totals=st.lists(st.floats(-1.0, 1e3), min_size=1, max_size=8),
+       b0=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+       ka=st.floats(1e-8, 1e2))
+def test_array_root_equals_scalar_root(totals, b0, ka):
+    # the shared-pool kernel's root: the scalar root of every element
+    arr = free_proton_conc_array(np.array(totals), b0, ka)
+    assert arr.shape == (len(totals),)
+    for t, c in zip(totals, arr):
+        assert c == free_proton_conc(t, b0, ka)
+        if t > 1e-12 and b0 > 0.0:
+            assert c == pytest.approx(bisect_free_conc(t, b0, ka),
+                                      rel=1e-8, abs=1e-18)

@@ -6,11 +6,10 @@ from scipy import stats
 
 from vesim.ensemble import (DiameterDistribution, EnsembleConfig,
                             PermeabilityDistribution,
-                            PopulationDistributions, aggregate_substrate,
-                            inter_experiment_variance, jensen_gap_check,
+                            PopulationDistributions, jensen_gap_check,
                             mean_parameter_spec, protein_slots, run_ensemble,
                             run_experiment, sample_vesicle)
-from vesim.model import default_environment, default_kinetics
+from vesim.model import ModelError, default_environment, default_kinetics
 from vesim.schedule import LightSignal
 
 
@@ -97,36 +96,6 @@ class TestSampling:
         assert spec.permeability == pytest.approx(3.17e-6, rel=1e-2)
 
 
-class TestAggregation:
-    def test_identity_for_single_vesicle(self):
-        series = np.array([[1.0, 2.0, 3.0]])
-        assert np.array_equal(aggregate_substrate(series), series[0])
-
-    def test_identical_trajectories(self):
-        series = np.tile([[1.0, 2.0, 3.0]], (5, 1))
-        assert np.array_equal(aggregate_substrate(series), series[0])
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            aggregate_substrate(np.ones((2, 3)),
-                                grids=[np.arange(3), np.arange(1, 4)])
-
-
-class TestInterExperimentVariance:
-    def test_identical_experiments_zero(self):
-        series = np.tile([[2.0, 4.0]], (6, 1))
-        assert np.allclose(inter_experiment_variance(series), 0.0)
-
-    def test_two_point_offset(self):
-        series = np.array([[1.0, 1.0], [2.0, 2.0]])
-        # unbiased variance of {x, x + d} is d^2/2
-        assert np.allclose(inter_experiment_variance(series), 0.5)
-
-    def test_requires_two_experiments(self):
-        with pytest.raises(ValueError, match="n_ex >= 2"):
-            inter_experiment_variance(np.ones((1, 4)))
-
-
 class TestEnsembleRuns:
     def test_seeded_bit_reproducibility(self, pop, signal):
         kin = default_kinetics()
@@ -137,6 +106,17 @@ class TestEnsembleRuns:
         b = run_ensemble(pop, kin, env, signal, cfg, sample_times=ts)
         assert np.array_equal(a.per_exp_c_s_out, b.per_exp_c_s_out)
         assert np.array_equal(a.interex_var_c_s_out, b.interex_var_c_s_out)
+        # inter-experiment variance is the unbiased one across experiments
+        assert np.array_equal(a.interex_var_c_s_out,
+                              a.per_exp_c_s_out.var(axis=0, ddof=1))
+
+    def test_fdm_solver_rejected(self, pop, signal):
+        # ensembles run the analytic solvers only
+        cfg = EnsembleConfig(n_mod=2, n_ex=2, seed=1)
+        env = default_environment(v_out=cfg.v_out_per_vesicle)
+        with pytest.raises(ModelError, match="'exact' or 'closed'"):
+            run_ensemble(pop, default_kinetics(), env, signal, cfg,
+                         solver="fdm", sample_times=np.array([0.0, 800.0]))
 
     def test_different_seeds_differ(self, pop, signal):
         kin = default_kinetics()

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vesim.model import (AVOGADRO, Environment, ModelError, SystemState,
-                         VesicleSpec, default_environment, default_kinetics,
+from vesim.model import (AVOGADRO, Environment, ModelError, VesicleSpec,
+                         default_environment, default_kinetics,
                          default_vesicle, derive_rates, leakage_flux,
                          net_proton_inflow, pump_flux, switch_concentration,
                          symport_flux)
@@ -78,74 +79,106 @@ def test_small_v_out_warns(base_kinetics):
         derive_rates(default_vesicle(), base_kinetics, env)
 
 
-def _state(c_h_in, c_s_in, c_h_out, t=0.0):
-    return SystemState(t=t, c_h_in=c_h_in, c_s_in=c_s_in, c_h_out=c_h_out)
+def _symport(c_in, c_s, rates, kin):
+    return symport_flux(c_in, c_s, rates.switch_conc,
+                        rates.symport_rate_substrate,
+                        rates.symport_rate_proton, kin.k_m)
 
 
 class TestPumpFlux:
     def test_dark_is_zero(self, base_rates, base_env):
-        s = _state(3.98e-5, 300.0, 3.98e-5)
-        assert pump_flux(s, base_rates, base_env, light_on=False) == 0.0
+        assert pump_flux(3.98e-5, base_env.c_h_out0, base_rates.pump_rate,
+                         light_on=False) == 0.0
 
     def test_unit_ratio_gives_full_rate(self, base_rates, base_env):
-        s = _state(3.98e-5, 300.0, base_env.c_h_out0)
-        assert pump_flux(s, base_rates, base_env, True) == pytest.approx(
+        assert pump_flux(base_env.c_h_out0, base_env.c_h_out0,
+                         base_rates.pump_rate, True) == pytest.approx(
             base_rates.pump_rate, rel=1e-14)
 
     def test_linear_in_reservoir(self, base_rates, base_env):
-        s = _state(3.98e-5, 300.0, base_env.c_h_out0 / 2)
-        assert pump_flux(s, base_rates, base_env, True) == pytest.approx(
+        assert pump_flux(base_env.c_h_out0 / 2, base_env.c_h_out0,
+                         base_rates.pump_rate, True) == pytest.approx(
             base_rates.pump_rate / 2, rel=1e-14)
 
     def test_exhausted_reservoir(self, base_rates, base_env):
-        s = _state(3.98e-5, 300.0, 0.0)
-        assert pump_flux(s, base_rates, base_env, True) == 0.0
+        assert pump_flux(0.0, base_env.c_h_out0, base_rates.pump_rate,
+                         True) == 0.0
+        # a reservoir that starts empty gives no pump flux either
+        assert pump_flux(0.0, 0.0, base_rates.pump_rate, True) == 0.0
 
 
 class TestSymportFlux:
     def test_below_threshold(self, base_rates, base_kinetics):
-        s = _state(base_rates.switch_conc * 0.99, 300.0, 3.98e-5)
-        assert symport_flux(s, base_rates, base_kinetics) == (0.0, 0.0)
+        assert _symport(base_rates.switch_conc * 0.99, 300.0, base_rates,
+                        base_kinetics) == (0.0, 0.0)
 
     def test_half_saturation_at_km(self, base_rates, base_kinetics):
-        s = _state(base_rates.switch_conc, base_kinetics.k_m, 3.98e-5)
-        f_s, f_h = symport_flux(s, base_rates, base_kinetics)
+        f_s, f_h = _symport(base_rates.switch_conc, base_kinetics.k_m,
+                            base_rates, base_kinetics)
         assert f_s == pytest.approx(base_rates.symport_rate_substrate / 2,
                                     rel=1e-14)
         assert f_h == pytest.approx(3 * f_s, rel=1e-14)
 
     def test_depleted(self, base_rates, base_kinetics):
-        s = _state(base_rates.switch_conc * 2, 0.0, 3.98e-5)
-        assert symport_flux(s, base_rates, base_kinetics) == (0.0, 0.0)
+        assert _symport(base_rates.switch_conc * 2, 0.0, base_rates,
+                        base_kinetics) == (0.0, 0.0)
 
 
 class TestLeakageFlux:
     def test_no_gradient(self, base_rates):
-        assert leakage_flux(_state(5e-5, 300.0, 5e-5), base_rates) == 0.0
+        assert leakage_flux(5e-5, 5e-5, base_rates.leak_rate) == 0.0
 
     def test_unit_gradient(self, base_rates):
-        f = leakage_flux(_state(1.5, 300.0, 0.5), base_rates)
+        f = leakage_flux(1.5, 0.5, base_rates.leak_rate)
         assert f == pytest.approx(base_rates.leak_rate, rel=1e-12)
         assert f == pytest.approx(1.2465e-19, rel=1e-3)
 
     def test_inward_is_negative(self, base_rates):
-        assert leakage_flux(_state(1e-5, 300.0, 5e-5), base_rates) < 0
+        assert leakage_flux(1e-5, 5e-5, base_rates.leak_rate) < 0
 
 
 def test_dead_system_all_fluxes_zero(base_rates, base_kinetics, base_env):
-    s = _state(3.98e-5, 300.0, 3.98e-5)
-    assert s.c_h_in < base_rates.switch_conc
-    assert pump_flux(s, base_rates, base_env, False) == 0.0
-    assert symport_flux(s, base_rates, base_kinetics) == (0.0, 0.0)
-    assert leakage_flux(s, base_rates) == 0.0
+    c = 3.98e-5
+    assert c < base_rates.switch_conc
+    assert pump_flux(c, base_env.c_h_out0, base_rates.pump_rate,
+                     False) == 0.0
+    assert _symport(c, 300.0, base_rates, base_kinetics) == (0.0, 0.0)
+    assert leakage_flux(c, c, base_rates.leak_rate) == 0.0
+
+
+_conc = st.floats(0.0, 1e2)
+
+
+@given(st.lists(st.tuples(_conc, _conc, _conc, _conc, st.booleans()),
+                min_size=1, max_size=8))
+def test_flux_laws_on_arrays_equal_scalar_calls(rows):
+    # one law for both FDM kernels: arrays give each element's float
+    rates = derive_rates(default_vesicle(), default_kinetics(),
+                         default_environment())
+    k_m, c_out0, sign = default_kinetics().k_m, 3.98e-5, -1.0
+    c_in, c_s, c_out, c_switch, _ = (np.array(col) for col in zip(*rows))
+    gamma = np.array([rates.pump_rate if r[4] else 0.0 for r in rows])
+
+    def laws(c_in, c_s, c_out, c_switch, gamma):
+        pump = pump_flux(c_out, c_out0, gamma, True)
+        f_s, f_h = symport_flux(c_in, c_s, c_switch, gamma, 3.0 * gamma,
+                                k_m)
+        leak = leakage_flux(c_in, c_out, rates.leak_rate)
+        return f_s, net_proton_inflow(pump, leak, f_h, sign)
+
+    f_s, net = laws(c_in, c_s, c_out, c_switch, gamma)
+    for k in range(len(rows)):
+        one = laws(float(c_in[k]), float(c_s[k]), float(c_out[k]),
+                   float(c_switch[k]), float(gamma[k]))
+        assert (f_s[k], net[k]) == one
 
 
 @given(a=st.floats(0, 1e2), b=st.floats(0, 1e2))
 def test_leakage_antisymmetry(a, b):
     rates = derive_rates(default_vesicle(), default_kinetics(),
                          default_environment())
-    f_ab = leakage_flux(_state(a, 1.0, b), rates)
-    f_ba = leakage_flux(_state(b, 1.0, a), rates)
+    f_ab = leakage_flux(a, b, rates.leak_rate)
+    f_ba = leakage_flux(b, a, rates.leak_rate)
     assert f_ab == -f_ba
 
 
@@ -178,8 +211,12 @@ def test_antiporter_flips_balance_sign(base_kinetics, base_env):
     anti = dataclasses.replace(sym, mode="antiporter")
     r_sym = derive_rates(sym, base_kinetics, base_env)
     r_anti = derive_rates(anti, base_kinetics, base_env)
-    s = _state(r_sym.switch_conc * 1.1, 300.0, 3.98e-5)
-    f_sym = net_proton_inflow(s, sym, r_sym, base_kinetics, base_env, True)
-    f_anti = net_proton_inflow(s, anti, r_anti, base_kinetics, base_env,
-                               True)
+    assert r_anti == r_sym
+    c_in, c_out = r_sym.switch_conc * 1.1, 3.98e-5
+    pump = pump_flux(c_out, base_env.c_h_out0, r_sym.pump_rate, True)
+    _, f_h = _symport(c_in, 300.0, r_sym, base_kinetics)
+    leak = leakage_flux(c_in, c_out, r_sym.leak_rate)
+    f_sym = net_proton_inflow(pump, leak, f_h, sym.flux_sign)
+    f_anti = net_proton_inflow(pump, leak, f_h, anti.flux_sign)
+    assert f_sym != 0.0
     assert f_anti == -f_sym
