@@ -10,6 +10,14 @@ Two modes share one phase-by-phase engine:
   * closed -- linearized release flux, giving piecewise-linear substrate
               and a pure exponential proton relaxation per phase.
 
+The engine advances a batch of vesicles that share one light signal and
+one sample grid (`run_analytic_batch`); its state is one array element
+per vesicle. Each phase is one batched segment with per-vesicle end
+times, and vesicles whose segment is empty sit it out. An ensemble
+experiment is one batch; `run_analytic` is the batch of one. Every
+element is computed on its own, so a vesicle's row is the same bit for
+bit whatever else is in the batch.
+
 Within one cycle phase the proton ODE is C' = -a*C + b' with
 
     a  = j_l_a + j_p_a * 1{light}
@@ -25,8 +33,8 @@ is its solution t(C). Each segment's end state comes from inverting t(C)
 (`buffered_log_ratio`), and its samples follow a single exponential
 whose rate is pinned to pass through both end states: the coefficients
 are divided by beta = a*dt / ln((C_start - s)/(C_end - s)). Exact mode
-uses the same pinned beta in its drain quadrature. The substrate rate
-is never attenuated.
+uses the same pinned beta in its drain quadrature, one series per
+drained vesicle. The substrate rate is never attenuated.
 
 Note the sign of j_l_b: it must be positive for the relaxation target
 b/a to reproduce the pump/leak equilibrium and for the phase solution to
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import lambertw as _lambertw
@@ -49,8 +57,8 @@ from scipy.special import lambertw as _lambertw
 from . import buffering
 from .model import (DerivedRates, Environment, KineticConstants, ModelError,
                     VesicleSpec, derive_rates)
-from .schedule import (CycleRecord, CycleSchedule, LightSignal,
-                       buffered_relaxation_time, classify_cycle,
+from .schedule import (CycleRecord, CycleSchedule, LightSignal, _lanes,
+                       _shaped, buffered_relaxation_time, classify_cycle,
                        clip_cycle_times, predict_buffered_crossing)
 from .trajectory import Event, Trajectory, sample_grid
 
@@ -173,7 +181,8 @@ class PhaseCoefficients:
     divide by the attenuation factor `beta`. With beta = 1 they are the
     coefficients of the buffered law C' = (b' - a*C)/S(C); the analytic
     engine sets beta per segment so that one exponential passes through
-    that law's start and end states.
+    that law's start and end states. The numeric fields and `drain` may
+    be arrays of one shape, one element per vesicle; `light` is shared.
     """
 
     j_l_a: float
@@ -186,21 +195,31 @@ class PhaseCoefficients:
     drain: bool
 
     @property
-    def a(self) -> float:
+    def a(self):
         return (self.j_l_a + (self.j_p_a if self.light else 0.0)) / self.beta
 
     @property
-    def b(self) -> float:
+    def b(self):
         return (self.j_l_b + (self.j_p_b if self.light else 0.0)) / self.beta
 
     @property
-    def b_prime(self) -> float:
-        return self.b + (self.j_sym_b / self.beta if self.drain else 0.0)
+    def b_prime(self):
+        # j_sym_b*drain is j_sym_b or a signed zero, which adds nothing
+        return self.b + self.j_sym_b * self.drain / self.beta
 
     @property
-    def s_inf(self) -> float:
+    def s_inf(self):
         """Relaxation target b'/a of the phase."""
         return self.b_prime / self.a
+
+    def take(self, rows) -> "PhaseCoefficients":
+        """The coefficients of the vesicles `rows`; scalars are shared."""
+        def pick(v):
+            return v[rows] if np.ndim(v) else v
+        return PhaseCoefficients(
+            pick(self.j_l_a), pick(self.j_p_a), pick(self.j_l_b),
+            pick(self.j_p_b), pick(self.j_sym_b), pick(self.beta),
+            self.light, pick(self.drain))
 
 
 def phase_coefficients(spec: VesicleSpec, rates: DerivedRates,
@@ -214,19 +233,26 @@ def phase_coefficients(spec: VesicleSpec, rates: DerivedRates,
             and substrate still available)
         beta: buffer attenuation factor dividing every coefficient
     """
-    v_in, v_out = spec.v_in, env.v_out
-    j_l_a = rates.leak_rate * (1.0 / v_in + 1.0 / v_out)
-    if rates.pump_rate > 0.0 and env.c_h_out0 > 0.0:
-        j_p_a = rates.pump_rate / (v_out * env.c_h_out0)
-    else:
-        j_p_a = 0.0
-    n_h = rates.total_free_protons
+    return _assemble_coefficients(
+        spec.v_in, spec.flux_sign, rates.leak_rate, rates.pump_rate,
+        rates.total_free_protons, rates.symport_rate_proton, env, light,
+        drain, beta)
+
+
+def _assemble_coefficients(v_in, flux_sign, leak_rate, pump_rate, n_h,
+                           symport_rate_proton, env: Environment,
+                           light: bool, drain, beta) -> PhaseCoefficients:
+    """`phase_coefficients` from per-vesicle floats or arrays of one shape."""
+    v_out = env.v_out
+    # no pumps give j_p_a = 0 either way
+    j_p_a = (pump_rate / (v_out * env.c_h_out0) if env.c_h_out0 > 0.0
+             else 0.0 * pump_rate)
     return PhaseCoefficients(
-        j_l_a=j_l_a,
+        j_l_a=leak_rate * (1.0 / v_in + 1.0 / v_out),
         j_p_a=j_p_a,
-        j_l_b=rates.leak_rate * n_h / (v_in * v_out),
+        j_l_b=leak_rate * n_h / (v_in * v_out),
         j_p_b=j_p_a * n_h / v_in,
-        j_sym_b=-(spec.flux_sign * rates.symport_rate_proton) / v_in,
+        j_sym_b=-(flux_sign * symport_rate_proton) / v_in,
         beta=beta,
         light=light,
         drain=drain,
@@ -239,8 +265,8 @@ def closed_form_proton(c_start: float, coeffs: PhaseCoefficients, dt):
     return s + (c_start - s) * np.exp(-coeffs.a * np.asarray(dt, dtype=float))
 
 
-def buffered_log_ratio(c_start: float, coeffs: PhaseCoefficients, dt: float,
-                       buffer_total: float, k_a: float) -> float:
+def buffered_log_ratio(c_start, coeffs: PhaseCoefficients, dt,
+                       buffer_total, k_a):
     """ln((C - s)/(c_start - s)) reached after dt under the buffered law.
 
     Inverts `buffered_relaxation_time` for the unattenuated coefficients
@@ -250,60 +276,80 @@ def buffered_log_ratio(c_start: float, coeffs: PhaseCoefficients, dt: float,
     iteration solves ln(t(y)/dt) = 0: t(y) grows like exp(-2y) where the
     buffer dominates and like -y where it does not, and the logarithm
     keeps Newton steps from stalling on the steep side in either regime.
-    Returns 0.0 when c_start sits at s to rounding and cannot move.
+    Returns 0.0 where c_start sits at s to rounding and cannot move, and
+    where dt = 0.
+
+    Takes floats or arrays of one shape, the coefficients included. Each
+    element iterates on its own bracket and leaves the loop once it
+    converges, so it takes exactly the steps it would take alone.
     """
-    a, b_prime = coeffs.a, coeffs.b_prime
+    shape, (c_start, a, b_prime, dt, b0, k_a) = _lanes(
+        c_start, coeffs.a, coeffs.b_prime, dt, buffer_total, k_a)
     m = b_prime / a + k_a
     u0 = c_start + k_a
-    if u0 == m:
-        return 0.0
-    k = k_a * buffer_total
-    lo, hi = -a * dt, 0.0
+    out = np.zeros_like(u0)
+    pos = np.flatnonzero((u0 != m) & (dt > 0.0))
+    c_start, a, b_prime, dt, b0, k_a, m, u0 = (
+        v[pos] for v in (c_start, a, b_prime, dt, b0, k_a, m, u0))
+    k = k_a * b0
+    lo, hi = -a * dt, np.zeros_like(dt)
     # a*dt = int_y^0 S(C(y')) dy': start from S frozen at c_start, then
     # refine by the trapezoid and Simpson rules over that interval
     s0 = 1.0 + k / (u0 * u0)
     y = -a * dt / s0
-    u = m + (u0 - m) * math.exp(y)
-    if u > _STALL_CONC:
-        y = -2.0 * a * dt / (s0 + 1.0 + k / (u * u))
-        u = m + (u0 - m) * math.exp(y)
-        u_mid = m + (u0 - m) * math.exp(0.5 * y)
-        if u > _STALL_CONC and u_mid > _STALL_CONC:
-            y = -6.0 * a * dt / (s0 + 4.0 * (1.0 + k / (u_mid * u_mid))
-                                 + 1.0 + k / (u * u))
+    # each refinement needs C + k_a > 0 at its nodes; where a node stalls
+    # the guess stays put (u = 1 only keeps the masked quotient finite)
+    u = m + (u0 - m) * np.exp(y)
+    ok = u > _STALL_CONC
+    u = np.where(ok, u, 1.0)
+    y = np.where(ok, -2.0 * a * dt / (s0 + 1.0 + k / (u * u)), y)
+    u = m + (u0 - m) * np.exp(y)
+    u_mid = m + (u0 - m) * np.exp(0.5 * y)
+    ok &= (u > _STALL_CONC) & (u_mid > _STALL_CONC)
+    u, u_mid = np.where(ok, u, 1.0), np.where(ok, u_mid, 1.0)
+    y = np.where(ok, -6.0 * a * dt / (s0 + 4.0 * (1.0 + k / (u_mid * u_mid))
+                                      + 1.0 + k / (u * u)), y)
     for _ in range(200):
-        if not lo < y < hi:
-            y = 0.5 * (lo + hi)
-        u = m + (u0 - m) * math.exp(y)  # C + k_a
-        if u <= _STALL_CONC:
-            # at or past C = -k_a, where S(C) and the elapsed time
-            # diverge (a target s < -k_a): more than dt has passed
-            lo = y
-            continue
-        t = buffered_relaxation_time(c_start, y, a, b_prime, buffer_total,
-                                     k_a)
-        g = math.log(t / dt)
-        if g > 0.0:
-            lo = y
-        else:
-            hi = y
+        if not pos.size:
+            break
+        y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
+        u = m + (u0 - m) * np.exp(y)  # C + k_a
+        # at or past C = -k_a, where S(C) and the elapsed time diverge
+        # (a target s < -k_a): more than dt has passed
+        stalled = u <= _STALL_CONC
+        lo = np.where(stalled, y, lo)
+        go = np.flatnonzero(~stalled) if stalled.any() else slice(None)
+        t = buffered_relaxation_time(c_start[go], y[go], a[go], b_prime[go],
+                                     b0[go], k_a[go])
+        g = np.log(t / dt[go])
+        late = g > 0.0
+        lo[go] = np.where(late, y[go], lo[go])
+        hi[go] = np.where(late, hi[go], y[go])
         # d ln(t)/dy = -S(C) / (a*t)
-        y += g * a * t / (1.0 + k / (u * u))
-        if abs(g) <= 1e-7:
-            # quadratic convergence: the last step left a relative time
-            # error ~g^2
-            return y
-    return y
+        y[go] = y[go] + g * a[go] * t / (1.0 + k[go] / (u[go] * u[go]))
+        # quadratic convergence: the last step left a relative time
+        # error ~g^2
+        done = np.zeros(pos.size, dtype=bool)
+        done[go] = np.abs(g) <= 1e-7
+        if done.any():
+            out[pos[done]] = y[done]
+            keep = ~done
+            (pos, c_start, a, b_prime, dt, b0, k_a, k, m, u0, lo, hi, y) = (
+                v[keep] for v in (pos, c_start, a, b_prime, dt, b0, k_a, k,
+                                  m, u0, lo, hi, y))
+    out[pos] = y
+    return _shaped(out, shape)
 
 
-def closed_form_substrate(c_s_start: float, rates: DerivedRates,
-                          spec: VesicleSpec, dt, drain: bool):
-    """Linearized substrate law: constant, or a ramp clamped at zero."""
-    dt = np.asarray(dt, dtype=float)
-    if not drain:
-        return np.full_like(dt, c_s_start)
-    rate = rates.symport_rate_substrate / spec.v_in
-    return np.maximum(c_s_start - rate * dt, 0.0)
+def closed_form_substrate(c_s_start, ramp_rate, dt, drain):
+    """Linearized substrate law: constant, or a ramp clamped at zero.
+
+    ramp_rate is the saturated release rate gamma_s/v_in (mol/m^3/s).
+    Takes floats or arrays that broadcast, `drain` included.
+    """
+    ramp = np.maximum(c_s_start - ramp_rate * np.asarray(dt, dtype=float),
+                      0.0)
+    return np.where(drain, ramp, c_s_start)
 
 
 def exact_substrate(c_s_start: float, rates: DerivedRates, spec: VesicleSpec,
@@ -451,62 +497,108 @@ def _kronrod_rule(integrand, lo, hi, rows):
     return k15, np.abs(k15 - g7)
 
 
+_DEPLETION_INFO = {"closed": "closed-form ramp reached 0",
+                   "exact": "fell below reporting threshold"}
+
+
 @dataclass
-class _Collector:
-    """Accumulates sampled points while the phase engine advances."""
+class BatchTrajectory:
+    """Sampled series and symport times of a batch of vesicles.
 
-    grid: np.ndarray
-    t: list = field(default_factory=list)
-    c_h_in: list = field(default_factory=list)
-    c_s_in: list = field(default_factory=list)
-    light: list = field(default_factory=list)
-    cursor: int = 0
+    Row m belongs to the m-th spec. Grid points a vesicle never reached
+    (past the horizon) hold NaN.
 
-    def take_points(self, t_end: float) -> np.ndarray:
-        """Grid points with t_prev < t <= t_end (consumes them)."""
-        start = self.cursor
-        self.cursor = max(start, int(np.searchsorted(
-            self.grid, t_end + 1e-12, side="right")))
-        return self.grid[start:self.cursor]
+    Attributes:
+        t: the shared sample grid (n_t,)
+        c_h_in/c_s_in: (n, n_t) intravesicular concentrations
+        light: (n, n_t) 0/1 illumination flag of each sample's segment
+        n_sampled: (n,) leading grid points each vesicle sampled
+        t2/t4: (n, n_cycles) clipped symport start and end per cycle
+        depletion_time: (n,) first depletion event (NaN: none)
+        rates: the rates each vesicle was computed with
+        v_in: (n,) intravesicular volumes; v_out: the shared one
+    """
 
-    def add(self, times, c_h, c_s, light: bool):
-        self.t.extend(np.atleast_1d(times).tolist())
-        self.c_h_in.extend(np.atleast_1d(c_h).tolist())
-        self.c_s_in.extend(np.atleast_1d(c_s).tolist())
-        self.light.extend([1 if light else 0] * np.atleast_1d(times).size)
+    t: np.ndarray
+    c_h_in: np.ndarray
+    c_s_in: np.ndarray
+    light: np.ndarray
+    n_sampled: np.ndarray
+    t2: np.ndarray
+    t4: np.ndarray
+    depletion_time: np.ndarray
+    rates: list[DerivedRates]
+    v_in: np.ndarray
+    v_out: float
+
+    @property
+    def c_h_out(self) -> np.ndarray:
+        """Extravesicular free H+ from free-H+ conservation."""
+        n_h = np.array([r.total_free_protons for r in self.rates])
+        return (n_h[:, None] - self.c_h_in * self.v_in[:, None]) / self.v_out
+
+    @property
+    def c_s_out(self) -> np.ndarray:
+        """Extravesicular substrate from substrate conservation."""
+        n_s = np.array([r.total_substrate for r in self.rates])
+        return (n_s[:, None] - self.c_s_in * self.v_in[:, None]) / self.v_out
+
+    def symport_span(self) -> tuple[np.ndarray, np.ndarray]:
+        """First symport start (inf: none) and last symport end (NaN:
+        none) of each vesicle, over cycles with t4 > t2."""
+        active = self.t4 > self.t2
+        # boundaries never decrease from cycle to cycle, so the first
+        # start is the smallest and the last end the largest
+        start = np.min(np.where(active, self.t2, math.inf), axis=1,
+                       initial=math.inf)
+        end = np.max(np.where(active, self.t4, -math.inf), axis=1,
+                     initial=-math.inf)
+        return start, np.where(active.any(axis=1), end, math.nan)
 
 
-class _PhaseEngine:
-    """Chains cycle phases for one analytic run, exact or closed mode."""
+class _BatchEngine:
+    """Chains the cycle phases of a batch of vesicles, exact or closed mode.
 
-    def __init__(self, spec: VesicleSpec, kin: KineticConstants,
-                 env: Environment, rates: DerivedRates, mode: str,
-                 collector: _Collector):
-        if mode not in ("exact", "closed"):
-            raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
-        self.spec, self.kin, self.env, self.rates = spec, kin, env, rates
-        self.mode = mode
-        self.col = collector
-        self.c_h = env.c_h_in0
-        self.c_s = env.c_s_in0
-        self.t = 0.0
-        self.events: list[Event] = []
+    The state holds one element per vesicle: time, C_H_in, C_S_in, the
+    next unsampled grid point and the first depletion time. Every phase
+    is one batched segment with a shared or per-vesicle end time; the
+    vesicles whose own segment is empty sit it out.
+    """
+
+    def __init__(self, specs: list[VesicleSpec], kin: KineticConstants,
+                 env: Environment, rates: list[DerivedRates], mode: str,
+                 grid: np.ndarray):
+        self.specs, self.kin, self.env, self.rates = specs, kin, env, rates
+        self.mode, self.grid = mode, grid
+        n = len(specs)
+        self.v_in = np.array([spec.v_in for spec in specs])
+        self.gamma_s = np.array([r.symport_rate_substrate for r in rates])
+        self.ramp = self.gamma_s / self.v_in
+        self.switch = np.array([r.switch_conc for r in rates])
+        self.base = _assemble_coefficients(
+            self.v_in, np.array([spec.flux_sign for spec in specs]),
+            *(np.array([getattr(r, name) for r in rates])
+              for name in ("leak_rate", "pump_rate", "total_free_protons",
+                           "symport_rate_proton")),
+            env, light=False, drain=False, beta=1.0)
+        self.t = np.zeros(n)
+        self.c_h = np.full(n, env.c_h_in0)
+        self.c_s = np.full(n, env.c_s_in0)
+        self.cursor = np.zeros(n, dtype=np.intp)
+        self.depletion = np.full(n, math.nan)
         self.depletion_threshold = DEPLETION_FRACTION_OF_KM * kin.k_m
-        self._coeffs: dict[tuple[bool, bool], PhaseCoefficients] = {}
+        self.c_h_in = np.full((n, grid.size), math.nan)
+        self.c_s_in = np.full((n, grid.size), math.nan)
+        self.light = np.zeros((n, grid.size), dtype=np.int8)
 
     # -- phase-level helpers -------------------------------------------------
 
-    def coeffs(self, light: bool, drain: bool) -> PhaseCoefficients:
-        """Unattenuated coefficients of a light/drain combination."""
-        co = self._coeffs.get((light, drain))
-        if co is None:
-            co = self._coeffs[light, drain] = phase_coefficients(
-                self.spec, self.rates, self.env, light, drain)
-        return co
+    def coeffs(self, rows, light: bool, drain) -> PhaseCoefficients:
+        """Unattenuated coefficients of vesicles `rows`."""
+        return replace(self.base.take(rows), light=light, drain=drain)
 
-    def relax(self, c_start: float, co: PhaseCoefficients,
-              dt: float) -> tuple[PhaseCoefficients, float]:
-        """Pin a segment's single-exponential rate to the buffered law.
+    def relax(self, c_start, co: PhaseCoefficients, dt):
+        """Pin each segment's single-exponential rate to the buffered law.
 
         Returns coefficients whose closed-form relaxation from c_start
         passes through the buffered law's state after dt, and that state.
@@ -514,113 +606,206 @@ class _PhaseEngine:
         """
         b0, k_a = self.env.buffer_total, self.env.k_a
         if b0 <= 0.0:
-            return co, float(closed_form_proton(c_start, co, dt))
+            return co, closed_form_proton(c_start, co, dt)
         s = co.s_inf
-        y = buffered_log_ratio(c_start, co, dt, b0, k_a) if dt > 0.0 else 0.0
-        if y < 0.0:
-            beta = -co.a * dt / y  # so that a/beta = ln(ratio)/dt
-            c_end = s + (c_start - s) * math.exp(y)
-        else:  # no resolvable motion: the local slowdown at c_start
-            beta = buffering.buffering_slowdown(c_start, b0, k_a)
-            c_end = c_start
-        return PhaseCoefficients(co.j_l_a, co.j_p_a, co.j_l_b, co.j_p_b,
-                                 co.j_sym_b, beta, co.light, co.drain), c_end
+        y = buffered_log_ratio(c_start, co, dt, b0, k_a)
+        moved = y < 0.0
+        # where nothing resolvably moves: the local slowdown at c_start
+        beta = buffering.buffering_slowdown(c_start, b0, k_a)
+        np.divide(-co.a * dt, y, out=beta, where=moved)  # a/beta = -y/dt
+        c_end = np.where(moved, s + (c_start - s) * np.exp(y), c_start)
+        return replace(co, beta=beta), c_end
 
-    def crossing(self, c_start: float, co: PhaseCoefficients,
-                 t_from: float) -> float:
-        """Time at which the buffered law carries c_start to the switch."""
-        return predict_buffered_crossing(
-            c_start, self.rates.switch_conc, co.a, co.b_prime, t_from,
-            self.env.buffer_total, self.env.k_a)
+    def _record_depletion(self, rows, times) -> None:
+        first = np.isnan(self.depletion[rows])
+        self.depletion[rows[first]] = times[first]
 
-    def _drain_possible(self) -> bool:
-        return (self.c_s > 0.0
-                and self.rates.symport_rate_substrate > 0.0)
+    def segment(self, t_end, light: bool, indicator: bool) -> None:
+        """Advance to t_end, shared or one per vesicle, under constant
+        light and symport indicator.
 
-    def _record_depletion(self, t: float, how: str):
-        if not any(ev.kind == "depletion" for ev in self.events):
-            self.events.append(Event("depletion", t, how))
-
-    def _run_segment(self, t_end: float, light: bool,
-                     indicator: bool) -> None:
-        """Advance to t_end with constant light/indicator states.
-
-        Splits internally when the closed-form substrate ramp hits zero;
-        in exact mode the drain fades smoothly instead and only the
+        Only vesicles more than 1e-15 s short of t_end move. In closed
+        mode a drained segment splits once, where the substrate ramp hits
+        zero; in exact mode the drain fades smoothly instead and only the
         reporting threshold generates an event.
         """
-        while self.t < t_end - 1e-15:
-            drain = indicator and self._drain_possible()
-            seg_end = t_end
-            if drain and self.mode == "closed":
-                t_dep = self.t + self.spec.v_in * self.c_s / \
-                    self.rates.symport_rate_substrate
-                if t_dep <= self.t + 1e-15:  # residual cargo underflow
-                    self.c_s = 0.0
-                    self._record_depletion(self.t, "closed-form ramp reached 0")
-                    continue
-                if t_dep <= t_end:
-                    seg_end = t_dep
-            self._emit(seg_end, self.coeffs(light, drain), drain)
-            if drain and self.mode == "closed" and seg_end < t_end:
-                self.c_s = 0.0
-                self._record_depletion(seg_end, "closed-form ramp reached 0")
-        self.t = max(self.t, t_end)
-
-    def _emit(self, seg_end: float, co: PhaseCoefficients, drain: bool):
-        """Evaluate one constant-coefficient segment and sample it."""
-        pts = self.col.take_points(seg_end)
-        offsets = pts - self.t
-        end_offset = seg_end - self.t
-        all_off = np.append(offsets, end_offset)
-        co, c_h_end = self.relax(self.c_h, co, end_offset)
-        if self.mode == "exact":
-            c_h_all = exact_proton_series(self.c_h, self.c_s, co, self.rates,
-                                          self.spec, self.kin, all_off)
-            c_s_all = exact_substrate(self.c_s, self.rates, self.spec,
-                                      self.kin, all_off, drain)
-            if drain and self.c_s > self.depletion_threshold:
-                d_off = exact_depletion_offset(self.c_s, self.rates,
-                                               self.spec, self.kin,
-                                               self.depletion_threshold)
-                if d_off <= end_offset:
-                    self._record_depletion(self.t + d_off,
-                                           "fell below reporting threshold")
-            c_h_pts, c_h_end = c_h_all[:-1], float(c_h_all[-1])
+        t_end = np.broadcast_to(t_end, self.t.shape)
+        rows = np.flatnonzero(self.t < t_end - 1e-15)
+        if not rows.size:
+            self.t = np.maximum(self.t, t_end)
+            return
+        end = t_end[rows]
+        drain = np.zeros(rows.size, dtype=bool)
+        if indicator:
+            drain = (self.c_s[rows] > 0.0) & (self.gamma_s[rows] > 0.0)
+        if indicator and self.mode == "closed":
+            t0 = self.t[rows]
+            d = rows[drain]
+            t_dep = np.full(rows.size, math.inf)
+            t_dep[drain] = t0[drain] + self.v_in[d] * self.c_s[d] \
+                / self.gamma_s[d]
+            gone = drain & (t_dep <= t0 + 1e-15)  # residual cargo underflow
+            self.c_s[rows[gone]] = 0.0
+            self._record_depletion(rows[gone], t0[gone])
+            drain &= ~gone
+            split = drain & (t_dep < end)
+            seg_end = np.where(split, t_dep, end)
+            self._emit(rows, seg_end, light, drain)
+            self.c_s[rows[split]] = 0.0
+            self._record_depletion(rows[split], seg_end[split])
+            rest = split & (seg_end < end - 1e-15)
+            self._emit(rows[rest], end[rest], light,
+                       np.zeros(np.count_nonzero(rest), dtype=bool))
         else:
-            c_h_pts = closed_form_proton(self.c_h, co, offsets)
-            c_s_all = closed_form_substrate(self.c_s, self.rates, self.spec,
-                                            all_off, drain)
-        c_s_pts, c_s_end = c_s_all[:-1], float(c_s_all[-1])
-        if pts.size:
-            self.col.add(pts, c_h_pts, c_s_pts, co.light)
-        self.t = seg_end
-        self.c_h, self.c_s = c_h_end, c_s_end
+            self._emit(rows, end, light, drain)
+        self.t = np.maximum(self.t, t_end)
+
+    def _emit(self, rows, seg_end, light: bool, drain) -> None:
+        """Evaluate one constant-coefficient segment per vesicle in `rows`
+        and sample it on the grid points (t, seg_end] it covers."""
+        if not rows.size:
+            return
+        t0, c_h0, c_s0 = self.t[rows], self.c_h[rows], self.c_s[rows]
+        first = self.cursor[rows]
+        last = np.maximum(first, np.searchsorted(self.grid, seg_end + 1e-12,
+                                                 side="right"))
+        # row r samples grid points first[r]..last[r]-1: a block with one
+        # row per vesicle, padded past last[r] with points it leaves out
+        col = first[:, None] + np.arange(np.max(last - first, initial=0))
+        taken = col < last[:, None]
+        offsets = self.grid[np.minimum(col, self.grid.size - 1)] \
+            - t0[:, None]
+        end_offset = seg_end - t0
+        ramp = self.ramp[rows]
+        co, c_h_end = self.relax(c_h0, self.coeffs(rows, light, drain),
+                                 end_offset)
+        column = np.s_[:, None]
+        c_h_pts = closed_form_proton(c_h0[column], co.take(column), offsets)
+        c_s_pts = closed_form_substrate(c_s0[column], ramp[column], offsets,
+                                        drain[column])
+        c_s_end = closed_form_substrate(c_s0, ramp, end_offset, drain)
+        if self.mode == "exact":
+            # undrained, the exact proton law is the closed form; drained,
+            # one quadrature series per vesicle over its points and end
+            c_h_end = closed_form_proton(c_h0, co, end_offset)
+            for r in np.flatnonzero(drain):
+                n = last[r] - first[r]
+                all_off = np.append(offsets[r, :n], end_offset[r])
+                spec, rates = self.specs[rows[r]], self.rates[rows[r]]
+                c_h_all = exact_proton_series(c_h0[r], c_s0[r], co.take(r),
+                                              rates, spec, self.kin, all_off)
+                c_s_all = exact_substrate(c_s0[r], rates, spec, self.kin,
+                                          all_off)
+                c_h_pts[r, :n], c_h_end[r] = c_h_all[:-1], c_h_all[-1]
+                c_s_pts[r, :n], c_s_end[r] = c_s_all[:-1], c_s_all[-1]
+                if c_s0[r] > self.depletion_threshold:
+                    d_off = exact_depletion_offset(
+                        c_s0[r], rates, spec, self.kin,
+                        self.depletion_threshold)
+                    if d_off <= end_offset[r]:
+                        self._record_depletion(rows[r:r + 1],
+                                               t0[r:r + 1] + d_off)
+        at = (rows[:, None] * self.grid.size + col)[taken]
+        self.c_h_in.ravel()[at] = c_h_pts[taken]
+        self.c_s_in.ravel()[at] = c_s_pts[taken]
+        self.light.ravel()[at] = light
+        self.t[rows] = seg_end
+        self.c_h[rows], self.c_s[rows] = c_h_end, c_s_end
+        self.cursor[rows] = last
 
     # -- symport time prediction ---------------------------------------------
 
-    def predict_symport_start(self, t_from: float) -> float:
-        """Upward threshold crossing under lit, symport-free dynamics."""
-        if self.c_h >= self.rates.switch_conc:
-            return t_from
-        return self.crossing(self.c_h, self.coeffs(light=True, drain=False),
-                             t_from)
+    def symport_start(self, t_from: float) -> np.ndarray:
+        """Upward threshold crossings under lit, symport-free dynamics."""
+        out = np.full(self.t.shape, t_from)
+        rows = np.flatnonzero(self.c_h < self.switch)
+        co = self.coeffs(rows, light=True, drain=False)
+        out[rows] = predict_buffered_crossing(
+            self.c_h[rows], self.switch[rows], co.a, co.b_prime, t_from,
+            self.env.buffer_total, self.env.k_a)
+        return out
 
-    def predict_symport_end(self, t_from: float) -> float:
-        """Downward crossing in the dark, stepping over closed-form
-        substrate depletion if it happens first."""
-        if self.c_h < self.rates.switch_conc:
-            return t_from
-        c_h, c_s, t0 = self.c_h, self.c_s, t_from
-        if c_s > 0.0 and self.rates.symport_rate_substrate > 0.0:
-            co = self.coeffs(light=False, drain=True)
-            t_dep = t0 + self.spec.v_in * c_s / self.rates.symport_rate_substrate
-            tc = self.crossing(c_h, co, t0)
-            if tc <= t_dep:
-                return tc
-            c_h = self.relax(c_h, co, t_dep - t0)[1]
-            t0 = t_dep
-        return self.crossing(c_h, self.coeffs(light=False, drain=False), t0)
+    def symport_end(self, t_from: float) -> np.ndarray:
+        """Downward crossings in the dark, stepping over closed-form
+        substrate depletion where it happens first."""
+        out = np.full(self.t.shape, t_from)
+        c_h, t0 = self.c_h.copy(), out.copy()
+        b0, k_a = self.env.buffer_total, self.env.k_a
+        above = self.c_h >= self.switch
+        d = np.flatnonzero(above & (self.c_s > 0.0) & (self.gamma_s > 0.0))
+        co = self.coeffs(d, light=False, drain=True)
+        t_dep = t_from + self.v_in[d] * self.c_s[d] / self.gamma_s[d]
+        tc = predict_buffered_crossing(c_h[d], self.switch[d], co.a,
+                                       co.b_prime, t_from, b0, k_a)
+        first = tc <= t_dep
+        out[d[first]] = tc[first]
+        late = ~first
+        c_h[d[late]] = self.relax(c_h[d[late]], co.take(late),
+                                  t_dep[late] - t_from)[1]
+        t0[d[late]] = t_dep[late]
+        above[d[first]] = False
+        r = np.flatnonzero(above)  # crossing in the undrained dark
+        co = self.coeffs(r, light=False, drain=False)
+        out[r] = predict_buffered_crossing(c_h[r], self.switch[r], co.a,
+                                           co.b_prime, t0[r], b0, k_a)
+        return out
+
+
+def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
+                       env: Environment, signal: LightSignal,
+                       mode: str, sample_times,
+                       rates: list[DerivedRates] | None = None
+                       ) -> BatchTrajectory:
+    """Phase-by-phase analytic trajectories of vesicles sharing a signal.
+
+    All vesicles share t1, t3 and the sample grid; each phase advances
+    the whole batch at once, with per-vesicle symport times, end states
+    and depletion splits. Row m equals the batch-of-one run of specs[m]
+    bit for bit.
+
+    Args:
+        mode: 'exact' or 'closed'
+        sample_times: ascending sample times in [0, horizon]
+        rates: per-vesicle rates; derived from the specs when omitted
+    """
+    if mode not in ("exact", "closed"):
+        raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
+    if any(spec.mode != "symporter" for spec in specs):
+        raise ModelError("analytic solvers support symporter mode only; "
+                         "use the finite-difference solver for antiporters")
+    if rates is None:
+        rates = [derive_rates(spec, kin, env) for spec in specs]
+    grid = np.asarray(sample_times, dtype=float)
+    eng = _BatchEngine(specs, kin, env, rates, mode, grid)
+    if grid.size and grid[0] == 0.0:
+        eng.c_h_in[:, 0], eng.c_s_in[:, 0] = env.c_h_in0, env.c_s_in0
+        eng.light[:, 0] = signal.is_on(0.0)
+        eng.cursor[:] = 1
+    if np.any(eng.c_h >= eng.switch):
+        warnings.warn("initial H+ concentration already exceeds the symport "
+                      "threshold; the opening leakage phase treats the "
+                      "release module as inactive", stacklevel=2)
+
+    t2 = np.empty((len(specs), signal.n_cycles))
+    t4 = np.empty_like(t2)
+    for i in range(signal.n_cycles):
+        t1, t3, t1_next = signal.cycle_bounds(i)
+        eng.segment(t1, light=False, indicator=False)  # P1: dark relaxation
+        t2_est = eng.symport_start(t1)
+        # P2: pumping below threshold, up to t2 as clip_cycle_times clips it
+        eng.segment(np.maximum(np.minimum(t3, t2_est), t1), light=True,
+                    indicator=False)
+        eng.segment(t3, light=True, indicator=True)  # P3: pumping + symport
+        t4_est = eng.symport_end(t3)
+        t2[:, i], t4[:, i] = clip_cycle_times(t2_est, t4_est, t1, t3,
+                                              t1_next)
+        eng.segment(t4[:, i], light=False, indicator=True)  # P4
+    eng.segment(signal.horizon, light=False, indicator=False)  # trailing dark
+
+    return BatchTrajectory(
+        t=grid, c_h_in=eng.c_h_in, c_s_in=eng.c_s_in, light=eng.light,
+        n_sampled=eng.cursor, t2=t2, t4=t4, depletion_time=eng.depletion,
+        rates=rates, v_in=eng.v_in, v_out=env.v_out)
 
 
 def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
@@ -630,10 +815,11 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  rates: DerivedRates | None = None) -> Trajectory:
     """Phase-by-phase analytic trajectory of one vesicle.
 
-    Each phase's terminal state seeds the next; symport start/end times
-    are t(C_switch) of the separable buffered law in both modes, clipped
-    into their cycles. Segment end states invert that law, and samples
-    follow one exponential per segment pinned to both end states.
+    The batch-of-one case of `run_analytic_batch`. Each phase's terminal
+    state seeds the next; symport start/end times are t(C_switch) of the
+    separable buffered law in both modes, clipped into their cycles.
+    Segment end states invert that law, and samples follow one
+    exponential per segment pinned to both end states.
 
     Args:
         mode: 'exact' or 'closed'
@@ -641,57 +827,29 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
             `sample_times` is given
         sample_times: explicit ascending sample times in [0, horizon]
     """
-    if spec.mode != "symporter":
-        raise ModelError("analytic solvers support symporter mode only; "
-                         "use the finite-difference solver for antiporters")
-    if rates is None:
-        rates = derive_rates(spec, kin, env)
     grid = (np.asarray(sample_times, dtype=float) if sample_times is not None
             else sample_grid(signal.horizon, sample_interval))
-
-    col = _Collector(grid=grid)
-    eng = _PhaseEngine(spec, kin, env, rates, mode, col)
-    if grid.size and grid[0] == 0.0:
-        col.add(0.0, eng.c_h, eng.c_s, signal.is_on(0.0))
-        col.cursor = 1
-
-    if eng.c_h >= rates.switch_conc:
-        warnings.warn("initial H+ concentration already exceeds the symport "
-                      "threshold; the opening leakage phase treats the "
-                      "release module as inactive", stacklevel=2)
-
+    batch = run_analytic_batch([spec], kin, env, signal, mode, grid,
+                               None if rates is None else [rates])
+    n = int(batch.n_sampled[0])
     sched = CycleSchedule(horizon=signal.horizon)
-    for i in range(signal.n_cycles):
+    for i, (t2, t4) in enumerate(zip(batch.t2[0].tolist(),
+                                     batch.t4[0].tolist())):
         t1, t3, t1_next = signal.cycle_bounds(i)
-        if t1 > eng.t:  # P1: dark relaxation
-            eng._run_segment(t1, light=False, indicator=False)
-        t2_est = eng.predict_symport_start(t1)
-        t2 = max(min(t3, t2_est), t1)
-        if t2 > eng.t:  # P2: pumping below threshold
-            eng._run_segment(t2, light=True, indicator=False)
-        if t3 > eng.t:  # P3: pumping + symport
-            eng._run_segment(t3, light=True, indicator=True)
-        t4_est = eng.predict_symport_end(t3)
-        t2, t4 = clip_cycle_times(t2_est, t4_est, t1, t3, t1_next)
-        if t4 > eng.t:  # P4: symport after light-off
-            eng._run_segment(t4, light=False, indicator=True)
         sched.append(CycleRecord(t1, t2, t3, t4,
                                  classify_cycle(t1, t2, t3, t4, t1_next)))
         sched.mark_resolved(t4)
-    if signal.horizon > eng.t:  # trailing dark stretch
-        eng._run_segment(signal.horizon, light=False, indicator=False)
     sched.mark_resolved(signal.horizon)
-
-    t_arr = np.asarray(col.t)
-    c_h_in = np.asarray(col.c_h_in)
-    c_s_in = np.asarray(col.c_s_in)
-    v_in, v_out = spec.v_in, env.v_out
-    c_h_out = (rates.total_free_protons - c_h_in * v_in) / v_out
-    c_s_out = (rates.total_substrate - c_s_in * v_in) / v_out
+    t_dep = float(batch.depletion_time[0])
+    events = ([] if math.isnan(t_dep)
+              else [Event("depletion", t_dep, _DEPLETION_INFO[mode])])
+    t_arr = grid[:n]
     cycles, phases = sched.annotate(t_arr)
     return Trajectory(
-        t=t_arr, c_h_in=c_h_in, c_h_out=c_h_out, c_s_in=c_s_in,
-        c_s_out=c_s_out, light=np.asarray(col.light, dtype=int),
-        cycle=np.asarray(cycles, dtype=int), phase=phases,
-        schedule=sched, solver=mode, derived=rates, events=eng.events,
+        t=t_arr, c_h_in=batch.c_h_in[0, :n], c_h_out=batch.c_h_out[0, :n],
+        c_s_in=batch.c_s_in[0, :n], c_s_out=batch.c_s_out[0, :n],
+        light=batch.light[0, :n].astype(int),
+        cycle=np.asarray(cycles, dtype=int),
+        phase=phases, schedule=sched, solver=mode, derived=batch.rates[0],
+        events=events,
     )

@@ -17,7 +17,10 @@ one), which the printed inner-surface variant cannot.
 
 Experiments are collections of independently sampled vesicles sharing a
 uniformly split extravesicular volume; ensembles repeat experiments to
-estimate inter-experiment variance.
+estimate inter-experiment variance. The vesicles of one experiment are
+drawn one after the other (so a seed always gives the same vesicles) and
+then solved together in one `analytic.run_analytic_batch` call; each row
+equals the vesicle's own `run_analytic` run bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .analytic import lambert_w0_exp, run_analytic
+from .analytic import lambert_w0_exp, run_analytic, run_analytic_batch
 from .model import (AVOGADRO, Environment, KineticConstants, VesicleSpec)
 from .schedule import LightSignal
 from .trajectory import Trajectory
@@ -236,6 +239,9 @@ class ExperimentResult:
     symport_start: np.ndarray  # first symport start per vesicle (inf: none)
     symport_end: np.ndarray    # last symport end per vesicle (nan: none)
     specs: list[VesicleSpec]
+    t2: np.ndarray            # (n_mod, n_cycles) symport start per cycle
+    t4: np.ndarray            # (n_mod, n_cycles) symport end per cycle
+    depletion_time: np.ndarray  # first depletion per vesicle (nan: none)
 
     @property
     def pooled_c_s_out(self) -> np.ndarray:
@@ -266,41 +272,29 @@ class EnsembleResult:
         return float(series[k])
 
 
-def _first_start_last_end(traj: Trajectory) -> tuple[float, float]:
-    starts = [c.t2 for c in traj.schedule.cycles if c.t4 > c.t2]
-    ends = [c.t4 for c in traj.schedule.cycles if c.t4 > c.t2]
-    return (starts[0] if starts else math.inf,
-            ends[-1] if ends else math.nan)
-
-
 def run_experiment(dist: PopulationDistributions, kin: KineticConstants,
                    env_base: Environment, signal: LightSignal,
                    cfg: EnsembleConfig, rng: np.random.Generator,
                    solver: str = "closed",
                    sample_times: np.ndarray | None = None) -> ExperimentResult:
-    """Sample n_mod vesicles and simulate each as an independent SVS.
+    """Sample n_mod vesicles and simulate them as independent SVSs.
 
-    `solver` is an analytic mode, 'exact' or 'closed'; `run_analytic`
-    raises ModelError for any other value.
+    All n_mod vesicles are solved in one `run_analytic_batch` call; row m
+    equals `run_analytic` of the m-th vesicle bit for bit. `solver` is an
+    analytic mode, 'exact' or 'closed'; any other value raises
+    ModelError.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, signal.horizon, 161)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
     specs = [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
-    n_t = len(sample_times)
-    c_h_in = np.empty((cfg.n_mod, n_t))
-    c_s_out = np.empty((cfg.n_mod, n_t))
-    t2 = np.empty(cfg.n_mod)
-    t4 = np.empty(cfg.n_mod)
-    for m, spec in enumerate(specs):
-        traj = run_analytic(spec, kin, env, signal, solver,
-                            sample_times=sample_times)
-        c_h_in[m] = traj.c_h_in
-        c_s_out[m] = traj.c_s_out
-        t2[m], t4[m] = _first_start_last_end(traj)
-    return ExperimentResult(t=np.asarray(sample_times), c_h_in=c_h_in,
-                            c_s_out=c_s_out, symport_start=t2,
-                            symport_end=t4, specs=specs)
+    batch = run_analytic_batch(specs, kin, env, signal, solver, sample_times)
+    start, end = batch.symport_span()
+    return ExperimentResult(t=np.asarray(sample_times), c_h_in=batch.c_h_in,
+                            c_s_out=batch.c_s_out, symport_start=start,
+                            symport_end=end, specs=specs, t2=batch.t2,
+                            t4=batch.t4,
+                            depletion_time=batch.depletion_time)
 
 
 def _experiment_worker(args) -> ExperimentResult:
@@ -335,10 +329,12 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     else:
         results = [_experiment_worker(j) for j in jobs]
 
+    # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
+    std_kw = dict(axis=0, ddof=1) if cfg.n_mod > 1 else dict(axis=0, ddof=0)
     per_mean_h = np.stack([r.c_h_in.mean(axis=0) for r in results])
-    per_std_h = np.stack([r.c_h_in.std(axis=0, ddof=1) for r in results])
+    per_std_h = np.stack([r.c_h_in.std(**std_kw) for r in results])
     per_cs = np.stack([r.pooled_c_s_out for r in results])
-    per_std_cs = np.stack([r.c_s_out.std(axis=0, ddof=1) for r in results])
+    per_std_cs = np.stack([r.c_s_out.std(**std_kw) for r in results])
 
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
     mean_spec = mean_parameter_spec(dist)

@@ -15,6 +15,11 @@ between them; zero-duration phases are skipped. Cycle types:
 t1/t3 come from the light signal. t2/t4 are predicted by inverting the
 buffered proton law of a phase and then clipped into their cycle so the
 boundary sequences stay monotone and types b/c degenerate correctly.
+
+The crossing and relaxation-time helpers take floats or arrays of one
+shape, one element per vesicle, and answer element by element: each
+element takes its own branch, and no reduction mixes elements, so a
+batch gives every element the value it gets alone.
 """
 
 from __future__ import annotations
@@ -210,8 +215,33 @@ class CycleSchedule:
         return out
 
 
-def predict_threshold_crossing(c_start: float, c_target: float, a: float,
-                               b_prime: float, t_prev: float) -> float:
+def _lanes(*values):
+    """Flat float arrays of one length from floats and arrays of one shape.
+
+    Returns the common shape and the inputs raveled to it; floats and 0-d
+    arrays are repeated. Every array-form helper below computes on these
+    lanes, element by element, and `_shaped` restores the caller's shape.
+    """
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shape = next((a.shape for a in arrays if a.ndim), ())
+    size = math.prod(shape)
+    flat = []
+    for a in arrays:
+        if a.shape == shape:
+            flat.append(a.reshape(-1))
+        elif a.ndim == 0:
+            flat.append(np.full(size, a))
+        else:
+            raise ValueError(f"shape {a.shape} does not match {shape}")
+    return shape, flat
+
+
+def _shaped(out: np.ndarray, shape: tuple):
+    """`out` in the caller's shape; a float for floats and 0-d arrays."""
+    return out.reshape(shape)[()]
+
+
+def predict_threshold_crossing(c_start, c_target, a, b_prime, t_prev):
     """Time at which the closed-form proton solution reaches c_target.
 
     The phase dynamics are C' = -a*C + b', i.e. exponential relaxation
@@ -221,26 +251,30 @@ def predict_threshold_crossing(c_start: float, c_target: float, a: float,
 
     Returns NO_CROSSING when the target is on the far side of the
     asymptote (the log arguments differ in sign) or behind the start
-    value in relaxation direction (negative delay).
+    value in relaxation direction (negative delay). Takes floats or
+    arrays of one shape and answers element by element.
     """
-    if a <= 0.0:
-        raise ScheduleError(f"phase coefficient a must be > 0, got {a}")
-    if c_start == c_target:
-        return t_prev
+    shape, (c_start, c_target, a, b_prime, t_prev) = _lanes(
+        c_start, c_target, a, b_prime, t_prev)
+    if np.any(a <= 0.0):
+        raise ScheduleError(
+            f"phase coefficient a must be > 0, got {a[a <= 0.0][0]}")
     s_inf = b_prime / a
     num = c_target - s_inf
     den = c_start - s_inf
-    if num == 0.0 or den == 0.0 or (num > 0.0) != (den > 0.0):
-        return NO_CROSSING
-    ratio = num / den
-    if ratio > 1.0:
-        return NO_CROSSING  # crossing would lie in the past
-    return t_prev - math.log(ratio) / a
+    out = np.full(num.shape, NO_CROSSING)
+    same_side = (num != 0.0) & (den != 0.0) & ((num > 0.0) == (den > 0.0))
+    k = np.flatnonzero(same_side)
+    ratio = num[k] / den[k]
+    k, ratio = k[ratio <= 1.0], ratio[ratio <= 1.0]  # > 1: in the past
+    out[k] = t_prev[k] - np.log(ratio) / a[k]
+    at_target = c_start == c_target
+    out[at_target] = t_prev[at_target]
+    return _shaped(out, shape)
 
 
-def buffered_relaxation_time(c_start: float, log_ratio: float, a: float,
-                             b_prime: float, buffer_total: float,
-                             k_a: float) -> float:
+def buffered_relaxation_time(c_start, log_ratio, a, b_prime, buffer_total,
+                             k_a):
     """Time the buffered proton law takes to leave c_start by a log ratio.
 
     With a fast mass-action buffer the free concentration obeys
@@ -254,74 +288,107 @@ def buffered_relaxation_time(c_start: float, log_ratio: float, a: float,
 
     The end state is given by log_ratio = ln((C - s)/(c_start - s)) rather
     than by C itself, so states within rounding of s keep a finite time.
-    At B0 = 0 this is the unbuffered -log_ratio/a.
+    At B0 = 0 this is the unbuffered -log_ratio/a. Takes floats or arrays
+    of one shape; each element takes its own branch below.
     """
-    t_free = -log_ratio / a
+    shape, (c_start, log_ratio, a, b_prime, buffer_total, k_a) = _lanes(
+        c_start, log_ratio, a, b_prime, buffer_total, k_a)
+    t = -log_ratio / a
     m = b_prime / a + k_a
     u0 = c_start + k_a
-    if buffer_total <= 0.0 or log_ratio == 0.0 or u0 == m:
-        return t_free  # the buffer adds nothing, or C sits at s already
-    gap = (u0 - m) * math.exp(log_ratio)  # C - s at the end state
-    u = m + gap  # C + k_a
-    d = (u0 - m) * math.expm1(log_ratio)  # C - c_start, exact when small
-    # lag = int_u0^u dv / (v^2 (m - v)), the buffer's share of a*t
-    if abs(d) <= 0.05 * min(u0, u, abs(gap)):
+    # elsewhere the buffer adds nothing, or C sits at s already
+    k = np.flatnonzero((buffer_total > 0.0) & (log_ratio != 0.0) & (u0 != m))
+    if k.size:
+        m, u0, log_ratio = m[k], u0[k], log_ratio[k]
+        gap = (u0 - m) * np.exp(log_ratio)  # C - s at the end state
+        u = m + gap  # C + k_a
+        d = (u0 - m) * np.expm1(log_ratio)  # C - c_start, exact when small
+        # lag = int_u0^u dv / (v^2 (m - v)), the buffer's share of a*t
+        lag = np.empty_like(d)
         # a short step, where the closed forms below lose ~u/d ulps; both
         # poles (v = 0, v = m) lie at least 20 steps away, so 5-point
         # Gauss-Legendre is accurate to rounding
-        mid, half = u0 + 0.5 * d, 0.5 * d
-        lag = half * sum(w / ((mid + half * x) ** 2 * (m - mid - half * x))
-                         for x, w in _GAUSS_LEGENDRE_5)
-    elif abs(m) < 0.1 * min(u0, u):
-        # the 1/m^2 and 1/m terms below cancel to leading order, losing
-        # ~(u/m)^2 ulps; the antiderivative -h(m/v)/v^2 avoids them
-        lag = _lag_kernel(m / u0) / (u0 * u0) - _lag_kernel(m / u) / (u * u)
-    else:
-        lag = ((math.log1p(d / u0) - log_ratio) / (m * m)
-               + d / (m * u * u0))
-    return t_free + k_a * buffer_total * lag / a
+        short = np.abs(d) <= 0.05 * np.minimum(np.minimum(u0, u),
+                                                np.abs(gap))
+        # the 1/m^2 and 1/m terms of the closed form cancel to leading
+        # order, losing ~(u/m)^2 ulps; the antiderivative -h(m/v)/v^2
+        # avoids them
+        near = ~short & (np.abs(m) < 0.1 * np.minimum(u0, u))
+        far = ~(short | near)
+        if short.any():
+            mid, half = u0[short] + 0.5 * d[short], 0.5 * d[short]
+            ms, total = m[short], 0.0
+            for x, w in _GAUSS_LEGENDRE_5:
+                total = total + w / ((mid + half * x) ** 2
+                                     * (ms - mid - half * x))
+            lag[short] = half * total
+        if near.any():
+            mn, u0n, un = m[near], u0[near], u[near]
+            lag[near] = (_lag_kernel(mn / u0n) / (u0n * u0n)
+                         - _lag_kernel(mn / un) / (un * un))
+        if far.any():
+            mf, u0f, uf, df = m[far], u0[far], u[far], d[far]
+            lag[far] = ((np.log1p(df / u0f) - log_ratio[far]) / (mf * mf)
+                        + df / (mf * uf * u0f))
+        t[k] = t[k] + k_a[k] * buffer_total[k] * lag / a[k]
+    return _shaped(t, shape)
 
 
-def _lag_kernel(x: float) -> float:
-    """h(x) = (ln(1 - x) + x) / x^2 for |x| < 0.1, with h(0) = -1/2."""
-    if abs(x) < 1e-3:
-        return -sum(x ** (n - 2) / n for n in range(2, 8))
-    return (math.log1p(-x) + x) / (x * x)
+def _lag_kernel(x):
+    """h(x) = (ln(1 - x) + x) / x^2 for |x| < 0.1, with h(0) = -1/2.
+
+    Takes floats or arrays.
+    """
+    shape, (x,) = _lanes(x)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-3
+    if small.any():
+        xs = x[small]
+        series = 0.0
+        for n in range(2, 8):
+            series = series + xs ** (n - 2) / n
+        out[small] = -series
+    if not small.all():
+        xl = x[~small]
+        out[~small] = (np.log1p(-xl) + xl) / (xl * xl)
+    return _shaped(out, shape)
 
 
-def predict_buffered_crossing(c_start: float, c_target: float, a: float,
-                              b_prime: float, t_prev: float,
-                              buffer_total: float, k_a: float) -> float:
+def predict_buffered_crossing(c_start, c_target, a, b_prime, t_prev,
+                              buffer_total, k_a):
     """Time at which the buffered proton law reaches c_target.
 
     Same conventions as `predict_threshold_crossing`, which it reproduces
     float for float at buffer_total = 0; the buffer only delays a
-    crossing, it never adds or removes one.
+    crossing, it never adds or removes one. Takes floats or arrays of one
+    shape.
     """
-    t_free = predict_threshold_crossing(c_start, c_target, a, b_prime, t_prev)
-    if t_free == NO_CROSSING or t_free == t_prev:
-        return t_free
-    s_inf = b_prime / a
-    log_ratio = math.log((c_target - s_inf) / (c_start - s_inf))
-    return t_prev + buffered_relaxation_time(c_start, log_ratio, a, b_prime,
-                                             buffer_total, k_a)
+    shape, (c_start, c_target, a, b_prime, t_prev, buffer_total, k_a) = \
+        _lanes(c_start, c_target, a, b_prime, t_prev, buffer_total, k_a)
+    t = predict_threshold_crossing(c_start, c_target, a, b_prime, t_prev)
+    k = np.flatnonzero((t != NO_CROSSING) & (t != t_prev))
+    if k.size:
+        s_inf = b_prime[k] / a[k]
+        log_ratio = np.log((c_target[k] - s_inf) / (c_start[k] - s_inf))
+        t[k] = t_prev[k] + buffered_relaxation_time(
+            c_start[k], log_ratio, a[k], b_prime[k], buffer_total[k], k_a[k])
+    return _shaped(t, shape)
 
 
-def clip_cycle_times(t2_est: float, t4_est: float, t1: float, t3: float,
-                     t1_next: float) -> tuple[float, float]:
+def clip_cycle_times(t2_est, t4_est, t1, t3, t1_next):
     """Clip predicted symport times into their cycle.
 
     t2 is confined to [t1, t3] and t4 to [t3, t1_next]; estimates of
     NO_CROSSING collapse onto the upper clip bound. This reproduces the
     degenerate boundary patterns of type (b) (t2 = t3 = t4) and type (c)
-    (t4 = t1_next) cycles.
+    (t4 = t1_next) cycles. The estimates may be arrays, one per vesicle.
     """
     if not (t1 <= t3 <= t1_next):
         raise ScheduleError(
             f"need t1 <= t3 <= t1_next, got {t1}, {t3}, {t1_next}")
-    t2 = max(min(t3, t2_est), t1)
-    t4 = max(min(t1_next, t4_est), t3)
-    return t2, max(t4, t2)
+    t2 = np.maximum(np.minimum(t3, t2_est), t1)
+    t4 = np.maximum(np.minimum(t1_next, t4_est), t3)
+    return t2, np.maximum(t4, t2)
 
 
 def classify_cycle(t1: float, t2: float, t3: float, t4: float,

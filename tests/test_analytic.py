@@ -11,7 +11,9 @@ from vesim.analytic import (PhaseCoefficients, QuadratureError,
                             buffered_log_ratio, closed_form_proton,
                             closed_form_substrate, exact_depletion_offset,
                             exact_proton_series, exact_substrate,
-                            phase_coefficients, run_analytic)
+                            phase_coefficients, run_analytic,
+                            run_analytic_batch)
+from vesim.ensemble import PopulationDistributions, sample_vesicle
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
 from vesim.model import (ModelError, VesicleSpec, default_environment,
                          default_kinetics, default_vesicle, derive_rates)
@@ -117,17 +119,46 @@ def test_buffered_log_ratio_inverts_the_buffered_law(a, target, c_start, b0,
         == pytest.approx(dt, rel=1e-9, abs=rounding)
 
 
+@given(cases=st.lists(st.tuples(
+    _log10_floats(-3, 3), st.floats(-3.0, 5.0), _log10_floats(-7, -3),
+    st.just(0.0) | _log10_floats(-3, 3), _log10_floats(-7, -3),
+    st.just(0.0) | _log10_floats(-3, 5)), min_size=1, max_size=6))
+@settings(deadline=None)
+def test_buffered_log_ratio_is_elementwise(cases):
+    # each element iterates alone: the batch equals its 0-d and float
+    # calls bit for bit, whatever its neighbours need
+    a, target, c, b0, k_a, dt = (np.array(x) for x in zip(*cases))
+
+    def log_ratio(c, a, s, dt, b0, k_a):
+        co = PhaseCoefficients(j_l_a=a, j_p_a=0.0, j_l_b=a * s, j_p_b=0.0,
+                               j_sym_b=0.0, beta=1.0, light=False,
+                               drain=False)
+        return buffered_log_ratio(c, co, dt, b0, k_a)
+
+    s = target * c
+    batch = log_ratio(c, a, s, dt, b0, k_a)
+    assert batch.shape == c.shape
+    for k in range(c.size):
+        args = (c[k], a[k], s[k], dt[k], b0[k], k_a[k])
+        zero_d = log_ratio(*map(np.array, args))
+        assert isinstance(zero_d, float)
+        assert np.array_equal(zero_d, batch[k])
+        assert np.array_equal(log_ratio(*map(float, args)), batch[k])
+
+
 class TestSubstrateLaws:
     def test_closed_constant_outside_symport(self, setup):
         spec, kin, env, rates = setup
-        out = closed_form_substrate(300.0, rates, spec, [0.0, 50.0], False)
+        ramp = rates.symport_rate_substrate / spec.v_in
+        out = closed_form_substrate(300.0, ramp, [0.0, 50.0], False)
         assert np.all(out == 300.0)
 
     def test_closed_linear_zero_crossing(self, setup):
         spec, kin, env, rates = setup
         dt_zero = spec.v_in * 300.0 / rates.symport_rate_substrate
-        out = closed_form_substrate(300.0, rates, spec,
-                                    [dt_zero, 2 * dt_zero], True)
+        ramp = rates.symport_rate_substrate / spec.v_in
+        out = closed_form_substrate(300.0, ramp, [dt_zero, 2 * dt_zero],
+                                    True)
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == 0.0
 
@@ -365,6 +396,34 @@ class TestRunAnalytic:
                            sample_interval=1.0)
         assert abs(fdm.schedule.cycles[0].t2
                    - ana.schedule.cycles[0].t2) <= 2 * 1e-2
+
+    def test_heterogeneous_symport_times_vs_fdm_oracle(self, base_kinetics):
+        # five vesicles of the default population (seed fixed before the
+        # results were seen); one batched closed run against each
+        # vesicle's own FDM run
+        rng = np.random.default_rng(5)
+        specs = [sample_vesicle(PopulationDistributions(), rng)
+                 for _ in range(5)]
+        # unbuffered, at each vesicle's stable_dt
+        env0 = default_environment(buffer_total=0.0)
+        sig0 = LightSignal([(0.0, 300.0)], 400.0)
+        batch0 = run_analytic_batch(specs, base_kinetics, env0, sig0,
+                                    "closed", [0.0, 400.0])
+        # buffered, where stable_dt is 5-10 s: at the 1e-2 s of the
+        # default-vesicle test above
+        env = default_environment()
+        sig = LightSignal([(0.0, 600.0)], 1200.0)
+        batch = run_analytic_batch(specs, base_kinetics, env, sig, "closed",
+                                   [0.0, 1200.0])
+        for m, spec in enumerate(specs):
+            for e, s, b, dt in ((env0, sig0, batch0,
+                                 stable_dt(spec, base_kinetics, env0)),
+                                (env, sig, batch, 1e-2)):
+                fdm = simulate_svs(spec, base_kinetics, e, s,
+                                   FdmConfig(dt=dt, record_stride=1000))
+                cyc = fdm.schedule.cycles[0]
+                assert abs(cyc.t2 - b.t2[m, 0]) <= 2 * dt
+                assert abs(cyc.t4 - b.t4[m, 0]) <= 2 * dt
 
     def test_trajectory_annotations(self, setup):
         spec, kin, env, rates = setup

@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from vesim.analytic import run_analytic
 from vesim.ensemble import (DiameterDistribution, EnsembleConfig,
                             PermeabilityDistribution,
                             PopulationDistributions, jensen_gap_check,
                             mean_parameter_spec, protein_slots, run_ensemble,
                             run_experiment, sample_vesicle)
 from vesim.model import ModelError, default_environment, default_kinetics
-from vesim.schedule import LightSignal
+from vesim.runner import _write_ensemble_csv
+from vesim.schedule import LightSignal, classify_cycle
+
+# light pattern driving cycle types b, a, c, c on the default vesicle
+FIG4_SIGNAL = LightSignal([(10.0, 35.0), (50.0, 80.0), (110.0, 140.0),
+                           (150.0, 180.0)], 250.0)
 
 
 @pytest.fixture
@@ -155,6 +162,102 @@ class TestEnsembleRuns:
         assert exp.c_h_in.shape == (5, 9)
         assert exp.pooled_c_s_out.shape == (9,)
         assert np.all(np.isfinite(exp.c_h_in))
+
+
+def _signal_from_gaps(pairs) -> LightSignal:
+    """Intervals from (dark gap, lit duration) pairs, then a dark tail."""
+    t, intervals = 0.0, []
+    for gap, lit in pairs:
+        t_on = t + gap
+        t = t_on + lit
+        intervals.append((t_on, t))
+    return LightSignal(intervals, t + 300.0)
+
+
+_SIGNALS = st.just(FIG4_SIGNAL) | st.lists(
+    st.tuples(st.floats(0.0, 200.0), st.floats(1.0, 400.0)),
+    min_size=1, max_size=4).map(_signal_from_gaps)
+
+
+def _types(t2, t4, signal):
+    return [classify_cycle(t1, b, t3, d, t1_next)
+            for (t1, t3, t1_next), b, d in zip(
+                map(signal.cycle_bounds, range(signal.n_cycles)), t2, t4)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["closed", "exact"]),
+       b0=st.sampled_from([0.0, 20.0]),
+       c_s_in0=st.floats(-3.0, 0.5).map(lambda e: 10.0 ** e),
+       signal=_SIGNALS, n_t=st.integers(2, 40))
+@example(seed=3, mode="closed", b0=20.0, c_s_in0=0.02, signal=FIG4_SIGNAL,
+         n_t=26)
+@example(seed=3, mode="exact", b0=0.0, c_s_in0=0.01, signal=FIG4_SIGNAL,
+         n_t=26)
+# some vesicles run dry in P4 after others have already ended P4
+@example(seed=1, mode="closed", b0=20.0, c_s_in0=0.05, signal=FIG4_SIGNAL,
+         n_t=26)
+@settings(deadline=None, max_examples=40)
+def test_experiment_rows_equal_single_vesicle_runs(seed, mode, b0, c_s_in0,
+                                                   signal, n_t):
+    # the batched experiment is the batch-of-one run of each vesicle,
+    # bit for bit
+    kin = default_kinetics()
+    cfg = EnsembleConfig(n_mod=6, n_ex=1)
+    env = default_environment(v_out=cfg.v_out_per_vesicle, buffer_total=b0,
+                              c_s_in0=c_s_in0)
+    ts = np.linspace(0.0, signal.horizon, n_t)
+    exp = run_experiment(PopulationDistributions(), kin, env, signal, cfg,
+                         np.random.default_rng(seed), mode, ts)
+    for m, spec in enumerate(exp.specs):
+        one = run_analytic(spec, kin, env, signal, mode, sample_times=ts)
+        assert np.array_equal(exp.c_h_in[m], one.c_h_in)
+        assert np.array_equal(exp.c_s_out[m], one.c_s_out)
+        cycles = one.schedule.cycles
+        assert exp.t2[m].tolist() == [c.t2 for c in cycles]
+        assert exp.t4[m].tolist() == [c.t4 for c in cycles]
+        assert _types(exp.t2[m], exp.t4[m], signal) == one.schedule.types()
+        t_dep = one.depletion_time()
+        assert (math.isnan(exp.depletion_time[m]) if t_dep is None
+                else exp.depletion_time[m] == t_dep)
+        active = [c for c in cycles if c.t4 > c.t2]
+        assert exp.symport_start[m] == (active[0].t2 if active else math.inf)
+        if active:
+            assert exp.symport_end[m] == active[-1].t4
+        else:
+            assert math.isnan(exp.symport_end[m])
+
+
+def test_closed_ramp_depletes_some_vesicles_mid_phase():
+    # the first example above mixes vesicles whose linearised cargo runs
+    # out inside a phase with vesicles that keep cargo to the end
+    cfg = EnsembleConfig(n_mod=6, n_ex=1)
+    env = default_environment(v_out=cfg.v_out_per_vesicle, c_s_in0=0.02)
+    exp = run_experiment(PopulationDistributions(), default_kinetics(), env,
+                         FIG4_SIGNAL, cfg, np.random.default_rng(3),
+                         "closed", np.linspace(0.0, 250.0, 26))
+    depleted = np.flatnonzero(np.isfinite(exp.depletion_time))
+    assert 0 < depleted.size < cfg.n_mod
+    for m in depleted:  # strictly inside a symport interval
+        t = exp.depletion_time[m]
+        assert np.any((exp.t2[m] < t) & (t < exp.t4[m]))
+
+
+@pytest.mark.parametrize("n_ex", [1, 3])
+def test_single_vesicle_experiments_give_finite_stats(pop, signal, n_ex,
+                                                      tmp_path):
+    # n_mod = 1 is a valid config: the spread across one vesicle is 0
+    cfg = EnsembleConfig(n_mod=1, n_ex=n_ex, seed=5)
+    env = default_environment(v_out=cfg.v_out_per_vesicle)
+    res = run_ensemble(pop, default_kinetics(), env, signal, cfg,
+                       sample_times=np.linspace(0.0, 1600.0, 9))
+    assert np.all(res.per_exp_std_c_h_in == 0.0)
+    assert np.all(res.per_exp_std_c_s_out == 0.0)
+    _write_ensemble_csv(res, tmp_path / "ensemble_stats.csv")
+    rows = (tmp_path / "ensemble_stats.csv").read_text().splitlines()
+    assert len(rows) == 10
+    assert all(math.isfinite(float(x)) for row in rows[1:]
+               for x in row.split(","))
 
 
 class TestJensenGap:

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from vesim.schedule import (NO_CROSSING, CycleRecord, CycleSchedule,
-                            LightSignal, ScheduleError, classify_cycle,
+                            LightSignal, ScheduleError, _lag_kernel,
+                            buffered_relaxation_time, classify_cycle,
                             clip_cycle_times, predict_buffered_crossing,
                             predict_threshold_crossing,
                             schedule_from_crossings)
@@ -92,6 +94,81 @@ def test_buffered_crossing_integrates_the_buffered_law(a, k_a, b0, c_from,
     assert (predict_buffered_crossing(c_from, c_to, a, b_prime, t_prev,
                                       0.0, k_a)
             == predict_threshold_crossing(c_from, c_to, a, b_prime, t_prev))
+
+
+def assert_elementwise(fn, *columns):
+    """fn on arrays equals fn on each element, as 0-d arrays and floats;
+    a column of one shape gives that shape back."""
+    arrays = [np.array(c, dtype=float) for c in columns]
+    batch = fn(*arrays)
+    assert batch.shape == arrays[0].shape
+    for k in range(arrays[0].size):
+        zero_d = fn(*(np.array(a[k]) for a in arrays))
+        assert isinstance(zero_d, float)
+        assert np.array_equal(zero_d, batch[k])
+        assert np.array_equal(fn(*(float(a[k]) for a in arrays)), batch[k])
+    columns = fn(*(a.reshape(-1, 1) for a in arrays))
+    assert np.array_equal(columns, batch.reshape(-1, 1))
+
+
+# (a, k_a, B0, C_start, s/C_start, fraction of the way to s, t_prev)
+_LAW_CASES = st.lists(st.tuples(
+    _log10_floats(-3, 3), _log10_floats(-7, -3),
+    st.just(0.0) | _log10_floats(-3, 3), _log10_floats(-7, -3),
+    st.floats(-3.0, 5.0), st.just(0.0) | st.floats(1e-9, 0.99),
+    st.floats(0.0, 1e3)), min_size=1, max_size=8)
+
+
+def _law_columns(cases):
+    a, k_a, b0, c, target, frac, t_prev = (np.array(x) for x in zip(*cases))
+    s = target * c
+    c_to = c + frac * (s - c)
+    return a, k_a, b0, c, s, c_to, t_prev
+
+
+@given(cases=_LAW_CASES, swap=st.booleans())
+@example(cases=[(1.0, 1e-5, 10.0, 1e-5, -1.0, 0.4, 0.0)], swap=False)
+@settings(deadline=None)
+def test_crossing_helpers_are_elementwise(cases, swap):
+    a, k_a, b0, c, s, c_to, t_prev = _law_columns(cases)
+    if swap:  # targets behind the start or past the asymptote
+        c, c_to = c_to, c
+    assume(np.all(c_to + k_a > 0.0) and np.all(c + k_a > 0.0))
+    assert_elementwise(predict_threshold_crossing, c, c_to, a, a * s, t_prev)
+    assert_elementwise(predict_buffered_crossing, c, c_to, a, a * s, t_prev,
+                       b0, k_a)
+
+
+@given(cases=_LAW_CASES)
+@example(cases=[(1.0, 1e-5, 10.0, 1e-5, -1.0, 0.4, 0.0),
+                (1.0, 1e-5, 10.0, 1e-5, 3.0, 1e-6, 0.0)])
+@settings(deadline=None)
+def test_relaxation_time_is_elementwise(cases):
+    # covers the Gauss-Legendre, h(m/v) and closed-form branches, and
+    # log ratio 0
+    a, k_a, b0, c, s, c_to, t_prev = _law_columns(cases)
+    assume(np.all(np.abs(s - c) > 1e-3 * c) and np.all(c_to + k_a > 0.0))
+    log_ratio = np.log((c_to - s) / (c - s))
+    assert_elementwise(buffered_relaxation_time, c, log_ratio, a, a * s, b0,
+                       k_a)
+
+
+@given(x=st.lists(st.floats(-0.1, 0.1) | st.floats(-2e-3, 2e-3),
+                  min_size=1, max_size=8))
+def test_lag_kernel_is_elementwise(x):
+    assert_elementwise(_lag_kernel, x)
+
+
+@given(cases=st.lists(st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0),
+                                st.floats(0.0, 200.0)),
+                      min_size=1, max_size=8))
+def test_clip_is_elementwise(cases):
+    t2, t4, shift = (np.array(x) for x in zip(*cases))
+    t2 = np.where(shift > 150.0, NO_CROSSING, t2)
+    clip = clip_cycle_times(t2, t4, 10.0, 80.0, 110.0)
+    for k in range(t2.size):
+        one = clip_cycle_times(float(t2[k]), float(t4[k]), 10.0, 80.0, 110.0)
+        assert one == (clip[0][k], clip[1][k])
 
 
 class TestClipping:
