@@ -10,7 +10,10 @@ T with total ligand B0, the free concentration as the positive root of
 
 The finite-difference solver re-equilibrates both compartments after every
 flux update, with `free_proton_conc` for one vesicle and with its array
-form `free_proton_conc_array` for the shared-pool vesicles. The analytical
+form `free_proton_conc_array` for the shared-pool vesicles. The array form
+is bit-identical to the scalar root element by element; when all totals
+are positive and q = B0 + k_a - T has one sign throughout, it evaluates
+only that branch of the root. The analytical
 solvers divide the free-H+ flux by the exact local slowdown dT/dC =
 `buffering_slowdown`, whose separable law they integrate in closed form
 (`schedule.buffered_relaxation_time`).
@@ -52,12 +55,22 @@ def free_proton_conc_array(total_conc: np.ndarray, buffer_total: float,
     """`free_proton_conc` of every element of `total_conc`.
 
     Evaluates the same expressions in the same order, so each element is
-    bit-identical to the scalar root.
+    bit-identical to the scalar root. When every total is positive and
+    every q has one sign, only that sign's branch is evaluated; the
+    shared-pool kernel calls this once per step, where that is the rule.
+    The checks index at argmin/argmax, which numpy runs several times
+    faster than min/max on small arrays (a NaN fails them and takes the
+    general path).
     """
     if buffer_total <= 0.0:
         return np.where(total_conc > 0.0, total_conc, 0.0)
     q = buffer_total + k_a - total_conc
     disc = np.sqrt(q * q + 4.0 * k_a * total_conc)
+    if total_conc.size and total_conc[total_conc.argmin()] > 0.0:
+        if q[q.argmin()] >= 0.0:
+            return 2.0 * k_a * total_conc / (q + disc)
+        if q[q.argmax()] < 0.0:
+            return 0.5 * (disc - q)
     root = np.where(q >= 0.0, 2.0 * k_a * total_conc / (q + disc),
                     0.5 * (disc - q))
     return np.where(total_conc > 0.0, root, 0.0)

@@ -297,12 +297,26 @@ def run_experiment(dist: PopulationDistributions, kin: KineticConstants,
                             depletion_time=batch.depletion_time)
 
 
-def _experiment_worker(args) -> ExperimentResult:
+def _experiment_worker(args) -> tuple:
+    """Run one experiment and reduce it to the rows the ensemble keeps.
+
+    Returns (mean C_H_in, std C_H_in, pooled C_S_out, std C_S_out)
+    over the vesicles at each sample time, then the medians of the first
+    symport start and the last symport end, so that no (n_mod, n_t)
+    array outlives its experiment.
+    """
     (dist, kin, env_base, signal, cfg, seed_entropy, solver,
      sample_times) = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy))
-    return run_experiment(dist, kin, env_base, signal, cfg, rng, solver,
-                          sample_times)
+    r = run_experiment(dist, kin, env_base, signal, cfg, rng, solver,
+                       sample_times)
+    # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
+    std_kw = dict(axis=0, ddof=1) if cfg.n_mod > 1 else dict(axis=0, ddof=0)
+    end_median = (np.nanmedian(r.symport_end)
+                  if np.any(np.isfinite(r.symport_end)) else math.nan)
+    return (r.c_h_in.mean(axis=0), r.c_h_in.std(**std_kw),
+            r.pooled_c_s_out, r.c_s_out.std(**std_kw),
+            np.median(r.symport_start), end_median)
 
 
 def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
@@ -315,6 +329,7 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     Child experiment seeds are spawned deterministically from cfg.seed,
     so results are reproducible bit-for-bit for a fixed worker-count-
     independent ordering (the reduction is ordered by experiment index).
+    Each experiment is reduced to its statistics as it finishes.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, signal.horizon, 161)
@@ -325,16 +340,12 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
              sample_times) for i in range(cfg.n_ex)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_experiment_worker, jobs))
+            rows = list(pool.map(_experiment_worker, jobs))
     else:
-        results = [_experiment_worker(j) for j in jobs]
-
-    # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
-    std_kw = dict(axis=0, ddof=1) if cfg.n_mod > 1 else dict(axis=0, ddof=0)
-    per_mean_h = np.stack([r.c_h_in.mean(axis=0) for r in results])
-    per_std_h = np.stack([r.c_h_in.std(**std_kw) for r in results])
-    per_cs = np.stack([r.pooled_c_s_out for r in results])
-    per_std_cs = np.stack([r.c_s_out.std(**std_kw) for r in results])
+        rows = [_experiment_worker(j) for j in jobs]
+    mean_h, std_h, cs, std_cs, start_median, end_median = zip(*rows)
+    per_mean_h = np.stack(mean_h)
+    per_cs = np.stack(cs)
 
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
     mean_spec = mean_parameter_spec(dist)
@@ -346,19 +357,16 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     return EnsembleResult(
         t=sample_times,
         per_exp_mean_c_h_in=per_mean_h,
-        per_exp_std_c_h_in=per_std_h,
+        per_exp_std_c_h_in=np.stack(std_h),
         per_exp_c_s_out=per_cs,
-        per_exp_std_c_s_out=per_std_cs,
+        per_exp_std_c_s_out=np.stack(std_cs),
         interex_mean_c_h_in=per_mean_h.mean(axis=0),
         interex_var_c_h_in=per_mean_h.var(**var_kw),
         interex_mean_c_s_out=per_cs.mean(axis=0),
         interex_var_c_s_out=per_cs.var(**var_kw),
         mean_param_traj=mean_traj,
-        symport_start_median=np.array([np.median(r.symport_start)
-                                       for r in results]),
-        symport_end_median=np.array([np.nanmedian(r.symport_end)
-                                     if np.any(np.isfinite(r.symport_end))
-                                     else math.nan for r in results]),
+        symport_start_median=np.array(start_median),
+        symport_end_median=np.array(end_median),
         config=cfg, solver=solver,
     )
 

@@ -19,6 +19,17 @@ bit for bit.
 Symport threshold crossings are detected by the sign change of
 (C_H_in - C_switch) with linear interpolation between steps and then
 assembled into the same cycle schedule the analytic solvers produce.
+
+The shared-pool kernel's cost is numpy's fixed cost per call, so its
+step makes few calls while each element sees the scalar loop's float
+operations. The threshold test c_in >= c_switch, the same as
+(c_in - c_switch) >= 0, is taken once: it gates the next step's symport
+and marks the crossings. Rare events (a threshold flip, a lane newly
+below the depletion threshold, a substrate overshoot to clamp) are found
+by one argmax over one flag array and handled lane by lane only in the
+steps that have one. A stable step keeps each Michaelis-Menten decrement
+below the cargo in exact arithmetic, but once the fluxes underflow to
+subnormals their rounding can overshoot it, so the clamp at 0 stays.
 """
 
 from __future__ import annotations
@@ -331,13 +342,16 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
 
     crossings: list[list[tuple[float, int]]] = [[] for _ in range(n_ves)]
     events: list[list[Event]] = [[] for _ in range(n_ves)]
-    depleted = np.zeros(n_ves, dtype=bool)
-    dep_threshold = DEPLETION_FRACTION_OF_KM * km
+    # a lane's threshold drops to 0 once it has reported depletion, so
+    # the one test below also finds the rare lanes to clamp at 0
+    dep_threshold = np.full(n_ves, DEPLETION_FRACTION_OF_KM * km)
+    # rows: net H+ inflow and released substrate, summed in one reduction
+    flows = np.empty((2, n_ves))
 
     c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
     c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-    diff_prev = c_in - c_switch
-    active_at_start = diff_prev >= 0.0
+    above = c_in >= c_switch
+    active_at_start = above
     drift = 0.0
 
     ri = 0
@@ -355,42 +369,46 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
             break
 
         pump = pump_flux(c_pool, c_out0, gamma_p, light[k])
-        f_s, f_h = symport_flux(c_in, cs_in, c_switch, gamma_s, gamma_h, km)
+        f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
         leak = leakage_flux(c_in, c_pool, gamma_l)
         net_in = net_proton_inflow(pump, leak, f_h, sign)
 
         th_in += dt * net_in
-        pool_th -= dt * net_in.sum()
         released = dt * f_s
         cs_in -= released / v_in
-        pool_ts += released.sum()
-        under = cs_in < 0.0
-        if under.any():
-            pool_ts += (cs_in[under] * v_in[under]).sum()
-            for v in np.nonzero(under & ~depleted)[0]:
-                events[v].append(Event("depletion", (k + 1) * dt,
-                                       "substrate clamped at 0"))
-            depleted |= under
-            cs_in[under] = 0.0
+        flows[0] = net_in
+        flows[1] = released
+        net_sum, released_sum = flows.sum(axis=1).tolist()
+        pool_th -= dt * net_sum
+        pool_ts += released_sum
 
+        c_prev = c_in
         c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
         c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
 
-        diff = c_in - c_switch
-        flipped = (diff >= 0.0) != (diff_prev >= 0.0)
-        if flipped.any():
-            for v in np.nonzero(flipped)[0]:
-                frac = diff_prev[v] / (diff_prev[v] - diff[v])
+        # c_in >= c_switch is (c_in - c_switch) >= 0 in IEEE arithmetic:
+        # one test gates the next step's symport and finds the crossings
+        was_above, above = above, c_in >= c_switch
+        flipped = above != was_above
+        low = cs_in < dep_threshold
+        rare = flipped | low
+        if rare[rare.argmax()]:
+            for v in np.flatnonzero(flipped):
+                diff_prev = c_prev[v] - c_switch[v]
+                frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
                 crossings[v].append((k * dt + frac * dt,
-                                     1 if diff[v] >= 0.0 else -1))
-        diff_prev = diff
-
-        newly_low = (~depleted) & (cs_in < dep_threshold)
-        if newly_low.any():
-            for v in np.nonzero(newly_low)[0]:
-                events[v].append(Event("depletion", (k + 1) * dt,
-                                       "fell below reporting threshold"))
-            depleted |= newly_low
+                                     1 if above[v] else -1))
+            under = cs_in < 0.0
+            if under.any():
+                pool_ts += (cs_in[under] * v_in[under]).sum()
+                cs_in[under] = 0.0
+            for v in np.flatnonzero(low):
+                if dep_threshold[v] > 0.0:
+                    events[v].append(Event(
+                        "depletion", (k + 1) * dt,
+                        "substrate clamped at 0" if under[v]
+                        else "fell below reporting threshold"))
+                    dep_threshold[v] = 0.0
 
         if k % 1000 == 0:
             drift = max(drift,

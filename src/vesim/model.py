@@ -223,15 +223,17 @@ def pump_flux(c_out, c_out0: float, gamma_p, light_on: bool):
     return gamma_p * (c_out / c_out0)
 
 
-def symport_flux(c_in, c_s, c_switch, gamma_s, gamma_h, k_m: float):
+def symport_flux(above_switch, c_s, gamma_s, gamma_h, k_m: float):
     """(substrate, H+) outflux in mol/s through the release module.
 
     Michaelis-Menten in the substrate, mm = gate * c_s / (c_s + k_m),
-    gated on by c_in >= c_switch while substrate remains (c_s > 0); the
-    fluxes are gamma_s * mm and gamma_h * mm. Concentrations and rates
-    may be floats or numpy arrays.
+    gated on by the threshold test `above_switch` = (c_in >= c_switch)
+    while substrate remains (c_s > 0); the fluxes are gamma_s * mm and
+    gamma_h * mm. The caller passes the threshold test because the FDM
+    also detects symport crossings by its flips. Concentrations and
+    rates may be floats or numpy arrays, the test a bool or bool array.
     """
-    gate = (c_in >= c_switch) & (c_s > 0.0)
+    gate = above_switch & (c_s > 0.0)
     mm = gate * c_s / (c_s + k_m)
     return gamma_s * mm, gamma_h * mm
 

@@ -85,13 +85,32 @@ def test_slowdown_reference_value():
 
 @given(totals=st.lists(st.floats(-1.0, 1e3), min_size=1, max_size=8),
        b0=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
-       ka=st.floats(1e-8, 1e2))
-def test_array_root_equals_scalar_root(totals, b0, ka):
-    # the shared-pool kernel's root: the scalar root of every element
+       ka=st.floats(1e-8, 1e2),
+       q_sign=st.sampled_from(["drawn", ">=0", "<0", "mixed"]),
+       fracs=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=8),
+       nonpositive=st.lists(st.tuples(st.integers(0, 8),
+                                      st.sampled_from([0.0, -0.0, -1e-300,
+                                                       -1.0])),
+                            max_size=3))
+def test_array_root_equals_scalar_root(totals, b0, ka, q_sign, fracs,
+                                       nonpositive):
+    # the shared-pool kernel's root: the scalar root of every element,
+    # whether q = B0 + k_a - T has one sign on every element or both,
+    # and with totals <= 0 among positive ones
+    s = b0 + ka
+    if q_sign == ">=0":  # T = s*f <= s, so q >= 0 (q = 0 at f = 1)
+        totals = [s * f for f in fracs]
+    elif q_sign == "<0":  # T > s
+        totals = [s * (1.0 + f) for f in fracs]
+    elif q_sign == "mixed":
+        totals = [s * (f if i % 2 else 1.0 + f) for i, f in enumerate(fracs)]
+    for i, t in nonpositive:
+        totals.insert(i, t)
     arr = free_proton_conc_array(np.array(totals), b0, ka)
     assert arr.shape == (len(totals),)
     for t, c in zip(totals, arr):
         assert c == free_proton_conc(t, b0, ka)
+        assert np.signbit(c) == np.signbit(free_proton_conc(t, b0, ka))
         if t > 1e-12 and b0 > 0.0:
             assert c == pytest.approx(bisect_free_conc(t, b0, ka),
                                       rel=1e-8, abs=1e-18)

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from vesim.analytic import run_analytic
+from vesim import fdm
+from vesim.analytic import DEPLETION_FRACTION_OF_KM, run_analytic
 from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_mvs_shared_pool,
                        simulate_svs, stability_coefficient, stable_dt)
 from vesim.model import (VesicleSpec, default_environment, default_kinetics,
                          default_vesicle, derive_rates)
-from vesim.schedule import LightSignal
+from vesim.schedule import LightSignal, schedule_from_crossings
 
 
 def test_stability_check_rejects_baseline_step_when_unbuffered(
@@ -147,6 +149,27 @@ def _unbuffered_case():
             FdmConfig(dt=dt, record_stride=50), True, [])
 
 
+# A step the stability check accepts: dt*a_max = 0.911. Once the cargo is
+# ~1e-300 the fluxes underflow to subnormals, whose rounding lets one
+# decrement exceed what is left; the clamp holds C_S_in at 0 from step 291.
+CLAMP_SPEC = VesicleSpec(d_in=1.1066413413874867e-07, d_mem=14e-9,
+                         n_pumps=167, n_sym=173,
+                         permeability=2.608229801879833e-05)
+CLAMP_CS_FRAC, CLAMP_U = 0.2831710565694664, 0.9114165898320166
+
+
+def _substrate_case(spec, cs_frac, u, n_steps=300):
+    """Light-on run of `n_steps` at dt = u/a_max, c_s_in0 in [1e-3, 3 K_M]."""
+    kin = default_kinetics()
+    env = default_environment(
+        c_s_in0=1e-3 + cs_frac * (3.0 * kin.k_m - 1e-3))
+    dt = u / stability_coefficient(spec, kin, env,
+                                   derive_rates(spec, kin, env))
+    horizon = n_steps * dt
+    return (spec, env, LightSignal([(0, horizon)], horizon),
+            FdmConfig(dt=dt, record_stride=1))
+
+
 # (spec, env, signal, cfg, run the stability check, expected event infos)
 PIN_CASES = {
     "buffered": lambda: (default_vesicle(), default_environment(),
@@ -158,12 +181,14 @@ PIN_CASES = {
                           FdmConfig(dt=2e-2, record_stride=100), True,
                           ["fell below reporting threshold"]),
     # a step past the substrate bound 1/a_s ~ 15 s overshoots the cargo
-    # below zero; the stability check refuses such a step, so the clamp
-    # branch is reached only with the check skipped
+    # below zero while it is still above the reporting threshold
     "clamp": lambda: (default_vesicle(), default_environment(c_s_in0=0.05),
                       LightSignal([(0, 400)], 600),
                       FdmConfig(dt=20.0, record_stride=1), False,
                       ["substrate clamped at 0"]),
+    "clamp_checked": lambda: (
+        *_substrate_case(CLAMP_SPEC, CLAMP_CS_FRAC, CLAMP_U), True,
+        ["fell below reporting threshold"]),
     "antiporter": lambda: (dataclasses.replace(default_vesicle(),
                                                mode="antiporter"),
                            default_environment(),
@@ -171,6 +196,32 @@ PIN_CASES = {
                            FdmConfig(dt=1e-2, record_stride=100), True, []),
     "unbuffered": _unbuffered_case,
 }
+
+
+@given(d_in=st.floats(40e-9, 300e-9), n_pumps=st.integers(0, 200),
+       n_sym=st.integers(1, 300),
+       permeability=st.floats(-7.0, -4.0).map(lambda e: 10.0 ** e),
+       mode=st.sampled_from(["symporter", "antiporter"]),
+       cs_frac=st.floats(0.0, 1.0), u=st.floats(0.5, 0.999))
+@example(d_in=CLAMP_SPEC.d_in, n_pumps=CLAMP_SPEC.n_pumps,
+         n_sym=CLAMP_SPEC.n_sym, permeability=CLAMP_SPEC.permeability,
+         mode="symporter", cs_frac=CLAMP_CS_FRAC, u=CLAMP_U)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_stable_step_keeps_substrate_nonnegative(d_in, n_pumps, n_sym,
+                                                 permeability, mode, cs_frac,
+                                                 u):
+    # dt*a_s < 1 keeps every decrement below the cargo in exact
+    # arithmetic; in floating point the clamp is what keeps C_S_in >= 0
+    # (CLAMP_SPEC), and the substrate is conserved either way
+    spec = VesicleSpec(d_in=d_in, d_mem=14e-9, n_pumps=n_pumps, n_sym=n_sym,
+                       permeability=permeability, mode=mode)
+    spec, env, sig, cfg = _substrate_case(spec, cs_frac, u)
+    traj = simulate_svs(spec, default_kinetics(), env, sig, cfg)
+    assert len(traj) == 301
+    assert np.all(traj.c_s_in >= 0.0)
+    s0 = env.c_s_in0 * spec.v_in
+    s = traj.c_s_in * spec.v_in + traj.c_s_out * env.v_out
+    assert np.max(np.abs(s - s0)) / s0 < 1e-9
 
 
 class TestSharedPool:
@@ -188,6 +239,7 @@ class TestSharedPool:
         svs = simulate_svs(spec, base_kinetics, env, sig, cfg)
         pt = pool.trajectories[0]
         assert [e.info for e in svs.events] == infos
+        assert np.any(svs.c_s_in == 0.0) == case.startswith("clamp")
         assert pt.events == svs.events
         assert np.array_equal(pt.c_h_in, svs.c_h_in)
         assert np.array_equal(pt.c_s_in, svs.c_s_in)
@@ -195,6 +247,56 @@ class TestSharedPool:
         assert np.array_equal(pool.pooled_c_s_out, svs.c_s_out)
         assert pt.schedule.cycles == svs.schedule.cycles
         assert pool.conservation_drift == svs.conservation_drift
+
+    def test_events_per_lane_match_recorded_series(self, base_kinetics,
+                                                   monkeypatch):
+        # lanes 0 and 1 are twins and flip in the same steps (with lane 2
+        # at the first up-crossing); lane 2 chatters across C_switch and
+        # runs dry; twin lanes 3 and 5 run dry together, at another step;
+        # lane 4 never does
+        base = default_vesicle()
+        drier = dataclasses.replace(base, n_pumps=50, n_sym=90)
+        specs = [base, base,
+                 dataclasses.replace(base, n_pumps=40, n_sym=150), drier,
+                 dataclasses.replace(base, permeability=4e-6, n_sym=20),
+                 drier]
+        env = default_environment(v_out=len(specs) * 1e-17, c_s_in0=0.03,
+                                  buffer_total=2.0)
+        sig = LightSignal([(0, 20), (40, 60)], 100)
+        dt = 1e-2
+        seen = []  # each lane's crossing list, as its schedule gets it
+
+        def spy(signal, crossings, active_at_start=False):
+            seen.append(list(crossings))
+            return schedule_from_crossings(signal, crossings, active_at_start)
+
+        monkeypatch.setattr(fdm, "schedule_from_crossings", spy)
+        pool = simulate_mvs_shared_pool(specs, base_kinetics, env, sig,
+                                        FdmConfig(dt=dt, record_stride=1))
+        threshold = DEPLETION_FRACTION_OF_KM * base_kinetics.k_m
+        flip_steps, dry_steps = [], []
+        for tr, found in zip(pool.trajectories, seen):
+            # the same linear interpolation between recorded samples
+            diff = tr.c_h_in - tr.derived.switch_conc
+            above = diff >= 0.0
+            steps = np.flatnonzero(above[1:] != above[:-1])
+            expected = [(k * dt + diff[k] / (diff[k] - diff[k + 1]) * dt,
+                         1 if above[k + 1] else -1) for k in steps]
+            assert found == expected
+            flip_steps.append(set(steps.tolist()))
+            low = np.flatnonzero(tr.c_s_in < threshold)
+            if low.size:
+                assert [(e.kind, e.t) for e in tr.events] == \
+                    [("depletion", tr.t[low[0]])]
+                dry_steps.append(int(low[0]))
+            else:
+                assert tr.events == []
+        # the case exercises what the comment above says it does
+        assert flip_steps[0] == flip_steps[1]
+        assert len(flip_steps[0]) >= 3 and len(flip_steps[2]) > 20
+        assert flip_steps[0] & flip_steps[2]
+        assert len(dry_steps) == 3
+        assert dry_steps[0] != dry_steps[1] == dry_steps[2]
 
     def test_identical_vesicles_match_split_compartments(self,
                                                          base_kinetics):
