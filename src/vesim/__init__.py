@@ -15,7 +15,7 @@ from .ensemble import (EnsembleConfig, PopulationDistributions,
 from .fdm import FdmConfig, simulate_mvs_shared_pool, simulate_svs
 from .model import (AVOGADRO, DerivedRates, Environment, KineticConstants,
                     VesicleSpec, derive_rates, leakage_flux, pump_flux,
-                    symport_flux)
+                    symport_flux, symport_gate)
 from .schedule import CycleSchedule, LightSignal, clip_cycle_times
 from .trajectory import Trajectory
 
@@ -29,4 +29,5 @@ __all__ = [
     "jensen_gap_check", "lambert_w0", "lambert_w0_exp", "leakage_flux",
     "pump_flux", "run_analytic", "run_ensemble", "sample_vesicle",
     "simulate_mvs_shared_pool", "simulate_svs", "symport_flux",
+    "symport_gate",
 ]

@@ -12,8 +12,8 @@ The finite-difference solver re-equilibrates both compartments after every
 flux update, with `free_proton_conc` for one vesicle and with its array
 form `free_proton_conc_array` for the shared-pool vesicles. The array form
 is bit-identical to the scalar root element by element; when all totals
-are positive and q = B0 + k_a - T has one sign throughout, it evaluates
-only that branch of the root. The analytical
+are positive and q = B0 + k_a - T >= 0 throughout, it evaluates only the
+conjugate branch of the root. The analytical
 solvers divide the free-H+ flux by the exact local slowdown dT/dC =
 `buffering_slowdown`, whose separable law they integrate in closed form
 (`schedule.buffered_relaxation_time`).
@@ -56,11 +56,11 @@ def free_proton_conc_array(total_conc: np.ndarray, buffer_total: float,
 
     Evaluates the same expressions in the same order, so each element is
     bit-identical to the scalar root. When every total is positive and
-    every q has one sign, only that sign's branch is evaluated; the
-    shared-pool kernel calls this once per step, where that is the rule.
-    The checks index at argmin/argmax, which numpy runs several times
-    faster than min/max on small arrays (a NaN fails them and takes the
-    general path).
+    every q >= 0, only the conjugate branch is evaluated: the shared-pool
+    kernel calls this once per step, and in the fig9 pool (seeds 0 and 7)
+    every one of its 160001 calls takes that branch. The checks index at
+    argmin, which numpy runs several times faster than min on small
+    arrays (a NaN fails them and takes the general path).
     """
     if buffer_total <= 0.0:
         return np.where(total_conc > 0.0, total_conc, 0.0)
@@ -69,8 +69,6 @@ def free_proton_conc_array(total_conc: np.ndarray, buffer_total: float,
     if total_conc.size and total_conc[total_conc.argmin()] > 0.0:
         if q[q.argmin()] >= 0.0:
             return 2.0 * k_a * total_conc / (q + disc)
-        if q[q.argmax()] < 0.0:
-            return 0.5 * (disc - q)
     root = np.where(q >= 0.0, 2.0 * k_a * total_conc / (q + disc),
                     0.5 * (disc - q))
     return np.where(total_conc > 0.0, root, 0.0)

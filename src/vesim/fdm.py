@@ -22,7 +22,7 @@ assembled into the same cycle schedule the analytic solvers produce.
 
 The shared-pool kernel's cost is numpy's fixed cost per call, so its
 step makes few calls while each element sees the scalar loop's float
-operations. The threshold test c_in >= c_switch, the same as
+operations. The threshold test `model.symport_gate`, the same as
 (c_in - c_switch) >= 0, is taken once: it gates the next step's symport
 and marks the crossings. Rare events (a threshold flip, a lane newly
 below the depletion threshold, a substrate overshoot to clamp) are found
@@ -45,7 +45,7 @@ from .buffering import (buffering_slowdown, free_proton_conc,
                         free_proton_conc_array, total_conc_from_free)
 from .model import (DerivedRates, Environment, KineticConstants, VesicleSpec,
                     derive_rates, leakage_flux, net_proton_inflow, pump_flux,
-                    symport_flux)
+                    symport_flux, symport_gate)
 from .schedule import LightSignal, schedule_from_crossings
 from .trajectory import Event, Trajectory
 
@@ -198,7 +198,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         if k == n_steps:
             break
 
-        # model.pump_flux, symport_flux, leakage_flux and
+        # model.pump_flux, symport_gate, symport_flux, leakage_flux and
         # net_proton_inflow, inlined in their arithmetic order; the test
         # TestSharedPool::test_single_vesicle_degenerates_to_svs pins this
         # step bit for bit to the shared-pool kernel, which calls them.
@@ -350,7 +350,7 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
 
     c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
     c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-    above = c_in >= c_switch
+    above = symport_gate(c_in, c_switch)
     active_at_start = above
     drift = 0.0
 
@@ -386,9 +386,9 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
         c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
         c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
 
-        # c_in >= c_switch is (c_in - c_switch) >= 0 in IEEE arithmetic:
-        # one test gates the next step's symport and finds the crossings
-        was_above, above = above, c_in >= c_switch
+        # one threshold test gates the next step's symport and finds the
+        # crossings
+        was_above, above = above, symport_gate(c_in, c_switch)
         flipped = above != was_above
         low = cs_in < dep_threshold
         rare = flipped | low

@@ -223,15 +223,25 @@ def pump_flux(c_out, c_out0: float, gamma_p, light_on: bool):
     return gamma_p * (c_out / c_out0)
 
 
+def symport_gate(c_in, c_switch):
+    """Threshold test of the release module: on while c_in >= c_switch.
+
+    In IEEE arithmetic the same test as (c_in - c_switch) >= 0, so the
+    FDM detects symport crossings by its flips. Floats or numpy arrays.
+    """
+    return c_in >= c_switch
+
+
 def symport_flux(above_switch, c_s, gamma_s, gamma_h, k_m: float):
     """(substrate, H+) outflux in mol/s through the release module.
 
     Michaelis-Menten in the substrate, mm = gate * c_s / (c_s + k_m),
-    gated on by the threshold test `above_switch` = (c_in >= c_switch)
-    while substrate remains (c_s > 0); the fluxes are gamma_s * mm and
+    gated on by `above_switch` = symport_gate(c_in, c_switch) while
+    substrate remains (c_s > 0); the fluxes are gamma_s * mm and
     gamma_h * mm. The caller passes the threshold test because the FDM
-    also detects symport crossings by its flips. Concentrations and
-    rates may be floats or numpy arrays, the test a bool or bool array.
+    takes it once per step for both the gate and the crossings.
+    Concentrations and rates may be floats or numpy arrays, the test a
+    bool or bool array.
     """
     gate = above_switch & (c_s > 0.0)
     mm = gate * c_s / (c_s + k_m)

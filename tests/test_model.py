@@ -9,7 +9,7 @@ from vesim.model import (AVOGADRO, Environment, ModelError, VesicleSpec,
                          default_environment, default_kinetics,
                          default_vesicle, derive_rates, leakage_flux,
                          net_proton_inflow, pump_flux, switch_concentration,
-                         symport_flux)
+                         symport_flux, symport_gate)
 
 
 def test_geometry():
@@ -80,7 +80,7 @@ def test_small_v_out_warns(base_kinetics):
 
 
 def _symport(c_in, c_s, rates, kin):
-    return symport_flux(c_in >= rates.switch_conc, c_s,
+    return symport_flux(symport_gate(c_in, rates.switch_conc), c_s,
                         rates.symport_rate_substrate,
                         rates.symport_rate_proton, kin.k_m)
 
@@ -161,8 +161,8 @@ def test_flux_laws_on_arrays_equal_scalar_calls(rows):
 
     def laws(c_in, c_s, c_out, c_switch, gamma):
         pump = pump_flux(c_out, c_out0, gamma, True)
-        f_s, f_h = symport_flux(c_in >= c_switch, c_s, gamma, 3.0 * gamma,
-                                k_m)
+        f_s, f_h = symport_flux(symport_gate(c_in, c_switch), c_s, gamma,
+                                3.0 * gamma, k_m)
         leak = leakage_flux(c_in, c_out, rates.leak_rate)
         return f_s, net_proton_inflow(pump, leak, f_h, sign)
 
