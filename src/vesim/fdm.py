@@ -19,6 +19,10 @@ bit for bit.
 Symport threshold crossings are detected by the sign change of
 (C_H_in - C_switch) with linear interpolation between steps and then
 assembled into the same cycle schedule the analytic solvers produce.
+A single-vesicle run can stop as soon as no later crossing can change
+that schedule (`until_settled`); the fig6 sweep's cross-check, which
+reads only the schedule, stops there instead of stepping through its
+long dark tail.
 
 The shared-pool kernel's cost is numpy's fixed cost per call, so its
 step makes few calls while each element sees the scalar loop's float
@@ -46,7 +50,8 @@ from .buffering import (buffering_slowdown, free_proton_conc,
 from .model import (DerivedRates, Environment, KineticConstants, VesicleSpec,
                     derive_rates, leakage_flux, net_proton_inflow, pump_flux,
                     symport_flux, symport_gate)
-from .schedule import LightSignal, schedule_from_crossings
+from .schedule import (LightSignal, schedule_from_crossings,
+                       schedule_is_final)
 from .trajectory import Event, Trajectory
 
 
@@ -137,8 +142,16 @@ def _light_steps(signal: LightSignal, dt: float, n_steps: int) -> np.ndarray:
 
 def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  signal: LightSignal, cfg: FdmConfig | None = None,
-                 rates: DerivedRates | None = None) -> Trajectory:
-    """Ground-truth trajectory of a single vesicle system."""
+                 rates: DerivedRates | None = None, *,
+                 until_settled: bool = False) -> Trajectory:
+    """Ground-truth trajectory of a single vesicle system.
+
+    With `until_settled`, the run stops at the first record step at which
+    `schedule_is_final` holds, so its `schedule` is the full run's. The
+    trajectory then holds only what was found up to that stop: the
+    recorded samples (an exact prefix of the full run's), the events so
+    far, and the conservation drift checked so far.
+    """
     cfg = cfg or FdmConfig()
     if rates is None:
         rates = derive_rates(spec, kin, env)
@@ -195,8 +208,9 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
             rec_csout[idx] = ts_out / v_out
             rec_light[idx] = 1 if (k < n_steps and light[k]) else 0
             ri += 1
-        if k == n_steps:
-            break
+            if k == n_steps or (until_settled and schedule_is_final(
+                    signal, crossings, active_at_start, k * dt)):
+                break
 
         # model.pump_flux, symport_gate, symport_flux, leakage_flux and
         # net_proton_inflow, inlined in their arithmetic order; the test
@@ -257,6 +271,10 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         max_s_drift = max(max_s_drift,
                           abs(cs_in * v_in + ts_out - s_total0) / s_total0)
 
+    if ri < n_rec:  # stopped once the schedule was final
+        rec_t, rec_chin, rec_chout, rec_csin, rec_csout, rec_light = (
+            a[:ri].copy() for a in (rec_t, rec_chin, rec_chout, rec_csin,
+                                    rec_csout, rec_light))
     sched = schedule_from_crossings(signal, crossings, active_at_start)
     cycles, phases = sched.annotate(rec_t)
     return Trajectory(

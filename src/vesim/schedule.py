@@ -405,6 +405,30 @@ def classify_cycle(t1: float, t2: float, t3: float, t4: float,
     return "a"
 
 
+def _symport_estimates(events: list[tuple[float, int]],
+                       active_at_start: bool, t1: float, t3: float,
+                       t1_next: float) -> tuple[float, float]:
+    """Unclipped (t2, t4) of one cycle from time-sorted crossings.
+
+    t2 is t1 when the symport indicator is on at t1, else the first
+    upward crossing in [t1, t3); t4 is the first downward crossing in
+    (t2, t1_next). Each is NO_CROSSING when there is none, and t4 is
+    NO_CROSSING whenever t2 is.
+    """
+    active = active_at_start
+    for tc, d in events:
+        if tc > t1:
+            break
+        active = d > 0
+    t2_est = t1 if active else next(
+        (tc for tc, d in events if d > 0 and t1 <= tc < t3), NO_CROSSING)
+    if t2_est == NO_CROSSING:
+        return NO_CROSSING, NO_CROSSING
+    t4_est = next((tc for tc, d in events if d < 0 and t2_est < tc < t1_next),
+                  NO_CROSSING)
+    return t2_est, t4_est
+
+
 def schedule_from_crossings(signal: LightSignal,
                             crossings: list[tuple[float, int]],
                             active_at_start: bool = False) -> CycleSchedule:
@@ -422,30 +446,38 @@ def schedule_from_crossings(signal: LightSignal,
     """
     sched = CycleSchedule(horizon=signal.horizon)
     events = sorted(crossings)
-
-    def active_at(t: float) -> bool:
-        act = active_at_start
-        for tc, d in events:
-            if tc > t:
-                break
-            act = d > 0
-        return act
-
     for i in range(signal.n_cycles):
         t1, t3, t1_next = signal.cycle_bounds(i)
-        if active_at(t1):
-            t2_est = t1
-        else:
-            ups = [tc for tc, d in events if d > 0 and t1 <= tc < t3]
-            t2_est = ups[0] if ups else NO_CROSSING
-        if t2_est is NO_CROSSING or t2_est == NO_CROSSING:
+        t2_est, t4_est = _symport_estimates(events, active_at_start, t1, t3,
+                                            t1_next)
+        if t2_est == NO_CROSSING:
             t2, t4 = t3, t3  # illumination never triggered symport: type (b)
         else:
-            downs = [tc for tc, d in events
-                     if d < 0 and t2_est < tc < t1_next]
-            t4_est = downs[0] if downs else NO_CROSSING
             t2, t4 = clip_cycle_times(t2_est, t4_est, t1, t3, t1_next)
         sched.append(CycleRecord(t1, t2, t3, t4,
                                  classify_cycle(t1, t2, t3, t4, t1_next)))
     sched.mark_resolved(signal.horizon)
     return sched
+
+
+def schedule_is_final(signal: LightSignal,
+                      crossings: list[tuple[float, int]],
+                      active_at_start: bool, t: float) -> bool:
+    """Whether crossings at or after t can no longer change the schedule.
+
+    `crossings` are those found before t, in the form
+    `schedule_from_crossings` takes. Every cycle before the last one is
+    bounded by the next cycle's t1, so only the last cycle can still
+    move. It is final once a downward crossing after its t2 is known, or
+    from its t3 on if it has no t2 (type b); either way t is past its t1,
+    so whether symport was on at t1 is known too. A signal without cycles
+    is final at once.
+    """
+    if not signal.intervals:
+        return True
+    t1, t3, t1_next = signal.cycle_bounds(signal.n_cycles - 1)
+    t2_est, t4_est = _symport_estimates(sorted(crossings), active_at_start,
+                                        t1, t3, t1_next)
+    if t2_est == NO_CROSSING:
+        return t >= t3
+    return t4_est != NO_CROSSING

@@ -8,7 +8,9 @@ Parameter sweeps: symport-duration scans and ensemble sensitivity studies.
   fig11  ensemble response for mean permeabilities of 1/5/10 x 1e-6 m/s
 
 Each sweep yields one row per point; per-point failures are recorded in
-the row and do not abort the sweep.
+the row and do not abort the sweep. A fig6 point cross-checks its closed
+symport duration with an FDM run that stops once its cycle schedule is
+final, since no later step can change the duration it reports.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _fig6_point(point: dict) -> dict:
     row["depletion_time"] = closed.depletion_time()
 
     fdm = simulate_svs(spec, kin, env, signal,
-                       FdmConfig(dt=1e-2, record_stride=100))
+                       FdmConfig(dt=1e-2, record_stride=100),
+                       until_settled=True)
     fcyc = fdm.schedule.cycles[0]
     row["symport_duration_fdm"] = fcyc.symport_duration
     return row

@@ -224,6 +224,54 @@ def test_stable_step_keeps_substrate_nonnegative(d_in, n_pumps, n_sym,
     assert np.max(np.abs(s - s0)) / s0 < 1e-9
 
 
+@st.composite
+def _pulses(draw):
+    """1-3 light pulses and a dark tail, in steps: (intervals, horizon)."""
+    intervals, k = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        on = k + draw(st.integers(0, 1500))
+        k = on + draw(st.integers(1, 1500))
+        intervals.append((on, k))
+    return intervals, k + draw(st.integers(1, 8000))
+
+
+@given(pulses=_pulses(), mode=st.sampled_from(["symporter", "antiporter"]),
+       b0=st.sampled_from([0.0, 10.0, 20.0]),
+       c_s_in0=st.floats(-4.0, 2.5).map(lambda e: 10.0 ** e),
+       active_at_start=st.booleans())
+# a last pulse too short to trigger symport (type b)
+@example(pulses=([(0, 800), (2000, 2010)], 5000), mode="symporter", b0=20.0,
+         c_s_in0=300.0, active_at_start=False)
+# symport on from t = 0, with substrate that runs dry before it ends
+@example(pulses=([(0, 200)], 20000), mode="symporter", b0=10.0,
+         c_s_in0=0.01, active_at_start=True)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_settled_run_is_a_prefix_with_the_full_schedule(
+        pulses, mode, b0, c_s_in0, active_at_start):
+    # pulse times are in steps of dt, the buffered runs' dt is coarse but
+    # stable, and an active start puts C_H_in 20% above C_switch
+    kin = default_kinetics()
+    spec = dataclasses.replace(default_vesicle(), mode=mode)
+    env = default_environment(buffer_total=b0, c_s_in0=c_s_in0)
+    if active_at_start:
+        env = dataclasses.replace(env, c_h_in0=1.2 * env.c_h_out0)
+    dt = min(stable_dt(spec, kin, env), 5e-2)
+    intervals, horizon = pulses
+    sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
+    cfg = FdmConfig(dt=dt, record_stride=10)
+    full = simulate_svs(spec, kin, env, sig, cfg)
+    settled = simulate_svs(spec, kin, env, sig, cfg, until_settled=True)
+    assert (settled.c_h_in[0] >= full.derived.switch_conc) == active_at_start
+    assert settled.schedule.cycles == full.schedule.cycles
+    n = len(settled)
+    for name in ("t", "c_h_in", "c_h_out", "c_s_in", "c_s_out", "light",
+                 "cycle"):
+        assert np.array_equal(getattr(settled, name),
+                              getattr(full, name)[:n]), name
+    assert list(settled.phase) == list(full.phase[:n])
+    assert settled.events == full.events[:len(settled.events)]
+
+
 class TestSharedPool:
     @pytest.mark.parametrize("case", list(PIN_CASES))
     def test_single_vesicle_degenerates_to_svs(self, case, base_kinetics,

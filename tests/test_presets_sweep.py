@@ -1,14 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from vesim.ensemble import EnsembleConfig, PopulationDistributions, run_ensemble
-from vesim.model import default_environment, default_kinetics
+from vesim.fdm import FdmConfig, simulate_svs
+from vesim.model import default_environment, default_kinetics, default_vesicle
 from vesim.presets import (FIG4_EXPECTED_TYPES, describe_presets,
                            fig4_scenario, fig9_scenario)
 from vesim.runner import run_scenario
 from vesim.schedule import LightSignal
-from vesim.sweep import SweepSpec, _point_worker, fig6_sweep, run_sweep
+from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_point, _point_worker,
+                         fig6_sweep, run_sweep)
 
 
 def test_preset_registry_complete():
@@ -98,6 +102,23 @@ def test_fig6_sweep_spec_covers_required_grid():
     assert (0.006, 3e-6) in combos
     assert any(g > 0.006 for g, _ in combos)
     assert any(l > 3e-6 for _, l in combos)
+
+
+@pytest.mark.parametrize("duration", [15.0, 45.0, 600.0])
+def test_fig6_point_stops_with_the_full_run_duration(duration):
+    # the point's FDM run stops once its schedule is final; the 15 s
+    # point never triggers symport (type b)
+    point = {"symport_rate": 0.006, "permeability": 3e-6,
+             "duration": duration}
+    spec = dataclasses.replace(default_vesicle(), permeability=3e-6)
+    kin = dataclasses.replace(default_kinetics(),
+                              symport_rate_per_protein=0.006)
+    sig = LightSignal([(0.0, duration)], horizon=duration + FIG6_TAIL)
+    full = simulate_svs(spec, kin, default_environment(), sig,
+                        FdmConfig(dt=1e-2, record_stride=100))
+    (cyc,) = full.schedule.cycles
+    assert (cyc.cycle_type == "b") == (duration == 15.0)
+    assert _fig6_point(point)["symport_duration_fdm"] == cyc.symport_duration
 
 
 def test_ensemble_parallel_matches_serial():

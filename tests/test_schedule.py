@@ -10,7 +10,7 @@ from vesim.schedule import (NO_CROSSING, CycleRecord, CycleSchedule,
                             buffered_relaxation_time, classify_cycle,
                             clip_cycle_times, predict_buffered_crossing,
                             predict_threshold_crossing,
-                            schedule_from_crossings)
+                            schedule_from_crossings, schedule_is_final)
 
 
 class TestLightSignal:
@@ -312,3 +312,26 @@ class TestScheduleFromCrossings:
         for c in sched.cycles:
             flat += [c.t1, c.t2, c.t3, c.t4]
         assert flat == sorted(flat)
+
+
+class TestScheduleIsFinal:
+    sig = LightSignal([(10, 80), (100, 150)], 400)
+
+    def test_last_cycle_needs_its_symport_end(self):
+        ups = [(20.0, 1), (90.0, -1), (110.0, 1)]
+        assert not schedule_is_final(self.sig, ups, False, 300.0)
+        done = ups + [(160.0, -1)]
+        assert schedule_is_final(self.sig, done, False, 161.0)
+
+    def test_untriggered_last_cycle_is_final_from_its_t3(self):
+        crossings = [(20.0, 1), (90.0, -1)]
+        assert not schedule_is_final(self.sig, crossings, False, 149.0)
+        assert schedule_is_final(self.sig, crossings, False, 150.0)
+
+    def test_active_start_needs_a_downward_crossing(self):
+        sig = LightSignal([(0, 10)], 100)
+        assert not schedule_is_final(sig, [], True, 50.0)
+        assert schedule_is_final(sig, [(5.0, -1)], True, 6.0)
+
+    def test_no_cycles_is_final(self):
+        assert schedule_is_final(LightSignal([], 100), [], False, 0.0)
