@@ -159,7 +159,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
 
     dt = cfg.dt
     n_steps = int(round(signal.horizon / dt))
-    light = _light_steps(signal, dt, n_steps)
+    light = _light_steps(signal, dt, n_steps).tolist()
     stride = cfg.record_stride
 
     v_in, v_out = spec.v_in, env.v_out
@@ -170,6 +170,8 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     c_out0 = env.c_h_out0
     sign = spec.flux_sign
     dep_threshold = DEPLETION_FRACTION_OF_KM * km
+    pump_on = gamma_p > 0.0 and c_out0 > 0.0
+    symport_on = gamma_s > 0.0
 
     th_in = total_conc_from_free(env.c_h_in0, b0, k_a) * v_in
     th_out = total_conc_from_free(env.c_h_out0, b0, k_a) * v_out
@@ -216,10 +218,8 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         # net_proton_inflow, inlined in their arithmetic order; the test
         # TestSharedPool::test_single_vesicle_degenerates_to_svs pins this
         # step bit for bit to the shared-pool kernel, which calls them.
-        lit = light[k]
-        pump = gamma_p * (c_out / c_out0) if (lit and gamma_p > 0.0
-                                              and c_out0 > 0.0) else 0.0
-        if c_in >= c_switch and cs_in > 0.0 and gamma_s > 0.0:
+        pump = gamma_p * (c_out / c_out0) if (light[k] and pump_on) else 0.0
+        if c_in >= c_switch and cs_in > 0.0 and symport_on:
             mm = cs_in / (cs_in + km)
             f_s = gamma_s * mm
             f_h = gamma_h * mm
@@ -330,7 +330,7 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
 
     dt = cfg.dt
     n_steps = int(round(signal.horizon / dt))
-    light = _light_steps(signal, dt, n_steps)
+    light = _light_steps(signal, dt, n_steps).tolist()
     stride = cfg.record_stride
     b0, k_a, km = env_total.buffer_total, env_total.k_a, kin.k_m
     c_out0 = env_total.c_h_out0

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
+from itertools import starmap
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,8 @@ from .config import RunConfig, config_hash, to_config_tree
 from .ensemble import EnsembleResult, run_ensemble, sample_vesicle
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
-from .trajectory import Trajectory, write_trajectory_csv
+from .trajectory import (Trajectory, float_fields, fmt_float,
+                         write_csv_columns, write_trajectory_csv)
 
 OUT_ROOT_ENV = "VESIM_OUT_ROOT"
 
@@ -43,10 +47,6 @@ class SolverFailure(RuntimeError):
 
 def default_out_root() -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
@@ -99,34 +99,22 @@ def _events_json(traj: Trajectory) -> list[dict]:
 
 
 def _write_ensemble_csv(res: EnsembleResult, path: Path) -> None:
-    cols = ["t", "interex_mean_c_h_in", "interex_var_c_h_in",
-            "interex_mean_c_s_out", "interex_var_c_s_out"]
+    header = ["t", "interex_mean_c_h_in", "interex_var_c_h_in",
+              "interex_mean_c_s_out", "interex_var_c_s_out"]
+    columns = [res.t, res.interex_mean_c_h_in, res.interex_var_c_h_in,
+               res.interex_mean_c_s_out, res.interex_var_c_s_out]
     for q in range(res.per_exp_c_s_out.shape[0]):
-        cols += [f"exp{q}_mean_c_h_in", f"exp{q}_std_c_h_in",
-                 f"exp{q}_c_s_out", f"exp{q}_std_c_s_out"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for k in range(len(res.t)):
-            row = [_fmt(res.t[k]), _fmt(res.interex_mean_c_h_in[k]),
-                   _fmt(res.interex_var_c_h_in[k]),
-                   _fmt(res.interex_mean_c_s_out[k]),
-                   _fmt(res.interex_var_c_s_out[k])]
-            for q in range(res.per_exp_c_s_out.shape[0]):
-                row += [_fmt(res.per_exp_mean_c_h_in[q, k]),
-                        _fmt(res.per_exp_std_c_h_in[q, k]),
-                        _fmt(res.per_exp_c_s_out[q, k]),
-                        _fmt(res.per_exp_std_c_s_out[q, k])]
-            w.writerow(row)
+        header += [f"exp{q}_mean_c_h_in", f"exp{q}_std_c_h_in",
+                   f"exp{q}_c_s_out", f"exp{q}_std_c_s_out"]
+        columns += [res.per_exp_mean_c_h_in[q], res.per_exp_std_c_h_in[q],
+                    res.per_exp_c_s_out[q], res.per_exp_std_c_s_out[q]]
+    write_csv_columns(path, header, [float_fields(c) for c in columns])
 
 
 def _write_shared_pool_csv(res: SharedPoolResult, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "pooled_c_h_out", "pooled_c_s_out"])
-        for k in range(len(res.t)):
-            w.writerow([_fmt(res.t[k]), _fmt(res.pooled_c_h_out[k]),
-                        _fmt(res.pooled_c_s_out[k])])
+    write_csv_columns(path, ["t", "pooled_c_h_out", "pooled_c_s_out"],
+                      [float_fields(res.t), float_fields(res.pooled_c_h_out),
+                       float_fields(res.pooled_c_s_out)])
 
 
 def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
@@ -216,7 +204,7 @@ def _csv_cell(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return _fmt(v)
+        return fmt_float(v)
     return v
 
 
@@ -239,14 +227,29 @@ def _jsonable(obj):
 # --- plot data ----------------------------------------------------------------
 
 class MissingArtifacts(FileNotFoundError):
-    """Raised when a run directory lacks the expected series."""
+    """Raised when a run directory lacks the expected series, or holds an
+    input that is not a vesim artifact."""
+
+
+_TRAJECTORY_SERIES = ("C_H_in", "C_S_in", "C_S_out", "light")
+_POOL_SERIES = ("pooled_c_h_out", "pooled_c_s_out")
+_ENSEMBLE_COLUMNS = ("interex_mean_c_h_in", "interex_mean_c_s_out",
+                     "interex_var_c_h_in", "interex_var_c_s_out")
+_ENSEMBLE_SERIES = ("interex_mean_c_h_in", "interex_mean_c_s_out",
+                    "interex_mean_c_h_in+std", "interex_mean_c_h_in-std",
+                    "interex_mean_c_s_out+std", "interex_mean_c_s_out-std")
 
 
 def emit_plot_data(run_dir: Path | str, out_name: str = "plot_data.csv") -> Path:
     """Flatten a run directory into one tidy (series, t, value) file.
 
     Trajectory files contribute light/C_H_in/C_S_in/C_S_out series per
-    solver; ensemble files contribute mean and mean+/-std band series.
+    solver; ensemble files contribute mean and mean+/-std band series;
+    shared-pool files their pooled series. The inputs must be vesim's own
+    artifacts, whose fields are unquoted (`trajectory.write_csv_columns`):
+    each is streamed to the output in file order, row by row, with its t
+    and value fields copied verbatim. The output is moved into place only
+    once complete, so a failed export leaves no partial file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -259,45 +262,74 @@ def emit_plot_data(run_dir: Path | str, out_name: str = "plot_data.csv") -> Path
             f"{run_dir} holds no trajectory_*.csv, ensemble_stats.csv or "
             "shared_pool.csv artifacts")
 
-    rows: list[tuple[str, str, str]] = []
-
     def tag(path: Path) -> str:
         rel = path.relative_to(run_dir)
         return "/".join(rel.parts[:-1]) or "."
 
-    for path in traj_files:
-        solver = path.stem.replace("trajectory_", "")
-        prefix = f"{tag(path)}/{solver}"
-        with open(path, newline="") as fh:
-            r = csv.DictReader(fh)
-            for rec in r:
-                for col in ("C_H_in", "C_S_in", "C_S_out", "light"):
-                    rows.append((f"{prefix}/{col}", rec["t"], rec[col]))
-    for path in ens_files:
-        prefix = tag(path)
-        with open(path, newline="") as fh:
-            r = csv.DictReader(fh)
-            for rec in r:
-                for col in ("interex_mean_c_h_in", "interex_mean_c_s_out"):
-                    rows.append((f"{prefix}/{col}", rec["t"], rec[col]))
-                for col in ("interex_var_c_h_in", "interex_var_c_s_out"):
-                    base = col.replace("var", "mean")
-                    std = float(rec[col]) ** 0.5
-                    rows.append((f"{prefix}/{base}+std", rec["t"],
-                                 _fmt(float(rec[base]) + std)))
-                    rows.append((f"{prefix}/{base}-std", rec["t"],
-                                 _fmt(float(rec[base]) - std)))
-    for path in pool_files:
-        prefix = tag(path)
-        with open(path, newline="") as fh:
-            r = csv.DictReader(fh)
-            for rec in r:
-                for col in ("pooled_c_h_out", "pooled_c_s_out"):
-                    rows.append((f"{prefix}/{col}", rec["t"], rec[col]))
-
     out_path = run_dir / out_name
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["series", "t", "value"])
-        w.writerows(rows)
+    part = out_path.with_name(out_path.name + ".part")
+    try:
+        with open(part, "w", newline="") as out:
+            out.write("series,t,value\r\n")
+            for path in traj_files:
+                solver = path.stem.replace("trajectory_", "")
+                _write_series(out, path, f"{tag(path)}/{solver}",
+                              _TRAJECTORY_SERIES, _TRAJECTORY_SERIES)
+            for path in ens_files:
+                _write_series(out, path, tag(path), _ENSEMBLE_COLUMNS,
+                              _ENSEMBLE_SERIES, _ensemble_bands)
+            for path in pool_files:
+                _write_series(out, path, tag(path), _POOL_SERIES,
+                              _POOL_SERIES)
+        part.replace(out_path)
+    finally:
+        part.unlink(missing_ok=True)  # left only by a failed export
     return out_path
+
+
+def _write_series(out, path: Path, prefix: str, columns: tuple[str, ...],
+                  series: tuple[str, ...], derive=None) -> None:
+    """Write one input's (series, t, value) lines, row by row.
+
+    Reads `columns` (and t) of each row; `derive` maps those fields to
+    the values of `series`, which are the columns themselves without it.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if '"' in text:
+        raise MissingArtifacts(
+            f"{path} holds a '\"', so it is not a vesim artifact")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    index = {name: i for i, name in enumerate(next(reader, []))}
+    for col in ("t",) + columns:
+        if col not in index:
+            raise MissingArtifacts(f"{path} has no column {col!r}")
+    rows = map(itemgetter(*(index[c] for c in ("t",) + columns)), reader)
+    if derive is not None:
+        rows = map(derive, rows)
+    # one str.format per input row; braces in a series name are literal
+    line = "".join(
+        _csv_field(f"{prefix}/{name}").replace("{", "{{").replace("}", "}}")
+        + f",{{0}},{{{j}}}\r\n" for j, name in enumerate(series, 1))
+    try:
+        out.writelines(starmap(line.format, rows))
+    except IndexError:
+        raise MissingArtifacts(
+            f"{path} has a row shorter than its header") from None
+
+
+def _ensemble_bands(row: tuple[str, ...]) -> tuple[str, ...]:
+    """t, the two means and their mean+/-std bands from the variances."""
+    t, mean_h, mean_s, var_h, var_s = row
+    bands = []
+    for mean, var in ((mean_h, var_h), (mean_s, var_s)):
+        std = float(var) ** 0.5
+        bands += [fmt_float(float(mean) + std), fmt_float(float(mean) - std)]
+    return (t, mean_h, mean_s, *bands)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes a field: quoted only if it must be."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

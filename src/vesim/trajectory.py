@@ -1,7 +1,8 @@
 # trajectory.py
 """
 Time-series container shared by the finite-difference and analytical
-solvers, plus its CSV schema.
+solvers, plus its CSV schema and the artifact format (`write_csv_columns`)
+that every vesim CSV writer but the sweep summary uses.
 
 Columns written: t, C_H_in, C_H_out, C_S_in, C_S_out, phase, cycle, light
 (all SI, full double precision), with a trailing `solver` column for the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,25 +77,48 @@ CSV_COLUMNS = ("t", "C_H_in", "C_H_out", "C_S_in", "C_S_out",
                "phase", "cycle", "light")
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """One float as an artifact field: its shortest round-trip `repr`."""
     return repr(float(x))
+
+
+def float_fields(values) -> Iterable[str]:
+    """`fmt_float` over a float column, with no Python call per value."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def int_fields(values) -> Iterable[str]:
+    """An integer column as artifact fields."""
+    return map(str, np.asarray(values).astype(int).tolist())
+
+
+def write_csv_columns(path, header: Sequence[str],
+                      columns: Sequence[Iterable[str]]) -> None:
+    """Write one artifact CSV from its columns of finished fields.
+
+    This is vesim's artifact format: floats as `float_fields`, fields
+    joined by ',' and lines ending in '\\r\\n', with no quoting, because
+    no vesim field needs it (float reprs, ints, phase labels, solver
+    names, column names). The bytes are those `csv.writer` writes for
+    the same rows. Every column must hold one field per row.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map("{}\r\n".format,
+                          map(",".join, zip(*columns, strict=True))))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one trajectory; analytical solvers carry a solver column."""
-    with_solver = traj.solver != "fdm"
-    cols = CSV_COLUMNS + (("solver",) if with_solver else ())
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for k in range(len(traj)):
-            row = [_fmt(traj.t[k]), _fmt(traj.c_h_in[k]),
-                   _fmt(traj.c_h_out[k]), _fmt(traj.c_s_in[k]),
-                   _fmt(traj.c_s_out[k]), traj.phase[k],
-                   int(traj.cycle[k]), int(traj.light[k])]
-            if with_solver:
-                row.append(traj.solver)
-            w.writerow(row)
+    header = CSV_COLUMNS
+    columns = [float_fields(traj.t), float_fields(traj.c_h_in),
+               float_fields(traj.c_h_out), float_fields(traj.c_s_in),
+               float_fields(traj.c_s_out), traj.phase,
+               int_fields(traj.cycle), int_fields(traj.light)]
+    if traj.solver != "fdm":
+        header += ("solver",)
+        columns.append([traj.solver] * len(traj))
+    write_csv_columns(path, header, columns)
 
 
 def read_trajectory_csv(path) -> dict:
