@@ -57,9 +57,9 @@ from scipy.special import lambertw as _lambertw
 from . import buffering
 from .model import (DerivedRates, Environment, KineticConstants, ModelError,
                     VesicleSpec, derive_rates)
-from .schedule import (CycleRecord, CycleSchedule, LightSignal, _lanes,
-                       _shaped, buffered_relaxation_time, classify_cycle,
-                       clip_cycle_times, predict_buffered_crossing)
+from .schedule import (LightSignal, _lanes, _shaped, buffered_relaxation_time,
+                       clip_cycle_times, predict_buffered_crossing,
+                       schedule_from_times)
 from .trajectory import Event, Trajectory, sample_grid
 
 # Substrate level (fraction of K_M) below which the release module is
@@ -753,9 +753,7 @@ class _BatchEngine:
 
 def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
                        env: Environment, signal: LightSignal,
-                       mode: str, sample_times,
-                       rates: list[DerivedRates] | None = None
-                       ) -> BatchTrajectory:
+                       mode: str, sample_times) -> BatchTrajectory:
     """Phase-by-phase analytic trajectories of vesicles sharing a signal.
 
     All vesicles share t1, t3 and the sample grid; each phase advances
@@ -766,15 +764,13 @@ def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
     Args:
         mode: 'exact' or 'closed'
         sample_times: ascending sample times in [0, horizon]
-        rates: per-vesicle rates; derived from the specs when omitted
     """
     if mode not in ("exact", "closed"):
         raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
     if any(spec.mode != "symporter" for spec in specs):
         raise ModelError("analytic solvers support symporter mode only; "
                          "use the finite-difference solver for antiporters")
-    if rates is None:
-        rates = [derive_rates(spec, kin, env) for spec in specs]
+    rates = [derive_rates(spec, kin, env) for spec in specs]
     grid = np.asarray(sample_times, dtype=float)
     eng = _BatchEngine(specs, kin, env, rates, mode, grid)
     if grid.size and grid[0] == 0.0:
@@ -811,8 +807,7 @@ def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
 def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  signal: LightSignal, mode: str = "closed",
                  sample_interval: float = 0.1,
-                 sample_times=None,
-                 rates: DerivedRates | None = None) -> Trajectory:
+                 sample_times=None) -> Trajectory:
     """Phase-by-phase analytic trajectory of one vesicle.
 
     The batch-of-one case of `run_analytic_batch`. Each phase's terminal
@@ -829,17 +824,10 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     """
     grid = (np.asarray(sample_times, dtype=float) if sample_times is not None
             else sample_grid(signal.horizon, sample_interval))
-    batch = run_analytic_batch([spec], kin, env, signal, mode, grid,
-                               None if rates is None else [rates])
+    batch = run_analytic_batch([spec], kin, env, signal, mode, grid)
     n = int(batch.n_sampled[0])
-    sched = CycleSchedule(horizon=signal.horizon)
-    for i, (t2, t4) in enumerate(zip(batch.t2[0].tolist(),
-                                     batch.t4[0].tolist())):
-        t1, t3, t1_next = signal.cycle_bounds(i)
-        sched.append(CycleRecord(t1, t2, t3, t4,
-                                 classify_cycle(t1, t2, t3, t4, t1_next)))
-        sched.mark_resolved(t4)
-    sched.mark_resolved(signal.horizon)
+    sched = schedule_from_times(signal, batch.t2[0].tolist(),
+                                batch.t4[0].tolist())
     t_dep = float(batch.depletion_time[0])
     events = ([] if math.isnan(t_dep)
               else [Event("depletion", t_dep, _DEPLETION_INFO[mode])])

@@ -4,10 +4,13 @@ Unit-annotated run configuration.
 
 Configs are YAML/JSON key-value trees in which every physical quantity
 carries an explicit unit suffix ("87 nm", "3e-6 m/s"); bare numbers are
-accepted only for dimensionless fields. Unit or dimension mismatches are
-hard errors carrying the offending field path. Everything normalizes to
-SI on parse, and a canonical annotated form can be emitted such that
-re-parsing it reproduces an identical configuration (hash equality).
+accepted only for dimensionless fields. Unit or dimension mismatches,
+and any value the built dataclass refuses, are hard errors carrying the
+offending field path. An omitted field takes the library default.
+Everything normalizes to SI on parse, and a canonical annotated form can
+be emitted such that re-parsing it reproduces an identical configuration
+(hash equality). One table per section lists its fields; parsing,
+defaults and the canonical form all come from it.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
-from .ensemble import (DEFAULT_P_PUMP, DEFAULT_RHO, DiameterDistribution,
-                       EnsembleConfig, PermeabilityDistribution,
-                       PopulationDistributions)
+from .ensemble import (DiameterDistribution, EnsembleConfig,
+                       PermeabilityDistribution, PopulationDistributions)
 from .fdm import FdmConfig
-from .model import Environment, KineticConstants, ModelError, VesicleSpec
-from .schedule import LightSignal, ScheduleError
+from .model import (Environment, KineticConstants, VesicleSpec,
+                    default_vesicle)
+from .schedule import LightSignal
 
 
 class ConfigError(ValueError):
@@ -99,15 +102,86 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-def _section(tree: dict, name: str, required: bool = True) -> dict:
-    sec = tree.get(name)
+def _section(tree: dict, path: str, required: bool = True) -> dict:
+    """The section at `path` in `tree`, the mapping that holds its last
+    name; an absent optional section is empty."""
+    sec = tree.get(path.rpartition(".")[2])
     if sec is None:
         if required:
-            raise ConfigError(f"missing section {name!r}")
+            raise ConfigError(f"missing section {path!r}")
         return {}
     if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: expected a mapping")
+        raise ConfigError(f"{path}: expected a mapping")
     return sec
+
+
+# The fields of each section, as (key, kind) pairs naming the fields of
+# the dataclass the section builds. A kind is a UNITS dimension (a
+# quantity with a unit suffix), "number", "integer" or "text".
+_KINETICS = (("pump_rate_per_protein", "rate"),
+             ("symport_rate_per_protein", "rate"),
+             ("stoichiometry", "number"), ("k_m", "concentration"),
+             ("xi", "number"))
+_ENVIRONMENT = (("buffer_total", "concentration"), ("k_a", "concentration"),
+                ("c_h_in0", "concentration"), ("c_h_out0", "concentration"),
+                ("c_s_in0", "concentration"))
+_V_OUT = (("v_out", "volume"),)  # vesicle runs only
+_VESICLE = (("d_in", "length"), ("d_mem", "length"), ("n_pumps", "integer"),
+            ("n_sym", "integer"), ("permeability", "speed"), ("mode", "text"))
+_FDM = (("dt", "time"), ("record_stride", "integer"))
+_ENSEMBLE = (("n_ves", "number"), ("n_mod", "integer"), ("n_ex", "integer"),
+             ("v_out_tot", "volume"))
+_POPULATION = (("d_mem", "length"), ("mode", "text"))
+_DIAMETER = (("shift", "length"), ("mu_log", "number"),
+             ("sigma_log", "number"))
+_PERMEABILITY = (("mu_log10", "number"), ("sigma_log10", "number"),
+                 ("lo_log10", "number"), ("hi_log10", "number"))
+_PROTEINS = (("rho", "areal_density"), ("p_pump", "number"))
+
+
+def _read(sec: dict, path: str, fields, default) -> dict:
+    """The values of `fields` in section `sec`, normalized to SI.
+
+    An absent key takes the attribute of the `default` instance.
+    """
+    values = {}
+    for key, kind in fields:
+        if key not in sec:
+            values[key] = getattr(default, key)
+        elif kind == "number":
+            values[key] = _number(sec[key], f"{path}.{key}")
+        elif kind == "integer":
+            values[key] = _integer(sec[key], f"{path}.{key}")
+        elif kind == "text":
+            values[key] = sec[key]
+        else:
+            values[key] = parse_quantity(sec[key], kind, f"{path}.{key}")
+    return values
+
+
+def _write(obj, fields) -> dict:
+    """The canonical tree of `fields` of `obj`: quantities with their
+    canonical unit, plain values as they are."""
+    return {key: (format_quantity(getattr(obj, key), kind)
+                  if kind in _CANONICAL_UNIT else getattr(obj, key))
+            for key, kind in fields}
+
+
+def _build(cls, path: str, **values):
+    """cls(**values), with its ValueError reported at `path`."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _log_scale(sec: dict, path: str, dimension: str, default: str) -> float:
+    """SI scale of the section's `log_unit`, a unit of `dimension`."""
+    unit = sec.get("log_unit", default)
+    if not isinstance(unit, str) or UNITS.get(unit, ("",))[0] != dimension:
+        raise ConfigError(f"{path}.log_unit: need a {dimension} unit, "
+                          f"got {unit!r}")
+    return UNITS[unit][1]
 
 
 _SOLVERS = ("fdm", "exact", "closed")
@@ -138,7 +212,11 @@ class RunConfig:
 
 
 def parse_config(tree: dict, label: str = "run") -> RunConfig:
-    """Validate and normalize a configuration tree."""
+    """Validate and normalize a configuration tree.
+
+    An omitted key takes the library default; an invalid value raises
+    ConfigError naming its path.
+    """
     if not isinstance(tree, dict):
         raise ConfigError("top level must be a mapping")
 
@@ -162,123 +240,59 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
         raise ConfigError(
             "exactly one of 'vesicle' and 'population' must be present")
 
-    kin_t = _section(tree, "kinetics", required=False)
-    kinetics = KineticConstants(
-        pump_rate_per_protein=parse_quantity(
-            kin_t.get("pump_rate_per_protein", "0.03 1/s"), "rate",
-            "kinetics.pump_rate_per_protein"),
-        symport_rate_per_protein=parse_quantity(
-            kin_t.get("symport_rate_per_protein", "0.006 1/s"), "rate",
-            "kinetics.symport_rate_per_protein"),
-        stoichiometry=_number(kin_t.get("stoichiometry", 3),
-                              "kinetics.stoichiometry"),
-        k_m=parse_quantity(kin_t.get("k_m", "1.3e-2 mol/m^3"),
-                           "concentration", "kinetics.k_m"),
-        xi=_number(kin_t.get("xi", 0.015), "kinetics.xi"),
-    )
+    kinetics = _build(KineticConstants, "kinetics", **_read(
+        _section(tree, "kinetics", required=False), "kinetics", _KINETICS,
+        KineticConstants()))
 
     ens = None
     if "ensemble" in tree or has_population:
-        e_t = _section(tree, "ensemble", required=has_population)
-        ens = EnsembleConfig(
-            n_ves=_number(e_t.get("n_ves", 1e11), "ensemble.n_ves"),
-            n_mod=_integer(e_t.get("n_mod", 100), "ensemble.n_mod"),
-            n_ex=_integer(e_t.get("n_ex", 10), "ensemble.n_ex"),
-            seed=seed,
-            v_out_tot=parse_quantity(e_t.get("v_out_tot", "1e-6 m^3"),
-                                     "volume", "ensemble.v_out_tot"),
-        )
+        ens = _build(EnsembleConfig, "ensemble", seed=seed, **_read(
+            _section(tree, "ensemble", required=has_population), "ensemble",
+            _ENSEMBLE, EnsembleConfig()))
 
     env_t = _section(tree, "environment", required=False)
     if has_vesicle:
-        v_out = parse_quantity(env_t.get("v_out", "1e-17 m^3"), "volume",
-                               "environment.v_out")
+        env_values = _read(env_t, "environment", _ENVIRONMENT + _V_OUT,
+                           Environment())
+    elif "v_out" in env_t:
+        raise ConfigError("environment.v_out is derived from the "
+                          "ensemble section in population runs")
     else:
-        if "v_out" in env_t:
-            raise ConfigError("environment.v_out is derived from the "
-                              "ensemble section in population runs")
-        v_out = ens.v_out_per_vesicle
-    try:
-        environment = Environment(
-            v_out=v_out,
-            buffer_total=parse_quantity(env_t.get("buffer_total",
-                                                  "20 mol/m^3"),
-                                        "concentration",
-                                        "environment.buffer_total"),
-            k_a=parse_quantity(env_t.get("k_a", "6.2e-5 mol/m^3"),
-                               "concentration", "environment.k_a"),
-            c_h_in0=parse_quantity(env_t.get("c_h_in0", "3.98e-5 mol/m^3"),
-                                   "concentration", "environment.c_h_in0"),
-            c_h_out0=parse_quantity(env_t.get("c_h_out0", "3.98e-5 mol/m^3"),
-                                    "concentration", "environment.c_h_out0"),
-            c_s_in0=parse_quantity(env_t.get("c_s_in0", "300 mol/m^3"),
-                                   "concentration", "environment.c_s_in0"),
-        )
-    except ModelError as exc:
-        raise ConfigError(f"environment: {exc}") from None
+        env_values = dict(_read(env_t, "environment", _ENVIRONMENT,
+                                Environment()), v_out=ens.v_out_per_vesicle)
+    environment = _build(Environment, "environment", **env_values)
 
     vesicle = None
     population = None
     if has_vesicle:
-        v_t = _section(tree, "vesicle")
-        try:
-            vesicle = VesicleSpec(
-                d_in=parse_quantity(v_t.get("d_in", "87 nm"), "length",
-                                    "vesicle.d_in"),
-                d_mem=parse_quantity(v_t.get("d_mem", "14 nm"), "length",
-                                     "vesicle.d_mem"),
-                n_pumps=_integer(v_t.get("n_pumps", 40), "vesicle.n_pumps"),
-                n_sym=_integer(v_t.get("n_sym", 30), "vesicle.n_sym"),
-                permeability=parse_quantity(v_t.get("permeability",
-                                                    "3e-6 m/s"),
-                                            "speed", "vesicle.permeability"),
-                mode=v_t.get("mode", "symporter"),
-            )
-        except ModelError as exc:
-            raise ConfigError(f"vesicle: {exc}") from None
+        vesicle = _build(VesicleSpec, "vesicle", **_read(
+            _section(tree, "vesicle"), "vesicle", _VESICLE,
+            default_vesicle()))
     else:
         p_t = _section(tree, "population")
-        d_t = _section(p_t, "diameter", required=False)
-        log_unit = d_t.get("log_unit", "nm")
-        if log_unit not in UNITS or UNITS[log_unit][0] != "length":
-            raise ConfigError("population.diameter.log_unit: need a length "
-                              f"unit, got {log_unit!r}")
-        mu_shift = math.log(UNITS[log_unit][1])
-        diameter = DiameterDistribution(
-            shift=parse_quantity(d_t.get("shift", "39.74 nm"), "length",
-                                 "population.diameter.shift"),
-            mu_log=_number(d_t.get("mu_log", 4.16),
-                           "population.diameter.mu_log") + mu_shift,
-            sigma_log=_number(d_t.get("sigma_log", 0.62),
-                              "population.diameter.sigma_log"),
-        )
-        g_t = _section(p_t, "permeability", required=False)
-        g_unit = g_t.get("log_unit", "m/s")
-        if g_unit not in UNITS or UNITS[g_unit][0] != "speed":
-            raise ConfigError("population.permeability.log_unit: need a "
-                              f"speed unit, got {g_unit!r}")
-        g_shift = math.log10(UNITS[g_unit][1])
-        permeability = PermeabilityDistribution(
-            mu_log10=_number(g_t.get("mu_log10", -5.52),
-                             "population.permeability.mu_log10") + g_shift,
-            sigma_log10=_number(g_t.get("sigma_log10", 0.25),
-                                "population.permeability.sigma_log10"),
-            lo_log10=_number(g_t.get("lo_log10", -5.77),
-                             "population.permeability.lo_log10") + g_shift,
-            hi_log10=_number(g_t.get("hi_log10", -5.27),
-                             "population.permeability.hi_log10") + g_shift,
-        )
-        pr_t = _section(p_t, "proteins", required=False)
-        population = PopulationDistributions(
-            diameter=diameter, permeability=permeability,
-            rho=parse_quantity(pr_t.get("rho", f"{DEFAULT_RHO!r} 1/m^2"),
-                               "areal_density", "population.proteins.rho"),
-            p_pump=_number(pr_t.get("p_pump", DEFAULT_P_PUMP),
-                           "population.proteins.p_pump"),
-            d_mem=parse_quantity(p_t.get("d_mem", "14 nm"), "length",
-                                 "population.d_mem"),
-            mode=p_t.get("mode", "symporter"),
-        )
+        pop = PopulationDistributions()
+        # log_unit shifts only the log-scale values the tree gives
+        path = "population.diameter"
+        d_t = _section(p_t, path, required=False)
+        d_shift = math.log(_log_scale(d_t, path, "length", "nm"))
+        d = _read(d_t, path, _DIAMETER, pop.diameter)
+        if "mu_log" in d_t:
+            d["mu_log"] += d_shift
+        diameter = _build(DiameterDistribution, path, **d)
+        path = "population.permeability"
+        g_t = _section(p_t, path, required=False)
+        g_shift = math.log10(_log_scale(g_t, path, "speed", "m/s"))
+        g = _read(g_t, path, _PERMEABILITY, pop.permeability)
+        for key in ("mu_log10", "lo_log10", "hi_log10"):
+            if key in g_t:
+                g[key] += g_shift
+        permeability = _build(PermeabilityDistribution, path, **g)
+        population = _build(
+            PopulationDistributions, "population", diameter=diameter,
+            permeability=permeability,
+            **_read(_section(p_t, "population.proteins", required=False),
+                    "population.proteins", _PROTEINS, pop),
+            **_read(p_t, "population", _POPULATION, pop))
 
     sig_t = _section(tree, "signal")
     intervals = sig_t.get("intervals", [])
@@ -289,22 +303,15 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
                           "[t_on, t_off] second pairs")
     if sig_t.get("horizon") is None:
         raise ConfigError("signal.horizon missing")
-    try:
-        signal = LightSignal([(float(a), float(b)) for a, b in intervals],
-                             horizon=_number(sig_t["horizon"],
-                                             "signal.horizon"))
-    except ScheduleError as exc:
-        raise ConfigError(f"signal: {exc}") from None
+    signal = _build(
+        LightSignal, "signal",
+        intervals=[(_number(a, f"signal.intervals[{k}]"),
+                    _number(b, f"signal.intervals[{k}]"))
+                   for k, (a, b) in enumerate(intervals)],
+        horizon=_number(sig_t["horizon"], "signal.horizon"))
 
-    fdm_t = _section(tree, "fdm", required=False)
-    try:
-        fdm_cfg = FdmConfig(
-            dt=parse_quantity(fdm_t.get("dt", "1e-2 s"), "time", "fdm.dt"),
-            record_stride=_integer(fdm_t.get("record_stride", 10),
-                                   "fdm.record_stride"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"fdm: {exc}") from None
+    fdm_cfg = _build(FdmConfig, "fdm", **_read(
+        _section(tree, "fdm", required=False), "fdm", _FDM, FdmConfig()))
 
     sample_interval = _number(tree.get("sample_interval", 0.1),
                               "sample_interval")
@@ -328,67 +335,29 @@ def to_config_tree(cfg: RunConfig) -> dict:
     """Canonical annotated tree; parsing it reproduces `cfg` exactly."""
     tree: dict = {
         "run": {"solver": list(cfg.solvers), "seed": cfg.seed},
-        "kinetics": {
-            "pump_rate_per_protein": format_quantity(
-                cfg.kinetics.pump_rate_per_protein, "rate"),
-            "symport_rate_per_protein": format_quantity(
-                cfg.kinetics.symport_rate_per_protein, "rate"),
-            "stoichiometry": cfg.kinetics.stoichiometry,
-            "k_m": format_quantity(cfg.kinetics.k_m, "concentration"),
-            "xi": cfg.kinetics.xi,
-        },
-        "environment": {
-            "buffer_total": format_quantity(cfg.environment.buffer_total,
-                                            "concentration"),
-            "k_a": format_quantity(cfg.environment.k_a, "concentration"),
-            "c_h_in0": format_quantity(cfg.environment.c_h_in0,
-                                       "concentration"),
-            "c_h_out0": format_quantity(cfg.environment.c_h_out0,
-                                        "concentration"),
-            "c_s_in0": format_quantity(cfg.environment.c_s_in0,
-                                       "concentration"),
-        },
+        "kinetics": _write(cfg.kinetics, _KINETICS),
+        "environment": _write(cfg.environment, _ENVIRONMENT),
         "signal": {
             "intervals": [[a, b] for a, b in cfg.signal.intervals],
             "horizon": cfg.signal.horizon,
         },
-        "fdm": {"dt": format_quantity(cfg.fdm.dt, "time"),
-                "record_stride": cfg.fdm.record_stride},
+        "fdm": _write(cfg.fdm, _FDM),
         "sample_interval": cfg.sample_interval,
     }
     if cfg.vesicle is not None:
-        v = cfg.vesicle
-        tree["vesicle"] = {
-            "d_in": format_quantity(v.d_in, "length"),
-            "d_mem": format_quantity(v.d_mem, "length"),
-            "n_pumps": v.n_pumps, "n_sym": v.n_sym,
-            "permeability": format_quantity(v.permeability, "speed"),
-            "mode": v.mode,
-        }
-        tree["environment"]["v_out"] = format_quantity(
-            cfg.environment.v_out, "volume")
+        tree["vesicle"] = _write(cfg.vesicle, _VESICLE)
+        tree["environment"].update(_write(cfg.environment, _V_OUT))
     else:
         p = cfg.population
         tree["population"] = {
-            "diameter": {"shift": format_quantity(p.diameter.shift, "length"),
-                         "mu_log": p.diameter.mu_log, "log_unit": "m",
-                         "sigma_log": p.diameter.sigma_log},
-            "permeability": {"mu_log10": p.permeability.mu_log10,
-                             "sigma_log10": p.permeability.sigma_log10,
-                             "lo_log10": p.permeability.lo_log10,
-                             "hi_log10": p.permeability.hi_log10,
-                             "log_unit": "m/s"},
-            "proteins": {"rho": format_quantity(p.rho, "areal_density"),
-                         "p_pump": p.p_pump},
-            "d_mem": format_quantity(p.d_mem, "length"),
-            "mode": p.mode,
+            "diameter": dict(_write(p.diameter, _DIAMETER), log_unit="m"),
+            "permeability": dict(_write(p.permeability, _PERMEABILITY),
+                                 log_unit="m/s"),
+            "proteins": _write(p, _PROTEINS),
+            **_write(p, _POPULATION),
         }
     if cfg.ensemble is not None:
-        tree["ensemble"] = {
-            "n_ves": cfg.ensemble.n_ves, "n_mod": cfg.ensemble.n_mod,
-            "n_ex": cfg.ensemble.n_ex,
-            "v_out_tot": format_quantity(cfg.ensemble.v_out_tot, "volume"),
-        }
+        tree["ensemble"] = _write(cfg.ensemble, _ENSEMBLE)
     return tree
 
 

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .analytic import lambert_w0_exp, run_analytic, run_analytic_batch
-from .model import (AVOGADRO, Environment, KineticConstants, VesicleSpec)
+from .model import (_VALID_MODES, AVOGADRO, Environment, KineticConstants,
+                    VesicleSpec)
 from .schedule import LightSignal
 from .trajectory import Trajectory
 
@@ -161,6 +162,9 @@ class PopulationDistributions:
             raise ValueError("p_pump must lie in [0, 1]")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
+        if self.mode not in _VALID_MODES:
+            raise ValueError(f"mode must be one of {_VALID_MODES}, "
+                             f"got {self.mode!r}")
 
 
 def protein_slots(d_in: float, d_mem: float, rho: float) -> int:
@@ -272,14 +276,25 @@ class EnsembleResult:
         return float(series[k])
 
 
-def run_experiment(dist: PopulationDistributions, kin: KineticConstants,
-                   env_base: Environment, signal: LightSignal,
-                   cfg: EnsembleConfig, rng: np.random.Generator,
-                   solver: str = "closed",
-                   sample_times: np.ndarray | None = None) -> ExperimentResult:
-    """Sample n_mod vesicles and simulate them as independent SVSs.
+def experiment_vesicles(dist: PopulationDistributions, cfg: EnsembleConfig,
+                        i: int) -> list[VesicleSpec]:
+    """The n_mod vesicles of experiment i of an ensemble.
 
-    All n_mod vesicles are solved in one `run_analytic_batch` call; row m
+    Experiment i draws them one after the other from its own stream,
+    seeded by the entropy pair (cfg.seed, i), so a worker process or the
+    runner's shared-pool baseline redraws the same vesicles.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
+    return [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
+
+
+def run_experiment(specs: list[VesicleSpec], kin: KineticConstants,
+                   env_base: Environment, signal: LightSignal,
+                   cfg: EnsembleConfig, solver: str = "closed",
+                   sample_times: np.ndarray | None = None) -> ExperimentResult:
+    """Simulate the vesicles `specs` as independent SVSs.
+
+    All vesicles are solved in one `run_analytic_batch` call; row m
     equals `run_analytic` of the m-th vesicle bit for bit. `solver` is an
     analytic mode, 'exact' or 'closed'; any other value raises
     ModelError.
@@ -287,7 +302,6 @@ def run_experiment(dist: PopulationDistributions, kin: KineticConstants,
     if sample_times is None:
         sample_times = np.linspace(0.0, signal.horizon, 161)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
-    specs = [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
     batch = run_analytic_batch(specs, kin, env, signal, solver, sample_times)
     start, end = batch.symport_span()
     return ExperimentResult(t=np.asarray(sample_times), c_h_in=batch.c_h_in,
@@ -305,11 +319,9 @@ def _experiment_worker(args) -> tuple:
     symport start and the last symport end, so that no (n_mod, n_t)
     array outlives its experiment.
     """
-    (dist, kin, env_base, signal, cfg, seed_entropy, solver,
-     sample_times) = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed_entropy))
-    r = run_experiment(dist, kin, env_base, signal, cfg, rng, solver,
-                       sample_times)
+    dist, kin, env_base, signal, cfg, i, solver, sample_times = args
+    r = run_experiment(experiment_vesicles(dist, cfg, i), kin, env_base,
+                       signal, cfg, solver, sample_times)
     # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
     std_kw = dict(axis=0, ddof=1) if cfg.n_mod > 1 else dict(axis=0, ddof=0)
     end_median = (np.nanmedian(r.symport_end)
@@ -326,18 +338,16 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
                  workers: int = 1) -> EnsembleResult:
     """Run n_ex seeded experiments and collect their statistics.
 
-    Child experiment seeds are spawned deterministically from cfg.seed,
-    so results are reproducible bit-for-bit for a fixed worker-count-
-    independent ordering (the reduction is ordered by experiment index).
-    Each experiment is reduced to its statistics as it finishes.
+    Experiment i solves `experiment_vesicles(dist, cfg, i)`, so results
+    are reproducible bit-for-bit for any worker count (the reduction is
+    ordered by experiment index). Each experiment is reduced to its
+    statistics as it finishes.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, signal.horizon, 161)
     sample_times = np.asarray(sample_times, dtype=float)
-    # (seed, index) entropy pairs give every experiment its own stream
-    # that worker processes can rebuild identically.
-    jobs = [(dist, kin, env_base, signal, cfg, (cfg.seed, i), solver,
-             sample_times) for i in range(cfg.n_ex)]
+    jobs = [(dist, kin, env_base, signal, cfg, i, solver, sample_times)
+            for i in range(cfg.n_ex)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_experiment_worker, jobs))

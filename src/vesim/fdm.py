@@ -116,12 +116,12 @@ def stability_coefficient(spec: VesicleSpec, kin: KineticConstants,
     return a
 
 
-def stable_dt(spec: VesicleSpec, kin: KineticConstants, env: Environment,
-              margin: float = 0.5) -> float:
-    """A round-number dt satisfying dt * a_max <= margin."""
+def stable_dt(spec: VesicleSpec, kin: KineticConstants,
+              env: Environment) -> float:
+    """A round-number dt satisfying dt * a_max <= 0.5."""
     rates = derive_rates(spec, kin, env)
     a_max = stability_coefficient(spec, kin, env, rates)
-    limit = margin / a_max
+    limit = 0.5 / a_max
     exp = math.floor(math.log10(limit))
     for mant in (5.0, 2.0, 1.0):
         dt = mant * 10.0 ** exp
@@ -141,8 +141,7 @@ def _light_steps(signal: LightSignal, dt: float, n_steps: int) -> np.ndarray:
 
 
 def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
-                 signal: LightSignal, cfg: FdmConfig | None = None,
-                 rates: DerivedRates | None = None, *,
+                 signal: LightSignal, cfg: FdmConfig | None = None, *,
                  until_settled: bool = False) -> Trajectory:
     """Ground-truth trajectory of a single vesicle system.
 
@@ -153,8 +152,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     far, and the conservation drift checked so far.
     """
     cfg = cfg or FdmConfig()
-    if rates is None:
-        rates = derive_rates(spec, kin, env)
+    rates = derive_rates(spec, kin, env)
     cfg.check_stability(spec, kin, env, rates)
 
     dt = cfg.dt

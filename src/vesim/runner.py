@@ -32,7 +32,7 @@ import numpy as np
 
 from .analytic import run_analytic
 from .config import RunConfig, config_hash, to_config_tree
-from .ensemble import EnsembleResult, run_ensemble, sample_vesicle
+from .ensemble import EnsembleResult, experiment_vesicles, run_ensemble
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
 from .trajectory import (Trajectory, float_fields, fmt_float,
@@ -77,9 +77,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
                                    solver=solver, sample_times=sample_times,
                                    workers=workers)
     if "fdm" in cfg.solvers:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-        specs = [sample_vesicle(cfg.population, rng)
-                 for _ in range(cfg.ensemble.n_mod)]
+        specs = experiment_vesicles(cfg.population, cfg.ensemble, 0)
         env_pool = dataclasses.replace(
             cfg.environment,
             v_out=cfg.ensemble.n_mod * cfg.ensemble.v_out_per_vesicle)
@@ -240,7 +238,7 @@ _ENSEMBLE_SERIES = ("interex_mean_c_h_in", "interex_mean_c_s_out",
                     "interex_mean_c_s_out+std", "interex_mean_c_s_out-std")
 
 
-def emit_plot_data(run_dir: Path | str, out_name: str = "plot_data.csv") -> Path:
+def emit_plot_data(run_dir: Path | str) -> Path:
     """Flatten a run directory into one tidy (series, t, value) file.
 
     Trajectory files contribute light/C_H_in/C_S_in/C_S_out series per
@@ -266,7 +264,7 @@ def emit_plot_data(run_dir: Path | str, out_name: str = "plot_data.csv") -> Path
         rel = path.relative_to(run_dir)
         return "/".join(rel.parts[:-1]) or "."
 
-    out_path = run_dir / out_name
+    out_path = run_dir / "plot_data.csv"
     part = out_path.with_name(out_path.name + ".part")
     try:
         with open(part, "w", newline="") as out:

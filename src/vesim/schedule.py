@@ -24,7 +24,6 @@ batch gives every element the value it gets alone.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +47,7 @@ PHASE_SYMPORT = "P4"
 
 
 class ScheduleError(ValueError):
-    """Raised for invalid light signals or unresolved schedule queries."""
+    """Raised for invalid light signals or cycle boundaries."""
 
 
 @dataclass(frozen=True)
@@ -128,21 +127,10 @@ class CycleRecord:
 
 @dataclass
 class CycleSchedule:
-    """Fully resolved cycle boundaries for one trajectory.
-
-    `resolved_until` marks how far in time the schedule is valid; phase
-    queries beyond it raise, signalling that the solver must advance first.
-    """
+    """Fully resolved cycle boundaries for one trajectory."""
 
     cycles: list[CycleRecord] = field(default_factory=list)
     horizon: float = 0.0
-    resolved_until: float = 0.0
-
-    def append(self, rec: CycleRecord) -> None:
-        if self.cycles and rec.t1 < self.cycles[-1].t4:
-            raise ScheduleError("cycle starts before the previous one ends")
-        self.cycles.append(rec)
-        self.resolved_until = max(self.resolved_until, rec.t4, rec.t3)
 
     def boundaries(self) -> list[tuple[float, int, str]]:
         """All phase start times as (time, cycle index, phase) sorted in t.
@@ -164,33 +152,13 @@ class CycleSchedule:
             out.append((prev_end, len(self.cycles) + 1, PHASE_LEAK))
         return out
 
-    def mark_resolved(self, t: float) -> None:
-        self.resolved_until = max(self.resolved_until, t)
-
-    def phase_at(self, t: float) -> tuple[int, str, float]:
-        """(cycle index, phase, phase start time) of the phase containing t.
+    def annotate(self, times) -> tuple[list[int], list[str]]:
+        """Cycle indices and phase labels for an ascending array of times.
 
         Phase intervals are left-open, right-closed, so a boundary instant
         belongs to the phase that ends there; t = 0 maps to the opening
         leakage phase. 1-based cycle indices.
         """
-        if t < 0 or t > self.horizon:
-            raise ScheduleError(f"t={t} outside [0, {self.horizon}]")
-        if t > self.resolved_until:
-            raise ScheduleError(
-                f"schedule resolved only up to t={self.resolved_until}; "
-                f"advance the solver before querying t={t}")
-        bounds = self.boundaries()
-        if not bounds:
-            return 1, PHASE_LEAK, 0.0
-        starts = [b[0] for b in bounds]
-        # start time strictly below t (left-open phases); t=0 -> first entry
-        k = max(bisect.bisect_left(starts, t) - 1, 0)
-        tb, cyc, phase = bounds[k]
-        return cyc, phase, tb
-
-    def annotate(self, times) -> tuple[list[int], list[str]]:
-        """Cycle indices and phase labels for an ascending array of times."""
         bounds = self.boundaries()
         if not bounds:
             n = len(times)
@@ -429,6 +397,23 @@ def _symport_estimates(events: list[tuple[float, int]],
     return t2_est, t4_est
 
 
+def schedule_from_times(signal: LightSignal, t2s, t4s) -> CycleSchedule:
+    """The schedule of `signal` with clipped symport times t2s, t4s.
+
+    Cycle i has boundaries (t1, t2s[i], t3, t4s[i]) and the type
+    `classify_cycle` gives it. Raises ScheduleError if a cycle's
+    boundaries are not monotone or it starts before the previous one ends.
+    """
+    cycles: list[CycleRecord] = []
+    for i, (t2, t4) in enumerate(zip(t2s, t4s)):
+        t1, t3, t1_next = signal.cycle_bounds(i)
+        if cycles and t1 < cycles[-1].t4:
+            raise ScheduleError("cycle starts before the previous one ends")
+        cycles.append(CycleRecord(t1, t2, t3, t4,
+                                  classify_cycle(t1, t2, t3, t4, t1_next)))
+    return CycleSchedule(cycles, signal.horizon)
+
+
 def schedule_from_crossings(signal: LightSignal,
                             crossings: list[tuple[float, int]],
                             active_at_start: bool = False) -> CycleSchedule:
@@ -444,8 +429,8 @@ def schedule_from_crossings(signal: LightSignal,
     cycle begins at every t_on even if symport has not ended, and a cycle
     whose illumination never triggers symport degenerates to type (b).
     """
-    sched = CycleSchedule(horizon=signal.horizon)
     events = sorted(crossings)
+    t2s, t4s = [], []
     for i in range(signal.n_cycles):
         t1, t3, t1_next = signal.cycle_bounds(i)
         t2_est, t4_est = _symport_estimates(events, active_at_start, t1, t3,
@@ -454,10 +439,9 @@ def schedule_from_crossings(signal: LightSignal,
             t2, t4 = t3, t3  # illumination never triggered symport: type (b)
         else:
             t2, t4 = clip_cycle_times(t2_est, t4_est, t1, t3, t1_next)
-        sched.append(CycleRecord(t1, t2, t3, t4,
-                                 classify_cycle(t1, t2, t3, t4, t1_next)))
-    sched.mark_resolved(signal.horizon)
-    return sched
+        t2s.append(t2)
+        t4s.append(t4)
+    return schedule_from_times(signal, t2s, t4s)
 
 
 def schedule_is_final(signal: LightSignal,

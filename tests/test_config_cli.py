@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,10 +6,15 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from vesim.cli import main as cli_main
 from vesim.config import (ConfigError, config_hash, load_config,
                           parse_config, parse_quantity, to_config_tree)
+from vesim.ensemble import EnsembleConfig, PopulationDistributions
+from vesim.fdm import FdmConfig
+from vesim.model import Environment, KineticConstants, default_vesicle
+from vesim.presets import RUN_PRESETS
 from vesim.runner import emit_plot_data, run_scenario
 from vesim.trajectory import read_trajectory_csv
 
@@ -16,6 +22,12 @@ MINIMAL = {
     "run": {"solver": "closed", "seed": 5},
     "vesicle": {"d_in": "87 nm", "d_mem": "14 nm", "n_pumps": 40,
                 "n_sym": 30, "permeability": "3e-6 m/s"},
+    "signal": {"intervals": [[0, 60]], "horizon": 120},
+}
+POPULATION = {
+    "run": {"solver": "closed", "seed": 5},
+    "population": {},
+    "ensemble": {"n_mod": 2, "n_ex": 1},
     "signal": {"intervals": [[0, 60]], "horizon": 120},
 }
 
@@ -104,6 +116,170 @@ class TestParsing:
         cfg = dict(MINIMAL, signal={"intervals": [[0, 10]]})
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(cfg)
+
+
+# each invalid value, and the start of the error that must name its path
+INVALID = {
+    "kinetics.k_m": (dict(MINIMAL, kinetics={"k_m": "0 mol/m^3"}),
+                     "kinetics: k_m must be > 0"),
+    "population.diameter.sigma_log": (
+        dict(POPULATION, population={"diameter": {"sigma_log": 0}}),
+        "population.diameter: sigma_log must be > 0"),
+    "ensemble.n_mod": (dict(POPULATION, ensemble={"n_mod": 0}),
+                       "ensemble: need 1 <= n_mod"),
+    "population.proteins.p_pump": (
+        dict(POPULATION, population={"proteins": {"p_pump": 2}}),
+        "population: p_pump must lie in [0, 1]"),
+    "population.mode": (dict(POPULATION, population={"mode": "foo"}),
+                        "population: mode must be one of"),
+    "population.diameter": (dict(POPULATION, population={"diameter": 5}),
+                            "population.diameter: expected a mapping"),
+    "signal.intervals text": (
+        dict(MINIMAL, signal={"intervals": [[0, "a"]], "horizon": 120}),
+        "signal.intervals[0]: expected a dimensionless number, got 'a'"),
+    "signal.intervals null": (
+        dict(MINIMAL, signal={"intervals": [[0, None]], "horizon": 120}),
+        "signal.intervals[0]: expected a dimensionless number, got None"),
+    "signal.intervals bool": (
+        dict(MINIMAL, signal={"intervals": [[0, True]], "horizon": 120}),
+        "signal.intervals[0]: expected a dimensionless number, got True"),
+}
+
+
+class TestValidationPaths:
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_parse_names_the_path(self, case):
+        tree, message = INVALID[case]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(tree)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_cli_exits_1_naming_the_path(self, case, tmp_path, capsys):
+        tree, message = INVALID[case]
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(yaml.safe_dump(tree))
+        rc = cli_main(["run", "--config", str(cfg_path), "--out",
+                       str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"configuration error: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestDefaults:
+    SIGNAL = {"intervals": [], "horizon": 10}
+
+    def test_empty_vesicle_sections_take_library_defaults(self):
+        cfg = parse_config({"vesicle": {}, "kinetics": {}, "environment": {},
+                            "fdm": {}, "ensemble": {}, "signal": self.SIGNAL})
+        assert cfg.vesicle == default_vesicle()
+        assert cfg.kinetics == KineticConstants()
+        assert cfg.environment == Environment()
+        assert cfg.fdm == FdmConfig()
+        assert cfg.ensemble == EnsembleConfig()
+
+    def test_empty_population_sections_take_library_defaults(self):
+        cfg = parse_config({"population": {"diameter": {}, "permeability": {},
+                                           "proteins": {}},
+                            "ensemble": {}, "signal": self.SIGNAL})
+        assert cfg.population == PopulationDistributions()
+        assert cfg.environment == dataclasses.replace(
+            Environment(), v_out=EnsembleConfig().v_out_per_vesicle)
+
+    def test_log_unit_shifts_only_given_values(self):
+        tree = {"population": {"diameter": {"log_unit": "m"},
+                               "permeability": {"log_unit": "cm/s",
+                                                "mu_log10": -3.5}},
+                "ensemble": {}, "signal": self.SIGNAL}
+        pop = parse_config(tree).population
+        default = PopulationDistributions()
+        assert pop.diameter == default.diameter
+        assert pop.permeability == dataclasses.replace(
+            default.permeability, mu_log10=-3.5 + math.log10(1e-2))
+
+
+def _quantity(lo, hi, units):
+    """'<number> <unit>' strings whose SI value lies in [lo, hi]."""
+    return st.tuples(st.floats(0.0, 1.0), st.sampled_from(units)).map(
+        lambda p: f"{(lo + p[0] * (hi - lo)) / _SCALE[p[1]]!r} {p[1]}")
+
+
+_SCALE = {"m": 1.0, "nm": 1e-9, "um": 1e-6, "m/s": 1.0, "cm/s": 1e-2,
+          "mol/m^3": 1.0, "M": 1e3, "m^3": 1.0, "mL": 1e-6, "s": 1.0,
+          "ms": 1e-3, "1/s": 1.0, "1/m^2": 1.0, "1/um^2": 1e12}
+
+
+def _some(**fields):
+    """Mappings holding any subset of `fields` (key -> strategy)."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_COMMON = dict(
+    run=st.fixed_dictionaries({
+        "solver": st.sampled_from(["all", "fdm", "closed", ["exact"]]),
+        "seed": st.integers(0, 2 ** 32)}),
+    kinetics=_some(
+        pump_rate_per_protein=_quantity(0.0, 0.1, ["1/s"]),
+        symport_rate_per_protein=_quantity(0.0, 0.1, ["1/s"]),
+        stoichiometry=st.floats(0.5, 4.0), k_m=_quantity(1e-3, 1.0,
+                                                          ["mol/m^3", "M"]),
+        xi=st.floats(0.0, 0.1)),
+    signal=st.fixed_dictionaries({
+        "intervals": st.sampled_from([[], [[0, 60]], [[0.5, 10], [20, 30]]]),
+        "horizon": st.floats(60.0, 1e4)}),
+    fdm=_some(dt=_quantity(1e-4, 1.0, ["s", "ms"]),
+              record_stride=st.integers(1, 100)),
+    sample_interval=st.floats(1e-3, 10.0),
+)
+_ENV = dict(buffer_total=_quantity(0.0, 100.0, ["mol/m^3", "M"]),
+            k_a=_quantity(1e-6, 1e-3, ["mol/m^3"]),
+            c_h_in0=_quantity(0.0, 1e-3, ["mol/m^3"]),
+            c_h_out0=_quantity(0.0, 1e-3, ["mol/m^3"]),
+            c_s_in0=_quantity(0.0, 500.0, ["mol/m^3", "M"]))
+VESICLE_TREES = st.fixed_dictionaries(dict(
+    _COMMON,
+    vesicle=_some(d_in=_quantity(2e-8, 3e-7, ["nm", "um", "m"]),
+                  d_mem=_quantity(1e-9, 2e-8, ["nm"]),
+                  n_pumps=st.integers(0, 200), n_sym=st.integers(0, 200),
+                  permeability=_quantity(1e-7, 1e-5, ["m/s", "cm/s"]),
+                  mode=st.sampled_from(["symporter", "antiporter"])),
+    environment=_some(v_out=_quantity(1e-19, 1e-15, ["m^3", "mL"]), **_ENV)))
+POPULATION_TREES = st.fixed_dictionaries(dict(
+    _COMMON,
+    population=_some(
+        diameter=_some(shift=_quantity(0.0, 5e-8, ["nm", "m"]),
+                       mu_log=st.floats(-20.0, 6.0),
+                       sigma_log=st.floats(0.01, 1.0),
+                       log_unit=st.sampled_from(["nm", "um", "m"])),
+        permeability=st.tuples(st.floats(-7.0, -4.0), st.floats(0.01, 1.0),
+                               st.floats(0.01, 1.0)).map(
+            lambda p: {"mu_log10": p[0], "sigma_log10": p[1],
+                       "lo_log10": p[0] - p[2], "hi_log10": p[0] + p[2]}),
+        proteins=_some(rho=_quantity(0.0, 3e15, ["1/m^2", "1/um^2"]),
+                       p_pump=st.floats(0.0, 1.0)),
+        d_mem=_quantity(1e-9, 2e-8, ["nm"]),
+        mode=st.sampled_from(["symporter", "antiporter"])),
+    ensemble=_some(n_ves=st.floats(1e3, 1e12), n_mod=st.integers(1, 100),
+                   n_ex=st.integers(1, 10),
+                   v_out_tot=_quantity(1e-9, 1e-3, ["m^3", "mL"])),
+    environment=_some(**_ENV)))
+
+
+class TestRoundTrip:
+    @given(tree=VESICLE_TREES | POPULATION_TREES)
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_canonical_tree_reparses_to_the_same_config(self, tree):
+        cfg = parse_config(tree)
+        assert parse_config(to_config_tree(cfg)) == cfg
+
+    @pytest.mark.parametrize("preset", sorted(RUN_PRESETS))
+    def test_presets_round_trip(self, preset):
+        for cfg in RUN_PRESETS[preset]().runs:
+            again = parse_config(to_config_tree(cfg), label=cfg.label)
+            assert again == cfg
+            assert config_hash(again) == config_hash(cfg)
 
 
 class TestRunnerArtifacts:

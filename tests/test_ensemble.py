@@ -20,6 +20,11 @@ FIG4_SIGNAL = LightSignal([(10.0, 35.0), (50.0, 80.0), (110.0, 140.0),
                            (150.0, 180.0)], 250.0)
 
 
+def _draw(dist, cfg, rng):
+    """n_mod vesicles drawn one after the other from `rng`."""
+    return [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
+
+
 @pytest.fixture
 def pop():
     return PopulationDistributions()
@@ -157,7 +162,7 @@ class TestEnsembleRuns:
         cfg = EnsembleConfig(n_mod=5, n_ex=2, seed=4)
         env = default_environment(v_out=cfg.v_out_per_vesicle)
         rng = np.random.default_rng(0)
-        exp = run_experiment(pop, kin, env, signal, cfg, rng,
+        exp = run_experiment(_draw(pop, cfg, rng), kin, env, signal, cfg,
                              sample_times=np.linspace(0, 1600, 9))
         assert exp.c_h_in.shape == (5, 9)
         assert exp.pooled_c_s_out.shape == (9,)
@@ -207,8 +212,9 @@ def test_experiment_rows_equal_single_vesicle_runs(seed, mode, b0, c_s_in0,
     env = default_environment(v_out=cfg.v_out_per_vesicle, buffer_total=b0,
                               c_s_in0=c_s_in0)
     ts = np.linspace(0.0, signal.horizon, n_t)
-    exp = run_experiment(PopulationDistributions(), kin, env, signal, cfg,
-                         np.random.default_rng(seed), mode, ts)
+    exp = run_experiment(_draw(PopulationDistributions(), cfg,
+                               np.random.default_rng(seed)),
+                         kin, env, signal, cfg, mode, ts)
     for m, spec in enumerate(exp.specs):
         one = run_analytic(spec, kin, env, signal, mode, sample_times=ts)
         assert np.array_equal(exp.c_h_in[m], one.c_h_in)
@@ -233,9 +239,10 @@ def test_closed_ramp_depletes_some_vesicles_mid_phase():
     # out inside a phase with vesicles that keep cargo to the end
     cfg = EnsembleConfig(n_mod=6, n_ex=1)
     env = default_environment(v_out=cfg.v_out_per_vesicle, c_s_in0=0.02)
-    exp = run_experiment(PopulationDistributions(), default_kinetics(), env,
-                         FIG4_SIGNAL, cfg, np.random.default_rng(3),
-                         "closed", np.linspace(0.0, 250.0, 26))
+    exp = run_experiment(_draw(PopulationDistributions(), cfg,
+                               np.random.default_rng(3)),
+                         default_kinetics(), env, FIG4_SIGNAL, cfg, "closed",
+                         np.linspace(0.0, 250.0, 26))
     depleted = np.flatnonzero(np.isfinite(exp.depletion_time))
     assert 0 < depleted.size < cfg.n_mod
     for m in depleted:  # strictly inside a symport interval
@@ -323,3 +330,26 @@ def test_config_validation():
         EnsembleConfig(n_mod=200, n_ves=100)
     cfg = EnsembleConfig()
     assert cfg.v_out_per_vesicle == pytest.approx(1e-17, rel=1e-12)
+
+
+def test_shared_pool_draws_experiment_zeros_vesicles(monkeypatch):
+    # the runner's shared-pool baseline solves the vesicles of the
+    # ensemble's experiment 0, drawn from the stream (ensemble seed, 0)
+    from vesim import runner
+    from vesim.config import parse_config
+    cfg = parse_config({
+        "run": {"solver": ["closed", "fdm"], "seed": 11},
+        "population": {}, "ensemble": {"n_mod": 3, "n_ex": 2},
+        "signal": {"intervals": [[0, 50]], "horizon": 100},
+        "sample_interval": 25.0})
+    pooled = []
+    monkeypatch.setattr(runner, "simulate_mvs_shared_pool",
+                        lambda specs, *args: pooled.append(specs))
+    res = runner.execute_run(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence((11, 0)))
+    exp0 = run_experiment(_draw(cfg.population, cfg.ensemble, rng),
+                          cfg.kinetics, cfg.environment, cfg.signal,
+                          cfg.ensemble, "closed", res["ensemble"].t)
+    assert pooled == [exp0.specs]
+    assert np.array_equal(exp0.pooled_c_s_out,
+                          res["ensemble"].per_exp_c_s_out[0])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from vesim.schedule import (NO_CROSSING, CycleRecord, CycleSchedule,
-                            LightSignal, ScheduleError, _lag_kernel,
+from vesim.schedule import (NO_CROSSING, CycleRecord, LightSignal,
+                            ScheduleError, _lag_kernel,
                             buffered_relaxation_time, classify_cycle,
                             clip_cycle_times, predict_buffered_crossing,
                             predict_threshold_crossing,
-                            schedule_from_crossings, schedule_is_final)
+                            schedule_from_crossings, schedule_from_times,
+                            schedule_is_final)
 
 
 class TestLightSignal:
@@ -228,48 +229,41 @@ class TestClassification:
 
 
 class TestPhaseAt:
-    def _schedule(self):
-        sched = CycleSchedule(horizon=200.0)
-        sched.append(CycleRecord(10.0, 20.0, 80.0, 90.0, "a"))
-        sched.append(CycleRecord(110.0, 140.0, 140.0, 140.0, "b"))
-        sched.mark_resolved(200.0)
-        return sched
+    """The cycle and phase `CycleSchedule.annotate` gives each time."""
+
+    @staticmethod
+    def _at(*times):
+        sig = LightSignal([(10.0, 80.0), (110.0, 140.0)], 200.0)
+        sched = schedule_from_times(sig, [20.0, 140.0], [90.0, 140.0])
+        assert sched.types() == ["a", "b"]
+        cycles, phases = sched.annotate(np.array(times))
+        return list(zip(cycles, phases))
 
     def test_initial_leakage_phase(self):
-        sched = self._schedule()
-        assert sched.phase_at(0.0) == (1, "P1", 0.0)
-        assert sched.phase_at(5.0) == (1, "P1", 0.0)
+        assert self._at(0.0, 5.0) == [(1, "P1"), (1, "P1")]
 
     def test_phase_sequence(self):
-        sched = self._schedule()
-        assert sched.phase_at(15.0) == (1, "P2", 10.0)
-        assert sched.phase_at(50.0) == (1, "P3", 20.0)
-        assert sched.phase_at(85.0) == (1, "P4", 80.0)
-        assert sched.phase_at(100.0) == (2, "P1", 90.0)
+        assert self._at(15.0, 50.0, 85.0, 100.0) == [
+            (1, "P2"), (1, "P3"), (1, "P4"), (2, "P1")]
 
     def test_boundary_belongs_to_ending_phase(self):
-        sched = self._schedule()
-        assert sched.phase_at(20.0) == (1, "P2", 10.0)
-        assert sched.phase_at(80.0) == (1, "P3", 20.0)
+        assert self._at(20.0, 80.0) == [(1, "P2"), (1, "P3")]
 
     def test_zero_duration_phases_skipped(self):
-        sched = self._schedule()
         # cycle 2 is type (b): no P3/P4; after t3 the next leakage begins
-        assert sched.phase_at(120.0) == (2, "P2", 110.0)
-        assert sched.phase_at(150.0) == (3, "P1", 140.0)
+        assert self._at(120.0, 150.0) == [(2, "P2"), (3, "P1")]
 
-    def test_unresolved_query_raises(self):
-        sched = CycleSchedule(horizon=200.0)
-        sched.append(CycleRecord(10.0, 20.0, 80.0, 90.0, "a"))
-        with pytest.raises(ScheduleError, match="advance the solver"):
-            sched.phase_at(150.0)
 
-    def test_out_of_range(self):
-        sched = self._schedule()
-        with pytest.raises(ScheduleError):
-            sched.phase_at(-1.0)
-        with pytest.raises(ScheduleError):
-            sched.phase_at(201.0)
+class TestScheduleFromTimes:
+    def test_non_monotone_cycle_rejected(self):
+        sig = LightSignal([(10, 80)], 200)
+        with pytest.raises(ScheduleError, match="not monotone"):
+            schedule_from_times(sig, [5.0], [90.0])
+
+    def test_cycle_starting_before_previous_end_rejected(self):
+        sig = LightSignal([(10, 80), (100, 150)], 200)
+        with pytest.raises(ScheduleError, match="previous one ends"):
+            schedule_from_times(sig, [20.0, 120.0], [105.0, 160.0])
 
 
 class TestScheduleFromCrossings:
