@@ -19,7 +19,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_seed, load_config
 from .presets import RUN_PRESETS, Scenario, describe_presets
 from .runner import (MissingArtifacts, SolverFailure, emit_plot_data,
                      run_scenario, write_sweep_artifacts)
@@ -94,6 +94,8 @@ def _reseed(cfg, seed: int):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed, "--seed")
         if args.command == "run":
             scenario = _scenario_from_args(args)
             out, _ = run_scenario(scenario, out_dir=args.out,

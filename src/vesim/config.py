@@ -102,6 +102,15 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
+def check_seed(value, path: str) -> int:
+    """A random seed: an integer >= 0, as numpy's SeedSequence takes."""
+    seed = _integer(value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, "
+                          f"got {value!r}")
+    return seed
+
+
 def _section(tree: dict, path: str, required: bool = True) -> dict:
     """The section at `path` in `tree`, the mapping that holds its last
     name; an absent optional section is empty."""
@@ -232,7 +241,7 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
     else:
         raise ConfigError(f"run.solver: expected one of {_SOLVERS + ('all',)}"
                           f" or a list thereof, got {solver!r}")
-    seed = _integer(run.get("seed", 0), "run.seed")
+    seed = check_seed(run.get("seed", 0), "run.seed")
 
     has_vesicle = "vesicle" in tree
     has_population = "population" in tree
@@ -327,7 +336,10 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
 
 def load_config(path, label: str | None = None) -> RunConfig:
     with open(path) as fh:
-        tree = yaml.safe_load(fh)
+        try:
+            tree = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     return parse_config(tree, label=label or str(path))
 
 

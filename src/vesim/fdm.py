@@ -11,10 +11,14 @@ bit-reproducible; a stiffness check refuses steps that the fastest phase
 coefficient would destabilize.
 
 The flux laws are those of `model.py`. The shared-pool kernel calls them
-on per-vesicle arrays and re-equilibrates with `free_proton_conc_array`;
-the single-vesicle loop inlines them in the same arithmetic order, since
-it runs near the interpreter's per-step floor, and a test pins the two
-bit for bit.
+on per-vesicle arrays and re-equilibrates with `free_proton_conc_array`.
+The single-vesicle loop inlines them and `free_proton_conc` in the same
+arithmetic order, since in CPython a function call costs as much as the
+step's arithmetic, and a test pins the two bit for bit. That loop also
+keeps every test out of the step that cannot change within it: steps
+run in blocks between record steps, light switches and drift checks,
+and the symport condition is one flag, changed only when the threshold
+test flips or the cargo runs out.
 
 Symport threshold crossings are detected by the sign change of
 (C_H_in - C_switch) with linear interpolation between steps and then
@@ -130,13 +134,19 @@ def stable_dt(spec: VesicleSpec, kin: KineticConstants,
     return 10.0 ** exp
 
 
+def _light_intervals(signal: LightSignal, dt: float,
+                     n_steps: int) -> list[tuple[int, int]]:
+    """Each light interval as the steps [k_on, k_off) it lights."""
+    return [(min(int(round(t_on / dt)), n_steps),
+             min(int(round(t_off / dt)), n_steps))
+            for t_on, t_off in signal.intervals]
+
+
 def _light_steps(signal: LightSignal, dt: float, n_steps: int) -> np.ndarray:
     """Per-step illumination flags on the step grid."""
     light = np.zeros(n_steps, dtype=bool)
-    for t_on, t_off in signal.intervals:
-        k_on = int(round(t_on / dt))
-        k_off = int(round(t_off / dt))
-        light[min(k_on, n_steps):min(k_off, n_steps)] = True
+    for k_on, k_off in _light_intervals(signal, dt, n_steps):
+        light[k_on:k_off] = True
     return light
 
 
@@ -144,6 +154,11 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  signal: LightSignal, cfg: FdmConfig | None = None, *,
                  until_settled: bool = False) -> Trajectory:
     """Ground-truth trajectory of a single vesicle system.
+
+    Each step makes the float operations of `simulate_mvs_shared_pool`
+    with one vesicle, in the same order, so the two agree bit for bit;
+    the loop around them runs per step only what can change per step
+    (see the module docstring).
 
     With `until_settled`, the run stops at the first record step at which
     `schedule_is_final` holds, so its `schedule` is the full run's. The
@@ -157,7 +172,6 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
 
     dt = cfg.dt
     n_steps = int(round(signal.horizon / dt))
-    light = _light_steps(signal, dt, n_steps).tolist()
     stride = cfg.record_stride
 
     v_in, v_out = spec.v_in, env.v_out
@@ -169,7 +183,11 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     sign = spec.flux_sign
     dep_threshold = DEPLETION_FRACTION_OF_KM * km
     pump_on = gamma_p > 0.0 and c_out0 > 0.0
-    symport_on = gamma_s > 0.0
+    # free_proton_conc's constants, as it groups them: (b0 + k_a) - total,
+    # (4*k_a)*total and (2*k_a)*total
+    buffered = b0 > 0.0
+    b_k, k_a4, k_a2 = b0 + k_a, 4.0 * k_a, 2.0 * k_a
+    sqrt = math.sqrt
 
     th_in = total_conc_from_free(env.c_h_in0, b0, k_a) * v_in
     th_out = total_conc_from_free(env.c_h_out0, b0, k_a) * v_out
@@ -188,81 +206,125 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
 
     crossings: list[tuple[float, int]] = []
     events: list[Event] = []
-    depleted = False
     max_h_drift = 0.0
     max_s_drift = 0.0
 
     c_in = free_proton_conc(th_in / v_in, b0, k_a)
     c_out = free_proton_conc(th_out / v_out, b0, k_a)
-    diff_prev = c_in - c_switch
-    active_at_start = diff_prev >= 0.0
+    # model.symport_gate, taken once per step: it gates the next step's
+    # symport and its flips are the crossings. `release` is the whole
+    # symport condition; cargo only falls, and once it is gone it stays.
+    above = c_in >= c_switch
+    active_at_start = above
+    cargo = gamma_s > 0.0 and cs_in > 0.0
+    release = above and cargo
+    depleted = False
 
+    # The steps run in blocks that end at every record step, every light
+    # switch and every step after which the drift is checked (k % 1000
+    # == 0), so none of those tests runs per step.
+    lights = _light_intervals(signal, dt, n_steps)
+    edges = np.unique(np.concatenate((
+        np.arange(0, n_steps + 1, stride), [n_steps],
+        np.arange(1, n_steps, 1000),
+        np.array(lights, dtype=int).ravel())))
+    edge_light = np.zeros(len(edges), dtype=bool)
+    for k_on, k_off in lights:
+        edge_light[np.searchsorted(edges, k_on):
+                   np.searchsorted(edges, k_off)] = True
+    edges = edges.tolist()
     ri = 0
-    for k in range(n_steps + 1):
-        if k % stride == 0 or k == n_steps:
-            idx = min(ri, n_rec - 1)
-            rec_t[idx] = k * dt
-            rec_chin[idx] = c_in
-            rec_chout[idx] = c_out
-            rec_csin[idx] = cs_in
-            rec_csout[idx] = ts_out / v_out
-            rec_light[idx] = 1 if (k < n_steps and light[k]) else 0
-            ri += 1
-            if k == n_steps or (until_settled and schedule_is_final(
-                    signal, crossings, active_at_start, k * dt)):
-                break
-
-        # model.pump_flux, symport_gate, symport_flux, leakage_flux and
-        # net_proton_inflow, inlined in their arithmetic order; the test
-        # TestSharedPool::test_single_vesicle_degenerates_to_svs pins this
-        # step bit for bit to the shared-pool kernel, which calls them.
-        pump = gamma_p * (c_out / c_out0) if (light[k] and pump_on) else 0.0
-        if c_in >= c_switch and cs_in > 0.0 and symport_on:
-            mm = cs_in / (cs_in + km)
-            f_s = gamma_s * mm
-            f_h = gamma_h * mm
-        else:
-            f_s = 0.0
-            f_h = 0.0
-        leak = gamma_l * (c_in - c_out)
-        net_in = sign * (pump - leak - f_h)
-
-        d_h = dt * net_in
-        th_in += d_h
-        th_out -= d_h
-        if f_s > 0.0:
-            released = dt * f_s
-            cs_in -= released / v_in
-            ts_out += released
-            if cs_in < 0.0:
-                ts_out += cs_in * v_in  # return the overshoot
-                cs_in = 0.0
-                if not depleted:
-                    events.append(Event("depletion", (k + 1) * dt,
-                                        "substrate clamped at 0"))
-                    depleted = True
-
-        c_in = free_proton_conc(th_in / v_in, b0, k_a)
-        c_out = free_proton_conc(th_out / v_out, b0, k_a)
-
-        diff = c_in - c_switch
-        if (diff >= 0.0) != (diff_prev >= 0.0):
-            frac = diff_prev / (diff_prev - diff)
-            crossings.append((k * dt + frac * dt, 1 if diff >= 0.0 else -1))
-        diff_prev = diff
-
-        if not depleted and cs_in < dep_threshold:
-            events.append(Event("depletion", (k + 1) * dt,
+    for k0, k1, light in zip(edges, edges[1:] + [n_steps],
+                             edge_light.tolist()):
+        # C_S_in moves only in release steps, which test it for depletion;
+        # a run that starts below the threshold reports it after step 0
+        if k0 == 1 and not depleted and cs_in < dep_threshold:
+            events.append(Event("depletion", dt,
                                 "fell below reporting threshold"))
             depleted = True
-
-        if k % 1000 == 0:
+        if k0 % stride == 0 or k0 == n_steps:
+            rec_t[ri] = k0 * dt
+            rec_chin[ri] = c_in
+            rec_chout[ri] = c_out
+            rec_csin[ri] = cs_in
+            rec_csout[ri] = ts_out / v_out
+            rec_light[ri] = 1 if light else 0
+            ri += 1
+            if k0 == n_steps or (until_settled and schedule_is_final(
+                    signal, crossings, active_at_start, k0 * dt)):
+                break
+        if k0 % 1000 == 1:  # the state after step k0 - 1
             max_h_drift = max(max_h_drift,
                               abs(th_in + th_out - h_total0) / h_total0)
             if s_total0 > 0:
                 max_s_drift = max(max_s_drift,
                                   abs(cs_in * v_in + ts_out - s_total0)
                                   / s_total0)
+        lit = light and pump_on
+
+        # model.pump_flux, symport_flux, leakage_flux and net_proton_inflow
+        # and buffering.free_proton_conc, inlined in their arithmetic
+        # order; the test TestSharedPool::test_single_vesicle_degenerates_
+        # to_svs pins this step bit for bit to the shared-pool kernel,
+        # which calls them.
+        for k in range(k0, k1):
+            pump = gamma_p * (c_out / c_out0) if lit else 0.0
+            if release:
+                mm = cs_in / (cs_in + km)
+                f_s = gamma_s * mm
+                d_h = dt * (sign * (pump - gamma_l * (c_in - c_out)
+                                    - gamma_h * mm))
+                if f_s > 0.0:
+                    released = dt * f_s
+                    cs_in -= released / v_in
+                    ts_out += released
+                    if cs_in <= 0.0:
+                        if cs_in < 0.0:
+                            ts_out += cs_in * v_in  # return the overshoot
+                            cs_in = 0.0
+                            if not depleted:
+                                events.append(Event(
+                                    "depletion", (k + 1) * dt,
+                                    "substrate clamped at 0"))
+                                depleted = True
+                        cargo = release = False
+                if not depleted and cs_in < dep_threshold:
+                    events.append(Event("depletion", (k + 1) * dt,
+                                        "fell below reporting threshold"))
+                    depleted = True
+            else:  # f_h = 0, and x - 0.0 is x
+                d_h = dt * (sign * (pump - gamma_l * (c_in - c_out)))
+            th_in += d_h
+            th_out -= d_h
+
+            c_prev = c_in
+            total = th_in / v_in
+            if total <= 0.0:
+                c_in = 0.0
+            elif not buffered:
+                c_in = total
+            else:
+                q = b_k - total
+                disc = sqrt(q * q + k_a4 * total)
+                c_in = (k_a2 * total / (q + disc) if q >= 0.0
+                        else 0.5 * (disc - q))
+            total = th_out / v_out
+            if total <= 0.0:
+                c_out = 0.0
+            elif not buffered:
+                c_out = total
+            else:
+                q = b_k - total
+                disc = sqrt(q * q + k_a4 * total)
+                c_out = (k_a2 * total / (q + disc) if q >= 0.0
+                         else 0.5 * (disc - q))
+
+            if (c_in >= c_switch) is not above:
+                above = not above
+                diff_prev = c_prev - c_switch
+                frac = diff_prev / (diff_prev - (c_in - c_switch))
+                crossings.append((k * dt + frac * dt, 1 if above else -1))
+                release = above and cargo
 
     max_h_drift = max(max_h_drift, abs(th_in + th_out - h_total0) / h_total0)
     if s_total0 > 0:

@@ -143,6 +143,12 @@ INVALID = {
     "signal.intervals bool": (
         dict(MINIMAL, signal={"intervals": [[0, True]], "horizon": 120}),
         "signal.intervals[0]: expected a dimensionless number, got True"),
+    # refused for vesicle runs too, which do not use the seed
+    "run.seed vesicle": (dict(MINIMAL, run={"seed": -1}),
+                         "run.seed: expected a non-negative integer, got -1"),
+    "run.seed population": (
+        dict(POPULATION, run={"seed": -3}),
+        "run.seed: expected a non-negative integer, got -3"),
 }
 
 
@@ -386,6 +392,34 @@ class TestCli:
         a = (tmp_path / "o1" / "ens" / "ensemble_stats.csv").read_bytes()
         b = (tmp_path / "o2" / "ens" / "ensemble_stats.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig4"],
+        ["run", "--config", "CONFIG"],
+        ["sweep", "--preset", "fig6"],
+    ], ids=["run-preset", "run-config", "sweep"])
+    def test_negative_seed_option_exits_1(self, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "ens.yaml"
+        cfg_path.write_text(yaml.safe_dump(POPULATION))
+        argv = [str(cfg_path) if a == "CONFIG" else a for a in argv]
+        rc = cli_main(argv + ["--seed", "-1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: --seed: expected a "
+                              "non-negative integer, got -1")
+        assert not (tmp_path / "o").exists()
+
+    def test_invalid_yaml_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text("run: {solver: closed\nvesicle: {}\n")
+        rc = cli_main(["run", "--config", str(cfg_path), "--out",
+                       str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"configuration error: {cfg_path}: not valid "
+                              "YAML: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_solver_error_exit_code(self, tmp_path):
         # valid config whose step is too coarse for the unbuffered

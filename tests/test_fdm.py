@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from vesim import fdm
 from vesim.analytic import DEPLETION_FRACTION_OF_KM, run_analytic
+from vesim.buffering import total_conc_from_free
 from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_mvs_shared_pool,
                        simulate_svs, stability_coefficient, stable_dt)
 from vesim.model import (VesicleSpec, default_environment, default_kinetics,
                          default_vesicle, derive_rates)
+from vesim.presets import RUN_PRESETS
 from vesim.schedule import LightSignal, schedule_from_crossings
+from vesim.trajectory import write_trajectory_csv
 
 
 def test_stability_check_rejects_baseline_step_when_unbuffered(
@@ -170,6 +174,25 @@ def _substrate_case(spec, cs_frac, u, n_steps=300):
             FdmConfig(dt=dt, record_stride=1))
 
 
+def _weak_buffer_case():
+    # B0 = 1e-5 mol/m^3: the pumped interior's total H+ rises past
+    # B0 + k_a, so the buffer root takes its q < 0 branch
+    spec = dataclasses.replace(default_vesicle(), n_pumps=200,
+                               permeability=3e-6)
+    env = default_environment(buffer_total=1e-5)
+    dt = stable_dt(spec, default_kinetics(), env)
+    return (spec, env, LightSignal([(0, 2.0)], 4.0),
+            FdmConfig(dt=dt, record_stride=50), True, [])
+
+
+def test_weak_buffer_case_reaches_the_q_negative_root():
+    spec, env, sig, cfg, _, _ = _weak_buffer_case()
+    traj = simulate_svs(spec, default_kinetics(), env, sig, cfg)
+    total = [total_conc_from_free(c, env.buffer_total, env.k_a)
+             for c in traj.c_h_in]
+    assert max(total) > env.buffer_total + env.k_a
+
+
 # (spec, env, signal, cfg, run the stability check, expected event infos)
 PIN_CASES = {
     "buffered": lambda: (default_vesicle(), default_environment(),
@@ -195,7 +218,41 @@ PIN_CASES = {
                            LightSignal([(0, 60)], 120),
                            FdmConfig(dt=1e-2, record_stride=100), True, []),
     "unbuffered": _unbuffered_case,
+    # both light switches (steps 37 and 6005) fall inside record blocks
+    "switch_mid_block": lambda: (default_vesicle(), default_environment(),
+                                 LightSignal([(0.37, 60.05)], 120),
+                                 FdmConfig(dt=1e-2, record_stride=100),
+                                 True, []),
+    # 12037 steps at a stride of 300: the last record block is partial
+    "partial_last_record": lambda: (default_vesicle(), default_environment(),
+                                    LightSignal([(0, 60)], 120.37),
+                                    FdmConfig(dt=1e-2, record_stride=300),
+                                    True, []),
+    "weak_buffer": _weak_buffer_case,
 }
+
+
+# SHA-256 of two preset FDM trajectory files. The step loop uses only
+# + - * / and sqrt, which IEEE 754 rounds exactly (the set-up adds a few
+# `**` powers), and the writer prints each float with repr, so a change
+# to the loop that is not bit for bit shows here.
+GOLDEN_FDM_CSV = {
+    ("fig4", "fig4"):
+        "abf3fe2c93dcc2b1692d1e099589ad420898a7acfc7ace3fc1b602d276bfbd27",
+    ("fig3", "B0=20"):
+        "5987e68a43736a9d63f43d3781da004ad8b15fd45bd363598db42b0b3a7add8c",
+}
+
+
+@pytest.mark.parametrize("preset, label", list(GOLDEN_FDM_CSV))
+def test_preset_fdm_csv_matches_golden_hash(preset, label, tmp_path):
+    cfg = next(c for c in RUN_PRESETS[preset]().runs if c.label == label)
+    traj = simulate_svs(cfg.vesicle, cfg.kinetics, cfg.environment,
+                        cfg.signal, cfg.fdm)
+    path = tmp_path / "trajectory_fdm.csv"
+    write_trajectory_csv(traj, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_FDM_CSV[preset, label]
 
 
 @given(d_in=st.floats(40e-9, 300e-9), n_pumps=st.integers(0, 200),
