@@ -22,19 +22,21 @@ Within one cycle phase the proton ODE is C' = -a*C + b' with
 
     a  = j_l_a + j_p_a * 1{light}
     b  = j_l_b + j_p_b * 1{light}
-    b' = b - (gamma_sym_h / v_in) * 1{symport active}   (closed form)
+    b' = b + h,   h = -(gamma_sym_h / v_in) * 1{symport active}
 
 and j_l_a = gamma_l*(1/v_in + 1/v_out), j_p_a = gamma_p/(v_out*c_h_out0),
-j_l_b = gamma_l*n_h/(v_in*v_out), j_p_b = j_p_a*n_h/v_in. A fast
-mass-action buffer slows the free concentration by S(C) = 1 +
+j_l_b = gamma_l*n_h/(v_in*v_out), j_p_b = j_p_a*n_h/v_in
+(`phase_coefficients` returns (a, b, h) as floats or per-vesicle arrays).
+A fast mass-action buffer slows the free concentration by S(C) = 1 +
 k_a*B0/(C + k_a)^2, giving C' = (b' - a*C)/S(C). With constant light and
 a saturated drain this law separates; `schedule.buffered_relaxation_time`
 is its solution t(C). Each segment's end state comes from inverting t(C)
 (`buffered_log_ratio`), and its samples follow a single exponential
-whose rate is pinned to pass through both end states: the coefficients
-are divided by beta = a*dt / ln((C_start - s)/(C_end - s)). Exact mode
-uses the same pinned beta in its drain quadrature, one series per
-drained vesicle. The substrate rate is never attenuated.
+whose rate is pinned to pass through both end states: the engine divides
+that segment's a, b and h by beta = a*dt / ln((C_start - s)/(C_end - s)),
+s = b'/a, which keeps s and scales the rate. Exact mode uses the same
+pinned a, b and h in its drain quadrature, one series per drained
+vesicle. The substrate rate is never attenuated.
 
 Note the sign of j_l_b: it must be positive for the relaxation target
 b/a to reproduce the pump/leak equilibrium and for the phase solution to
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lambertw as _lambertw
@@ -172,119 +174,60 @@ def lambert_w0_exp(y):
     return out
 
 
-@dataclass(frozen=True)
-class PhaseCoefficients:
-    """Proton-ODE coefficients of one cycle phase, buffer-attenuated.
+def phase_coefficients(v_in, leak_rate, pump_rate, n_h, symport_h,
+                       env: Environment, light: bool, drain):
+    """Proton-ODE coefficients (a, b, h) of one cycle phase; b' = b + h.
 
-    The j_* fields are the unattenuated building blocks; `a`, `b` and
-    `b_prime` assemble them for the phase's light/symport combination and
-    divide by the attenuation factor `beta`. With beta = 1 they are the
-    coefficients of the buffered law C' = (b' - a*C)/S(C); the analytic
-    engine sets beta per segment so that one exponential passes through
-    that law's start and end states. The numeric fields and `drain` may
-    be arrays of one shape, one element per vesicle; `light` is shared.
-    """
-
-    j_l_a: float
-    j_p_a: float
-    j_l_b: float
-    j_p_b: float
-    j_sym_b: float
-    beta: float
-    light: bool
-    drain: bool
-
-    @property
-    def a(self):
-        return (self.j_l_a + (self.j_p_a if self.light else 0.0)) / self.beta
-
-    @property
-    def b(self):
-        return (self.j_l_b + (self.j_p_b if self.light else 0.0)) / self.beta
-
-    @property
-    def b_prime(self):
-        # j_sym_b*drain is j_sym_b or a signed zero, which adds nothing
-        return self.b + self.j_sym_b * self.drain / self.beta
-
-    @property
-    def s_inf(self):
-        """Relaxation target b'/a of the phase."""
-        return self.b_prime / self.a
-
-    def take(self, rows) -> "PhaseCoefficients":
-        """The coefficients of the vesicles `rows`; scalars are shared."""
-        def pick(v):
-            return v[rows] if np.ndim(v) else v
-        return PhaseCoefficients(
-            pick(self.j_l_a), pick(self.j_p_a), pick(self.j_l_b),
-            pick(self.j_p_b), pick(self.j_sym_b), pick(self.beta),
-            self.light, pick(self.drain))
-
-
-def phase_coefficients(spec: VesicleSpec, rates: DerivedRates,
-                       env: Environment, light: bool, drain: bool,
-                       beta: float = 1.0) -> PhaseCoefficients:
-    """Assemble the proton coefficients for one phase.
+    The phase's proton law is C' = -a*C + b' unbuffered, and
+    C' = (b' - a*C)/S(C) with the buffer. Takes floats or arrays of one
+    shape, one element per vesicle: its volume `v_in`, `leak_rate`,
+    `pump_rate`, free-H+ inventory `n_h` and symport H+ rate `symport_h`
+    (the `DerivedRates` fields of those names). `drain` may be a bool
+    array of that shape too; `light` is shared.
 
     Args:
         light: illumination state of the phase
         drain: whether the symport H+ drain acts (threshold indicator on
             and substrate still available)
-        beta: buffer attenuation factor dividing every coefficient
     """
-    return _assemble_coefficients(
-        spec.v_in, spec.flux_sign, rates.leak_rate, rates.pump_rate,
-        rates.total_free_protons, rates.symport_rate_proton, env, light,
-        drain, beta)
-
-
-def _assemble_coefficients(v_in, flux_sign, leak_rate, pump_rate, n_h,
-                           symport_rate_proton, env: Environment,
-                           light: bool, drain, beta) -> PhaseCoefficients:
-    """`phase_coefficients` from per-vesicle floats or arrays of one shape."""
     v_out = env.v_out
     # no pumps give j_p_a = 0 either way
     j_p_a = (pump_rate / (v_out * env.c_h_out0) if env.c_h_out0 > 0.0
              else 0.0 * pump_rate)
-    return PhaseCoefficients(
-        j_l_a=leak_rate * (1.0 / v_in + 1.0 / v_out),
-        j_p_a=j_p_a,
-        j_l_b=leak_rate * n_h / (v_in * v_out),
-        j_p_b=j_p_a * n_h / v_in,
-        j_sym_b=-(flux_sign * symport_rate_proton) / v_in,
-        beta=beta,
-        light=light,
-        drain=drain,
-    )
+    a = leak_rate * (1.0 / v_in + 1.0 / v_out) + (j_p_a if light else 0.0)
+    b = (leak_rate * n_h / (v_in * v_out)
+         + (j_p_a * n_h / v_in if light else 0.0))
+    # -symport_h/v_in, or a signed zero that adds nothing to b
+    h = -symport_h / v_in * drain
+    return a, b, h
 
 
-def closed_form_proton(c_start: float, coeffs: PhaseCoefficients, dt):
-    """Exponential relaxation C = b'/a + (C_start - b'/a) * exp(-a*dt)."""
-    s = coeffs.s_inf
-    return s + (c_start - s) * np.exp(-coeffs.a * np.asarray(dt, dtype=float))
+def closed_form_proton(c_start, a, s, dt):
+    """Exponential relaxation C = s + (C_start - s) * exp(-a*dt) towards
+    the target s = b'/a."""
+    return s + (c_start - s) * np.exp(-a * np.asarray(dt, dtype=float))
 
 
-def buffered_log_ratio(c_start, coeffs: PhaseCoefficients, dt,
-                       buffer_total, k_a):
+def buffered_log_ratio(c_start, a, b_prime, dt, buffer_total, k_a):
     """ln((C - s)/(c_start - s)) reached after dt under the buffered law.
 
-    Inverts `buffered_relaxation_time` for the unattenuated coefficients
-    (beta = 1) by a bracketed Newton iteration on the log ratio y. The
-    buffer only slows the unbuffered relaxation, so the root lies in
-    [-a*dt, 0], i.e. between c_start and the relaxation target s. The
-    iteration solves ln(t(y)/dt) = 0: t(y) grows like exp(-2y) where the
-    buffer dominates and like -y where it does not, and the logarithm
-    keeps Newton steps from stalling on the steep side in either regime.
+    Inverts `buffered_relaxation_time` (whose a, b' and buffer arguments
+    come in the same order) by a bracketed Newton iteration on the log
+    ratio y. The buffer only slows the unbuffered relaxation, so the root
+    lies in [-a*dt, 0], i.e. between c_start and the relaxation target
+    s = b'/a. The iteration solves ln(t(y)/dt) = 0: t(y) grows like
+    exp(-2y) where the buffer dominates and like -y where it does not,
+    and the logarithm keeps Newton steps from stalling on the steep side
+    in either regime.
     Returns 0.0 where c_start sits at s to rounding and cannot move, and
     where dt = 0.
 
-    Takes floats or arrays of one shape, the coefficients included. Each
-    element iterates on its own bracket and leaves the loop once it
-    converges, so it takes exactly the steps it would take alone.
+    Takes floats or arrays of one shape. Each element iterates on its
+    own bracket and leaves the loop once it converges, so it takes
+    exactly the steps it would take alone.
     """
     shape, (c_start, a, b_prime, dt, b0, k_a) = _lanes(
-        c_start, coeffs.a, coeffs.b_prime, dt, buffer_total, k_a)
+        c_start, a, b_prime, dt, buffer_total, k_a)
     m = b_prime / a + k_a
     u0 = c_start + k_a
     out = np.zeros_like(u0)
@@ -352,64 +295,61 @@ def closed_form_substrate(c_s_start, ramp_rate, dt, drain):
     return np.where(drain, ramp, c_s_start)
 
 
-def exact_substrate(c_s_start: float, rates: DerivedRates, spec: VesicleSpec,
-                    kin: KineticConstants, dt, drain: bool = True):
-    """Michaelis-Menten substrate law C_S = K_M * W0(f(dt)).
+def exact_substrate(c_s_start: float, gamma_s: float, v_in: float,
+                    k_m: float, dt):
+    """Michaelis-Menten substrate law C_S = K_M * W0(f(dt)) under drain.
 
     f(dt) = (C0/K_M) * exp((C0 - (gamma_s/v_in)*dt) / K_M) is evaluated in
-    the log domain so large C0/K_M ratios cannot overflow. Outside symport
-    intervals the concentration is constant.
+    the log domain so large C0/K_M ratios cannot overflow. gamma_s is the
+    saturated substrate rate (mol/s); without it, or without cargo, the
+    concentration is constant.
     """
     dt = np.asarray(dt, dtype=float)
-    if not drain or c_s_start <= 0.0 or rates.symport_rate_substrate == 0.0:
+    if c_s_start <= 0.0 or gamma_s == 0.0:
         return np.full_like(dt, max(c_s_start, 0.0))
-    k_m = kin.k_m
     y0 = math.log(c_s_start / k_m) + c_s_start / k_m
-    decay = rates.symport_rate_substrate / (spec.v_in * k_m)
+    decay = gamma_s / (v_in * k_m)
     return k_m * lambert_w0_exp(y0 - decay * dt)
 
 
-def exact_depletion_offset(c_s_start: float, rates: DerivedRates,
-                           spec: VesicleSpec, kin: KineticConstants,
-                           threshold: float) -> float:
+def exact_depletion_offset(c_s_start: float, gamma_s: float, v_in: float,
+                           k_m: float, threshold: float) -> float:
     """Time offset at which the exact substrate law reaches `threshold`."""
     if c_s_start <= threshold:
         return 0.0
-    if rates.symport_rate_substrate == 0.0:
+    if gamma_s == 0.0:
         return math.inf
-    k_m = kin.k_m
     w = threshold / k_m
     y0 = math.log(c_s_start / k_m) + c_s_start / k_m
-    return (y0 - w - math.log(w)) * spec.v_in * k_m / rates.symport_rate_substrate
+    return (y0 - w - math.log(w)) * v_in * k_m / gamma_s
 
 
-def exact_proton_series(c_start: float, c_s_start: float,
-                        coeffs: PhaseCoefficients, rates: DerivedRates,
-                        spec: VesicleSpec, kin: KineticConstants,
-                        offsets) -> np.ndarray:
+def exact_proton_series(c_start: float, a: float, b: float, drain: float,
+                        c_s_start: float, gamma_s: float, v_in: float,
+                        k_m: float, offsets) -> np.ndarray:
     """Exact proton law at ascending offsets from the phase start.
 
-    Without an active drain the variation-of-constants integral reduces
-    algebraically to the closed form. With it, the integral is accumulated
-    stepwise between consecutive offsets with the decaying exponential
-    folded into the integrand, which keeps the evaluation stable for
-    arbitrarily long phases:
+    The phase law is C' = -a*C + b - drain*sat(t), where drain is the
+    symport H+ drain rate gamma_sym_h/v_in (mol/m^3/s; 0 for none) and
+    sat = C_S/(C_S + K_M) follows `exact_substrate`. Without an active
+    drain the variation-of-constants integral reduces algebraically to
+    the closed form. With it, the integral is accumulated stepwise
+    between consecutive offsets with the decaying exponential folded
+    into the integrand, which keeps the evaluation stable for arbitrarily
+    long phases:
 
         C(t+d) = C(t)*e^(-a d) + int_0^d g(u) e^(-a (d-u)) du,
-        g(u) = b - (gamma_sym_h/(v_in*beta)) * W(f(u)) / (W(f(u)) + 1).
+        g(u) = b - drain * W(f(u)) / (W(f(u)) + 1).
 
     All sample intervals of the segment are integrated at once by
     `_gauss_kronrod` (one Lambert-W call per batch), then chained.
     """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    a, b = coeffs.a, coeffs.b
-    drain_coeff = -coeffs.j_sym_b / coeffs.beta  # gamma_sym_h/(v_in*beta)
-    if not coeffs.drain or c_s_start <= 0.0 or drain_coeff == 0.0:
-        return closed_form_proton(c_start, coeffs, offsets)
+    if c_s_start <= 0.0 or drain == 0.0:
+        return closed_form_proton(c_start, a, (b - drain) / a, offsets)
 
-    k_m = kin.k_m
     y0 = math.log(c_s_start / k_m) + c_s_start / k_m
-    decay = rates.symport_rate_substrate / (spec.v_in * k_m)
+    decay = gamma_s / (v_in * k_m)
 
     t_prev = np.concatenate(([0.0], offsets[:-1]))
     d = offsets - t_prev
@@ -422,10 +362,10 @@ def exact_proton_series(c_start: float, c_s_start: float,
 
     def integrand(u, rows):
         w = lambert_w0_exp(y0 - decay * u)
-        return ((b - drain_coeff * w / (w + 1.0))
+        return ((b - drain * w / (w + 1.0))
                 * np.exp(-a * (t_k[rows, None] - u)))
 
-    scale = abs(b) + drain_coeff
+    scale = abs(b) + drain
     integral = np.zeros_like(offsets)
     integral[moving], abserr = _gauss_kronrod(
         integrand, lo, t_k, 1e-12 * scale * d_k + 1e-300, 1e-8)
@@ -559,62 +499,61 @@ class BatchTrajectory:
 class _BatchEngine:
     """Chains the cycle phases of a batch of vesicles, exact or closed mode.
 
-    The state holds one element per vesicle: time, C_H_in, C_S_in, the
-    next unsampled grid point and the first depletion time. Every phase
-    is one batched segment with a shared or per-vesicle end time; the
-    vesicles whose own segment is empty sit it out.
+    Every per-vesicle input is a plain array with one element per
+    vesicle: volume, leak, pump and symport rates, free-H+ inventory and
+    symport threshold. The state holds one element per vesicle too:
+    time, C_H_in, C_S_in, the next unsampled grid point and the first
+    depletion time. Every phase is one batched segment with a shared or
+    per-vesicle end time; the vesicles whose own segment is empty sit it
+    out.
     """
 
-    def __init__(self, specs: list[VesicleSpec], kin: KineticConstants,
-                 env: Environment, rates: list[DerivedRates], mode: str,
+    def __init__(self, v_in, leak_rate, pump_rate, n_h, symport_h, gamma_s,
+                 switch, k_m: float, env: Environment, mode: str,
                  grid: np.ndarray):
-        self.specs, self.kin, self.env, self.rates = specs, kin, env, rates
+        self.v_in, self.leak, self.pump = v_in, leak_rate, pump_rate
+        self.n_h, self.symport_h, self.gamma_s = n_h, symport_h, gamma_s
+        self.switch, self.k_m, self.env = switch, k_m, env
         self.mode, self.grid = mode, grid
-        n = len(specs)
-        self.v_in = np.array([spec.v_in for spec in specs])
-        self.gamma_s = np.array([r.symport_rate_substrate for r in rates])
-        self.ramp = self.gamma_s / self.v_in
-        self.switch = np.array([r.switch_conc for r in rates])
-        self.base = _assemble_coefficients(
-            self.v_in, np.array([spec.flux_sign for spec in specs]),
-            *(np.array([getattr(r, name) for r in rates])
-              for name in ("leak_rate", "pump_rate", "total_free_protons",
-                           "symport_rate_proton")),
-            env, light=False, drain=False, beta=1.0)
+        self.ramp = gamma_s / v_in
+        n = v_in.size
         self.t = np.zeros(n)
         self.c_h = np.full(n, env.c_h_in0)
         self.c_s = np.full(n, env.c_s_in0)
         self.cursor = np.zeros(n, dtype=np.intp)
         self.depletion = np.full(n, math.nan)
-        self.depletion_threshold = DEPLETION_FRACTION_OF_KM * kin.k_m
+        self.depletion_threshold = DEPLETION_FRACTION_OF_KM * k_m
         self.c_h_in = np.full((n, grid.size), math.nan)
         self.c_s_in = np.full((n, grid.size), math.nan)
         self.light = np.zeros((n, grid.size), dtype=np.int8)
 
     # -- phase-level helpers -------------------------------------------------
 
-    def coeffs(self, rows, light: bool, drain) -> PhaseCoefficients:
-        """Unattenuated coefficients of vesicles `rows`."""
-        return replace(self.base.take(rows), light=light, drain=drain)
+    def coeffs(self, rows, light: bool, drain):
+        """(a, b, h) of vesicles `rows`, not yet pinned to a segment."""
+        return phase_coefficients(
+            self.v_in[rows], self.leak[rows], self.pump[rows],
+            self.n_h[rows], self.symport_h[rows], self.env, light, drain)
 
-    def relax(self, c_start, co: PhaseCoefficients, dt):
+    def relax(self, c_start, a, b, h, dt):
         """Pin each segment's single-exponential rate to the buffered law.
 
-        Returns coefficients whose closed-form relaxation from c_start
-        passes through the buffered law's state after dt, and that state.
-        Unbuffered, `co` is already exact and is returned unchanged.
+        Returns (a, b, h) divided by a per-vesicle beta so that the
+        closed-form relaxation from c_start passes through the buffered
+        law's state after dt, and that state. Unbuffered, the
+        coefficients are already exact and are returned unchanged.
         """
         b0, k_a = self.env.buffer_total, self.env.k_a
+        s = (b + h) / a
         if b0 <= 0.0:
-            return co, closed_form_proton(c_start, co, dt)
-        s = co.s_inf
-        y = buffered_log_ratio(c_start, co, dt, b0, k_a)
+            return a, b, h, closed_form_proton(c_start, a, s, dt)
+        y = buffered_log_ratio(c_start, a, b + h, dt, b0, k_a)
         moved = y < 0.0
         # where nothing resolvably moves: the local slowdown at c_start
         beta = buffering.buffering_slowdown(c_start, b0, k_a)
-        np.divide(-co.a * dt, y, out=beta, where=moved)  # a/beta = -y/dt
+        np.divide(-a * dt, y, out=beta, where=moved)  # a/beta = -y/dt
         c_end = np.where(moved, s + (c_start - s) * np.exp(y), c_start)
-        return replace(co, beta=beta), c_end
+        return a / beta, b / beta, h / beta, c_end
 
     def _record_depletion(self, rows, times) -> None:
         first = np.isnan(self.depletion[rows])
@@ -677,31 +616,32 @@ class _BatchEngine:
             - t0[:, None]
         end_offset = seg_end - t0
         ramp = self.ramp[rows]
-        co, c_h_end = self.relax(c_h0, self.coeffs(rows, light, drain),
-                                 end_offset)
+        a, b, h, c_h_end = self.relax(c_h0, *self.coeffs(rows, light, drain),
+                                      end_offset)
+        s = (b + h) / a
         column = np.s_[:, None]
-        c_h_pts = closed_form_proton(c_h0[column], co.take(column), offsets)
+        c_h_pts = closed_form_proton(c_h0[column], a[column], s[column],
+                                     offsets)
         c_s_pts = closed_form_substrate(c_s0[column], ramp[column], offsets,
                                         drain[column])
         c_s_end = closed_form_substrate(c_s0, ramp, end_offset, drain)
         if self.mode == "exact":
             # undrained, the exact proton law is the closed form; drained,
             # one quadrature series per vesicle over its points and end
-            c_h_end = closed_form_proton(c_h0, co, end_offset)
+            c_h_end = closed_form_proton(c_h0, a, s, end_offset)
             for r in np.flatnonzero(drain):
                 n = last[r] - first[r]
                 all_off = np.append(offsets[r, :n], end_offset[r])
-                spec, rates = self.specs[rows[r]], self.rates[rows[r]]
-                c_h_all = exact_proton_series(c_h0[r], c_s0[r], co.take(r),
-                                              rates, spec, self.kin, all_off)
-                c_s_all = exact_substrate(c_s0[r], rates, spec, self.kin,
-                                          all_off)
+                lane = (c_s0[r], self.gamma_s[rows[r]], self.v_in[rows[r]],
+                        self.k_m)
+                c_h_all = exact_proton_series(c_h0[r], a[r], b[r], -h[r],
+                                              *lane, all_off)
+                c_s_all = exact_substrate(*lane, all_off)
                 c_h_pts[r, :n], c_h_end[r] = c_h_all[:-1], c_h_all[-1]
                 c_s_pts[r, :n], c_s_end[r] = c_s_all[:-1], c_s_all[-1]
                 if c_s0[r] > self.depletion_threshold:
                     d_off = exact_depletion_offset(
-                        c_s0[r], rates, spec, self.kin,
-                        self.depletion_threshold)
+                        *lane, self.depletion_threshold)
                     if d_off <= end_offset[r]:
                         self._record_depletion(rows[r:r + 1],
                                                t0[r:r + 1] + d_off)
@@ -719,9 +659,9 @@ class _BatchEngine:
         """Upward threshold crossings under lit, symport-free dynamics."""
         out = np.full(self.t.shape, t_from)
         rows = np.flatnonzero(self.c_h < self.switch)
-        co = self.coeffs(rows, light=True, drain=False)
+        a, b, h = self.coeffs(rows, light=True, drain=False)
         out[rows] = predict_buffered_crossing(
-            self.c_h[rows], self.switch[rows], co.a, co.b_prime, t_from,
+            self.c_h[rows], self.switch[rows], a, b + h, t_from,
             self.env.buffer_total, self.env.k_a)
         return out
 
@@ -733,21 +673,21 @@ class _BatchEngine:
         b0, k_a = self.env.buffer_total, self.env.k_a
         above = self.c_h >= self.switch
         d = np.flatnonzero(above & (self.c_s > 0.0) & (self.gamma_s > 0.0))
-        co = self.coeffs(d, light=False, drain=True)
+        a, b, h = self.coeffs(d, light=False, drain=True)
         t_dep = t_from + self.v_in[d] * self.c_s[d] / self.gamma_s[d]
-        tc = predict_buffered_crossing(c_h[d], self.switch[d], co.a,
-                                       co.b_prime, t_from, b0, k_a)
+        tc = predict_buffered_crossing(c_h[d], self.switch[d], a, b + h,
+                                       t_from, b0, k_a)
         first = tc <= t_dep
         out[d[first]] = tc[first]
         late = ~first
-        c_h[d[late]] = self.relax(c_h[d[late]], co.take(late),
-                                  t_dep[late] - t_from)[1]
+        c_h[d[late]] = self.relax(c_h[d[late]], a[late], b[late], h[late],
+                                  t_dep[late] - t_from)[-1]
         t0[d[late]] = t_dep[late]
         above[d[first]] = False
         r = np.flatnonzero(above)  # crossing in the undrained dark
-        co = self.coeffs(r, light=False, drain=False)
-        out[r] = predict_buffered_crossing(c_h[r], self.switch[r], co.a,
-                                           co.b_prime, t0[r], b0, k_a)
+        a, b, h = self.coeffs(r, light=False, drain=False)
+        out[r] = predict_buffered_crossing(c_h[r], self.switch[r], a, b + h,
+                                           t0[r], b0, k_a)
         return out
 
 
@@ -772,7 +712,13 @@ def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
                          "use the finite-difference solver for antiporters")
     rates = [derive_rates(spec, kin, env) for spec in specs]
     grid = np.asarray(sample_times, dtype=float)
-    eng = _BatchEngine(specs, kin, env, rates, mode, grid)
+    eng = _BatchEngine(
+        np.array([spec.v_in for spec in specs]),
+        *(np.array([getattr(r, name) for r in rates])
+          for name in ("leak_rate", "pump_rate", "total_free_protons",
+                       "symport_rate_proton", "symport_rate_substrate",
+                       "switch_conc")),
+        kin.k_m, env, mode, grid)
     if grid.size and grid[0] == 0.0:
         eng.c_h_in[:, 0], eng.c_s_in[:, 0] = env.c_h_in0, env.c_s_in0
         eng.light[:, 0] = signal.is_on(0.0)

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .analytic import lambert_w0_exp, run_analytic, run_analytic_batch
+from .analytic import (BatchTrajectory, lambert_w0_exp, run_analytic,
+                       run_analytic_batch)
 from .model import (_VALID_MODES, AVOGADRO, Environment, KineticConstants,
                     VesicleSpec)
 from .schedule import LightSignal
@@ -234,25 +235,6 @@ class EnsembleConfig:
 
 
 @dataclass
-class ExperimentResult:
-    """Per-vesicle series of one experiment on a common time grid."""
-
-    t: np.ndarray
-    c_h_in: np.ndarray        # (n_mod, n_t)
-    c_s_out: np.ndarray       # (n_mod, n_t), per-SVS contributions
-    symport_start: np.ndarray  # first symport start per vesicle (inf: none)
-    symport_end: np.ndarray    # last symport end per vesicle (nan: none)
-    specs: list[VesicleSpec]
-    t2: np.ndarray            # (n_mod, n_cycles) symport start per cycle
-    t4: np.ndarray            # (n_mod, n_cycles) symport end per cycle
-    depletion_time: np.ndarray  # first depletion per vesicle (nan: none)
-
-    @property
-    def pooled_c_s_out(self) -> np.ndarray:
-        return self.c_s_out.mean(axis=0)
-
-
-@dataclass
 class EnsembleResult:
     """Inter-vesicle and inter-experiment statistics of an ensemble study."""
 
@@ -291,24 +273,18 @@ def experiment_vesicles(dist: PopulationDistributions, cfg: EnsembleConfig,
 def run_experiment(specs: list[VesicleSpec], kin: KineticConstants,
                    env_base: Environment, signal: LightSignal,
                    cfg: EnsembleConfig, solver: str = "closed",
-                   sample_times: np.ndarray | None = None) -> ExperimentResult:
+                   sample_times: np.ndarray | None = None) -> BatchTrajectory:
     """Simulate the vesicles `specs` as independent SVSs.
 
-    All vesicles are solved in one `run_analytic_batch` call; row m
-    equals `run_analytic` of the m-th vesicle bit for bit. `solver` is an
-    analytic mode, 'exact' or 'closed'; any other value raises
-    ModelError.
+    All vesicles are solved in one `run_analytic_batch` call, whose
+    batch this returns; row m equals `run_analytic` of the m-th vesicle
+    bit for bit. `solver` is an analytic mode, 'exact' or 'closed'; any
+    other value raises ModelError.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, signal.horizon, 161)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
-    batch = run_analytic_batch(specs, kin, env, signal, solver, sample_times)
-    start, end = batch.symport_span()
-    return ExperimentResult(t=np.asarray(sample_times), c_h_in=batch.c_h_in,
-                            c_s_out=batch.c_s_out, symport_start=start,
-                            symport_end=end, specs=specs, t2=batch.t2,
-                            t4=batch.t4,
-                            depletion_time=batch.depletion_time)
+    return run_analytic_batch(specs, kin, env, signal, solver, sample_times)
 
 
 def _experiment_worker(args) -> tuple:
@@ -322,13 +298,15 @@ def _experiment_worker(args) -> tuple:
     dist, kin, env_base, signal, cfg, i, solver, sample_times = args
     r = run_experiment(experiment_vesicles(dist, cfg, i), kin, env_base,
                        signal, cfg, solver, sample_times)
+    c_s_out = r.c_s_out
+    start, end = r.symport_span()
     # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
     std_kw = dict(axis=0, ddof=1) if cfg.n_mod > 1 else dict(axis=0, ddof=0)
-    end_median = (np.nanmedian(r.symport_end)
-                  if np.any(np.isfinite(r.symport_end)) else math.nan)
+    end_median = (np.nanmedian(end) if np.any(np.isfinite(end))
+                  else math.nan)
     return (r.c_h_in.mean(axis=0), r.c_h_in.std(**std_kw),
-            r.pooled_c_s_out, r.c_s_out.std(**std_kw),
-            np.median(r.symport_start), end_median)
+            c_s_out.mean(axis=0), c_s_out.std(**std_kw),
+            np.median(start), end_median)
 
 
 def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,

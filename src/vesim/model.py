@@ -9,7 +9,9 @@ concentrations and rates, floats or numpy arrays alike. They are the
 finite-difference step's physics: the shared-pool kernel calls them, and
 the scalar single-vesicle loop inlines them in the same arithmetic order
 (pinned bit for bit by tests/test_fdm.py). The analytic solvers linearise
-the same laws per cycle phase (`analytic.phase_coefficients`).
+the same laws per cycle phase: `analytic.phase_coefficients` takes the
+`DerivedRates` fields as floats or per-vesicle arrays and returns that
+phase's proton coefficients (a, b, h).
 """
 
 from __future__ import annotations

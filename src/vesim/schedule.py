@@ -209,38 +209,6 @@ def _shaped(out: np.ndarray, shape: tuple):
     return out.reshape(shape)[()]
 
 
-def predict_threshold_crossing(c_start, c_target, a, b_prime, t_prev):
-    """Time at which the closed-form proton solution reaches c_target.
-
-    The phase dynamics are C' = -a*C + b', i.e. exponential relaxation
-    towards b'/a. Inverting for C(t) = c_target gives
-
-        t = t_prev - (1/a) * [log(c_target - b'/a) - log(c_start - b'/a)].
-
-    Returns NO_CROSSING when the target is on the far side of the
-    asymptote (the log arguments differ in sign) or behind the start
-    value in relaxation direction (negative delay). Takes floats or
-    arrays of one shape and answers element by element.
-    """
-    shape, (c_start, c_target, a, b_prime, t_prev) = _lanes(
-        c_start, c_target, a, b_prime, t_prev)
-    if np.any(a <= 0.0):
-        raise ScheduleError(
-            f"phase coefficient a must be > 0, got {a[a <= 0.0][0]}")
-    s_inf = b_prime / a
-    num = c_target - s_inf
-    den = c_start - s_inf
-    out = np.full(num.shape, NO_CROSSING)
-    same_side = (num != 0.0) & (den != 0.0) & ((num > 0.0) == (den > 0.0))
-    k = np.flatnonzero(same_side)
-    ratio = num[k] / den[k]
-    k, ratio = k[ratio <= 1.0], ratio[ratio <= 1.0]  # > 1: in the past
-    out[k] = t_prev[k] - np.log(ratio) / a[k]
-    at_target = c_start == c_target
-    out[at_target] = t_prev[at_target]
-    return _shaped(out, shape)
-
-
 def buffered_relaxation_time(c_start, log_ratio, a, b_prime, buffer_total,
                              k_a):
     """Time the buffered proton law takes to leave c_start by a log ratio.
@@ -326,21 +294,43 @@ def predict_buffered_crossing(c_start, c_target, a, b_prime, t_prev,
                               buffer_total, k_a):
     """Time at which the buffered proton law reaches c_target.
 
-    Same conventions as `predict_threshold_crossing`, which it reproduces
-    float for float at buffer_total = 0; the buffer only delays a
-    crossing, it never adds or removes one. Takes floats or arrays of one
-    shape.
+    Unbuffered, the phase dynamics C' = -a*C + b' relax exponentially
+    towards s = b'/a, and inverting for C(t) = c_target gives
+
+        t = t_prev - (1/a) * [log(c_target - s) - log(c_start - s)].
+
+    The buffer only delays a crossing, it never adds or removes one:
+    where that time lies past t_prev, the log ratio goes through
+    `buffered_relaxation_time` instead, which is the same time at
+    buffer_total = 0. Returns NO_CROSSING when the target is on the far
+    side of the asymptote (the log arguments differ in sign) or behind
+    the start value in relaxation direction (negative delay), and t_prev
+    when c_start is the target. Takes floats or arrays of one shape and
+    answers element by element.
     """
     shape, (c_start, c_target, a, b_prime, t_prev, buffer_total, k_a) = \
         _lanes(c_start, c_target, a, b_prime, t_prev, buffer_total, k_a)
-    t = predict_threshold_crossing(c_start, c_target, a, b_prime, t_prev)
-    k = np.flatnonzero((t != NO_CROSSING) & (t != t_prev))
-    if k.size:
-        s_inf = b_prime[k] / a[k]
-        log_ratio = np.log((c_target[k] - s_inf) / (c_start[k] - s_inf))
-        t[k] = t_prev[k] + buffered_relaxation_time(
-            c_start[k], log_ratio, a[k], b_prime[k], buffer_total[k], k_a[k])
-    return _shaped(t, shape)
+    if np.any(a <= 0.0):
+        raise ScheduleError(
+            f"phase coefficient a must be > 0, got {a[a <= 0.0][0]}")
+    s_inf = b_prime / a
+    num = c_target - s_inf
+    den = c_start - s_inf
+    out = np.full(num.shape, NO_CROSSING)
+    same_side = (num != 0.0) & (den != 0.0) & ((num > 0.0) == (den > 0.0))
+    k = np.flatnonzero(same_side)
+    ratio = num[k] / den[k]
+    k, ratio = k[ratio <= 1.0], ratio[ratio <= 1.0]  # > 1: in the past
+    log_ratio = np.log(ratio)
+    out[k] = t_prev[k] - log_ratio / a[k]
+    at_target = c_start == c_target
+    out[at_target] = t_prev[at_target]
+    moved = (out[k] != t_prev[k]) & (out[k] != NO_CROSSING)
+    k = k[moved]
+    out[k] = t_prev[k] + buffered_relaxation_time(
+        c_start[k], log_ratio[moved], a[k], b_prime[k], buffer_total[k],
+        k_a[k])
+    return _shaped(out, shape)
 
 
 def clip_cycle_times(t2_est, t4_est, t1, t3, t1_next):

@@ -229,7 +229,8 @@ def _summarize(sweep: SweepSpec, rows: list[dict]) -> dict:
             by_combo[key] = entry
         summary["combos"] = by_combo
     else:
-        key = "d_mean_nm" if sweep.name == "fig10" else "g_l_mean"
+        # rows are keyed by the population parameter each point sets
+        key = next(iter(sweep.points[0])) if sweep.points else None
         summary["ordering_key"] = key
         summary["rows"] = {f"{r[key]:g}": {k: v for k, v in r.items()
                                            if k != key} for r in ok}

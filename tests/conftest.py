@@ -4,6 +4,8 @@ import pytest
 
 from vesim.model import (default_environment, default_kinetics,
                          default_vesicle, derive_rates)
+from vesim.presets import fig9_scenario
+from vesim.runner import run_scenario
 
 
 @pytest.fixture
@@ -24,6 +26,13 @@ def base_env():
 @pytest.fixture
 def base_rates(base_vesicle, base_kinetics, base_env):
     return derive_rates(base_vesicle, base_kinetics, base_env)
+
+
+@pytest.fixture(scope="session")
+def fig9_preset(tmp_path_factory):
+    """The fig9 preset, run once per session: its output directory and
+    results. Its 160k-step shared pool is the slowest run in the suite."""
+    return run_scenario(fig9_scenario(), tmp_path_factory.mktemp("fig9"))
 
 
 @pytest.fixture(autouse=True)

@@ -32,7 +32,7 @@ from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_svs, stable_dt)
 from vesim.model import (default_environment, default_kinetics,
                          default_vesicle, derive_rates)
 from vesim.presets import (FIG4_EXPECTED_TYPES, fig3_scenario, fig4_scenario,
-                           fig5_scenario, fig9_scenario)
+                           fig5_scenario)
 from vesim.runner import execute_run
 from vesim.schedule import LightSignal, buffered_relaxation_time
 from vesim.sweep import fig6_sweep, fig10_sweep, fig11_sweep, run_sweep
@@ -65,12 +65,6 @@ def fig4_runs():
 def fig5_runs():
     (cfg,) = fig5_scenario().runs
     return _timed(lambda: execute_run(cfg)["trajectories"])
-
-
-@pytest.fixture(scope="session")
-def fig9_run():
-    (cfg,) = fig9_scenario().runs
-    return _timed(lambda: execute_run(cfg))
 
 
 def test_criterion_01_solver_cross_validation_unbuffered():
@@ -118,11 +112,14 @@ def test_criterion_02_equilibrium_invariance(fig3_runs):
 
     # B0=20: the buffered law fixes the pace. Its state at 600 s solves
     # t(C) = 600 s for the lit phase, as a log ratio y = ln((C-s)/(C0-s)).
-    co = phase_coefficients(spec, rates, env20, light=True, drain=False)
-    c0, s = env20.c_h_in0, co.s_inf
+    a, b, h = phase_coefficients(spec.v_in, rates.leak_rate,
+                                 rates.pump_rate, rates.total_free_protons,
+                                 rates.symport_rate_proton, env20,
+                                 light=True, drain=False)
+    c0, s = env20.c_h_in0, (b + h) / a
     y = brentq(lambda y: buffered_relaxation_time(
-        c0, y, co.a, co.b_prime, env20.buffer_total, env20.k_a) - 600.0,
-        -co.a * 600.0, 0.0, xtol=1e-14)
+        c0, y, a, b + h, env20.buffer_total, env20.k_a) - 600.0,
+        -a * 600.0, 0.0, xtol=1e-14)
     law_dev = abs(s + (c0 - s) * math.exp(y) - c_eq) / c_eq
     # ... and with the light left on it settles at the same equilibrium
     lit = simulate_svs(spec, kin, env20, LightSignal([(0.0, 1200.0)], 1200.0),
@@ -271,13 +268,13 @@ def test_criterion_07_lambert_w_correctness():
 
 
 def test_criterion_08_conservation(fig3_runs, fig4_runs, fig5_runs,
-                                   fig9_run):
+                                   fig9_preset):
     drifts = {}
     for label, trajs in fig3_runs[0].items():
         drifts[f"fig3/{label}"] = trajs["fdm"].conservation_drift
     drifts["fig4"] = fig4_runs[0]["fdm"].conservation_drift
     drifts["fig5"] = fig5_runs[0]["fdm"].conservation_drift
-    pool = fig9_run[0]["shared_pool"]
+    pool = fig9_preset[1]["fig9"]["shared_pool"]
     drifts["fig9/shared_pool"] = pool.conservation_drift
     print(f"\n[criterion 8] max inventory drift: "
           f"{max(drifts.values()):.2e} ({drifts})")

@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from vesim import analytic
-from vesim.analytic import (PhaseCoefficients, QuadratureError,
-                            buffered_log_ratio, closed_form_proton,
-                            closed_form_substrate, exact_depletion_offset,
-                            exact_proton_series, exact_substrate,
-                            phase_coefficients, run_analytic,
-                            run_analytic_batch)
+from vesim.analytic import (QuadratureError, buffered_log_ratio,
+                            closed_form_proton, closed_form_substrate,
+                            exact_depletion_offset, exact_proton_series,
+                            exact_substrate, phase_coefficients,
+                            run_analytic, run_analytic_batch)
 from vesim.ensemble import PopulationDistributions, sample_vesicle
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
 from vesim.model import (ModelError, VesicleSpec, default_environment,
@@ -28,66 +27,86 @@ def setup():
     return spec, kin, env, derive_rates(spec, kin, env)
 
 
+def _coeffs(spec, rates, env, light, drain):
+    """(a, b, h) of one phase of the vesicle `spec`."""
+    return phase_coefficients(spec.v_in, rates.leak_rate, rates.pump_rate,
+                              rates.total_free_protons,
+                              rates.symport_rate_proton, env, light, drain)
+
+
+def _target(a, b, h):
+    return (b + h) / a
+
+
+def _lane(spec, kin, rates):
+    """The (gamma_s, v_in, K_M) arguments of the exact substrate law."""
+    return rates.symport_rate_substrate, spec.v_in, kin.k_m
+
+
 class TestPhaseCoefficients:
     def test_auxiliary_terms(self, setup):
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, light=True, drain=False)
-        assert co.j_l_a == pytest.approx(
-            rates.leak_rate * (1 / spec.v_in + 1 / env.v_out), rel=1e-14)
-        assert co.j_p_a == pytest.approx(
-            rates.pump_rate / (env.v_out * env.c_h_out0), rel=1e-14)
-        assert co.j_p_b == pytest.approx(
-            co.j_p_a * rates.total_free_protons / spec.v_in, rel=1e-14)
-        assert co.a > 0
+        j_l_a = rates.leak_rate * (1 / spec.v_in + 1 / env.v_out)
+        j_p_a = rates.pump_rate / (env.v_out * env.c_h_out0)
+        j_l_b = rates.leak_rate * rates.total_free_protons \
+            / (spec.v_in * env.v_out)
+        a, b, h = _coeffs(spec, rates, env, light=True, drain=True)
+        assert a == pytest.approx(j_l_a + j_p_a, rel=1e-14)
+        assert b == pytest.approx(
+            j_l_b + j_p_a * rates.total_free_protons / spec.v_in, rel=1e-14)
+        assert h == pytest.approx(-rates.symport_rate_proton / spec.v_in,
+                                  rel=1e-14)
+        a, b, h = _coeffs(spec, rates, env, light=False, drain=False)
+        assert (a, b, h) == (pytest.approx(j_l_a, rel=1e-14),
+                             pytest.approx(j_l_b, rel=1e-14), 0.0)
+        assert a > 0
 
     def test_dark_equilibrium_is_initial_ph(self, setup):
         # with equal initial pH the dark relaxation target is c_h_in0
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, light=False, drain=False)
-        assert co.s_inf == pytest.approx(env.c_h_in0, rel=1e-12)
+        co = _coeffs(spec, rates, env, light=False, drain=False)
+        assert _target(*co) == pytest.approx(env.c_h_in0, rel=1e-12)
 
     def test_lit_equilibrium_matches_pump_leak_balance(self, setup):
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, light=True, drain=False)
+        co = _coeffs(spec, rates, env, light=True, drain=False)
         c_eq = env.c_h_out0 + rates.pump_rate / rates.leak_rate
-        assert co.s_inf == pytest.approx(c_eq, rel=1e-3)
-
-    def test_attenuation_rescales_rates_not_target(self, setup):
-        spec, kin, env, rates = setup
-        plain = phase_coefficients(spec, rates, env, True, False, beta=1.0)
-        slow = phase_coefficients(spec, rates, env, True, False, beta=1e5)
-        assert slow.a == pytest.approx(plain.a / 1e5, rel=1e-14)
-        assert slow.s_inf == pytest.approx(plain.s_inf, rel=1e-14)
+        assert _target(*co) == pytest.approx(c_eq, rel=1e-3)
 
 
 class TestClosedFormProton:
     def test_boundary_condition(self, setup):
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, True, False)
-        assert closed_form_proton(1.23e-5, co, 0.0) == pytest.approx(
-            1.23e-5, rel=1e-14)
+        a, b, h = _coeffs(spec, rates, env, True, False)
+        assert closed_form_proton(1.23e-5, a, _target(a, b, h), 0.0) \
+            == pytest.approx(1.23e-5, rel=1e-14)
 
     def test_asymptote(self, setup):
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, True, False)
-        assert closed_form_proton(env.c_h_in0, co, 1e9) == pytest.approx(
-            co.s_inf, rel=1e-12)
+        a, b, h = _coeffs(spec, rates, env, True, False)
+        s = _target(a, b, h)
+        assert closed_form_proton(env.c_h_in0, a, s, 1e9) == pytest.approx(
+            s, rel=1e-12)
 
     def test_equilibrium_fixed_point(self, setup):
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, False, False)
-        c = closed_form_proton(co.s_inf, co, 123.4)
-        assert c == pytest.approx(co.s_inf, rel=1e-14)
+        a, b, h = _coeffs(spec, rates, env, False, False)
+        s = _target(a, b, h)
+        assert closed_form_proton(s, a, s, 123.4) == pytest.approx(
+            s, rel=1e-14)
 
     def test_buffer_slows_initial_slope_by_beta(self, setup):
+        # the engine pins a segment by dividing a, b and h by beta; the
+        # target stays and the initial slope falls by beta
         spec, kin, env, rates = setup
         beta = 6.2e-5 * 20.0 / (env.c_h_in0 + 6.2e-5) ** 2
-        plain = phase_coefficients(spec, rates, env, True, False, beta=1.0)
-        buff = phase_coefficients(spec, rates, env, True, False, beta=beta)
+        a, b, h = _coeffs(spec, rates, env, True, False)
+        s_buff = _target(a / beta, b / beta, h / beta)
+        assert s_buff == pytest.approx(_target(a, b, h), rel=1e-14)
         dt = 1e-9  # small against the 2.8 ms unbuffered time constant
-        slope_plain = (closed_form_proton(env.c_h_in0, plain, dt)
-                       - env.c_h_in0) / dt
-        slope_buff = (closed_form_proton(env.c_h_in0, buff, dt)
+        slope_plain = (closed_form_proton(env.c_h_in0, a, _target(a, b, h),
+                                          dt) - env.c_h_in0) / dt
+        slope_buff = (closed_form_proton(env.c_h_in0, a / beta, s_buff, dt)
                       - env.c_h_in0) / dt
         assert slope_plain / slope_buff == pytest.approx(beta, rel=1e-4)
         assert beta == pytest.approx(1.1966e5, rel=1e-3)
@@ -107,9 +126,7 @@ def test_buffered_log_ratio_inverts_the_buffered_law(a, target, c_start, b0,
     # stalls; the inversion must stay inside that bracket
     s = target * c_start
     assume(abs(s - c_start) > 1e-3 * c_start)
-    co = PhaseCoefficients(j_l_a=a, j_p_a=0.0, j_l_b=a * s, j_p_b=0.0,
-                           j_sym_b=0.0, beta=1.0, light=False, drain=False)
-    y = buffered_log_ratio(c_start, co, dt, b0, k_a)
+    y = buffered_log_ratio(c_start, a, a * s, dt, b0, k_a)
     assert -a * dt <= y <= 0.0
     # t moves by S(C)/a per unit of y; next to the stall that turns the
     # rounding of y and of C + k_a into more than 1e-9 of dt
@@ -128,22 +145,16 @@ def test_buffered_log_ratio_is_elementwise(cases):
     # each element iterates alone: the batch equals its 0-d and float
     # calls bit for bit, whatever its neighbours need
     a, target, c, b0, k_a, dt = (np.array(x) for x in zip(*cases))
-
-    def log_ratio(c, a, s, dt, b0, k_a):
-        co = PhaseCoefficients(j_l_a=a, j_p_a=0.0, j_l_b=a * s, j_p_b=0.0,
-                               j_sym_b=0.0, beta=1.0, light=False,
-                               drain=False)
-        return buffered_log_ratio(c, co, dt, b0, k_a)
-
-    s = target * c
-    batch = log_ratio(c, a, s, dt, b0, k_a)
+    b_prime = a * (target * c)
+    batch = buffered_log_ratio(c, a, b_prime, dt, b0, k_a)
     assert batch.shape == c.shape
     for k in range(c.size):
-        args = (c[k], a[k], s[k], dt[k], b0[k], k_a[k])
-        zero_d = log_ratio(*map(np.array, args))
+        args = (c[k], a[k], b_prime[k], dt[k], b0[k], k_a[k])
+        zero_d = buffered_log_ratio(*map(np.array, args))
         assert isinstance(zero_d, float)
         assert np.array_equal(zero_d, batch[k])
-        assert np.array_equal(log_ratio(*map(float, args)), batch[k])
+        assert np.array_equal(buffered_log_ratio(*map(float, args)),
+                              batch[k])
 
 
 class TestSubstrateLaws:
@@ -164,7 +175,7 @@ class TestSubstrateLaws:
 
     def test_exact_initial_condition(self, setup):
         spec, kin, env, rates = setup
-        assert exact_substrate(300.0, rates, spec, kin, 0.0) \
+        assert exact_substrate(300.0, *_lane(spec, kin, rates), 0.0) \
             == pytest.approx(300.0, rel=1e-12)
 
     def test_exact_near_linear_for_large_cargo(self, setup):
@@ -172,7 +183,7 @@ class TestSubstrateLaws:
         # law tracks the linear ramp within 0.5%
         spec, kin, env, rates = setup
         dt = 1e4
-        exact = exact_substrate(300.0, rates, spec, kin, dt)
+        exact = exact_substrate(300.0, *_lane(spec, kin, rates), dt)
         linear = 300.0 - rates.symport_rate_substrate / spec.v_in * dt
         assert exact == pytest.approx(linear, rel=5e-3)
 
@@ -182,7 +193,7 @@ class TestSubstrateLaws:
         c0, km = 3.14, kin.k_m
         rate = rates.symport_rate_substrate / spec.v_in
         for dt in (10.0, 500.0, 2500.0, 3400.0):
-            c = float(exact_substrate(c0, rates, spec, kin, dt))
+            c = float(exact_substrate(c0, *_lane(spec, kin, rates), dt))
             lhs = c + km * math.log(c)
             rhs = c0 + km * math.log(c0) - rate * dt
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -190,37 +201,39 @@ class TestSubstrateLaws:
     def test_depletion_offset_inverts_substrate_law(self, setup):
         spec, kin, env, rates = setup
         thr = 1e-2 * kin.k_m
-        off = exact_depletion_offset(3.14, rates, spec, kin, thr)
-        assert float(exact_substrate(3.14, rates, spec, kin, off)) \
+        lane = _lane(spec, kin, rates)
+        off = exact_depletion_offset(3.14, *lane, thr)
+        assert float(exact_substrate(3.14, *lane, off)) \
             == pytest.approx(thr, rel=1e-10)
 
 
 class TestExactProton:
     def test_reduces_to_closed_without_drain(self, setup):
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, True, False)
+        a, b, h = _coeffs(spec, rates, env, True, False)
         dts = np.array([0.0, 1.0, 10.0, 100.0])
-        exact = exact_proton_series(env.c_h_in0, 300.0, co, rates, spec,
-                                    kin, dts)
-        closed = closed_form_proton(env.c_h_in0, co, dts)
+        exact = exact_proton_series(env.c_h_in0, a, b, 0.0, 300.0,
+                                    *_lane(spec, kin, rates), dts)
+        closed = closed_form_proton(env.c_h_in0, a, _target(a, b, h), dts)
         assert np.allclose(exact, closed, rtol=1e-14)
 
     def test_quadrature_against_brute_force_euler(self, setup):
-        # independent oracle: integrate the same attenuated ODE with a
-        # tiny explicit step, drain following the exact substrate law
+        # independent oracle: integrate the same ODE with a tiny explicit
+        # step, drain following the exact substrate law
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, True, True, beta=1.0)
+        a, b, _ = _coeffs(spec, rates, env, True, True)
         drain = rates.symport_rate_proton / spec.v_in
+        lane = _lane(spec, kin, rates)
         c0 = rates.switch_conc
         dt_end = 0.05
         n = 200000
         h = dt_end / n
-        c_s = exact_substrate(3.14, rates, spec, kin, np.arange(n) * h)
+        c_s = exact_substrate(3.14, *lane, np.arange(n) * h)
         sat = (c_s / (c_s + kin.k_m)).tolist()
         c = c0
         for k in range(n):
-            c += h * (-co.a * c + co.b - drain * sat[k])
-        series = exact_proton_series(c0, 3.14, co, rates, spec, kin,
+            c += h * (-a * c + b - drain * sat[k])
+        series = exact_proton_series(c0, a, b, drain, 3.14, *lane,
                                      np.array([dt_end]))
         assert series[0] == pytest.approx(c, rel=1e-6)
 
@@ -229,9 +242,9 @@ class TestExactProton:
         # across 40 e-folds of the exponential weight one 15-point rule
         # misses tolerance; bisection recovers it, a zero budget cannot
         spec, kin, env, rates = setup
-        co = phase_coefficients(spec, rates, env, True, True)
-        args = (rates.switch_conc, 3.14, co, rates, spec, kin,
-                np.array([40.0 / co.a]))
+        a, b, h = _coeffs(spec, rates, env, True, True)
+        args = (rates.switch_conc, a, b, -h, 3.14, *_lane(spec, kin, rates),
+                np.array([40.0 / a]))
         converged = exact_proton_series(*args)
         monkeypatch.setattr(analytic, "_MAX_SUBDIVISIONS", 0)
         with pytest.raises(QuadratureError) as info:
@@ -252,15 +265,13 @@ def test_gauss_kronrod_constants_integrate_polynomials_exactly():
                                                                  abs=1e-15)
 
 
-def _chained_quad_reference(c_start, c_s_start, co, rates, spec, kin,
-                            offsets):
+def _chained_quad_reference(c_start, a, b, drain, c_s_start, gamma_s, v_in,
+                            k_m, offsets):
     """quad per sample interval of (b - drain*sat(u))*e^(-a(t_k - u)),
     chained through c_k = c_(k-1)*e^(-a*d_k) + I_k."""
-    a, b, drain = co.a, co.b, -co.j_sym_b / co.beta
-
     def g(u, t_k):
-        c_s = float(exact_substrate(c_s_start, rates, spec, kin, u))
-        return (b - drain * c_s / (c_s + kin.k_m)) * math.exp(-a * (t_k - u))
+        c_s = float(exact_substrate(c_s_start, gamma_s, v_in, k_m, u))
+        return (b - drain * c_s / (c_s + k_m)) * math.exp(-a * (t_k - u))
 
     out, c, t_prev = [], c_start, 0.0
     for t_k in offsets:
@@ -282,12 +293,13 @@ def test_exact_series_matches_chained_quad(c_s_ratio, beta, light, steps,
     spec, kin, env = default_vesicle(), default_kinetics(), \
         default_environment()
     rates = derive_rates(spec, kin, env)
-    co = phase_coefficients(spec, rates, env, light, True, beta=beta)
+    # a drained phase pinned by beta, as a buffered segment is
+    a, b, h = (v / beta for v in _coeffs(spec, rates, env, light, True))
     # uneven gaps, one of them longer than 45 e-folds of the weight
-    steps.insert(min(at, len(steps)), long_gap / co.a)
+    steps.insert(min(at, len(steps)), long_gap / a)
     offsets = np.cumsum(steps)
-    args = (rates.switch_conc, c_s_ratio * kin.k_m, co, rates, spec, kin,
-            offsets)
+    args = (rates.switch_conc, a, b, -h, c_s_ratio * kin.k_m,
+            *_lane(spec, kin, rates), offsets)
     np.testing.assert_allclose(exact_proton_series(*args),
                                _chained_quad_reference(*args), rtol=1e-9)
 

@@ -165,7 +165,7 @@ class TestEnsembleRuns:
         exp = run_experiment(_draw(pop, cfg, rng), kin, env, signal, cfg,
                              sample_times=np.linspace(0, 1600, 9))
         assert exp.c_h_in.shape == (5, 9)
-        assert exp.pooled_c_s_out.shape == (9,)
+        assert exp.c_s_out.mean(axis=0).shape == (9,)
         assert np.all(np.isfinite(exp.c_h_in))
 
 
@@ -212,10 +212,10 @@ def test_experiment_rows_equal_single_vesicle_runs(seed, mode, b0, c_s_in0,
     env = default_environment(v_out=cfg.v_out_per_vesicle, buffer_total=b0,
                               c_s_in0=c_s_in0)
     ts = np.linspace(0.0, signal.horizon, n_t)
-    exp = run_experiment(_draw(PopulationDistributions(), cfg,
-                               np.random.default_rng(seed)),
-                         kin, env, signal, cfg, mode, ts)
-    for m, spec in enumerate(exp.specs):
+    specs = _draw(PopulationDistributions(), cfg, np.random.default_rng(seed))
+    exp = run_experiment(specs, kin, env, signal, cfg, mode, ts)
+    start, end = exp.symport_span()
+    for m, spec in enumerate(specs):
         one = run_analytic(spec, kin, env, signal, mode, sample_times=ts)
         assert np.array_equal(exp.c_h_in[m], one.c_h_in)
         assert np.array_equal(exp.c_s_out[m], one.c_s_out)
@@ -227,11 +227,11 @@ def test_experiment_rows_equal_single_vesicle_runs(seed, mode, b0, c_s_in0,
         assert (math.isnan(exp.depletion_time[m]) if t_dep is None
                 else exp.depletion_time[m] == t_dep)
         active = [c for c in cycles if c.t4 > c.t2]
-        assert exp.symport_start[m] == (active[0].t2 if active else math.inf)
+        assert start[m] == (active[0].t2 if active else math.inf)
         if active:
-            assert exp.symport_end[m] == active[-1].t4
+            assert end[m] == active[-1].t4
         else:
-            assert math.isnan(exp.symport_end[m])
+            assert math.isnan(end[m])
 
 
 def test_closed_ramp_depletes_some_vesicles_mid_phase():
@@ -347,9 +347,9 @@ def test_shared_pool_draws_experiment_zeros_vesicles(monkeypatch):
                         lambda specs, *args: pooled.append(specs))
     res = runner.execute_run(cfg)
     rng = np.random.default_rng(np.random.SeedSequence((11, 0)))
-    exp0 = run_experiment(_draw(cfg.population, cfg.ensemble, rng),
-                          cfg.kinetics, cfg.environment, cfg.signal,
+    specs0 = _draw(cfg.population, cfg.ensemble, rng)
+    exp0 = run_experiment(specs0, cfg.kinetics, cfg.environment, cfg.signal,
                           cfg.ensemble, "closed", res["ensemble"].t)
-    assert pooled == [exp0.specs]
-    assert np.array_equal(exp0.pooled_c_s_out,
+    assert pooled == [specs0]
+    assert np.array_equal(exp0.c_s_out.mean(axis=0),
                           res["ensemble"].per_exp_c_s_out[0])

@@ -12,7 +12,7 @@ from vesim.presets import (FIG4_EXPECTED_TYPES, describe_presets,
 from vesim.runner import run_scenario
 from vesim.schedule import LightSignal
 from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_point, _point_worker,
-                         fig6_sweep, run_sweep)
+                         fig6_sweep, fig10_sweep, run_sweep)
 
 
 def test_preset_registry_complete():
@@ -36,13 +36,13 @@ def test_fig4_scenario_selfcheck(tmp_path):
     assert [c["type"] for c in sched] == FIG4_EXPECTED_TYPES
 
 
-def test_fig9_scenario_shared_pool(tmp_path):
-    scenario = fig9_scenario(seed=3, n_mod=6, n_ex=2)
-    out, results = run_scenario(scenario, tmp_path / "fig9")
+def test_fig9_scenario_shared_pool(fig9_preset):
+    out, results = fig9_preset
     res = results["fig9"]
     assert res["ensemble"] is not None
     assert res["shared_pool"] is not None
-    assert len(res["shared_pool"].trajectories) == 6
+    (cfg,) = fig9_scenario().runs
+    assert len(res["shared_pool"].trajectories) == cfg.ensemble.n_mod
     manifest = json.loads((out / "manifest.json").read_text())
     # the pooled-compartment baseline stays inside the closed-form
     # approximation's error band (same sampled vesicles on both sides)
@@ -86,6 +86,17 @@ def test_sweep_point_failure_isolated():
     assert result.summary["failed"] == 1
     assert "error" in result.rows[0]
     assert "error" not in result.rows[1]
+
+
+def test_ensemble_sweep_keys_rows_by_the_point_parameter():
+    # a renamed fig10 sweep still orders its rows by mean diameter
+    spec = dataclasses.replace(fig10_sweep(), name="diameters",
+                               points=fig10_sweep().points[:1])
+    summary = run_sweep(spec).summary
+    assert summary["failed"] == 0
+    assert summary["ordering_key"] == "d_mean_nm"
+    assert list(summary["rows"]) == ["100"]
+    assert "d_mean_nm" not in summary["rows"]["100"]
 
 
 def test_sweep_worker_roundtrip():

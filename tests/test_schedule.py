@@ -9,7 +9,6 @@ from vesim.schedule import (NO_CROSSING, CycleRecord, LightSignal,
                             ScheduleError, _lag_kernel,
                             buffered_relaxation_time, classify_cycle,
                             clip_cycle_times, predict_buffered_crossing,
-                            predict_threshold_crossing,
                             schedule_from_crossings, schedule_from_times,
                             schedule_is_final)
 
@@ -38,33 +37,36 @@ class TestLightSignal:
         assert sig.cycle_bounds(1) == (50, 80, 200)
 
 
+def _unbuffered_crossing(c_start, c_target, a, b_prime, t_prev):
+    return predict_buffered_crossing(c_start, c_target, a, b_prime, t_prev,
+                                     0.0, 6.2e-5)
+
+
 class TestPrediction:
     def test_already_at_threshold(self):
-        assert predict_threshold_crossing(2.0, 2.0, 0.1, 0.5, 7.0) == 7.0
+        assert _unbuffered_crossing(2.0, 2.0, 0.1, 0.5, 7.0) == 7.0
 
     def test_asymptote_below_target(self):
         # rises towards b'/a = 1 but the target is 2: no crossing
-        assert predict_threshold_crossing(0.5, 2.0, 1.0, 1.0, 0.0) \
-            == NO_CROSSING
+        assert _unbuffered_crossing(0.5, 2.0, 1.0, 1.0, 0.0) == NO_CROSSING
 
     def test_simple_rise(self):
         # C(t) = 2 - 1.5 e^-t, target 1.0 -> t = ln(1.5)
-        t = predict_threshold_crossing(0.5, 1.0, 1.0, 2.0, 0.0)
+        t = _unbuffered_crossing(0.5, 1.0, 1.0, 2.0, 0.0)
         assert t == pytest.approx(math.log(1.5), rel=1e-12)
 
     def test_decay_crossing(self):
         # C(t) = 1 + (3-1)e^-2t, target 2 -> t = ln(2)/2
-        t = predict_threshold_crossing(3.0, 2.0, 2.0, 2.0, 0.0)
+        t = _unbuffered_crossing(3.0, 2.0, 2.0, 2.0, 0.0)
         assert t == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
 
     def test_target_behind_start(self):
         # decaying towards 1 from 1.5; target 3 was never ahead
-        assert predict_threshold_crossing(1.5, 3.0, 1.0, 1.0, 0.0) \
-            == NO_CROSSING
+        assert _unbuffered_crossing(1.5, 3.0, 1.0, 1.0, 0.0) == NO_CROSSING
 
     def test_requires_positive_a(self):
         with pytest.raises(ScheduleError):
-            predict_threshold_crossing(1.0, 2.0, 0.0, 1.0, 0.0)
+            _unbuffered_crossing(1.0, 2.0, 0.0, 1.0, 0.0)
 
 
 def _log10_floats(lo, hi):
@@ -92,9 +94,12 @@ def test_buffered_crossing_integrates_the_buffered_law(a, k_a, b0, c_from,
                / (b_prime - a * c), c_from, c_to,
                epsabs=0.0, epsrel=1e-13, limit=200)[0]
     assert t == pytest.approx(ref, rel=1e-9)
-    assert (predict_buffered_crossing(c_from, c_to, a, b_prime, t_prev,
-                                      0.0, k_a)
-            == predict_threshold_crossing(c_from, c_to, a, b_prime, t_prev))
+    # unbuffered, the law inverts to the exponential's log ratio
+    s_inf = b_prime / a
+    assert predict_buffered_crossing(c_from, c_to, a, b_prime, t_prev, 0.0,
+                                     k_a) == pytest.approx(
+        t_prev - math.log((c_to - s_inf) / (c_from - s_inf)) / a,
+        rel=1e-12)
 
 
 def assert_elementwise(fn, *columns):
@@ -135,7 +140,6 @@ def test_crossing_helpers_are_elementwise(cases, swap):
     if swap:  # targets behind the start or past the asymptote
         c, c_to = c_to, c
     assume(np.all(c_to + k_a > 0.0) and np.all(c + k_a > 0.0))
-    assert_elementwise(predict_threshold_crossing, c, c_to, a, a * s, t_prev)
     assert_elementwise(predict_buffered_crossing, c, c_to, a, a * s, t_prev,
                        b0, k_a)
 
