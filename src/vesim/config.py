@@ -80,18 +80,29 @@ def parse_quantity(value, dimension: str, path: str) -> float:
         raise ConfigError(
             f"{path}: expected a {dimension} (e.g. "
             f"'{_CANONICAL_UNIT[dimension]}'), got {dim} unit {unit!r}")
-    return num * scale
+    return _finite(num * scale, value, path)
 
 
 def format_quantity(si_value: float, dimension: str) -> str:
     return f"{si_value!r} {_CANONICAL_UNIT[dimension]}"
 
 
+def _finite(num: float, value, path: str) -> float:
+    """`num`, parsed from `value`, unless it is infinite or NaN."""
+    if not math.isfinite(num):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return num
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a dimensionless number, "
                           f"got {value!r}")
-    return float(value)
+    try:
+        num = float(value)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    return _finite(num, value, path)
 
 
 def _integer(value, path: str) -> int:

@@ -272,8 +272,8 @@ def experiment_vesicles(dist: PopulationDistributions, cfg: EnsembleConfig,
 
 def run_experiment(specs: list[VesicleSpec], kin: KineticConstants,
                    env_base: Environment, signal: LightSignal,
-                   cfg: EnsembleConfig, solver: str = "closed",
-                   sample_times: np.ndarray | None = None) -> BatchTrajectory:
+                   cfg: EnsembleConfig, solver: str,
+                   sample_times: np.ndarray) -> BatchTrajectory:
     """Simulate the vesicles `specs` as independent SVSs.
 
     All vesicles are solved in one `run_analytic_batch` call, whose
@@ -281,8 +281,6 @@ def run_experiment(specs: list[VesicleSpec], kin: KineticConstants,
     bit for bit. `solver` is an analytic mode, 'exact' or 'closed'; any
     other value raises ModelError.
     """
-    if sample_times is None:
-        sample_times = np.linspace(0.0, signal.horizon, 161)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
     return run_analytic_batch(specs, kin, env, signal, solver, sample_times)
 
@@ -311,9 +309,8 @@ def _experiment_worker(args) -> tuple:
 
 def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
                  env_base: Environment, signal: LightSignal,
-                 cfg: EnsembleConfig, solver: str = "closed",
-                 sample_times: np.ndarray | None = None,
-                 workers: int = 1) -> EnsembleResult:
+                 cfg: EnsembleConfig, solver: str = "closed", *,
+                 sample_times: np.ndarray, workers: int = 1) -> EnsembleResult:
     """Run n_ex seeded experiments and collect their statistics.
 
     Experiment i solves `experiment_vesicles(dist, cfg, i)`, so results
@@ -321,8 +318,6 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     ordered by experiment index). Each experiment is reduced to its
     statistics as it finishes.
     """
-    if sample_times is None:
-        sample_times = np.linspace(0.0, signal.horizon, 161)
     sample_times = np.asarray(sample_times, dtype=float)
     jobs = [(dist, kin, env_base, signal, cfg, i, solver, sample_times)
             for i in range(cfg.n_ex)]

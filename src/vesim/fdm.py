@@ -14,11 +14,11 @@ The flux laws are those of `model.py`. The shared-pool kernel calls them
 on per-vesicle arrays and re-equilibrates with `free_proton_conc_array`.
 The single-vesicle loop inlines them and `free_proton_conc` in the same
 arithmetic order, since in CPython a function call costs as much as the
-step's arithmetic, and a test pins the two bit for bit. That loop also
-keeps every test out of the step that cannot change within it: steps
-run in blocks between record steps, light switches and drift checks,
-and the symport condition is one flag, changed only when the threshold
-test flips or the cargo runs out.
+step's arithmetic, and a test pins the two bit for bit. Both kernels
+keep out of the step every test that cannot change within it: they walk
+the blocks of `_step_blocks`, which end at every record step, light
+switch and drift check. The single-vesicle symport condition is one
+flag, changed only when the threshold test flips or the cargo runs out.
 
 Symport threshold crossings are detected by the sign change of
 (C_H_in - C_switch) with linear interpolation between steps and then
@@ -38,12 +38,14 @@ by one argmax over one flag array and handled lane by lane only in the
 steps that have one. A stable step keeps each Michaelis-Menten decrement
 below the cargo in exact arithmetic, but once the fluxes underflow to
 subnormals their rounding can overshoot it, so the clamp at 0 stays.
+The pool returns its record arrays, one column per vesicle, as they are.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,7 @@ from .buffering import (buffering_slowdown, free_proton_conc,
 from .model import (DerivedRates, Environment, KineticConstants, VesicleSpec,
                     derive_rates, leakage_flux, net_proton_inflow, pump_flux,
                     symport_flux, symport_gate)
-from .schedule import (LightSignal, schedule_from_crossings,
+from .schedule import (CycleSchedule, LightSignal, schedule_from_crossings,
                        schedule_is_final)
 from .trajectory import Event, Trajectory
 
@@ -79,9 +81,10 @@ class FdmConfig:
     record_stride: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.record_stride < 1 or self.record_stride != int(self.record_stride):
+        if not 0.0 < self.dt < math.inf:  # also refuses NaN
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if (not isinstance(self.record_stride, numbers.Integral)
+                or self.record_stride < 1):
             raise ValueError("record_stride must be a positive integer")
 
     def check_stability(self, spec: VesicleSpec, kin: KineticConstants,
@@ -134,20 +137,42 @@ def stable_dt(spec: VesicleSpec, kin: KineticConstants,
     return 10.0 ** exp
 
 
-def _light_intervals(signal: LightSignal, dt: float,
-                     n_steps: int) -> list[tuple[int, int]]:
-    """Each light interval as the steps [k_on, k_off) it lights."""
-    return [(min(int(round(t_on / dt)), n_steps),
-             min(int(round(t_off / dt)), n_steps))
-            for t_on, t_off in signal.intervals]
+def _step_blocks(signal: LightSignal, dt: float, n_steps: int,
+                 stride: int):
+    """The steps [0, n_steps) as blocks (k0, k1, light), in order.
+
+    Blocks end at every record step (k % stride == 0 and n_steps), at
+    every light switch and at every k with k % 1000 == 1, the step before
+    which a kernel samples the drift; `light` is the illumination of each
+    of the block's steps. The last block is (n_steps, n_steps), the final
+    record. Light switch times are rounded to the step grid.
+    """
+    lights = [(min(int(round(t_on / dt)), n_steps),
+               min(int(round(t_off / dt)), n_steps))
+              for t_on, t_off in signal.intervals]
+    edges = np.unique(np.concatenate((
+        np.arange(0, n_steps + 1, stride), [n_steps],
+        np.arange(1, n_steps, 1000),
+        np.array(lights, dtype=int).ravel())))
+    edge_light = np.zeros(len(edges), dtype=bool)
+    for k_on, k_off in lights:
+        edge_light[np.searchsorted(edges, k_on):
+                   np.searchsorted(edges, k_off)] = True
+    edges = edges.tolist()
+    return zip(edges, edges[1:] + [n_steps], edge_light.tolist())
 
 
-def _light_steps(signal: LightSignal, dt: float, n_steps: int) -> np.ndarray:
-    """Per-step illumination flags on the step grid."""
-    light = np.zeros(n_steps, dtype=bool)
-    for k_on, k_off in _light_intervals(signal, dt, n_steps):
-        light[k_on:k_off] = True
-    return light
+def _record_count(n_steps: int, stride: int) -> int:
+    """Samples recorded: every stride-th step from 0, and step n_steps."""
+    return n_steps // stride + 1 + (1 if n_steps % stride else 0)
+
+
+def _inventory_drift(h_total, h_total0, s_total, s_total0):
+    """Relative H+ or substrate inventory drift, whichever is larger."""
+    drift = abs(h_total - h_total0) / h_total0
+    if s_total0 > 0:
+        drift = max(drift, abs(s_total - s_total0) / s_total0)
+    return drift
 
 
 def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
@@ -156,9 +181,10 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     """Ground-truth trajectory of a single vesicle system.
 
     Each step makes the float operations of `simulate_mvs_shared_pool`
-    with one vesicle, in the same order, so the two agree bit for bit;
-    the loop around them runs per step only what can change per step
-    (see the module docstring).
+    with one vesicle, in the same order, so the two agree bit for bit.
+    The steps run in the blocks of `_step_blocks`, which both kernels
+    walk; per step the loop runs only what can change per step (see the
+    module docstring).
 
     With `until_settled`, the run stops at the first record step at which
     `schedule_is_final` holds, so its `schedule` is the full run's. The
@@ -196,7 +222,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     ts_out = 0.0
     s_total0 = cs_in * v_in
 
-    n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
+    n_rec = _record_count(n_steps, stride)
     rec_t = np.empty(n_rec)
     rec_chin = np.empty(n_rec)
     rec_chout = np.empty(n_rec)
@@ -206,8 +232,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
 
     crossings: list[tuple[float, int]] = []
     events: list[Event] = []
-    max_h_drift = 0.0
-    max_s_drift = 0.0
+    drift = 0.0
 
     c_in = free_proton_conc(th_in / v_in, b0, k_a)
     c_out = free_proton_conc(th_out / v_out, b0, k_a)
@@ -220,22 +245,8 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     release = above and cargo
     depleted = False
 
-    # The steps run in blocks that end at every record step, every light
-    # switch and every step after which the drift is checked (k % 1000
-    # == 0), so none of those tests runs per step.
-    lights = _light_intervals(signal, dt, n_steps)
-    edges = np.unique(np.concatenate((
-        np.arange(0, n_steps + 1, stride), [n_steps],
-        np.arange(1, n_steps, 1000),
-        np.array(lights, dtype=int).ravel())))
-    edge_light = np.zeros(len(edges), dtype=bool)
-    for k_on, k_off in lights:
-        edge_light[np.searchsorted(edges, k_on):
-                   np.searchsorted(edges, k_off)] = True
-    edges = edges.tolist()
     ri = 0
-    for k0, k1, light in zip(edges, edges[1:] + [n_steps],
-                             edge_light.tolist()):
+    for k0, k1, light in _step_blocks(signal, dt, n_steps, stride):
         # C_S_in moves only in release steps, which test it for depletion;
         # a run that starts below the threshold reports it after step 0
         if k0 == 1 and not depleted and cs_in < dep_threshold:
@@ -254,12 +265,8 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                     signal, crossings, active_at_start, k0 * dt)):
                 break
         if k0 % 1000 == 1:  # the state after step k0 - 1
-            max_h_drift = max(max_h_drift,
-                              abs(th_in + th_out - h_total0) / h_total0)
-            if s_total0 > 0:
-                max_s_drift = max(max_s_drift,
-                                  abs(cs_in * v_in + ts_out - s_total0)
-                                  / s_total0)
+            drift = max(drift, _inventory_drift(
+                th_in + th_out, h_total0, cs_in * v_in + ts_out, s_total0))
         lit = light and pump_on
 
         # model.pump_flux, symport_flux, leakage_flux and net_proton_inflow
@@ -326,10 +333,8 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                 crossings.append((k * dt + frac * dt, 1 if above else -1))
                 release = above and cargo
 
-    max_h_drift = max(max_h_drift, abs(th_in + th_out - h_total0) / h_total0)
-    if s_total0 > 0:
-        max_s_drift = max(max_s_drift,
-                          abs(cs_in * v_in + ts_out - s_total0) / s_total0)
+    drift = max(drift, _inventory_drift(
+        th_in + th_out, h_total0, cs_in * v_in + ts_out, s_total0))
 
     if ri < n_rec:  # stopped once the schedule was final
         rec_t, rec_chin, rec_chout, rec_csin, rec_csout, rec_light = (
@@ -342,7 +347,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         c_s_out=rec_csout, light=rec_light,
         cycle=np.asarray(cycles, dtype=int), phase=phases, schedule=sched,
         solver="fdm", derived=rates, events=events,
-        conservation_drift=max(max_h_drift, max_s_drift),
+        conservation_drift=drift,
     )
 
 
@@ -351,18 +356,23 @@ class SharedPoolResult:
     """Multi-vesicle run against one common extravesicular pool.
 
     Attributes:
-        trajectories: per-vesicle trajectories; their C_H_out column holds
-            the shared pool concentration, while C_S_out is the vesicle's
-            own release scaled to its volume allotment
-        t: shared sample times
+        t: shared sample times, shape (n_t,)
+        c_h_in / c_s_in: each vesicle's free H+ and substrate
+            concentrations (mol/m^3), shape (n_t, n), one column per
+            vesicle in the order of the specs
         pooled_c_h_out / pooled_c_s_out: pool concentrations (mol/m^3)
+        schedules: each vesicle's cycle schedule, from its crossings
+        events: each vesicle's depletion events
         conservation_drift: max relative inventory drift over the run
     """
 
-    trajectories: list[Trajectory]
     t: np.ndarray
+    c_h_in: np.ndarray
+    c_s_in: np.ndarray
     pooled_c_h_out: np.ndarray
     pooled_c_s_out: np.ndarray
+    schedules: list[CycleSchedule]
+    events: list[list[Event]]
     conservation_drift: float
 
 
@@ -372,10 +382,10 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     """Step all vesicles against one shared extravesicular compartment.
 
     `env_total.v_out` is the pool volume available to the modeled
-    vesicles; every vesicle's nominal allotment (used for its threshold
-    concentration and its per-SVS output scaling) is v_out / len(specs).
-    This run violates vesicle independence on purpose: it is the baseline
-    against which the independent-compartment approximation is judged.
+    vesicles; every vesicle's nominal allotment, which sets its threshold
+    concentration, is v_out / len(specs). This run violates vesicle
+    independence on purpose: it is the baseline against which the
+    independent-compartment approximation is judged.
     """
     if not specs:
         raise ValueError("need at least one vesicle")
@@ -390,7 +400,6 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
 
     dt = cfg.dt
     n_steps = int(round(signal.horizon / dt))
-    light = _light_steps(signal, dt, n_steps).tolist()
     stride = cfg.record_stride
     b0, k_a, km = env_total.buffer_total, env_total.k_a, kin.k_m
     c_out0 = env_total.c_h_out0
@@ -410,13 +419,12 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     h_total0 = th_in.sum() + pool_th
     s_total0 = (cs_in * v_in).sum()
 
-    n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
+    n_rec = _record_count(n_steps, stride)
     rec_t = np.empty(n_rec)
     rec_chin = np.empty((n_rec, n_ves))
     rec_csin = np.empty((n_rec, n_ves))
     rec_pool_h = np.empty(n_rec)
     rec_pool_s = np.empty(n_rec)
-    rec_light = np.empty(n_rec, dtype=int)
 
     crossings: list[list[tuple[float, int]]] = [[] for _ in range(n_ves)]
     events: list[list[Event]] = [[] for _ in range(n_ves)]
@@ -433,88 +441,72 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     drift = 0.0
 
     ri = 0
-    for k in range(n_steps + 1):
-        if k % stride == 0 or k == n_steps:
-            idx = min(ri, n_rec - 1)
-            rec_t[idx] = k * dt
-            rec_chin[idx] = c_in
-            rec_csin[idx] = cs_in
-            rec_pool_h[idx] = c_pool
-            rec_pool_s[idx] = pool_ts / v_pool
-            rec_light[idx] = 1 if (k < n_steps and light[k]) else 0
+    for k0, k1, light in _step_blocks(signal, dt, n_steps, stride):
+        if k0 % stride == 0 or k0 == n_steps:
+            rec_t[ri] = k0 * dt
+            rec_chin[ri] = c_in
+            rec_csin[ri] = cs_in
+            rec_pool_h[ri] = c_pool
+            rec_pool_s[ri] = pool_ts / v_pool
             ri += 1
-        if k == n_steps:
-            break
+            if k0 == n_steps:
+                break
+        if k0 % 1000 == 1:  # the state after step k0 - 1
+            drift = max(drift, _inventory_drift(
+                th_in.sum() + pool_th, h_total0,
+                (cs_in * v_in).sum() + pool_ts, s_total0))
 
-        pump = pump_flux(c_pool, c_out0, gamma_p, light[k])
-        f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
-        leak = leakage_flux(c_in, c_pool, gamma_l)
-        net_in = net_proton_inflow(pump, leak, f_h, sign)
+        for k in range(k0, k1):
+            pump = pump_flux(c_pool, c_out0, gamma_p, light)
+            f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
+            leak = leakage_flux(c_in, c_pool, gamma_l)
+            net_in = net_proton_inflow(pump, leak, f_h, sign)
 
-        th_in += dt * net_in
-        released = dt * f_s
-        cs_in -= released / v_in
-        flows[0] = net_in
-        flows[1] = released
-        net_sum, released_sum = flows.sum(axis=1).tolist()
-        pool_th -= dt * net_sum
-        pool_ts += released_sum
+            th_in += dt * net_in
+            released = dt * f_s
+            cs_in -= released / v_in
+            flows[0] = net_in
+            flows[1] = released
+            net_sum, released_sum = flows.sum(axis=1).tolist()
+            pool_th -= dt * net_sum
+            pool_ts += released_sum
 
-        c_prev = c_in
-        c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
-        c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
+            c_prev = c_in
+            c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
+            c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
 
-        # one threshold test gates the next step's symport and finds the
-        # crossings
-        was_above, above = above, symport_gate(c_in, c_switch)
-        flipped = above != was_above
-        low = cs_in < dep_threshold
-        rare = flipped | low
-        if rare[rare.argmax()]:
-            for v in np.flatnonzero(flipped):
-                diff_prev = c_prev[v] - c_switch[v]
-                frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
-                crossings[v].append((k * dt + frac * dt,
-                                     1 if above[v] else -1))
-            under = cs_in < 0.0
-            if under.any():
-                pool_ts += (cs_in[under] * v_in[under]).sum()
-                cs_in[under] = 0.0
-            for v in np.flatnonzero(low):
-                if dep_threshold[v] > 0.0:
-                    events[v].append(Event(
-                        "depletion", (k + 1) * dt,
-                        "substrate clamped at 0" if under[v]
-                        else "fell below reporting threshold"))
-                    dep_threshold[v] = 0.0
+            # one threshold test gates the next step's symport and finds
+            # the crossings
+            was_above, above = above, symport_gate(c_in, c_switch)
+            flipped = above != was_above
+            low = cs_in < dep_threshold
+            rare = flipped | low
+            if rare[rare.argmax()]:
+                for v in np.flatnonzero(flipped):
+                    diff_prev = c_prev[v] - c_switch[v]
+                    frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
+                    crossings[v].append((k * dt + frac * dt,
+                                         1 if above[v] else -1))
+                under = cs_in < 0.0
+                if under.any():
+                    pool_ts += (cs_in[under] * v_in[under]).sum()
+                    cs_in[under] = 0.0
+                for v in np.flatnonzero(low):
+                    if dep_threshold[v] > 0.0:
+                        events[v].append(Event(
+                            "depletion", (k + 1) * dt,
+                            "substrate clamped at 0" if under[v]
+                            else "fell below reporting threshold"))
+                        dep_threshold[v] = 0.0
 
-        if k % 1000 == 0:
-            drift = max(drift,
-                        abs(th_in.sum() + pool_th - h_total0) / h_total0)
-            if s_total0 > 0:
-                drift = max(drift, abs((cs_in * v_in).sum() + pool_ts
-                                       - s_total0) / s_total0)
-
-    drift = max(drift, abs(th_in.sum() + pool_th - h_total0) / h_total0)
-    if s_total0 > 0:
-        drift = max(drift,
-                    abs((cs_in * v_in).sum() + pool_ts - s_total0) / s_total0)
-
-    v_alloc = v_pool / n_ves
-    trajectories = []
-    for v, (s, r) in enumerate(zip(specs, rates)):
-        sched = schedule_from_crossings(signal, crossings[v],
-                                        bool(active_at_start[v]))
-        cyc, ph = sched.annotate(rec_t)
-        released_conc = (env_total.c_s_in0 - rec_csin[:, v]) * s.v_in / v_alloc
-        trajectories.append(Trajectory(
-            t=rec_t, c_h_in=rec_chin[:, v].copy(), c_h_out=rec_pool_h.copy(),
-            c_s_in=rec_csin[:, v].copy(), c_s_out=released_conc,
-            light=rec_light.copy(), cycle=np.asarray(cyc, dtype=int),
-            phase=ph, schedule=sched, solver="fdm", derived=r,
-            events=events[v], conservation_drift=drift,
-        ))
+    drift = max(drift, _inventory_drift(
+        th_in.sum() + pool_th, h_total0, (cs_in * v_in).sum() + pool_ts,
+        s_total0))
+    schedules = [schedule_from_crossings(signal, crossings[v],
+                                         bool(active_at_start[v]))
+                 for v in range(n_ves)]
     return SharedPoolResult(
-        trajectories=trajectories, t=rec_t, pooled_c_h_out=rec_pool_h,
-        pooled_c_s_out=rec_pool_s, conservation_drift=drift,
+        t=rec_t, c_h_in=rec_chin, c_s_in=rec_csin, pooled_c_h_out=rec_pool_h,
+        pooled_c_s_out=rec_pool_s, schedules=schedules, events=events,
+        conservation_drift=drift,
     )

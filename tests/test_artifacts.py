@@ -153,10 +153,12 @@ def make_ensemble(t, interex, per_exp, n_ex):
 
 
 def make_pool(t, c_h, c_s):
-    return SharedPoolResult(trajectories=[], t=np.array(t, dtype=float),
+    t = np.array(t, dtype=float)
+    return SharedPoolResult(t=t, c_h_in=np.empty((len(t), 0)),
+                            c_s_in=np.empty((len(t), 0)),
                             pooled_c_h_out=np.array(c_h, dtype=float),
                             pooled_c_s_out=np.array(c_s, dtype=float),
-                            conservation_drift=0.0)
+                            schedules=[], events=[], conservation_drift=0.0)
 
 
 def float_rows(k, n):

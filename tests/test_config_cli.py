@@ -149,6 +149,29 @@ INVALID = {
     "run.seed population": (
         dict(POPULATION, run={"seed": -3}),
         "run.seed: expected a non-negative integer, got -3"),
+    # numbers that are not finite, as quantities and as plain numbers
+    "environment.c_s_in0 inf": (
+        dict(MINIMAL, environment={"c_s_in0": "inf mol/m^3"}),
+        "environment.c_s_in0: expected a finite number, got 'inf mol/m^3'"),
+    "fdm.dt nan": (dict(MINIMAL, fdm={"dt": "nan s"}),
+                   "fdm.dt: expected a finite number, got 'nan s'"),
+    "fdm.dt overflow": (dict(MINIMAL, fdm={"dt": "1e308 h"}),
+                        "fdm.dt: expected a finite number, got '1e308 h'"),
+    "kinetics.xi nan": (dict(MINIMAL, kinetics={"xi": math.nan}),
+                        "kinetics.xi: expected a finite number, got nan"),
+    "sample_interval nan": (dict(MINIMAL, sample_interval=math.nan),
+                            "sample_interval: expected a finite number, "
+                            "got nan"),
+    "signal.horizon inf": (
+        dict(MINIMAL, signal={"intervals": [[0, 60]], "horizon": math.inf}),
+        "signal.horizon: expected a finite number, got inf"),
+    "population.permeability.mu_log10 -inf": (
+        dict(POPULATION, population={"permeability": {"mu_log10": -math.inf}}),
+        "population.permeability.mu_log10: expected a finite number, "
+        "got -inf"),
+    "ensemble.n_ves overflow": (
+        dict(POPULATION, ensemble={"n_mod": 2, "n_ex": 1, "n_ves": 10**400}),
+        "ensemble.n_ves: expected a finite number, got 1000"),
 }
 
 

@@ -163,7 +163,7 @@ class TestEnsembleRuns:
         env = default_environment(v_out=cfg.v_out_per_vesicle)
         rng = np.random.default_rng(0)
         exp = run_experiment(_draw(pop, cfg, rng), kin, env, signal, cfg,
-                             sample_times=np.linspace(0, 1600, 9))
+                             "closed", sample_times=np.linspace(0, 1600, 9))
         assert exp.c_h_in.shape == (5, 9)
         assert exp.c_s_out.mean(axis=0).shape == (9,)
         assert np.all(np.isfinite(exp.c_h_in))

@@ -33,6 +33,22 @@ def test_stability_check_passes_buffered_baseline(base_vesicle,
     assert a * 1e-2 < 1
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(dt=float("nan")), dict(dt=float("inf")), dict(dt=0.0),
+    dict(record_stride=10.0), dict(record_stride=0)])
+def test_config_refuses_non_finite_dt_and_non_integer_stride(kwargs):
+    with pytest.raises(ValueError, match="dt must be|record_stride must"):
+        FdmConfig(**kwargs)
+
+
+def test_config_takes_numpy_integer_stride(base_vesicle, base_kinetics,
+                                           base_env):
+    sig = LightSignal([(0, 1)], 2)
+    cfg = FdmConfig(record_stride=np.int64(10))
+    traj = simulate_svs(base_vesicle, base_kinetics, base_env, sig, cfg)
+    assert len(traj) == 21
+
+
 def test_stable_dt_round_number(base_vesicle, base_kinetics):
     env = default_environment(buffer_total=0.0)
     dt = stable_dt(base_vesicle, base_kinetics, env)
@@ -329,6 +345,35 @@ def test_settled_run_is_a_prefix_with_the_full_schedule(
     assert settled.events == full.events[:len(settled.events)]
 
 
+@given(pulses=_pulses(), n_steps=st.integers(0, 25000),
+       stride=st.integers(1, 1000))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_step_blocks_tile_the_run_at_every_decision_step(pulses, n_steps,
+                                                         stride):
+    # the one block schedule both kernels walk: contiguous blocks that
+    # start at every record step, drift check and light switch, each lit
+    # as all its steps are
+    dt = 1e-2
+    intervals, horizon = pulses
+    sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
+    k0, k1, lit = (np.array(c) for c in
+                   zip(*fdm._step_blocks(sig, dt, n_steps, stride)))
+    assert (k0[-1], k1[-1]) == (n_steps, n_steps)
+    assert k0[0] == 0 and np.array_equal(k0[1:], k1[:-1])
+    assert np.all(k0[:-1] < k1[:-1])
+    starts = set(k0.tolist())
+    steps = range(n_steps + 1)
+    assert starts >= {k for k in steps if k % stride == 0 or k == n_steps}
+    assert starts >= {k for k in steps if k % 1000 == 1}
+    switches = [round(t / dt) for iv in sig.intervals for t in iv]
+    assert starts >= {min(k, n_steps) for k in switches}
+    # the per-step illumination on the step grid, k in [k_on, k_off)
+    light = np.zeros(n_steps, dtype=bool)
+    for t_on, t_off in sig.intervals:
+        light[round(t_on / dt):round(t_off / dt)] = True
+    assert np.array_equal(np.repeat(lit[:-1], k1[:-1] - k0[:-1]), light)
+
+
 class TestSharedPool:
     @pytest.mark.parametrize("case", list(PIN_CASES))
     def test_single_vesicle_degenerates_to_svs(self, case, base_kinetics,
@@ -342,15 +387,14 @@ class TestSharedPool:
         pool = simulate_mvs_shared_pool([spec], base_kinetics, env, sig,
                                         cfg)
         svs = simulate_svs(spec, base_kinetics, env, sig, cfg)
-        pt = pool.trajectories[0]
         assert [e.info for e in svs.events] == infos
         assert np.any(svs.c_s_in == 0.0) == case.startswith("clamp")
-        assert pt.events == svs.events
-        assert np.array_equal(pt.c_h_in, svs.c_h_in)
-        assert np.array_equal(pt.c_s_in, svs.c_s_in)
+        assert pool.events[0] == svs.events
+        assert np.array_equal(pool.c_h_in[:, 0], svs.c_h_in)
+        assert np.array_equal(pool.c_s_in[:, 0], svs.c_s_in)
         assert np.array_equal(pool.pooled_c_h_out, svs.c_h_out)
         assert np.array_equal(pool.pooled_c_s_out, svs.c_s_out)
-        assert pt.schedule.cycles == svs.schedule.cycles
+        assert pool.schedules[0].cycles == svs.schedule.cycles
         assert pool.conservation_drift == svs.conservation_drift
 
     def test_events_per_lane_match_recorded_series(self, base_kinetics,
@@ -378,24 +422,38 @@ class TestSharedPool:
         monkeypatch.setattr(fdm, "schedule_from_crossings", spy)
         pool = simulate_mvs_shared_pool(specs, base_kinetics, env, sig,
                                         FdmConfig(dt=dt, record_stride=1))
+        # every lane pinned bit for bit, not only the one-lane pools
+        digest = hashlib.sha256()
+        for a in (pool.t, pool.c_h_in, pool.c_s_in, pool.pooled_c_h_out,
+                  pool.pooled_c_s_out):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            digest.update(a.tobytes())
+        assert pool.c_h_in.shape == (10001, len(specs))
+        assert digest.hexdigest() == ("25bb8e202702b2da2f11e867619146e1"
+                                      "0421d8607de91e55339a7678f9ad2641")
+        env_alloc = dataclasses.replace(env, v_out=env.v_out / len(specs))
         threshold = DEPLETION_FRACTION_OF_KM * base_kinetics.k_m
         flip_steps, dry_steps = [], []
-        for tr, found in zip(pool.trajectories, seen):
+        assert len(seen) == len(specs)
+        for v, found in enumerate(seen):
+            c_h_in, c_s_in = pool.c_h_in[:, v], pool.c_s_in[:, v]
+            c_switch = derive_rates(specs[v], base_kinetics,
+                                    env_alloc).switch_conc
             # the same linear interpolation between recorded samples
-            diff = tr.c_h_in - tr.derived.switch_conc
+            diff = c_h_in - c_switch
             above = diff >= 0.0
             steps = np.flatnonzero(above[1:] != above[:-1])
             expected = [(k * dt + diff[k] / (diff[k] - diff[k + 1]) * dt,
                          1 if above[k + 1] else -1) for k in steps]
             assert found == expected
             flip_steps.append(set(steps.tolist()))
-            low = np.flatnonzero(tr.c_s_in < threshold)
+            low = np.flatnonzero(c_s_in < threshold)
             if low.size:
-                assert [(e.kind, e.t) for e in tr.events] == \
-                    [("depletion", tr.t[low[0]])]
+                assert [(e.kind, e.t) for e in pool.events[v]] == \
+                    [("depletion", pool.t[low[0]])]
                 dry_steps.append(int(low[0]))
             else:
-                assert tr.events == []
+                assert pool.events[v] == []
         # the case exercises what the comment above says it does
         assert flip_steps[0] == flip_steps[1]
         assert len(flip_steps[0]) >= 3 and len(flip_steps[2]) > 20
@@ -430,7 +488,7 @@ class TestSharedPool:
                                         sig, FdmConfig(dt=1e-2,
                                                        record_stride=50))
         assert pool.conservation_drift < 1e-6
-        assert len(pool.trajectories) == 3
+        assert pool.c_h_in.shape[1] == 3
 
     def test_empty_pool_rejected(self, base_kinetics, base_env):
         with pytest.raises(ValueError, match="at least one"):

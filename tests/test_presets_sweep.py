@@ -42,7 +42,7 @@ def test_fig9_scenario_shared_pool(fig9_preset):
     assert res["ensemble"] is not None
     assert res["shared_pool"] is not None
     (cfg,) = fig9_scenario().runs
-    assert len(res["shared_pool"].trajectories) == cfg.ensemble.n_mod
+    assert res["shared_pool"].c_h_in.shape[1] == cfg.ensemble.n_mod
     manifest = json.loads((out / "manifest.json").read_text())
     # the pooled-compartment baseline stays inside the closed-form
     # approximation's error band (same sampled vesicles on both sides)
