@@ -707,9 +707,6 @@ def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
     """
     if mode not in ("exact", "closed"):
         raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
-    if any(spec.mode != "symporter" for spec in specs):
-        raise ModelError("analytic solvers support symporter mode only; "
-                         "use the finite-difference solver for antiporters")
     rates = [derive_rates(spec, kin, env) for spec in specs]
     grid = np.asarray(sample_times, dtype=float)
     eng = _BatchEngine(

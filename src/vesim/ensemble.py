@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .analytic import (BatchTrajectory, lambert_w0_exp, run_analytic,
-                       run_analytic_batch)
+from .analytic import lambert_w0_exp, run_analytic, run_analytic_batch
 from .model import (_VALID_MODES, AVOGADRO, Environment, KineticConstants,
                     VesicleSpec)
 from .schedule import LightSignal
@@ -228,6 +227,8 @@ class EnsembleConfig:
             raise ValueError("n_ex must be >= 1")
         if self.v_out_tot <= 0:
             raise ValueError("v_out_tot must be > 0")
+        if not (self.n_ves < math.inf and self.v_out_tot < math.inf):
+            raise ValueError("n_ves and v_out_tot must be finite")
 
     @property
     def v_out_per_vesicle(self) -> float:
@@ -270,32 +271,17 @@ def experiment_vesicles(dist: PopulationDistributions, cfg: EnsembleConfig,
     return [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
 
 
-def run_experiment(specs: list[VesicleSpec], kin: KineticConstants,
-                   env_base: Environment, signal: LightSignal,
-                   cfg: EnsembleConfig, solver: str,
-                   sample_times: np.ndarray) -> BatchTrajectory:
-    """Simulate the vesicles `specs` as independent SVSs.
-
-    All vesicles are solved in one `run_analytic_batch` call, whose
-    batch this returns; row m equals `run_analytic` of the m-th vesicle
-    bit for bit. `solver` is an analytic mode, 'exact' or 'closed'; any
-    other value raises ModelError.
-    """
-    env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
-    return run_analytic_batch(specs, kin, env, signal, solver, sample_times)
-
-
 def _experiment_worker(args) -> tuple:
-    """Run one experiment and reduce it to the rows the ensemble keeps.
+    """Solve experiment i in one `run_analytic_batch` call and reduce it.
 
     Returns (mean C_H_in, std C_H_in, pooled C_S_out, std C_S_out)
     over the vesicles at each sample time, then the medians of the first
     symport start and the last symport end, so that no (n_mod, n_t)
     array outlives its experiment.
     """
-    dist, kin, env_base, signal, cfg, i, solver, sample_times = args
-    r = run_experiment(experiment_vesicles(dist, cfg, i), kin, env_base,
-                       signal, cfg, solver, sample_times)
+    dist, kin, env, signal, cfg, i, solver, sample_times = args
+    r = run_analytic_batch(experiment_vesicles(dist, cfg, i), kin, env,
+                           signal, solver, sample_times)
     c_s_out = r.c_s_out
     start, end = r.symport_span()
     # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
@@ -319,7 +305,8 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     statistics as it finishes.
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    jobs = [(dist, kin, env_base, signal, cfg, i, solver, sample_times)
+    env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
+    jobs = [(dist, kin, env, signal, cfg, i, solver, sample_times)
             for i in range(cfg.n_ex)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -330,7 +317,6 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     per_mean_h = np.stack(mean_h)
     per_cs = np.stack(cs)
 
-    env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
     mean_spec = mean_parameter_spec(dist)
     mean_traj = run_analytic(mean_spec, kin, env, signal, solver,
                              sample_times=sample_times)

@@ -10,7 +10,8 @@ interaction. Explicit Euler at a fixed step keeps the baseline
 bit-reproducible; a stiffness check refuses steps that the fastest phase
 coefficient would destabilize.
 
-The flux laws are those of `model.py`. The shared-pool kernel calls them
+The flux laws are those of `model.py`, for its one release module, the
+proton/substrate symporter. The shared-pool kernel calls them
 on per-vesicle arrays and re-equilibrates with `free_proton_conc_array`.
 The single-vesicle loop inlines them and `free_proton_conc` in the same
 arithmetic order, since in CPython a function call costs as much as the
@@ -206,7 +207,6 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     gamma_s, gamma_h = rates.symport_rate_substrate, rates.symport_rate_proton
     c_switch = rates.switch_conc
     c_out0 = env.c_h_out0
-    sign = spec.flux_sign
     dep_threshold = DEPLETION_FRACTION_OF_KM * km
     pump_on = gamma_p > 0.0 and c_out0 > 0.0
     # free_proton_conc's constants, as it groups them: (b0 + k_a) - total,
@@ -279,8 +279,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
             if release:
                 mm = cs_in / (cs_in + km)
                 f_s = gamma_s * mm
-                d_h = dt * (sign * (pump - gamma_l * (c_in - c_out)
-                                    - gamma_h * mm))
+                d_h = dt * (pump - gamma_l * (c_in - c_out) - gamma_h * mm)
                 if f_s > 0.0:
                     released = dt * f_s
                     cs_in -= released / v_in
@@ -300,7 +299,7 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                                         "fell below reporting threshold"))
                     depleted = True
             else:  # f_h = 0, and x - 0.0 is x
-                d_h = dt * (sign * (pump - gamma_l * (c_in - c_out)))
+                d_h = dt * (pump - gamma_l * (c_in - c_out))
             th_in += d_h
             th_out -= d_h
 
@@ -405,7 +404,6 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     c_out0 = env_total.c_h_out0
 
     v_in = np.array([s.v_in for s in specs])
-    sign = np.array([s.flux_sign for s in specs])
     gamma_p = np.array([r.pump_rate for r in rates])
     gamma_l = np.array([r.leak_rate for r in rates])
     gamma_s = np.array([r.symport_rate_substrate for r in rates])
@@ -460,7 +458,7 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
             pump = pump_flux(c_pool, c_out0, gamma_p, light)
             f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
             leak = leakage_flux(c_in, c_pool, gamma_l)
-            net_in = net_proton_inflow(pump, leak, f_h, sign)
+            net_in = net_proton_inflow(pump, leak, f_h)
 
             th_in += dt * net_in
             released = dt * f_s

@@ -4,6 +4,10 @@ Physical quantities, derived rates and instantaneous flux laws.
 
 All quantities are SI: lengths in m, volumes in m^3, concentrations in
 mol/m^3, amounts in mol, rates in mol/s (per vesicle) or 1/s (per protein).
+The transmitter is a light-driven proton pump (the energizing module) and
+a proton/substrate symporter (the release module, the one vesim models):
+the pump moves H+ in, the symporter moves it out with its cargo, and
+leakage relaxes the gradient.
 The flux laws (pump, symport, leakage and their net H+ balance) take plain
 concentrations and rates, floats or numpy arrays alike. They are the
 finite-difference step's physics: the shared-pool kernel calls them, and
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 AVOGADRO = 6.022e23  # 1/mol
 
-_VALID_MODES = ("symporter", "antiporter")
+_VALID_MODES = ("symporter",)
 
 
 class ModelError(ValueError):
@@ -32,6 +36,13 @@ class ModelError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ModelError(msg)
+
+
+def _require_finite(obj) -> None:
+    """Refuse a NaN or infinite float in any field of a model dataclass."""
+    for name, value in vars(obj).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +55,8 @@ class VesicleSpec:
         n_pumps: number of light-driven proton pumps
         n_sym: number of co-transporters
         permeability: membrane H+ permeability coefficient (m/s)
-        mode: 'symporter' or 'antiporter' (antiporter flips the H+ flux
-            signs in the intravesicular balance; supported but not tuned)
+        mode: the release module; 'symporter' (a proton/substrate
+            symporter) is the one vesim models
     """
 
     d_in: float
@@ -56,6 +67,7 @@ class VesicleSpec:
     mode: str = "symporter"
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.d_in > 0, f"d_in must be > 0, got {self.d_in}")
         _require(self.d_mem > 0, f"d_mem must be > 0, got {self.d_mem}")
         _require(self.permeability > 0,
@@ -82,11 +94,6 @@ class VesicleSpec:
         """Outer surface area (m^2), used for leakage and protein slots."""
         return math.pi * self.d_out ** 2
 
-    @property
-    def flux_sign(self) -> float:
-        """+1 for symporters, -1 for antiporters (H+ terms of the balance)."""
-        return 1.0 if self.mode == "symporter" else -1.0
-
 
 @dataclass(frozen=True)
 class KineticConstants:
@@ -107,6 +114,7 @@ class KineticConstants:
     xi: float = 0.015
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.pump_rate_per_protein >= 0, "pump_rate_per_protein < 0")
         _require(self.symport_rate_per_protein >= 0,
                  "symport_rate_per_protein < 0")
@@ -136,6 +144,7 @@ class Environment:
     c_s_in0: float = 300.0
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.v_out > 0, f"v_out must be > 0, got {self.v_out}")
         _require(self.buffer_total >= 0, "buffer_total < 0")
         if self.buffer_total > 0:
@@ -255,13 +264,13 @@ def leakage_flux(c_in, c_out, gamma_l):
     return gamma_l * (c_in - c_out)
 
 
-def net_proton_inflow(pump, leak, symport_h, sign):
-    """Net H+ flow into the vesicle (mol/s): sign * (pump - leak - symport).
+def net_proton_inflow(pump, leak, symport_h):
+    """Net H+ flow into the vesicle (mol/s): pump - leak - symport.
 
-    `sign` is `VesicleSpec.flux_sign`; antiporter mode flips all three
-    terms.
+    The pump moves H+ in, the symporter moves it out with its cargo, and
+    `leak` is the passive flux, positive outward.
     """
-    return sign * (pump - leak - symport_h)
+    return pump - leak - symport_h
 
 
 def default_vesicle() -> VesicleSpec:

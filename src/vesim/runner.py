@@ -35,7 +35,7 @@ from .config import RunConfig, config_hash, to_config_tree
 from .ensemble import EnsembleResult, experiment_vesicles, run_ensemble
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
-from .trajectory import (Trajectory, float_fields, fmt_float,
+from .trajectory import (Trajectory, float_fields, fmt_float, sample_grid,
                          write_csv_columns, write_trajectory_csv)
 
 OUT_ROOT_ENV = "VESIM_OUT_ROOT"
@@ -70,8 +70,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
     # reuses experiment 0's vesicle sample so the two are comparable.
     analytic_solvers = [s for s in cfg.solvers if s != "fdm"]
     solver = analytic_solvers[0] if analytic_solvers else "closed"
-    n_pts = int(round(cfg.signal.horizon / cfg.sample_interval)) + 1
-    sample_times = np.linspace(0.0, cfg.signal.horizon, n_pts)
+    sample_times = sample_grid(cfg.signal.horizon, cfg.sample_interval)
     out["ensemble"] = run_ensemble(cfg.population, cfg.kinetics,
                                    cfg.environment, cfg.signal, cfg.ensemble,
                                    solver=solver, sample_times=sample_times,

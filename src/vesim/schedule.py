@@ -77,6 +77,8 @@ class LightSignal:
             prev_off = t_off
         if horizon <= 0:
             raise ScheduleError(f"horizon must be > 0, got {horizon}")
+        if not math.isfinite(horizon):
+            raise ScheduleError(f"horizon must be finite, got {horizon}")
         if ivs and ivs[-1][1] > horizon:
             raise ScheduleError("last interval ends beyond the horizon")
         object.__setattr__(self, "intervals", ivs)

@@ -141,9 +141,13 @@ def read_trajectory_csv(path) -> dict:
 
 
 def sample_grid(horizon: float, interval: float) -> np.ndarray:
-    """Uniform sample grid [0, horizon] including both endpoints."""
-    n = int(round(horizon / interval))
-    grid = np.linspace(0.0, n * interval, n + 1)
-    if not math.isclose(grid[-1], horizon):
-        grid = np.append(grid, horizon)
-    return grid
+    """Samples `interval` apart from 0 to the horizon, ascending; the
+    last interval is the shorter remainder when the horizon is not a
+    whole number n of intervals, else this is linspace(0, horizon, n + 1).
+    """
+    n = math.floor(horizon / interval)
+    if math.isclose((n + 1) * interval, horizon):
+        n += 1  # the quotient rounded down below a whole number
+    if math.isclose(n * interval, horizon):
+        return np.linspace(0.0, horizon, n + 1)
+    return np.append(np.linspace(0.0, n * interval, n + 1), horizon)

@@ -14,8 +14,8 @@ from vesim.analytic import (QuadratureError, buffered_log_ratio,
                             run_analytic, run_analytic_batch)
 from vesim.ensemble import PopulationDistributions, sample_vesicle
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
-from vesim.model import (ModelError, VesicleSpec, default_environment,
-                         default_kinetics, default_vesicle, derive_rates)
+from vesim.model import (VesicleSpec, default_environment, default_kinetics,
+                         default_vesicle, derive_rates)
 from vesim.schedule import LightSignal, buffered_relaxation_time
 
 
@@ -362,12 +362,6 @@ class TestRunAnalytic:
         c_eq = 3.98e-5 + rates.pump_rate / rates.leak_rate
         for b0, val in finals.items():
             assert val == pytest.approx(c_eq, rel=2e-2), f"B0={b0}"
-
-    def test_antiporter_not_supported(self, base_kinetics, base_env):
-        spec = dataclasses.replace(default_vesicle(), mode="antiporter")
-        sig = LightSignal([(0, 100)], 200)
-        with pytest.raises(ModelError, match="antiporter"):
-            run_analytic(spec, base_kinetics, base_env, sig, "closed")
 
     def test_unbuffered_exact_matches_fdm(self, base_kinetics):
         # with no buffer the phase coefficients are exact, so the only

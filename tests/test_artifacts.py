@@ -12,17 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vesim.cli import main as cli_main
+from vesim.config import parse_config
 from vesim.ensemble import EnsembleResult
 from vesim.fdm import SharedPoolResult
 from vesim.runner import (MissingArtifacts, _write_ensemble_csv,
-                          _write_shared_pool_csv, emit_plot_data)
+                          _write_shared_pool_csv, emit_plot_data, execute_run)
 from vesim.schedule import CycleSchedule
 from vesim.trajectory import (CSV_COLUMNS, Trajectory, read_trajectory_csv,
-                              write_trajectory_csv)
+                              sample_grid, write_trajectory_csv)
 
 SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
            -1.5, 1e300, math.nan, math.inf, -math.inf]
@@ -221,6 +222,36 @@ def test_writers_match_row_by_row_reference(traj, ens, pool):
         assert np.array_equal(back["cycle"], traj.cycle)
         assert np.array_equal(back["light"], traj.light)
         assert ("solver" in back) == (traj.solver != "fdm")
+
+
+@given(interval=st.floats(1e-3, 100.0), n=st.integers(0, 2000),
+       rest=st.just(0.0) | st.floats(0.0, 1.0))
+@example(interval=10.0, n=120, rest=0.6)  # horizon 1206
+@example(interval=10.0, n=0, rest=0.5)    # one interval past the horizon
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_sample_grid_ascends_to_the_horizon(interval, n, rest):
+    horizon = (n + rest) * interval
+    assume(horizon > 0.0)
+    grid = sample_grid(horizon, interval)
+    assert grid[0] == 0.0 and grid[-1] == horizon
+    assert np.all(np.diff(grid) > 0.0)
+    assert np.all(np.diff(grid) <= interval * (1.0 + 1e-8))
+    if rest == 0.0:
+        assert np.array_equal(grid, np.linspace(0.0, horizon, n + 1))
+
+
+def test_both_run_kinds_sample_on_one_grid():
+    # a vesicle run and a population run with the same horizon and
+    # sample_interval report the same times
+    common = {"run": {"solver": "closed"},
+              "signal": {"intervals": [[0, 600]], "horizon": 1206},
+              "sample_interval": 10.0}
+    vesicle = execute_run(parse_config(dict(common, vesicle={})))
+    population = execute_run(parse_config(dict(
+        common, population={}, ensemble={"n_mod": 2, "n_ex": 1})))
+    grid = sample_grid(1206.0, 10.0)
+    assert np.array_equal(vesicle["trajectories"]["closed"].t, grid)
+    assert np.array_equal(population["ensemble"].t, grid)
 
 
 def test_empty_trajectory_writes_its_header_only(tmp_path):

@@ -132,6 +132,13 @@ INVALID = {
         "population: p_pump must lie in [0, 1]"),
     "population.mode": (dict(POPULATION, population={"mode": "foo"}),
                         "population: mode must be one of"),
+    # the symporter is the one release module
+    "vesicle.mode antiporter": (
+        dict(MINIMAL, vesicle={"mode": "antiporter"}),
+        "vesicle: mode must be one of ('symporter',), got 'antiporter'"),
+    "population.mode antiporter": (
+        dict(POPULATION, population={"mode": "antiporter"}),
+        "population: mode must be one of ('symporter',), got 'antiporter'"),
     "population.diameter": (dict(POPULATION, population={"diameter": 5}),
                             "population.diameter: expected a mapping"),
     "signal.intervals text": (
@@ -272,8 +279,7 @@ VESICLE_TREES = st.fixed_dictionaries(dict(
     vesicle=_some(d_in=_quantity(2e-8, 3e-7, ["nm", "um", "m"]),
                   d_mem=_quantity(1e-9, 2e-8, ["nm"]),
                   n_pumps=st.integers(0, 200), n_sym=st.integers(0, 200),
-                  permeability=_quantity(1e-7, 1e-5, ["m/s", "cm/s"]),
-                  mode=st.sampled_from(["symporter", "antiporter"])),
+                  permeability=_quantity(1e-7, 1e-5, ["m/s", "cm/s"])),
     environment=_some(v_out=_quantity(1e-19, 1e-15, ["m^3", "mL"]), **_ENV)))
 POPULATION_TREES = st.fixed_dictionaries(dict(
     _COMMON,
@@ -288,8 +294,7 @@ POPULATION_TREES = st.fixed_dictionaries(dict(
                        "lo_log10": p[0] - p[2], "hi_log10": p[0] + p[2]}),
         proteins=_some(rho=_quantity(0.0, 3e15, ["1/m^2", "1/um^2"]),
                        p_pump=st.floats(0.0, 1.0)),
-        d_mem=_quantity(1e-9, 2e-8, ["nm"]),
-        mode=st.sampled_from(["symporter", "antiporter"])),
+        d_mem=_quantity(1e-9, 2e-8, ["nm"])),
     ensemble=_some(n_ves=st.floats(1e3, 1e12), n_mod=st.integers(1, 100),
                    n_ex=st.integers(1, 10),
                    v_out_tot=_quantity(1e-9, 1e-3, ["m^3", "mL"])),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from vesim.analytic import run_analytic
+from vesim.analytic import run_analytic, run_analytic_batch
 from vesim.ensemble import (DiameterDistribution, EnsembleConfig,
                             PermeabilityDistribution,
                             PopulationDistributions, jensen_gap_check,
                             mean_parameter_spec, protein_slots, run_ensemble,
-                            run_experiment, sample_vesicle)
+                            sample_vesicle)
 from vesim.model import ModelError, default_environment, default_kinetics
 from vesim.runner import _write_ensemble_csv
 from vesim.schedule import LightSignal, classify_cycle
@@ -162,8 +163,8 @@ class TestEnsembleRuns:
         cfg = EnsembleConfig(n_mod=5, n_ex=2, seed=4)
         env = default_environment(v_out=cfg.v_out_per_vesicle)
         rng = np.random.default_rng(0)
-        exp = run_experiment(_draw(pop, cfg, rng), kin, env, signal, cfg,
-                             "closed", sample_times=np.linspace(0, 1600, 9))
+        exp = run_analytic_batch(_draw(pop, cfg, rng), kin, env, signal,
+                                 "closed", np.linspace(0, 1600, 9))
         assert exp.c_h_in.shape == (5, 9)
         assert exp.c_s_out.mean(axis=0).shape == (9,)
         assert np.all(np.isfinite(exp.c_h_in))
@@ -213,7 +214,7 @@ def test_experiment_rows_equal_single_vesicle_runs(seed, mode, b0, c_s_in0,
                               c_s_in0=c_s_in0)
     ts = np.linspace(0.0, signal.horizon, n_t)
     specs = _draw(PopulationDistributions(), cfg, np.random.default_rng(seed))
-    exp = run_experiment(specs, kin, env, signal, cfg, mode, ts)
+    exp = run_analytic_batch(specs, kin, env, signal, mode, ts)
     start, end = exp.symport_span()
     for m, spec in enumerate(specs):
         one = run_analytic(spec, kin, env, signal, mode, sample_times=ts)
@@ -239,10 +240,10 @@ def test_closed_ramp_depletes_some_vesicles_mid_phase():
     # out inside a phase with vesicles that keep cargo to the end
     cfg = EnsembleConfig(n_mod=6, n_ex=1)
     env = default_environment(v_out=cfg.v_out_per_vesicle, c_s_in0=0.02)
-    exp = run_experiment(_draw(PopulationDistributions(), cfg,
-                               np.random.default_rng(3)),
-                         default_kinetics(), env, FIG4_SIGNAL, cfg, "closed",
-                         np.linspace(0.0, 250.0, 26))
+    exp = run_analytic_batch(_draw(PopulationDistributions(), cfg,
+                                   np.random.default_rng(3)),
+                             default_kinetics(), env, FIG4_SIGNAL, "closed",
+                             np.linspace(0.0, 250.0, 26))
     depleted = np.flatnonzero(np.isfinite(exp.depletion_time))
     assert 0 < depleted.size < cfg.n_mod
     for m in depleted:  # strictly inside a symport interval
@@ -328,6 +329,8 @@ def test_config_validation():
         EnsembleConfig(n_mod=0)
     with pytest.raises(ValueError):
         EnsembleConfig(n_mod=200, n_ves=100)
+    with pytest.raises(ValueError, match="finite"):
+        EnsembleConfig(v_out_tot=math.inf)
     cfg = EnsembleConfig()
     assert cfg.v_out_per_vesicle == pytest.approx(1e-17, rel=1e-12)
 
@@ -348,8 +351,10 @@ def test_shared_pool_draws_experiment_zeros_vesicles(monkeypatch):
     res = runner.execute_run(cfg)
     rng = np.random.default_rng(np.random.SeedSequence((11, 0)))
     specs0 = _draw(cfg.population, cfg.ensemble, rng)
-    exp0 = run_experiment(specs0, cfg.kinetics, cfg.environment, cfg.signal,
-                          cfg.ensemble, "closed", res["ensemble"].t)
+    env = dataclasses.replace(cfg.environment,
+                              v_out=cfg.ensemble.v_out_per_vesicle)
+    exp0 = run_analytic_batch(specs0, cfg.kinetics, env, cfg.signal,
+                              "closed", res["ensemble"].t)
     assert pooled == [specs0]
     assert np.array_equal(exp0.c_s_out.mean(axis=0),
                           res["ensemble"].per_exp_c_s_out[0])

@@ -228,11 +228,6 @@ PIN_CASES = {
     "clamp_checked": lambda: (
         *_substrate_case(CLAMP_SPEC, CLAMP_CS_FRAC, CLAMP_U), True,
         ["fell below reporting threshold"]),
-    "antiporter": lambda: (dataclasses.replace(default_vesicle(),
-                                               mode="antiporter"),
-                           default_environment(),
-                           LightSignal([(0, 60)], 120),
-                           FdmConfig(dt=1e-2, record_stride=100), True, []),
     "unbuffered": _unbuffered_case,
     # both light switches (steps 37 and 6005) fall inside record blocks
     "switch_mid_block": lambda: (default_vesicle(), default_environment(),
@@ -274,20 +269,18 @@ def test_preset_fdm_csv_matches_golden_hash(preset, label, tmp_path):
 @given(d_in=st.floats(40e-9, 300e-9), n_pumps=st.integers(0, 200),
        n_sym=st.integers(1, 300),
        permeability=st.floats(-7.0, -4.0).map(lambda e: 10.0 ** e),
-       mode=st.sampled_from(["symporter", "antiporter"]),
        cs_frac=st.floats(0.0, 1.0), u=st.floats(0.5, 0.999))
 @example(d_in=CLAMP_SPEC.d_in, n_pumps=CLAMP_SPEC.n_pumps,
          n_sym=CLAMP_SPEC.n_sym, permeability=CLAMP_SPEC.permeability,
-         mode="symporter", cs_frac=CLAMP_CS_FRAC, u=CLAMP_U)
+         cs_frac=CLAMP_CS_FRAC, u=CLAMP_U)
 @settings(derandomize=True, deadline=None, max_examples=60)
 def test_stable_step_keeps_substrate_nonnegative(d_in, n_pumps, n_sym,
-                                                 permeability, mode, cs_frac,
-                                                 u):
+                                                 permeability, cs_frac, u):
     # dt*a_s < 1 keeps every decrement below the cargo in exact
     # arithmetic; in floating point the clamp is what keeps C_S_in >= 0
     # (CLAMP_SPEC), and the substrate is conserved either way
     spec = VesicleSpec(d_in=d_in, d_mem=14e-9, n_pumps=n_pumps, n_sym=n_sym,
-                       permeability=permeability, mode=mode)
+                       permeability=permeability)
     spec, env, sig, cfg = _substrate_case(spec, cs_frac, u)
     traj = simulate_svs(spec, default_kinetics(), env, sig, cfg)
     assert len(traj) == 301
@@ -295,6 +288,39 @@ def test_stable_step_keeps_substrate_nonnegative(d_in, n_pumps, n_sym,
     s0 = env.c_s_in0 * spec.v_in
     s = traj.c_s_in * spec.v_in + traj.c_s_out * env.v_out
     assert np.max(np.abs(s - s0)) / s0 < 1e-9
+
+
+@given(d_in=st.floats(40e-9, 300e-9), n_pumps=st.integers(0, 200),
+       n_sym=st.integers(0, 200),
+       permeability=st.floats(-7.0, -4.0).map(lambda e: 10.0 ** e),
+       b0=st.sampled_from([0.0, 10.0, 20.0, 100.0]),
+       c_h_in0=st.floats(1e-5, 1e-4), c_s_in0=st.floats(1e-3, 300.0),
+       on=st.integers(0, 4000), lit=st.integers(1, 4000))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@pytest.mark.filterwarnings("ignore:vesicle has no pumps")
+def test_fdm_stays_finite_and_within_its_inventory(d_in, n_pumps, n_sym,
+                                                   permeability, b0, c_h_in0,
+                                                   c_s_in0, on, lit):
+    # the FDM is the oracle: on any valid vesicle its free H+ stays finite
+    # and inside the H+ inventory, and its cargo inside [0, c_s_in0], over
+    # 10,000 steps with one pulse in the first 8,000
+    kin = default_kinetics()
+    spec = VesicleSpec(d_in=d_in, d_mem=14e-9, n_pumps=n_pumps, n_sym=n_sym,
+                       permeability=permeability)
+    env = default_environment(buffer_total=b0, c_h_in0=c_h_in0,
+                              c_s_in0=c_s_in0)
+    dt = min(1e-2, stable_dt(spec, kin, env))
+    sig = LightSignal([(on * dt, (on + lit) * dt)], 10000 * dt)
+    traj = simulate_svs(spec, kin, env, sig, FdmConfig(dt=dt,
+                                                       record_stride=10))
+    assert np.all(np.isfinite(traj.c_h_in))
+    assert np.all(np.isfinite(traj.c_h_out))
+    h_total0 = (total_conc_from_free(c_h_in0, b0, env.k_a) * spec.v_in
+                + total_conc_from_free(env.c_h_out0, b0, env.k_a) * env.v_out)
+    assert np.all(traj.c_h_in >= 0.0)
+    assert np.all(traj.c_h_in * spec.v_in <= h_total0)
+    assert np.all((traj.c_s_in >= 0.0) & (traj.c_s_in <= c_s_in0))
+    assert traj.conservation_drift < 1e-9
 
 
 @st.composite
@@ -308,23 +334,22 @@ def _pulses(draw):
     return intervals, k + draw(st.integers(1, 8000))
 
 
-@given(pulses=_pulses(), mode=st.sampled_from(["symporter", "antiporter"]),
-       b0=st.sampled_from([0.0, 10.0, 20.0]),
+@given(pulses=_pulses(), b0=st.sampled_from([0.0, 10.0, 20.0]),
        c_s_in0=st.floats(-4.0, 2.5).map(lambda e: 10.0 ** e),
        active_at_start=st.booleans())
 # a last pulse too short to trigger symport (type b)
-@example(pulses=([(0, 800), (2000, 2010)], 5000), mode="symporter", b0=20.0,
-         c_s_in0=300.0, active_at_start=False)
+@example(pulses=([(0, 800), (2000, 2010)], 5000), b0=20.0, c_s_in0=300.0,
+         active_at_start=False)
 # symport on from t = 0, with substrate that runs dry before it ends
-@example(pulses=([(0, 200)], 20000), mode="symporter", b0=10.0,
-         c_s_in0=0.01, active_at_start=True)
+@example(pulses=([(0, 200)], 20000), b0=10.0, c_s_in0=0.01,
+         active_at_start=True)
 @settings(derandomize=True, deadline=None, max_examples=60)
 def test_settled_run_is_a_prefix_with_the_full_schedule(
-        pulses, mode, b0, c_s_in0, active_at_start):
+        pulses, b0, c_s_in0, active_at_start):
     # pulse times are in steps of dt, the buffered runs' dt is coarse but
     # stable, and an active start puts C_H_in 20% above C_switch
     kin = default_kinetics()
-    spec = dataclasses.replace(default_vesicle(), mode=mode)
+    spec = default_vesicle()
     env = default_environment(buffer_total=b0, c_s_in0=c_s_in0)
     if active_at_start:
         env = dataclasses.replace(env, c_h_in0=1.2 * env.c_h_out0)

@@ -31,6 +31,11 @@ class TestLightSignal:
         with pytest.raises(ScheduleError):
             LightSignal([(0, 300)], 200)
 
+    def test_non_finite_horizon_rejected(self):
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ScheduleError, match="finite"):
+                LightSignal([(0, 1)], horizon)
+
     def test_cycle_bounds(self):
         sig = LightSignal([(10, 35), (50, 80)], 200)
         assert sig.cycle_bounds(0) == (10, 35, 50)
