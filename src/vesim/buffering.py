@@ -9,14 +9,14 @@ T with total ligand B0, the free concentration as the positive root of
     C^2 + C*(B0 + k_a - T) - k_a*T = 0.
 
 The finite-difference solver re-equilibrates both compartments after every
-flux update, with `free_proton_conc` for one vesicle and with its array
-form `free_proton_conc_array` for the shared-pool vesicles. The array form
-is bit-identical to the scalar root element by element; when all totals
-are positive and q = B0 + k_a - T >= 0 throughout, it evaluates only the
-conjugate branch of the root. The analytical
-solvers divide the free-H+ flux by the exact local slowdown dT/dC =
-`buffering_slowdown`, whose separable law they integrate in closed form
-(`schedule.buffered_relaxation_time`).
+flux update: its numpy step with `free_proton_conc` for the pool and with
+the array form `free_proton_conc_array` for the vesicles, and its compiled
+step with the same expressions in C. The array form is bit-identical to
+the scalar root element by element; when all totals are positive and
+q = B0 + k_a - T >= 0 throughout, it evaluates only the conjugate branch
+of the root. The analytical solvers divide the free-H+ flux by the exact
+local slowdown dT/dC = `buffering_slowdown`, whose separable law they
+integrate in closed form (`schedule.buffered_relaxation_time`).
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def free_proton_conc_array(total_conc: np.ndarray, buffer_total: float,
 
     Evaluates the same expressions in the same order, so each element is
     bit-identical to the scalar root. When every total is positive and
-    every q >= 0, only the conjugate branch is evaluated: the shared-pool
-    kernel calls this once per step, and in the fig9 pool (seeds 0 and 7)
+    every q >= 0, only the conjugate branch is evaluated: the FDM's numpy
+    step calls this once per step, and in the fig9 pool (seeds 0 and 7)
     every one of its 160001 calls takes that branch. The checks index at
     argmin, which numpy runs several times faster than min on small
     arrays (a NaN fails them and takes the general path).

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -227,7 +228,9 @@ class EnsembleConfig:
             raise ValueError("n_ex must be >= 1")
         if self.v_out_tot <= 0:
             raise ValueError("v_out_tot must be > 0")
-        if not (self.n_ves < math.inf and self.v_out_tot < math.inf):
+        # an int n_ves beyond the float range is below math.inf
+        if not (self.n_ves <= sys.float_info.max
+                and self.v_out_tot <= sys.float_info.max):
             raise ValueError("n_ves and v_out_tot must be finite")
 
     @property

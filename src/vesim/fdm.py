@@ -11,43 +11,41 @@ bit-reproducible; a stiffness check refuses steps that the fastest phase
 coefficient would destabilize.
 
 The flux laws are those of `model.py`, for its one release module, the
-proton/substrate symporter. The shared-pool kernel calls them
-on per-vesicle arrays and re-equilibrates with `free_proton_conc_array`.
-The single-vesicle loop inlines them and `free_proton_conc` in the same
-arithmetic order, since in CPython a function call costs as much as the
-step's arithmetic, and a test pins the two bit for bit. Both kernels
-keep out of the step every test that cannot change within it: they walk
+proton/substrate symporter. Both public kernels, the single vesicle and
+many vesicles sharing one extravesicular pool, run in one driver,
+`_run_lanes`; a single vesicle is a pool of one lane. The driver walks
 the blocks of `_step_blocks`, which end at every record step, light
-switch and drift check. The single-vesicle symport condition is one
-flag, changed only when the threshold test flips or the cargo runs out.
+switch and drift check, and hands each block to the compiled step
+`_fdm_step.c`, built with the system C compiler on first use and cached
+per user. Without a compiler it runs `_step_numpy`, which calls the
+flux laws and is the oracle the C step is pinned to bit for bit.
 
-Symport threshold crossings are detected by the sign change of
-(C_H_in - C_switch) with linear interpolation between steps and then
-assembled into the same cycle schedule the analytic solvers produce.
-A single-vesicle run can stop as soon as no later crossing can change
-that schedule (`until_settled`); the fig6 sweep's cross-check, which
-reads only the schedule, stops there instead of stepping through its
-long dark tail.
-
-The shared-pool kernel's cost is numpy's fixed cost per call, so its
-step makes few calls while each element sees the scalar loop's float
-operations. The threshold test `model.symport_gate`, the same as
-(c_in - c_switch) >= 0, is taken once: it gates the next step's symport
-and marks the crossings. Rare events (a threshold flip, a lane newly
-below the depletion threshold, a substrate overshoot to clamp) are found
-by one argmax over one flag array and handled lane by lane only in the
-steps that have one. A stable step keeps each Michaelis-Menten decrement
-below the cargo in exact arithmetic, but once the fluxes underflow to
-subnormals their rounding can overshoot it, so the clamp at 0 stays.
-The pool returns its record arrays, one column per vesicle, as they are.
+A step returns early after the rare step in which some vesicle's
+threshold test `model.symport_gate`, which gates its symport, flips, or
+its cargo falls below the depletion threshold. The driver then locates
+the crossing by linear interpolation, clamps a substrate overshoot at 0
+(once the fluxes underflow to subnormals their rounding can overshoot
+the cargo), logs the depletion event, and resumes. The crossings make
+the same cycle schedule the analytic solvers produce.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import hashlib
+import importlib.resources
 import math
 import numbers
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -163,17 +161,144 @@ def _step_blocks(signal: LightSignal, dt: float, n_steps: int,
     return zip(edges, edges[1:] + [n_steps], edge_light.tolist())
 
 
-def _record_count(n_steps: int, stride: int) -> int:
-    """Samples recorded: every stride-th step from 0, and step n_steps."""
-    return n_steps // stride + 1 + (1 if n_steps % stride else 0)
+
+# The rows of the per-lane state array and the fields of the pool array,
+# in the order of the enums of _fdm_step.c
+_LANE_ROWS = ("v_in", "gamma_p", "gamma_l", "gamma_s", "gamma_h",
+              "c_switch", "dep_threshold", "th_in", "cs_in", "c_in", "c_prev",
+              "net_in", "released")
+_POOL_FIELDS = ("th", "ts", "c", "dt", "v_pool", "b0", "k_a", "k_m", "c_out0")
 
 
-def _inventory_drift(h_total, h_total0, s_total, s_total0):
-    """Relative H+ or substrate inventory drift, whichever is larger."""
-    drift = abs(h_total - h_total0) / h_total0
-    if s_total0 > 0:
-        drift = max(drift, abs(s_total - s_total0) / s_total0)
-    return drift
+def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray):
+    """The FDM step in numpy, on model.py's flux laws: the oracle and the
+    fallback of the compiled step, vesim_fdm_steps of _fdm_step.c.
+
+    Binds the state of `_run_lanes` (`lanes`, rows `_LANE_ROWS`; `above`,
+    each lane's threshold test; `pool`, `_POOL_FIELDS`) and returns
+    steps(k0, k1, light), which runs the steps [k0, k1) in place and
+    returns k1, or the first step k after which some lane's test flipped
+    or its cargo fell below its depletion threshold. It then leaves the
+    state after step k, with `above` and `c_prev` (c_in) from before it.
+    """
+    (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
+     th_in, cs_in, c_in, c_prev) = lanes[:-2]
+    flows = lanes[-2:]  # net H+ inflow and released substrate: one sum
+    dt, v_pool, b0, k_a, km, c_out0 = pool[3:].tolist()
+
+    def steps(k0: int, k1: int, light: bool) -> int:
+        pool_th, pool_ts, c_pool = pool[:3].tolist()
+        for k in range(k0, k1):
+            pump = pump_flux(c_pool, c_out0, gamma_p, light)
+            f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
+            leak = leakage_flux(c_in, c_pool, gamma_l)
+            flows[0] = net_proton_inflow(pump, leak, f_h)
+            flows[1] = dt * f_s
+            th_in[:] += dt * flows[0]
+            cs_in[:] -= flows[1] / v_in
+            net_sum, released_sum = flows.sum(axis=1).tolist()
+            pool_th -= dt * net_sum
+            pool_ts += released_sum
+            c_prev[:] = c_in
+            c_in[:] = free_proton_conc_array(th_in / v_in, b0, k_a)
+            c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
+            if ((symport_gate(c_in, c_switch) != above).any()
+                    or (cs_in < dep_threshold).any()):
+                break
+        else:
+            k = k1
+        pool[:3] = pool_th, pool_ts, c_pool
+        return k
+
+    return steps
+
+
+# Fixed, so the library's bits do not depend on the environment: no
+# fused multiply-add, no -ffast-math, no host-specific instructions
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-lm")
+
+
+def _cache_dir() -> Path:
+    """$XDG_CACHE_HOME/vesim (default ~/.cache/vesim), or a per-user
+    temporary directory when that cannot be written."""
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    path = Path(root) / "vesim"
+    with contextlib.suppress(OSError):
+        path.mkdir(parents=True, exist_ok=True)
+    if os.access(path, os.W_OK):
+        return path
+    path = Path(tempfile.gettempdir()) / f"vesim-{os.getuid()}"
+    path.mkdir(mode=0o700, exist_ok=True)
+    if path.stat().st_uid != os.getuid():
+        raise OSError(f"{path} belongs to another user")
+    return path
+
+
+def _load_step():
+    """The compiled step as a binder with `_step_numpy`'s contract.
+
+    Builds _fdm_step.c with the system C compiler `cc` unless the cache
+    already holds a library for this source and these flags, and loads
+    it with ctypes. Raises OSError or CalledProcessError when the
+    library cannot be built or loaded.
+    """
+    source = importlib.resources.files("vesim").joinpath(
+        "_fdm_step.c").read_bytes()
+    key = hashlib.sha256(source + str(_CC_FLAGS).encode()).hexdigest()[:16]
+    lib_dir = _cache_dir()
+    path = lib_dir / f"_fdm_step-{key}.so"
+    if not path.exists():
+        cc = shutil.which("cc")
+        if cc is None:
+            raise OSError("no C compiler: cc is not on the PATH")
+        # build under a temporary name: other processes may build it too
+        fd, tmp = tempfile.mkstemp(dir=lib_dir, prefix=path.name)
+        os.close(fd)
+        try:
+            subprocess.run([cc, "-x", "c", "-", "-o", tmp, *_CC_FLAGS],
+                           input=source, capture_output=True, check=True)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(path)).vesim_fdm_steps
+    fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                   ctypes.c_int)
+    fn.restype = ctypes.c_long
+
+    def bind(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray):
+        n = above.size
+        if not (lanes.shape == (len(_LANE_ROWS), n)
+                and pool.shape == (len(_POOL_FIELDS),)
+                and lanes.dtype == pool.dtype == np.float64
+                and above.dtype == np.bool_
+                and all(a.flags.c_contiguous for a in (lanes, above, pool))):
+            raise ValueError("FDM state buffers of the wrong layout")
+        # the caller keeps the buffers alive while it steps; arguments
+        # passed as ctypes objects skip a conversion on every call
+        return functools.partial(fn, ctypes.c_long(n), *(
+            ctypes.c_void_p(a.ctypes.data) for a in (lanes, above, pool)))
+
+    return bind
+
+
+def _select_step():
+    """The compiled step, or `_step_numpy` with one UserWarning saying why."""
+    try:
+        return _load_step()
+    except (OSError, subprocess.CalledProcessError) as exc:
+        # a failed build's reason is the compiler's first message
+        err = getattr(exc, "stderr", b"").decode(errors="replace")
+        reason = err.split("\n")[0] or exc
+        warnings.warn(f"vesim: cannot build the compiled FDM step ({reason}); "
+                      "running the numpy step, 20 to 200 times slower",
+                      UserWarning, stacklevel=2)
+        return _step_numpy
+
+
+# Built and loaded on the first FDM run, never at import
+_compiled_step = functools.cache(_select_step)
 
 
 def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
@@ -181,11 +306,8 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  until_settled: bool = False) -> Trajectory:
     """Ground-truth trajectory of a single vesicle system.
 
-    Each step makes the float operations of `simulate_mvs_shared_pool`
-    with one vesicle, in the same order, so the two agree bit for bit.
-    The steps run in the blocks of `_step_blocks`, which both kernels
-    walk; per step the loop runs only what can change per step (see the
-    module docstring).
+    The run of `simulate_mvs_shared_pool` with this one vesicle and a
+    pool of volume env.v_out, so the two agree bit for bit.
 
     With `until_settled`, the run stops at the first record step at which
     `schedule_is_final` holds, so its `schedule` is the full run's. The
@@ -193,160 +315,16 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     recorded samples (an exact prefix of the full run's), the events so
     far, and the conservation drift checked so far.
     """
-    cfg = cfg or FdmConfig()
-    rates = derive_rates(spec, kin, env)
-    cfg.check_stability(spec, kin, env, rates)
-
-    dt = cfg.dt
-    n_steps = int(round(signal.horizon / dt))
-    stride = cfg.record_stride
-
-    v_in, v_out = spec.v_in, env.v_out
-    b0, k_a, km = env.buffer_total, env.k_a, kin.k_m
-    gamma_p, gamma_l = rates.pump_rate, rates.leak_rate
-    gamma_s, gamma_h = rates.symport_rate_substrate, rates.symport_rate_proton
-    c_switch = rates.switch_conc
-    c_out0 = env.c_h_out0
-    dep_threshold = DEPLETION_FRACTION_OF_KM * km
-    pump_on = gamma_p > 0.0 and c_out0 > 0.0
-    # free_proton_conc's constants, as it groups them: (b0 + k_a) - total,
-    # (4*k_a)*total and (2*k_a)*total
-    buffered = b0 > 0.0
-    b_k, k_a4, k_a2 = b0 + k_a, 4.0 * k_a, 2.0 * k_a
-    sqrt = math.sqrt
-
-    th_in = total_conc_from_free(env.c_h_in0, b0, k_a) * v_in
-    th_out = total_conc_from_free(env.c_h_out0, b0, k_a) * v_out
-    h_total0 = th_in + th_out
-    cs_in = env.c_s_in0
-    ts_out = 0.0
-    s_total0 = cs_in * v_in
-
-    n_rec = _record_count(n_steps, stride)
-    rec_t = np.empty(n_rec)
-    rec_chin = np.empty(n_rec)
-    rec_chout = np.empty(n_rec)
-    rec_csin = np.empty(n_rec)
-    rec_csout = np.empty(n_rec)
-    rec_light = np.empty(n_rec, dtype=int)
-
-    crossings: list[tuple[float, int]] = []
-    events: list[Event] = []
-    drift = 0.0
-
-    c_in = free_proton_conc(th_in / v_in, b0, k_a)
-    c_out = free_proton_conc(th_out / v_out, b0, k_a)
-    # model.symport_gate, taken once per step: it gates the next step's
-    # symport and its flips are the crossings. `release` is the whole
-    # symport condition; cargo only falls, and once it is gone it stays.
-    above = c_in >= c_switch
-    active_at_start = above
-    cargo = gamma_s > 0.0 and cs_in > 0.0
-    release = above and cargo
-    depleted = False
-
-    ri = 0
-    for k0, k1, light in _step_blocks(signal, dt, n_steps, stride):
-        # C_S_in moves only in release steps, which test it for depletion;
-        # a run that starts below the threshold reports it after step 0
-        if k0 == 1 and not depleted and cs_in < dep_threshold:
-            events.append(Event("depletion", dt,
-                                "fell below reporting threshold"))
-            depleted = True
-        if k0 % stride == 0 or k0 == n_steps:
-            rec_t[ri] = k0 * dt
-            rec_chin[ri] = c_in
-            rec_chout[ri] = c_out
-            rec_csin[ri] = cs_in
-            rec_csout[ri] = ts_out / v_out
-            rec_light[ri] = 1 if light else 0
-            ri += 1
-            if k0 == n_steps or (until_settled and schedule_is_final(
-                    signal, crossings, active_at_start, k0 * dt)):
-                break
-        if k0 % 1000 == 1:  # the state after step k0 - 1
-            drift = max(drift, _inventory_drift(
-                th_in + th_out, h_total0, cs_in * v_in + ts_out, s_total0))
-        lit = light and pump_on
-
-        # model.pump_flux, symport_flux, leakage_flux and net_proton_inflow
-        # and buffering.free_proton_conc, inlined in their arithmetic
-        # order; the test TestSharedPool::test_single_vesicle_degenerates_
-        # to_svs pins this step bit for bit to the shared-pool kernel,
-        # which calls them.
-        for k in range(k0, k1):
-            pump = gamma_p * (c_out / c_out0) if lit else 0.0
-            if release:
-                mm = cs_in / (cs_in + km)
-                f_s = gamma_s * mm
-                d_h = dt * (pump - gamma_l * (c_in - c_out) - gamma_h * mm)
-                if f_s > 0.0:
-                    released = dt * f_s
-                    cs_in -= released / v_in
-                    ts_out += released
-                    if cs_in <= 0.0:
-                        if cs_in < 0.0:
-                            ts_out += cs_in * v_in  # return the overshoot
-                            cs_in = 0.0
-                            if not depleted:
-                                events.append(Event(
-                                    "depletion", (k + 1) * dt,
-                                    "substrate clamped at 0"))
-                                depleted = True
-                        cargo = release = False
-                if not depleted and cs_in < dep_threshold:
-                    events.append(Event("depletion", (k + 1) * dt,
-                                        "fell below reporting threshold"))
-                    depleted = True
-            else:  # f_h = 0, and x - 0.0 is x
-                d_h = dt * (pump - gamma_l * (c_in - c_out))
-            th_in += d_h
-            th_out -= d_h
-
-            c_prev = c_in
-            total = th_in / v_in
-            if total <= 0.0:
-                c_in = 0.0
-            elif not buffered:
-                c_in = total
-            else:
-                q = b_k - total
-                disc = sqrt(q * q + k_a4 * total)
-                c_in = (k_a2 * total / (q + disc) if q >= 0.0
-                        else 0.5 * (disc - q))
-            total = th_out / v_out
-            if total <= 0.0:
-                c_out = 0.0
-            elif not buffered:
-                c_out = total
-            else:
-                q = b_k - total
-                disc = sqrt(q * q + k_a4 * total)
-                c_out = (k_a2 * total / (q + disc) if q >= 0.0
-                         else 0.5 * (disc - q))
-
-            if (c_in >= c_switch) is not above:
-                above = not above
-                diff_prev = c_prev - c_switch
-                frac = diff_prev / (diff_prev - (c_in - c_switch))
-                crossings.append((k * dt + frac * dt, 1 if above else -1))
-                release = above and cargo
-
-    drift = max(drift, _inventory_drift(
-        th_in + th_out, h_total0, cs_in * v_in + ts_out, s_total0))
-
-    if ri < n_rec:  # stopped once the schedule was final
-        rec_t, rec_chin, rec_chout, rec_csin, rec_csout, rec_light = (
-            a[:ri].copy() for a in (rec_t, rec_chin, rec_chout, rec_csin,
-                                    rec_csout, rec_light))
-    sched = schedule_from_crossings(signal, crossings, active_at_start)
-    cycles, phases = sched.annotate(rec_t)
+    res, rates, light = _run_lanes([spec], kin, env, signal,
+                                   cfg or FdmConfig(), until_settled)
+    sched = res.schedules[0]
+    cycles, phases = sched.annotate(res.t)
     return Trajectory(
-        t=rec_t, c_h_in=rec_chin, c_h_out=rec_chout, c_s_in=rec_csin,
-        c_s_out=rec_csout, light=rec_light,
+        t=res.t, c_h_in=res.c_h_in[:, 0], c_h_out=res.pooled_c_h_out,
+        c_s_in=res.c_s_in[:, 0], c_s_out=res.pooled_c_s_out, light=light,
         cycle=np.asarray(cycles, dtype=int), phase=phases, schedule=sched,
-        solver="fdm", derived=rates, events=events,
-        conservation_drift=drift,
+        solver="fdm", derived=rates[0], events=res.events[0],
+        conservation_drift=float(res.conservation_drift),
     )
 
 
@@ -375,6 +353,7 @@ class SharedPoolResult:
     conservation_drift: float
 
 
+
 def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
                              env_total: Environment, signal: LightSignal,
                              cfg: FdmConfig | None = None) -> SharedPoolResult:
@@ -388,11 +367,25 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     """
     if not specs:
         raise ValueError("need at least one vesicle")
-    cfg = cfg or FdmConfig()
+    return _run_lanes(specs, kin, env_total, signal, cfg or FdmConfig(),
+                      False)[0]
+
+
+def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
+               env_total: Environment, signal: LightSignal, cfg: FdmConfig,
+               until_settled: bool):
+    """Step `specs` against one pool of volume `env_total.v_out`.
+
+    The driver of both public kernels (see the module docstring). With
+    `until_settled` the run stops at the first record step at which
+    every vesicle's schedule is final.
+
+    Returns the SharedPoolResult, each vesicle's DerivedRates and the
+    illumination (0 or 1) of each recorded sample.
+    """
     n_ves = len(specs)
     v_pool = env_total.v_out
     env_alloc = dataclasses.replace(env_total, v_out=v_pool / n_ves)
-
     rates = [derive_rates(s, kin, env_alloc) for s in specs]
     for s, r in zip(specs, rates):
         cfg.check_stability(s, kin, env_alloc, r)
@@ -403,39 +396,52 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     b0, k_a, km = env_total.buffer_total, env_total.k_a, kin.k_m
     c_out0 = env_total.c_h_out0
 
-    v_in = np.array([s.v_in for s in specs])
-    gamma_p = np.array([r.pump_rate for r in rates])
-    gamma_l = np.array([r.leak_rate for r in rates])
-    gamma_s = np.array([r.symport_rate_substrate for r in rates])
-    gamma_h = np.array([r.symport_rate_proton for r in rates])
-    c_switch = np.array([r.switch_conc for r in rates])
-
-    th_in = np.full(n_ves, total_conc_from_free(env_total.c_h_in0, b0, k_a)) * v_in
+    lanes = np.empty((len(_LANE_ROWS), n_ves))
+    (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
+     th_in, cs_in, c_in, c_prev, _, _) = lanes
+    v_in[:] = [s.v_in for s in specs]
+    gamma_p[:] = [r.pump_rate for r in rates]
+    gamma_l[:] = [r.leak_rate for r in rates]
+    gamma_s[:] = [r.symport_rate_substrate for r in rates]
+    gamma_h[:] = [r.symport_rate_proton for r in rates]
+    c_switch[:] = [r.switch_conc for r in rates]
+    # a lane's threshold drops to 0 once it has reported depletion, so
+    # the step's one test also finds the rare lanes to clamp at 0
+    dep_threshold[:] = DEPLETION_FRACTION_OF_KM * km
+    th_in[:] = total_conc_from_free(env_total.c_h_in0, b0, k_a) * v_in
+    cs_in[:] = env_total.c_s_in0
+    c_in[:] = free_proton_conc_array(th_in / v_in, b0, k_a)
     pool_th = total_conc_from_free(c_out0, b0, k_a) * v_pool
-    cs_in = np.full(n_ves, env_total.c_s_in0)
-    pool_ts = 0.0
+    c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
+    pool = np.array([pool_th, 0.0, c_pool, dt, v_pool, b0, k_a, km, c_out0])
     h_total0 = th_in.sum() + pool_th
     s_total0 = (cs_in * v_in).sum()
 
-    n_rec = _record_count(n_steps, stride)
+    def inventory_drift():
+        """Relative H+ or substrate inventory drift, whichever is larger."""
+        drift = abs(th_in.sum() + pool[0] - h_total0) / h_total0
+        if s_total0 > 0:
+            s_total = (cs_in * v_in).sum() + pool[1]
+            drift = max(drift, abs(s_total - s_total0) / s_total0)
+        return drift
+
+    # model.symport_gate, taken once per step: it gates the next step's
+    # symport and its flips are the crossings
+    above = symport_gate(c_in, c_switch)
+    active_at_start = above.copy()
+    steps = _compiled_step()(lanes, above, pool)
+
+    # every stride-th step from 0, and step n_steps
+    n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
     rec_t = np.empty(n_rec)
     rec_chin = np.empty((n_rec, n_ves))
     rec_csin = np.empty((n_rec, n_ves))
     rec_pool_h = np.empty(n_rec)
     rec_pool_s = np.empty(n_rec)
+    rec_light = np.empty(n_rec, dtype=int)
 
     crossings: list[list[tuple[float, int]]] = [[] for _ in range(n_ves)]
     events: list[list[Event]] = [[] for _ in range(n_ves)]
-    # a lane's threshold drops to 0 once it has reported depletion, so
-    # the one test below also finds the rare lanes to clamp at 0
-    dep_threshold = np.full(n_ves, DEPLETION_FRACTION_OF_KM * km)
-    # rows: net H+ inflow and released substrate, summed in one reduction
-    flows = np.empty((2, n_ves))
-
-    c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
-    c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-    above = symport_gate(c_in, c_switch)
-    active_at_start = above
     drift = 0.0
 
     ri = 0
@@ -444,62 +450,50 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
             rec_t[ri] = k0 * dt
             rec_chin[ri] = c_in
             rec_csin[ri] = cs_in
-            rec_pool_h[ri] = c_pool
-            rec_pool_s[ri] = pool_ts / v_pool
+            rec_pool_h[ri] = pool[2]
+            rec_pool_s[ri] = pool[1] / v_pool
+            rec_light[ri] = light
             ri += 1
-            if k0 == n_steps:
+            if k0 == n_steps or (until_settled and all(
+                    schedule_is_final(signal, crossings[v],
+                                      bool(active_at_start[v]), k0 * dt)
+                    for v in range(n_ves))):
                 break
         if k0 % 1000 == 1:  # the state after step k0 - 1
-            drift = max(drift, _inventory_drift(
-                th_in.sum() + pool_th, h_total0,
-                (cs_in * v_in).sum() + pool_ts, s_total0))
+            drift = max(drift, inventory_drift())
 
-        for k in range(k0, k1):
-            pump = pump_flux(c_pool, c_out0, gamma_p, light)
-            f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
-            leak = leakage_flux(c_in, c_pool, gamma_l)
-            net_in = net_proton_inflow(pump, leak, f_h)
-
-            th_in += dt * net_in
-            released = dt * f_s
-            cs_in -= released / v_in
-            flows[0] = net_in
-            flows[1] = released
-            net_sum, released_sum = flows.sum(axis=1).tolist()
-            pool_th -= dt * net_sum
-            pool_ts += released_sum
-
-            c_prev = c_in
-            c_in = free_proton_conc_array(th_in / v_in, b0, k_a)
-            c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-
-            # one threshold test gates the next step's symport and finds
-            # the crossings
-            was_above, above = above, symport_gate(c_in, c_switch)
-            flipped = above != was_above
+        k = k0
+        while k < k1:
+            k = steps(k, k1, light)
+            if k == k1:
+                break
+            # step k flipped a threshold test or left a lane low
+            flipped = symport_gate(c_in, c_switch) != above
+            above ^= flipped
             low = cs_in < dep_threshold
-            rare = flipped | low
-            if rare[rare.argmax()]:
-                for v in np.flatnonzero(flipped):
-                    diff_prev = c_prev[v] - c_switch[v]
-                    frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
-                    crossings[v].append((k * dt + frac * dt,
-                                         1 if above[v] else -1))
-                under = cs_in < 0.0
-                if under.any():
-                    pool_ts += (cs_in[under] * v_in[under]).sum()
-                    cs_in[under] = 0.0
-                for v in np.flatnonzero(low):
-                    if dep_threshold[v] > 0.0:
-                        events[v].append(Event(
-                            "depletion", (k + 1) * dt,
-                            "substrate clamped at 0" if under[v]
-                            else "fell below reporting threshold"))
-                        dep_threshold[v] = 0.0
+            for v in np.flatnonzero(flipped):
+                diff_prev = c_prev[v] - c_switch[v]
+                frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
+                crossings[v].append((k * dt + frac * dt,
+                                     1 if above[v] else -1))
+            under = cs_in < 0.0
+            if under.any():
+                pool[1] += (cs_in[under] * v_in[under]).sum()
+                cs_in[under] = 0.0
+            for v in np.flatnonzero(low):
+                if dep_threshold[v] > 0.0:
+                    events[v].append(Event(
+                        "depletion", (k + 1) * dt,
+                        "substrate clamped at 0" if under[v]
+                        else "fell below reporting threshold"))
+                    dep_threshold[v] = 0.0
+            k += 1
 
-    drift = max(drift, _inventory_drift(
-        th_in.sum() + pool_th, h_total0, (cs_in * v_in).sum() + pool_ts,
-        s_total0))
+    drift = max(drift, inventory_drift())
+    if ri < n_rec:  # stopped once every schedule was final
+        rec_t, rec_chin, rec_csin, rec_pool_h, rec_pool_s, rec_light = (
+            a[:ri].copy() for a in (rec_t, rec_chin, rec_csin, rec_pool_h,
+                                    rec_pool_s, rec_light))
     schedules = [schedule_from_crossings(signal, crossings[v],
                                          bool(active_at_start[v]))
                  for v in range(n_ves)]
@@ -507,4 +501,4 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
         t=rec_t, c_h_in=rec_chin, c_s_in=rec_csin, pooled_c_h_out=rec_pool_h,
         pooled_c_s_out=rec_pool_s, schedules=schedules, events=events,
         conservation_drift=drift,
-    )
+    ), rates, rec_light

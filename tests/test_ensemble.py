@@ -331,6 +331,8 @@ def test_config_validation():
         EnsembleConfig(n_mod=200, n_ves=100)
     with pytest.raises(ValueError, match="finite"):
         EnsembleConfig(v_out_tot=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        EnsembleConfig(n_ves=10**400, n_mod=5)
     cfg = EnsembleConfig()
     assert cfg.v_out_per_vesicle == pytest.approx(1e-17, rel=1e-12)
 

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import shutil
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -403,15 +407,18 @@ class TestSharedPool:
     @pytest.mark.parametrize("case", list(PIN_CASES))
     def test_single_vesicle_degenerates_to_svs(self, case, base_kinetics,
                                                monkeypatch):
-        # the pool kernel calls model.py's flux laws and the scalar loop
-        # inlines them: with one vesicle both must agree bit for bit
+        # a single vesicle is a pool of one lane: simulate_svs on the
+        # step in use (compiled where a C compiler exists) matches the
+        # one-lane pool on the numpy step, which calls model.py's flux
+        # laws, bit for bit
         spec, env, sig, cfg, checked, infos = PIN_CASES[case]()
         if not checked:
             monkeypatch.setattr(FdmConfig, "check_stability",
                                 lambda self, *args: 0.0)
+        svs = simulate_svs(spec, base_kinetics, env, sig, cfg)
+        monkeypatch.setattr(fdm, "_compiled_step", lambda: fdm._step_numpy)
         pool = simulate_mvs_shared_pool([spec], base_kinetics, env, sig,
                                         cfg)
-        svs = simulate_svs(spec, base_kinetics, env, sig, cfg)
         assert [e.info for e in svs.events] == infos
         assert np.any(svs.c_s_in == 0.0) == case.startswith("clamp")
         assert pool.events[0] == svs.events
@@ -519,3 +526,132 @@ class TestSharedPool:
         with pytest.raises(ValueError, match="at least one"):
             simulate_mvs_shared_pool([], base_kinetics, base_env,
                                      LightSignal([(0, 1)], 2), FdmConfig())
+
+
+def _c_step():
+    """The compiled step; skips where no C compiler can build it."""
+    step = fdm._compiled_step()
+    if step is fdm._step_numpy:
+        pytest.skip("no compiled FDM step on this host")
+    return step
+
+
+def _run_pool_on(step, *args):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fdm, "_compiled_step", lambda: step)
+        return simulate_mvs_shared_pool(*args)
+
+
+def _assert_same_pool(a, b):
+    for name in ("t", "c_h_in", "c_s_in", "pooled_c_h_out",
+                 "pooled_c_s_out"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.events == b.events
+    assert [s.cycles for s in a.schedules] == [s.cycles for s in b.schedules]
+    assert a.conservation_drift == b.conservation_drift
+
+
+# 7, 8, 9, 128 and 129 lanes sit at the block edges of numpy's pairwise
+# sum, which the compiled step repeats for the two pool sums
+@given(n_ves=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       b0=st.sampled_from([0.0, 10.0, 20.0]), pulses=_pulses(),
+       c_s_in0=st.floats(-3.0, 2.5).map(lambda e: 10.0 ** e),
+       stride=st.sampled_from([1, 7, 10, 100]))
+@example(n_ves=1, seed=0, b0=0.0, pulses=([(0, 300)], 2000), c_s_in0=0.01,
+         stride=10)
+@example(n_ves=7, seed=1, b0=20.0, pulses=([(0, 800), (1000, 1200)], 2000),
+         c_s_in0=0.05, stride=10)
+@example(n_ves=8, seed=2, b0=10.0, pulses=([(0, 1500)], 2500), c_s_in0=1.0,
+         stride=7)
+@example(n_ves=9, seed=3, b0=0.0, pulses=([(100, 600)], 2000),
+         c_s_in0=300.0, stride=1)
+@example(n_ves=128, seed=4, b0=20.0, pulses=([(0, 1000)], 1500),
+         c_s_in0=0.02, stride=100)
+@example(n_ves=129, seed=5, b0=10.0, pulses=([(0, 1000)], 1500),
+         c_s_in0=0.02, stride=10)
+@example(n_ves=300, seed=6, b0=0.0, pulses=([(0, 400), (600, 900)], 1200),
+         c_s_in0=0.03, stride=10)
+@settings(derandomize=True, deadline=None, max_examples=12)
+@pytest.mark.filterwarnings("ignore:vesicle has no pumps")
+def test_compiled_step_matches_numpy_step_on_random_pools(
+        n_ves, seed, b0, pulses, c_s_in0, stride):
+    # heterogeneous vesicles against one pool: every record array, event,
+    # schedule and drift of the compiled step equals the numpy step's
+    c_step = _c_step()
+    rng = np.random.default_rng(seed)
+    kin = default_kinetics()
+    specs = [VesicleSpec(d_in=d, d_mem=14e-9, n_pumps=int(p), n_sym=int(s),
+                         permeability=10.0 ** e)
+             for d, p, s, e in zip(rng.uniform(40e-9, 300e-9, n_ves),
+                                   rng.integers(0, 200, n_ves),
+                                   rng.integers(0, 300, n_ves),
+                                   rng.uniform(-7.0, -5.0, n_ves))]
+    env = default_environment(buffer_total=b0, c_s_in0=c_s_in0)
+    dt = min(1e-2, *(stable_dt(s, kin, env) for s in specs))
+    intervals, horizon = pulses
+    sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
+    args = (specs, kin, dataclasses.replace(env, v_out=n_ves * env.v_out),
+            sig, FdmConfig(dt=dt, record_stride=stride))
+    _assert_same_pool(_run_pool_on(c_step, *args),
+                      _run_pool_on(fdm._step_numpy, *args))
+
+
+class TestCompiledStepBuild:
+    """The compiled step's build and cache, each in a fresh cache."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        self.lib_dir = tmp_path / "vesim"
+
+    def _pin_case(self, step):
+        spec, env, sig, cfg, _, _ = PIN_CASES["depletion"]()
+        return _run_pool_on(step, [spec], default_kinetics(), env, sig, cfg)
+
+    def test_compiled_step_is_in_use_where_a_compiler_exists(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on the PATH")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fallback warns
+            assert fdm._select_step() is not fdm._step_numpy
+        assert fdm._compiled_step() is not fdm._step_numpy
+        assert len(list(self.lib_dir.glob("_fdm_step-*.so"))) == 1
+
+    def test_second_load_runs_no_compiler(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on the PATH")
+        first = fdm._load_step()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the cached library was built again")
+
+        monkeypatch.setattr(fdm.subprocess, "run", no_compiler)
+        second = fdm._load_step()
+        _assert_same_pool(self._pin_case(first),
+                          self._pin_case(second))
+        assert [p.name for p in self.lib_dir.iterdir()] == [
+            p.name for p in self.lib_dir.glob("_fdm_step-*.so")]
+
+    def test_cflags_from_the_environment_are_ignored(self, monkeypatch):
+        c_step = _c_step()
+        monkeypatch.setenv("CFLAGS", "-ffast-math -march=native")
+        _assert_same_pool(self._pin_case(fdm._load_step()),
+                          self._pin_case(c_step))
+
+    def test_failed_build_falls_back_with_one_warning(self, monkeypatch):
+        expected = self._pin_case(fdm._compiled_step())
+        monkeypatch.setattr(fdm, "_CC_FLAGS", ("-no-such-flag",))
+        with pytest.warns(UserWarning, match="numpy step") as caught:
+            step = fdm._select_step()
+        assert len(caught) == 1
+        assert step is fdm._step_numpy
+        _assert_same_pool(self._pin_case(step), expected)
+
+    def test_unwritable_cache_falls_back_to_a_user_temp_dir(self, tmp_path,
+                                                           monkeypatch):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        assert fdm._cache_dir() == tmp_path / "tmp" / f"vesim-{os.getuid()}"
