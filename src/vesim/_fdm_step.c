@@ -2,24 +2,29 @@
  *
  * Steps n vesicles ("lanes") that share one extravesicular pool over the
  * steps [k0, k1) under one light flag, in place, with the contract of
- * fdm._step_numpy: it returns k1, or the first step k after which some
- * lane's threshold test c_in >= c_switch differs from `above` or its
- * cargo fell below its depletion threshold. Each step makes the float
- * operations of fdm._step_numpy, which calls the flux laws of model.py
- * and the buffer root of buffering.py, in the same order, so the two
- * agree bit for bit. That needs IEEE double arithmetic as written:
- * fdm.py builds this file with -O2 -ffp-contract=off (no fused
- * multiply-add) and never with -ffast-math.
+ * fdm._step_numpy. A lane whose threshold test c_in >= c_switch flips in
+ * step k has the flip logged in the crossing log and `above` updated; a
+ * chattering lane thus costs no return to Python. The step returns k1,
+ * or the first step k after which some lane's cargo fell below its
+ * depletion threshold or the log has no room for another step's flips.
+ * Each step makes the float operations of fdm._step_numpy, which calls
+ * the flux laws of model.py and the buffer root of buffering.py, in the
+ * same order, so the two agree bit for bit. That needs IEEE double
+ * arithmetic as written: fdm.py builds this file with -O2
+ * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
  * The state lives in the rows of one n-column array, `lanes`, and in
  * `pool`, in the order of the enums below (fdm._LANE_ROWS and
- * fdm._POOL_FIELDS).
+ * fdm._POOL_FIELDS). The crossing log holds n_log[0] entries of capacity
+ * `cap`: lane and direction (+1 up, -1 down) in the two rows of
+ * `log_vd`, the interpolated crossing time in `log_t`.
  */
 
 #include <math.h>
+#include <stdint.h>
 
 enum { V_IN, GAMMA_P, GAMMA_L, GAMMA_S, GAMMA_H, C_SWITCH, DEP_THRESHOLD,
-       TH_IN, CS_IN, C_IN, C_PREV, NET_IN, RELEASED, N_ROWS };
+       TH_IN, CS_IN, C_IN, NET_IN, RELEASED, N_ROWS };
 enum { POOL_TH, POOL_TS, C_POOL, DT, V_POOL, B0, K_A, K_M, C_OUT0 };
 
 /* numpy's pairwise summation of a contiguous double array: a plain loop
@@ -67,8 +72,9 @@ static double free_conc(double total, double b0, double k_a)
     return 0.5 * (disc - q);
 }
 
-long vesim_fdm_steps(long n, double *lanes, const unsigned char *above,
-                     double *pool, long k0, long k1, int light)
+long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
+                     double *pool, int64_t *n_log, int64_t *log_vd,
+                     double *log_t, long cap, long k0, long k1, int light)
 {
     const double *v_in = lanes + V_IN * n, *gamma_p = lanes + GAMMA_P * n,
                  *gamma_l = lanes + GAMMA_L * n,
@@ -77,18 +83,19 @@ long vesim_fdm_steps(long n, double *lanes, const unsigned char *above,
                  *c_switch = lanes + C_SWITCH * n,
                  *dep_threshold = lanes + DEP_THRESHOLD * n;
     double *th_in = lanes + TH_IN * n, *cs_in = lanes + CS_IN * n,
-           *c_in = lanes + C_IN * n, *c_prev = lanes + C_PREV * n,
-           *net_in = lanes + NET_IN * n, *released = lanes + RELEASED * n;
+           *c_in = lanes + C_IN * n, *net_in = lanes + NET_IN * n,
+           *released = lanes + RELEASED * n;
     const double dt = pool[DT], v_pool = pool[V_POOL], b0 = pool[B0],
                  k_a = pool[K_A], k_m = pool[K_M], c_out0 = pool[C_OUT0];
     const int pumping = light && c_out0 > 0.0;  /* model.pump_flux */
     double pool_th = pool[POOL_TH], pool_ts = pool[POOL_TS],
            c_pool = pool[C_POOL];
     long k;
+    int64_t m = *n_log;
 
     for (k = k0; k < k1; k++) {
         const double ratio = pumping ? c_pool / c_out0 : 0.0;
-        int rare = 0;
+        int low = 0;
         for (long v = 0; v < n; v++) {
             const double cs = cs_in[v];
             /* model.symport_flux: mm = gate * c_s / (c_s + k_m) */
@@ -107,17 +114,28 @@ long vesim_fdm_steps(long n, double *lanes, const unsigned char *above,
         pool_th -= dt * (0.0 + pairwise_sum(net_in, n));
         pool_ts += 0.0 + pairwise_sum(released, n);
         for (long v = 0; v < n; v++) {
-            c_prev[v] = c_in[v];
+            const double c_prev = c_in[v];
             c_in[v] = free_conc(th_in[v] / v_in[v], b0, k_a);
-            rare |= (c_in[v] >= c_switch[v]) != (above[v] != 0)
-                    || cs_in[v] < dep_threshold[v];
+            if ((c_in[v] >= c_switch[v]) != (above[v] != 0)) {
+                /* the crossing by linear interpolation within step k */
+                const double diff_prev = c_prev - c_switch[v];
+                const double frac =
+                    diff_prev / (diff_prev - (c_in[v] - c_switch[v]));
+                above[v] = !above[v];
+                log_vd[m] = v;
+                log_vd[cap + m] = above[v] ? 1 : -1;
+                log_t[m] = (double)k * dt + frac * dt;
+                m++;
+            }
+            low |= cs_in[v] < dep_threshold[v];
         }
         c_pool = free_conc(pool_th / v_pool, b0, k_a);
-        if (rare)
+        if (low || m + n > cap)
             break;
     }
     pool[POOL_TH] = pool_th;
     pool[POOL_TS] = pool_ts;
     pool[C_POOL] = c_pool;
+    *n_log = m;
     return k;
 }

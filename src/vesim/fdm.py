@@ -20,13 +20,16 @@ switch and drift check, and hands each block to the compiled step
 per user. Without a compiler it runs `_step_numpy`, which calls the
 flux laws and is the oracle the C step is pinned to bit for bit.
 
-A step returns early after the rare step in which some vesicle's
-threshold test `model.symport_gate`, which gates its symport, flips, or
-its cargo falls below the depletion threshold. The driver then locates
-the crossing by linear interpolation, clamps a substrate overshoot at 0
-(once the fluxes underflow to subnormals their rounding can overshoot
-the cargo), logs the depletion event, and resumes. The crossings make
-the same cycle schedule the analytic solvers produce.
+When a vesicle's threshold test `model.symport_gate`, which gates its
+symport, flips in a step, the step locates the crossing by linear
+interpolation and appends it to a crossing log, which the driver reads
+in bulk; a vesicle that chatters across its threshold for thousands of
+steps thus costs no return to Python. The crossings make the same cycle
+schedule the analytic solvers produce. A step returns early after the
+rare step in which some vesicle's cargo falls below the depletion
+threshold; the driver then clamps a substrate overshoot at 0 (once the
+fluxes underflow to subnormals their rounding can overshoot the cargo),
+logs the depletion event, and resumes.
 """
 
 from __future__ import annotations
@@ -165,26 +168,57 @@ def _step_blocks(signal: LightSignal, dt: float, n_steps: int,
 # The rows of the per-lane state array and the fields of the pool array,
 # in the order of the enums of _fdm_step.c
 _LANE_ROWS = ("v_in", "gamma_p", "gamma_l", "gamma_s", "gamma_h",
-              "c_switch", "dep_threshold", "th_in", "cs_in", "c_in", "c_prev",
-              "net_in", "released")
+              "c_switch", "dep_threshold", "th_in", "cs_in", "c_in", "net_in",
+              "released")
 _POOL_FIELDS = ("th", "ts", "c", "dt", "v_pool", "b0", "k_a", "k_m", "c_out0")
 
 
-def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray):
+_LOG_ROOM = 4096  # log entries beyond one step's flips of every lane
+
+
+class _CrossingLog:
+    """The threshold crossings a step found, until the driver takes them.
+
+    Entry i < n[0] is lane vd[0, i] crossing in direction vd[1, i] (+1
+    up, -1 down) at time t[i]; the compiled step writes the same three
+    buffers, and returns to be emptied when they are full.
+    """
+
+    def __init__(self, cap: int):
+        self.n = np.zeros(1, dtype=np.int64)
+        self.vd = np.empty((2, cap), dtype=np.int64)
+        self.t = np.empty(cap)
+
+    def take(self, crossings: list[list[tuple[float, int]]]) -> None:
+        """Append every logged crossing to its lane's list; empty the log."""
+        m = int(self.n[0])
+        if not m:
+            return
+        for v, d, t in zip(*self.vd[:, :m].tolist(), self.t[:m].tolist()):
+            crossings[v].append((t, d))
+        self.n[0] = 0
+
+
+def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
+                log: _CrossingLog):
     """The FDM step in numpy, on model.py's flux laws: the oracle and the
     fallback of the compiled step, vesim_fdm_steps of _fdm_step.c.
 
     Binds the state of `_run_lanes` (`lanes`, rows `_LANE_ROWS`; `above`,
-    each lane's threshold test; `pool`, `_POOL_FIELDS`) and returns
-    steps(k0, k1, light), which runs the steps [k0, k1) in place and
-    returns k1, or the first step k after which some lane's test flipped
-    or its cargo fell below its depletion threshold. It then leaves the
-    state after step k, with `above` and `c_prev` (c_in) from before it.
+    each lane's threshold test; `pool`, `_POOL_FIELDS`; `log`, the
+    crossings found and not yet taken) and returns steps(k0, k1, light).
+    It runs the steps [k0, k1) in place. A lane whose test flips in step
+    k has its crossing, interpolated linearly within the step, appended
+    to `log` and its `above` updated. It returns k1, or the first step k
+    after which some lane's cargo fell below its depletion threshold or
+    `log` has no room for another step's flips, with the state after
+    step k.
     """
     (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
-     th_in, cs_in, c_in, c_prev) = lanes[:-2]
+     th_in, cs_in, c_in) = lanes[:-2]
     flows = lanes[-2:]  # net H+ inflow and released substrate: one sum
     dt, v_pool, b0, k_a, km, c_out0 = pool[3:].tolist()
+    n, cap = above.size, log.t.size
 
     def steps(k0: int, k1: int, light: bool) -> int:
         pool_th, pool_ts, c_pool = pool[:3].tolist()
@@ -199,11 +233,20 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray):
             net_sum, released_sum = flows.sum(axis=1).tolist()
             pool_th -= dt * net_sum
             pool_ts += released_sum
-            c_prev[:] = c_in
+            c_prev = c_in.copy()
             c_in[:] = free_proton_conc_array(th_in / v_in, b0, k_a)
             c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-            if ((symport_gate(c_in, c_switch) != above).any()
-                    or (cs_in < dep_threshold).any()):
+            flipped = symport_gate(c_in, c_switch) != above
+            if flipped.any():  # log the crossings within step k
+                v = np.flatnonzero(flipped)
+                above[v] ^= True
+                diff_prev = c_prev[v] - c_switch[v]
+                frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
+                m, m1 = log.n[0], log.n[0] + v.size
+                log.vd[:, m:m1] = v, np.where(above[v], 1, -1)
+                log.t[m:m1] = k * dt + frac * dt
+                log.n[0] = m1
+            if (cs_in < dep_threshold).any() or log.n[0] + n > cap:
                 break
         else:
             k = k1
@@ -262,23 +305,27 @@ def _load_step():
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
     fn = ctypes.CDLL(str(path)).vesim_fdm_steps
-    fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-                   ctypes.c_int)
+    fn.argtypes = (ctypes.c_long, *(ctypes.c_void_p,) * 6, ctypes.c_long,
+                   ctypes.c_long, ctypes.c_long, ctypes.c_int)
     fn.restype = ctypes.c_long
 
-    def bind(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray):
-        n = above.size
+    def bind(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
+             log: _CrossingLog):
+        n, cap = above.size, log.t.size
+        buffers = (lanes, above, pool, log.n, log.vd, log.t)
         if not (lanes.shape == (len(_LANE_ROWS), n)
                 and pool.shape == (len(_POOL_FIELDS),)
-                and lanes.dtype == pool.dtype == np.float64
+                and lanes.dtype == pool.dtype == log.t.dtype == np.float64
                 and above.dtype == np.bool_
-                and all(a.flags.c_contiguous for a in (lanes, above, pool))):
+                and log.n.dtype == log.vd.dtype == np.int64
+                and log.vd.shape == (2, cap) and cap >= n
+                and all(a.flags.c_contiguous for a in buffers)):
             raise ValueError("FDM state buffers of the wrong layout")
         # the caller keeps the buffers alive while it steps; arguments
         # passed as ctypes objects skip a conversion on every call
         return functools.partial(fn, ctypes.c_long(n), *(
-            ctypes.c_void_p(a.ctypes.data) for a in (lanes, above, pool)))
+            ctypes.c_void_p(a.ctypes.data) for a in buffers),
+            ctypes.c_long(cap))
 
     return bind
 
@@ -398,7 +445,7 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
 
     lanes = np.empty((len(_LANE_ROWS), n_ves))
     (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
-     th_in, cs_in, c_in, c_prev, _, _) = lanes
+     th_in, cs_in, c_in, _, _) = lanes
     v_in[:] = [s.v_in for s in specs]
     gamma_p[:] = [r.pump_rate for r in rates]
     gamma_l[:] = [r.leak_rate for r in rates]
@@ -429,7 +476,8 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
     # symport and its flips are the crossings
     above = symport_gate(c_in, c_switch)
     active_at_start = above.copy()
-    steps = _compiled_step()(lanes, above, pool)
+    log = _CrossingLog(n_ves + _LOG_ROOM)
+    steps = _compiled_step()(lanes, above, pool, log)
 
     # every stride-th step from 0, and step n_steps
     n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
@@ -454,6 +502,8 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
             rec_pool_s[ri] = pool[1] / v_pool
             rec_light[ri] = light
             ri += 1
+            if until_settled:
+                log.take(crossings)
             if k0 == n_steps or (until_settled and all(
                     schedule_is_final(signal, crossings[v],
                                       bool(active_at_start[v]), k0 * dt)
@@ -467,15 +517,9 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
             k = steps(k, k1, light)
             if k == k1:
                 break
-            # step k flipped a threshold test or left a lane low
-            flipped = symport_gate(c_in, c_switch) != above
-            above ^= flipped
+            # after step k a lane is low or the crossing log is full
+            log.take(crossings)
             low = cs_in < dep_threshold
-            for v in np.flatnonzero(flipped):
-                diff_prev = c_prev[v] - c_switch[v]
-                frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
-                crossings[v].append((k * dt + frac * dt,
-                                     1 if above[v] else -1))
             under = cs_in < 0.0
             if under.any():
                 pool[1] += (cs_in[under] * v_in[under]).sum()
@@ -490,6 +534,7 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
             k += 1
 
     drift = max(drift, inventory_drift())
+    log.take(crossings)
     if ri < n_rec:  # stopped once every schedule was final
         rec_t, rec_chin, rec_csin, rec_pool_h, rec_pool_s, rec_light = (
             a[:ri].copy() for a in (rec_t, rec_chin, rec_csin, rec_pool_h,

@@ -403,6 +403,26 @@ def test_step_blocks_tile_the_run_at_every_decision_step(pulses, n_steps,
     assert np.array_equal(np.repeat(lit[:-1], k1[:-1] - k0[:-1]), light)
 
 
+def _six_lane_case():
+    """Six lanes against one pool, record stride 1.
+
+    Lanes 0 and 1 are twins and flip in the same steps (with lane 2 at
+    the first up-crossing); lane 2 chatters across C_switch and runs
+    dry; twin lanes 3 and 5 run dry together, at another step; lane 4
+    never does.
+    """
+    base = default_vesicle()
+    drier = dataclasses.replace(base, n_pumps=50, n_sym=90)
+    specs = [base, base,
+             dataclasses.replace(base, n_pumps=40, n_sym=150), drier,
+             dataclasses.replace(base, permeability=4e-6, n_sym=20),
+             drier]
+    env = default_environment(v_out=len(specs) * 1e-17, c_s_in0=0.03,
+                              buffer_total=2.0)
+    return (specs, env, LightSignal([(0, 20), (40, 60)], 100),
+            FdmConfig(dt=1e-2, record_stride=1))
+
+
 class TestSharedPool:
     @pytest.mark.parametrize("case", list(PIN_CASES))
     def test_single_vesicle_degenerates_to_svs(self, case, base_kinetics,
@@ -431,20 +451,8 @@ class TestSharedPool:
 
     def test_events_per_lane_match_recorded_series(self, base_kinetics,
                                                    monkeypatch):
-        # lanes 0 and 1 are twins and flip in the same steps (with lane 2
-        # at the first up-crossing); lane 2 chatters across C_switch and
-        # runs dry; twin lanes 3 and 5 run dry together, at another step;
-        # lane 4 never does
-        base = default_vesicle()
-        drier = dataclasses.replace(base, n_pumps=50, n_sym=90)
-        specs = [base, base,
-                 dataclasses.replace(base, n_pumps=40, n_sym=150), drier,
-                 dataclasses.replace(base, permeability=4e-6, n_sym=20),
-                 drier]
-        env = default_environment(v_out=len(specs) * 1e-17, c_s_in0=0.03,
-                                  buffer_total=2.0)
-        sig = LightSignal([(0, 20), (40, 60)], 100)
-        dt = 1e-2
+        specs, env, sig, cfg = _six_lane_case()
+        dt = cfg.dt
         seen = []  # each lane's crossing list, as its schedule gets it
 
         def spy(signal, crossings, active_at_start=False):
@@ -452,8 +460,7 @@ class TestSharedPool:
             return schedule_from_crossings(signal, crossings, active_at_start)
 
         monkeypatch.setattr(fdm, "schedule_from_crossings", spy)
-        pool = simulate_mvs_shared_pool(specs, base_kinetics, env, sig,
-                                        FdmConfig(dt=dt, record_stride=1))
+        pool = simulate_mvs_shared_pool(specs, base_kinetics, env, sig, cfg)
         # every lane pinned bit for bit, not only the one-lane pools
         digest = hashlib.sha256()
         for a in (pool.t, pool.c_h_in, pool.c_s_in, pool.pooled_c_h_out,
@@ -492,6 +499,46 @@ class TestSharedPool:
         assert flip_steps[0] & flip_steps[2]
         assert len(dry_steps) == 3
         assert dry_steps[0] != dry_steps[1] == dry_steps[2]
+
+    @pytest.mark.parametrize("step", ["compiled", "numpy"])
+    def test_a_full_crossing_log_changes_no_bit(self, step, base_kinetics,
+                                                monkeypatch):
+        # with no room beyond one step's flips the log fills at every
+        # step that has a crossing, and the step returns to be emptied
+        step = _c_step() if step == "compiled" else fdm._step_numpy
+        specs, env, sig, cfg = _six_lane_case()
+        args = (specs, base_kinetics, env, sig, cfg)
+        expected = _run_pool_on(step, *args)
+        monkeypatch.setattr(fdm, "_LOG_ROOM", 0)
+        _assert_same_pool(_run_pool_on(step, *args), expected)
+
+    @pytest.mark.parametrize("step", ["compiled", "numpy"])
+    def test_chattering_lane_costs_no_early_return(self, step,
+                                                   base_kinetics,
+                                                   monkeypatch):
+        # a step returns early only after a lane runs dry or its cargo
+        # is clamped at 0, never for a crossing
+        bind = _c_step() if step == "compiled" else fdm._step_numpy
+        early, crossings = [], []
+
+        def counting(lanes, above, pool, log):
+            steps = bind(lanes, above, pool, log)
+
+            def run(k0, k1, light):
+                k = steps(k0, k1, light)
+                early.append(k < k1)
+                return k
+            return run
+
+        def spy(signal, found, active_at_start=False):
+            crossings.append(len(found))
+            return schedule_from_crossings(signal, found, active_at_start)
+
+        monkeypatch.setattr(fdm, "schedule_from_crossings", spy)
+        specs, env, sig, cfg = _six_lane_case()
+        _run_pool_on(counting, specs, base_kinetics, env, sig, cfg)
+        assert crossings[2] > 20
+        assert sum(early) <= 2 * len(specs) < crossings[2]
 
     def test_identical_vesicles_match_split_compartments(self,
                                                          base_kinetics):
