@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -360,3 +361,32 @@ def test_shared_pool_draws_experiment_zeros_vesicles(monkeypatch):
     assert pooled == [specs0]
     assert np.array_equal(exp0.c_s_out.mean(axis=0),
                           res["ensemble"].per_exp_c_s_out[0])
+
+
+# SHA-256 of ensemble_stats.csv for one small population run per
+# analytic solver: the draw, the batched engine (with exact's drain
+# quadrature) and the statistics, byte for byte
+GOLDEN_POPULATION_CSV = {
+    "closed": (
+        "250c96138d4e363a1c57402eb226ec18"
+        "a3e590219181cf93fb7dbea8f31519da"),
+    "exact": (
+        "3bbe591cc328c2300ef241526970993b"
+        "55ae3f2476afa7164f168bee0553ee8b"),
+}
+
+
+@pytest.mark.parametrize("solver", list(GOLDEN_POPULATION_CSV))
+def test_population_csv_matches_golden_hash(solver, tmp_path):
+    from vesim.config import parse_config
+    from vesim.presets import Scenario
+    from vesim.runner import run_scenario
+    cfg = parse_config({
+        "run": {"solver": solver, "seed": 21}, "population": {},
+        "ensemble": {"n_mod": 12, "n_ex": 3},
+        "signal": {"intervals": [[10, 35], [50, 80]], "horizon": 150},
+        "sample_interval": 5.0}, label="pin")
+    out, _ = run_scenario(Scenario("pin", "pinned population", [cfg]),
+                          tmp_path)
+    csv = (out / "pin" / "ensemble_stats.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == GOLDEN_POPULATION_CSV[solver]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -49,6 +50,27 @@ def test_fig9_scenario_shared_pool(fig9_preset):
     assert manifest["self_check"]["shared_pool_vs_independent_max_rel"] < 0.1
     assert (out / "fig9" / "ensemble_stats.csv").exists()
     assert (out / "fig9" / "shared_pool.csv").exists()
+
+
+# SHA-256 of the fig9 preset's population artifacts (seed 0): the
+# ensemble statistics and the shared-pool baseline. The vesicle draw, the
+# batched analytic engine and the pool FDM all feed them, so a change to
+# any of them that is not bit for bit shows here.
+GOLDEN_FIG9_CSV = {
+    "ensemble_stats.csv": (
+        "8c1a1364b49cab097f7fae075688a423"
+        "ecba6d3ddf5391c07ca1a403911d1e67"),
+    "shared_pool.csv": (
+        "b3d45fa3bc36d13c24f8824b0820e7e4"
+        "724fb7d22971eb4303a254da067c9125"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FIG9_CSV))
+def test_fig9_csv_matches_golden_hash(fig9_preset, name):
+    out, _ = fig9_preset
+    digest = hashlib.sha256((out / "fig9" / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_FIG9_CSV[name]
 
 
 def test_empty_signal_constant_trajectories(tmp_path):
