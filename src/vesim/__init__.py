@@ -11,11 +11,11 @@ statistics.
 from .analytic import lambert_w0, lambert_w0_exp, run_analytic
 from .buffering import free_proton_conc
 from .ensemble import (EnsembleConfig, PopulationDistributions,
-                       jensen_gap_check, run_ensemble, sample_vesicle)
+                       jensen_gap_check, run_ensemble, sample_vesicles)
 from .fdm import FdmConfig, simulate_mvs_shared_pool, simulate_svs
 from .model import (AVOGADRO, DerivedRates, Environment, KineticConstants,
-                    VesicleSpec, derive_rates, leakage_flux, pump_flux,
-                    symport_flux, symport_gate)
+                    VesicleLanes, VesicleSpec, derive_rates, leakage_flux,
+                    pump_flux, symport_flux, symport_gate)
 from .schedule import CycleSchedule, LightSignal, clip_cycle_times
 from .trajectory import Trajectory
 
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AVOGADRO", "CycleSchedule", "DerivedRates", "EnsembleConfig",
     "Environment", "FdmConfig", "KineticConstants", "LightSignal",
-    "PopulationDistributions", "Trajectory", "VesicleSpec",
+    "PopulationDistributions", "Trajectory", "VesicleLanes", "VesicleSpec",
     "clip_cycle_times", "derive_rates", "free_proton_conc",
     "jensen_gap_check", "lambert_w0", "lambert_w0_exp", "leakage_flux",
-    "pump_flux", "run_analytic", "run_ensemble", "sample_vesicle",
+    "pump_flux", "run_analytic", "run_ensemble", "sample_vesicles",
     "simulate_mvs_shared_pool", "simulate_svs", "symport_flux",
     "symport_gate",
 ]

@@ -10,13 +10,15 @@ Two modes share one phase-by-phase engine:
   * closed -- linearized release flux, giving piecewise-linear substrate
               and a pure exponential proton relaxation per phase.
 
-The engine advances a batch of vesicles that share one light signal and
-one sample grid (`run_analytic_batch`); its state is one array element
-per vesicle. Each phase is one batched segment with per-vesicle end
-times, and vesicles whose segment is empty sit it out. An ensemble
-experiment is one batch; `run_analytic` is the batch of one. Every
+The engine advances a population of vesicles that share one light
+signal and one sample grid (`run_analytic_batch`). It takes the
+population as lane arrays (`model.VesicleLanes`) and its rates as one
+`DerivedRates` of arrays, and its state is one array element per
+vesicle. Each phase is one batched segment with per-vesicle end times,
+and vesicles whose segment is empty sit it out. An ensemble experiment
+is one population; `run_analytic` is the population of one lane. Every
 element is computed on its own, so a vesicle's row is the same bit for
-bit whatever else is in the batch.
+bit whatever else is in the population.
 
 Within one cycle phase the proton ODE is C' = -a*C + b' with
 
@@ -58,7 +60,7 @@ from scipy.special import lambertw as _lambertw
 
 from . import buffering
 from .model import (DerivedRates, Environment, KineticConstants, ModelError,
-                    VesicleSpec, derive_rates)
+                    VesicleLanes, VesicleSpec, derive_rates)
 from .schedule import (LightSignal, _lanes, _shaped, buffered_relaxation_time,
                        clip_cycle_times, predict_buffered_crossing,
                        schedule_from_times)
@@ -445,8 +447,8 @@ _DEPLETION_INFO = {"closed": "closed-form ramp reached 0",
 class BatchTrajectory:
     """Sampled series and symport times of a batch of vesicles.
 
-    Row m belongs to the m-th spec. Grid points a vesicle never reached
-    (past the horizon) hold NaN.
+    Row m belongs to lane m of the population. Grid points a vesicle
+    never reached (past the horizon) hold NaN.
 
     Attributes:
         t: the shared sample grid (n_t,)
@@ -455,7 +457,7 @@ class BatchTrajectory:
         n_sampled: (n,) leading grid points each vesicle sampled
         t2/t4: (n, n_cycles) clipped symport start and end per cycle
         depletion_time: (n,) first depletion event (NaN: none)
-        rates: the rates each vesicle was computed with
+        rates: the population's rates, one element per vesicle
         v_in: (n,) intravesicular volumes; v_out: the shared one
     """
 
@@ -467,20 +469,20 @@ class BatchTrajectory:
     t2: np.ndarray
     t4: np.ndarray
     depletion_time: np.ndarray
-    rates: list[DerivedRates]
+    rates: DerivedRates
     v_in: np.ndarray
     v_out: float
 
     @property
     def c_h_out(self) -> np.ndarray:
         """Extravesicular free H+ from free-H+ conservation."""
-        n_h = np.array([r.total_free_protons for r in self.rates])
+        n_h = self.rates.total_free_protons
         return (n_h[:, None] - self.c_h_in * self.v_in[:, None]) / self.v_out
 
     @property
     def c_s_out(self) -> np.ndarray:
         """Extravesicular substrate from substrate conservation."""
-        n_s = np.array([r.total_substrate for r in self.rates])
+        n_s = self.rates.total_substrate
         return (n_s[:, None] - self.c_s_in * self.v_in[:, None]) / self.v_out
 
     def symport_span(self) -> tuple[np.ndarray, np.ndarray]:
@@ -500,22 +502,24 @@ class _BatchEngine:
     """Chains the cycle phases of a batch of vesicles, exact or closed mode.
 
     Every per-vesicle input is a plain array with one element per
-    vesicle: volume, leak, pump and symport rates, free-H+ inventory and
-    symport threshold. The state holds one element per vesicle too:
+    vesicle: the volumes and the population's `DerivedRates` (leak, pump
+    and symport rates, free-H+ inventory and symport threshold). The
+    state holds one element per vesicle too:
     time, C_H_in, C_S_in, the next unsampled grid point and the first
     depletion time. Every phase is one batched segment with a shared or
     per-vesicle end time; the vesicles whose own segment is empty sit it
     out.
     """
 
-    def __init__(self, v_in, leak_rate, pump_rate, n_h, symport_h, gamma_s,
-                 switch, k_m: float, env: Environment, mode: str,
-                 grid: np.ndarray):
-        self.v_in, self.leak, self.pump = v_in, leak_rate, pump_rate
-        self.n_h, self.symport_h, self.gamma_s = n_h, symport_h, gamma_s
-        self.switch, self.k_m, self.env = switch, k_m, env
+    def __init__(self, v_in: np.ndarray, rates: DerivedRates, k_m: float,
+                 env: Environment, mode: str, grid: np.ndarray):
+        self.v_in, self.k_m, self.env = v_in, k_m, env
         self.mode, self.grid = mode, grid
-        self.ramp = gamma_s / v_in
+        self.leak, self.pump = rates.leak_rate, rates.pump_rate
+        self.n_h, self.switch = rates.total_free_protons, rates.switch_conc
+        self.symport_h = rates.symport_rate_proton
+        self.gamma_s = rates.symport_rate_substrate
+        self.ramp = self.gamma_s / v_in
         n = v_in.size
         self.t = np.zeros(n)
         self.c_h = np.full(n, env.c_h_in0)
@@ -691,31 +695,27 @@ class _BatchEngine:
         return out
 
 
-def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
+def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
                        env: Environment, signal: LightSignal,
                        mode: str, sample_times) -> BatchTrajectory:
-    """Phase-by-phase analytic trajectories of vesicles sharing a signal.
+    """Phase-by-phase analytic trajectories of a population sharing a
+    signal.
 
     All vesicles share t1, t3 and the sample grid; each phase advances
-    the whole batch at once, with per-vesicle symport times, end states
-    and depletion splits. Row m equals the batch-of-one run of specs[m]
-    bit for bit.
+    the whole population at once, with per-vesicle symport times, end
+    states and depletion splits. Row m equals the batch-of-one run of
+    lane m bit for bit.
 
     Args:
+        vesicles: the population, one lane (and one row) per vesicle
         mode: 'exact' or 'closed'
         sample_times: ascending sample times in [0, horizon]
     """
     if mode not in ("exact", "closed"):
         raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
-    rates = [derive_rates(spec, kin, env) for spec in specs]
+    rates = derive_rates(vesicles, kin, env)
     grid = np.asarray(sample_times, dtype=float)
-    eng = _BatchEngine(
-        np.array([spec.v_in for spec in specs]),
-        *(np.array([getattr(r, name) for r in rates])
-          for name in ("leak_rate", "pump_rate", "total_free_protons",
-                       "symport_rate_proton", "symport_rate_substrate",
-                       "switch_conc")),
-        kin.k_m, env, mode, grid)
+    eng = _BatchEngine(vesicles.v_in, rates, kin.k_m, env, mode, grid)
     if grid.size and grid[0] == 0.0:
         eng.c_h_in[:, 0], eng.c_s_in[:, 0] = env.c_h_in0, env.c_s_in0
         eng.light[:, 0] = signal.is_on(0.0)
@@ -725,7 +725,7 @@ def run_analytic_batch(specs: list[VesicleSpec], kin: KineticConstants,
                       "threshold; the opening leakage phase treats the "
                       "release module as inactive", stacklevel=2)
 
-    t2 = np.empty((len(specs), signal.n_cycles))
+    t2 = np.empty((len(vesicles), signal.n_cycles))
     t4 = np.empty_like(t2)
     for i in range(signal.n_cycles):
         t1, t3, t1_next = signal.cycle_bounds(i)
@@ -767,7 +767,8 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     """
     grid = (np.asarray(sample_times, dtype=float) if sample_times is not None
             else sample_grid(signal.horizon, sample_interval))
-    batch = run_analytic_batch([spec], kin, env, signal, mode, grid)
+    batch = run_analytic_batch(VesicleLanes.of([spec]), kin, env, signal,
+                               mode, grid)
     n = int(batch.n_sampled[0])
     sched = schedule_from_times(signal, batch.t2[0].tolist(),
                                 batch.t4[0].tolist())
@@ -781,6 +782,7 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         c_s_in=batch.c_s_in[0, :n], c_s_out=batch.c_s_out[0, :n],
         light=batch.light[0, :n].astype(int),
         cycle=np.asarray(cycles, dtype=int),
-        phase=phases, schedule=sched, solver=mode, derived=batch.rates[0],
+        phase=phases, schedule=sched, solver=mode,
+        derived=batch.rates.lane(0),
         events=events,
     )

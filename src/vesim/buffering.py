@@ -91,8 +91,10 @@ def buffering_slowdown(c_h: float, buffer_total: float, k_a: float) -> float:
     """Exact local slowdown dT/dC = 1 + k_a*B0/(c_h+k_a)^2 of free-H+ motion.
 
     Used for stability estimates of explicit stepping and by the analytic
-    solvers' buffered proton law.
+    solvers' buffered proton law. Floats or arrays, the same bits either
+    way: the square is a product, which numpy's array power also forms.
     """
     if buffer_total <= 0.0:
         return 1.0
-    return 1.0 + k_a * buffer_total / (c_h + k_a) ** 2
+    u = c_h + k_a
+    return 1.0 + k_a * buffer_total / (u * u)

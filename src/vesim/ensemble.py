@@ -17,17 +17,21 @@ one), which the printed inner-surface variant cannot.
 
 Experiments are collections of independently sampled vesicles sharing a
 uniformly split extravesicular volume; ensembles repeat experiments to
-estimate inter-experiment variance. The vesicles of one experiment are
-drawn one after the other (so a seed always gives the same vesicles) and
-then solved together in one `analytic.run_analytic_batch` call; each row
-equals the vesicle's own `run_analytic` run bit for bit.
+estimate inter-experiment variance. An experiment's vesicles travel as
+lane arrays (`model.VesicleLanes`), with no object per vesicle:
+`sample_vesicles` draws them one after the other (so a seed always gives
+the same vesicles), and one `analytic.run_analytic_batch` call solves
+them together; each row equals the vesicle's own `run_analytic` run bit
+for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,8 +39,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .analytic import lambert_w0_exp, run_analytic, run_analytic_batch
-from .model import (_VALID_MODES, AVOGADRO, Environment, KineticConstants,
-                    VesicleSpec)
+from .model import (_VALID_MODES, AVOGADRO, SMALL_V_OUT, Environment,
+                    KineticConstants, VesicleLanes, VesicleSpec, _outer_area)
 from .schedule import LightSignal
 from .trajectory import Trajectory
 
@@ -115,11 +119,19 @@ class PermeabilityDistribution:
         return ((self.lo_log10 - self.mu_log10) / self.sigma_log10,
                 (self.hi_log10 - self.mu_log10) / self.sigma_log10)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def u_bounds(self) -> tuple[float, float]:
+        """The uniform range whose inverse-CDF image is (lo, hi)."""
         alpha, beta = self._alpha_beta()
-        lo_u, hi_u = ndtr(alpha), ndtr(beta)
-        u = rng.uniform(lo_u, hi_u, size)
-        return 10.0 ** (self.mu_log10 + self.sigma_log10 * ndtri(u))
+        return ndtr(alpha), ndtr(beta)
+
+    def at_uniform(self, u: np.ndarray) -> np.ndarray:
+        """Permeabilities at uniform variates in `u_bounds`, each power
+        10**x formed as for one Python float."""
+        x = self.mu_log10 + self.sigma_log10 * ndtri(u)
+        return np.array([10.0 ** e for e in x.tolist()])
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.at_uniform(rng.uniform(*self.u_bounds(), size))
 
     @property
     def mean(self) -> float:
@@ -170,22 +182,29 @@ class PopulationDistributions:
 
 def protein_slots(d_in: float, d_mem: float, rho: float) -> int:
     """Total protein slots on the outer surface of one vesicle."""
-    return int(math.floor(math.pi * (d_in + 2.0 * d_mem) ** 2 * rho))
+    return int(math.floor(_outer_area(d_in, d_mem) * rho))
 
 
-def sample_vesicle(dist: PopulationDistributions,
-                   rng: np.random.Generator) -> VesicleSpec:
-    """Draw one vesicle: diameter, then protein split, then permeability.
+def sample_vesicles(dist: PopulationDistributions, rng: np.random.Generator,
+                    n: int) -> VesicleLanes:
+    """Draw n vesicles, one after the other, as one population.
 
-    log(permeability) is drawn independently of the diameter.
+    Each vesicle makes three scalar calls on `rng`: its diameter, its
+    protein split (binomial over its slots, skipped when it has none),
+    then its permeability, drawn independently of the diameter.
     """
-    d_in = float(dist.diameter.sample(rng))
-    n_tot = protein_slots(d_in, dist.d_mem, dist.rho)
-    n_pumps = int(rng.binomial(n_tot, dist.p_pump)) if n_tot > 0 else 0
-    perm = float(dist.permeability.sample(rng))
-    return VesicleSpec(d_in=d_in, d_mem=dist.d_mem, n_pumps=n_pumps,
-                       n_sym=n_tot - n_pumps, permeability=perm,
-                       mode=dist.mode)
+    lo_u, hi_u = dist.permeability.u_bounds()
+    d_in, n_tot, n_pumps, u = [], [], [], []
+    for _ in range(n):
+        d = float(dist.diameter.sample(rng))
+        slots = protein_slots(d, dist.d_mem, dist.rho)
+        d_in.append(d)
+        n_tot.append(slots)
+        n_pumps.append(int(rng.binomial(slots, dist.p_pump)) if slots else 0)
+        u.append(rng.uniform(lo_u, hi_u))
+    return VesicleLanes(d_in, dist.d_mem, n_pumps,
+                        np.array(n_tot) - n_pumps,
+                        dist.permeability.at_uniform(np.array(u)), dist.mode)
 
 
 def mean_parameter_spec(dist: PopulationDistributions) -> VesicleSpec:
@@ -263,15 +282,15 @@ class EnsembleResult:
 
 
 def experiment_vesicles(dist: PopulationDistributions, cfg: EnsembleConfig,
-                        i: int) -> list[VesicleSpec]:
+                        i: int) -> VesicleLanes:
     """The n_mod vesicles of experiment i of an ensemble.
 
-    Experiment i draws them one after the other from its own stream,
-    seeded by the entropy pair (cfg.seed, i), so a worker process or the
-    runner's shared-pool baseline redraws the same vesicles.
+    Experiment i draws them from its own stream, seeded by the entropy
+    pair (cfg.seed, i), so a worker process or the runner's shared-pool
+    baseline redraws the same vesicles.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
-    return [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
+    return sample_vesicles(dist, rng, cfg.n_mod)
 
 
 def _experiment_worker(args) -> tuple:
@@ -280,11 +299,15 @@ def _experiment_worker(args) -> tuple:
     Returns (mean C_H_in, std C_H_in, pooled C_S_out, std C_S_out)
     over the vesicles at each sample time, then the medians of the first
     symport start and the last symport end, so that no (n_mod, n_t)
-    array outlives its experiment.
+    array outlives its experiment, and how many vesicles have
+    v_out < 100 * v_in.
     """
     dist, kin, env, signal, cfg, i, solver, sample_times = args
-    r = run_analytic_batch(experiment_vesicles(dist, cfg, i), kin, env,
-                           signal, solver, sample_times)
+    vesicles = experiment_vesicles(dist, cfg, i)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=re.escape(SMALL_V_OUT))
+        r = run_analytic_batch(vesicles, kin, env, signal, solver,
+                               sample_times)
     c_s_out = r.c_s_out
     start, end = r.symport_span()
     # the unbiased spread needs two vesicles; one has spread 0 (ddof=0)
@@ -293,7 +316,8 @@ def _experiment_worker(args) -> tuple:
                   else math.nan)
     return (r.c_h_in.mean(axis=0), r.c_h_in.std(**std_kw),
             c_s_out.mean(axis=0), c_s_out.std(**std_kw),
-            np.median(start), end_median)
+            np.median(start), end_median,
+            np.count_nonzero(env.v_out < 100.0 * vesicles.v_in))
 
 
 def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
@@ -305,7 +329,8 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     Experiment i solves `experiment_vesicles(dist, cfg, i)`, so results
     are reproducible bit-for-bit for any worker count (the reduction is
     ordered by experiment index). Each experiment is reduced to its
-    statistics as it finishes.
+    statistics as it finishes. One warning per call counts the vesicles
+    with v_out < 100 * v_in.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
@@ -316,13 +341,18 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
             rows = list(pool.map(_experiment_worker, jobs))
     else:
         rows = [_experiment_worker(j) for j in jobs]
-    mean_h, std_h, cs, std_cs, start_median, end_median = zip(*rows)
+    mean_h, std_h, cs, std_cs, start_median, end_median, small = zip(*rows)
     per_mean_h = np.stack(mean_h)
     per_cs = np.stack(cs)
 
-    mean_spec = mean_parameter_spec(dist)
-    mean_traj = run_analytic(mean_spec, kin, env, signal, solver,
-                             sample_times=sample_times)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=re.escape(SMALL_V_OUT))
+        mean_traj = run_analytic(mean_parameter_spec(dist), kin, env, signal,
+                                 solver, sample_times=sample_times)
+    if sum(small):
+        warnings.warn(f"{SMALL_V_OUT} for {sum(small)} of "
+                      f"{cfg.n_mod * cfg.n_ex} vesicles; the single-vesicle "
+                      "compartment approximation degrades", stacklevel=2)
 
     n_ex = cfg.n_ex
     var_kw = dict(axis=0, ddof=1) if n_ex > 1 else dict(axis=0, ddof=0)

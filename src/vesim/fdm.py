@@ -55,11 +55,11 @@ import numpy as np
 from .analytic import DEPLETION_FRACTION_OF_KM
 from .buffering import (buffering_slowdown, free_proton_conc,
                         free_proton_conc_array, total_conc_from_free)
-from .model import (DerivedRates, Environment, KineticConstants, VesicleSpec,
-                    derive_rates, leakage_flux, net_proton_inflow, pump_flux,
-                    symport_flux, symport_gate)
-from .schedule import (CycleSchedule, LightSignal, schedule_from_crossings,
-                       schedule_is_final)
+from .model import (DerivedRates, Environment, KineticConstants,
+                    VesicleLanes, VesicleSpec, derive_rates, leakage_flux,
+                    net_proton_inflow, pump_flux, symport_flux, symport_gate)
+from .schedule import (CycleSchedule, LightSignal, schedule_final_time,
+                       schedule_from_crossings)
 from .trajectory import Event, Trajectory
 
 
@@ -89,13 +89,14 @@ class FdmConfig:
                 or self.record_stride < 1):
             raise ValueError("record_stride must be a positive integer")
 
-    def check_stability(self, spec: VesicleSpec, kin: KineticConstants,
-                        env: Environment,
+    def check_stability(self, spec: VesicleSpec | VesicleLanes,
+                        kin: KineticConstants, env: Environment,
                         rates: DerivedRates | None = None) -> float:
-        """Raise FdmStabilityError unless dt * a_max < 1; returns a_max."""
+        """Raise FdmStabilityError unless dt * a_max < 1 for every lane;
+        returns the largest a_max."""
         if rates is None:
             rates = derive_rates(spec, kin, env)
-        a_max = stability_coefficient(spec, kin, env, rates)
+        a_max = float(np.max(stability_coefficient(spec, kin, env, rates)))
         if self.dt * a_max >= 1.0:
             raise FdmStabilityError(
                 f"dt={self.dt:g} s is unstable for the stiffest phase "
@@ -104,33 +105,33 @@ class FdmConfig:
         return a_max
 
 
-def stability_coefficient(spec: VesicleSpec, kin: KineticConstants,
-                          env: Environment, rates: DerivedRates) -> float:
-    """Fastest relaxation rate (1/s) any phase can exhibit.
+def stability_coefficient(spec: VesicleSpec | VesicleLanes,
+                          kin: KineticConstants, env: Environment,
+                          rates: DerivedRates):
+    """Fastest relaxation rate (1/s) any phase can exhibit, per lane.
 
     The proton coefficient is the unbuffered rate divided by the smallest
     buffering slowdown along the reachable concentration range; the
-    substrate adds its own Michaelis-Menten bound.
+    substrate adds its own Michaelis-Menten bound. One vesicle's, or
+    each lane's, the same bits either way.
     """
-    c_max = max(env.c_h_in0, env.c_h_out0)
-    if rates.leak_rate > 0:
-        c_max = max(c_max, env.c_h_out0 + rates.pump_rate / rates.leak_rate)
+    leak, pump = rates.leak_rate, rates.pump_rate
+    # without leakage the pump/leak equilibrium raises no bound
+    c_max = np.maximum(max(env.c_h_in0, env.c_h_out0), env.c_h_out0
+                       + pump / np.where(leak > 0, leak, math.inf))
     slow = buffering_slowdown(c_max, env.buffer_total, env.k_a)
-    a_h = rates.leak_rate * (1.0 / spec.v_in + 1.0 / env.v_out)
-    if rates.pump_rate > 0 and env.c_h_out0 > 0:
-        a_h += rates.pump_rate / (env.v_out * env.c_h_out0)
-    a = a_h / slow
-    if rates.symport_rate_substrate > 0:
-        a = max(a, rates.symport_rate_substrate / (spec.v_in * kin.k_m))
-    return a
+    a_h = leak * (1.0 / spec.v_in + 1.0 / env.v_out)
+    if env.c_h_out0 > 0:  # adds 0.0 where there are no pumps
+        a_h = a_h + pump / (env.v_out * env.c_h_out0)
+    return np.maximum(a_h / slow,
+                      rates.symport_rate_substrate / (spec.v_in * kin.k_m))
 
 
 def stable_dt(spec: VesicleSpec, kin: KineticConstants,
               env: Environment) -> float:
     """A round-number dt satisfying dt * a_max <= 0.5."""
-    rates = derive_rates(spec, kin, env)
-    a_max = stability_coefficient(spec, kin, env, rates)
-    limit = 0.5 / a_max
+    limit = 0.5 / stability_coefficient(spec, kin, env,
+                                        derive_rates(spec, kin, env))
     exp = math.floor(math.log10(limit))
     for mant in (5.0, 2.0, 1.0):
         dt = mant * 10.0 ** exp
@@ -177,26 +178,41 @@ _LOG_ROOM = 4096  # log entries beyond one step's flips of every lane
 
 
 class _CrossingLog:
-    """The threshold crossings a step found, until the driver takes them.
+    """The threshold crossings the steps found.
 
     Entry i < n[0] is lane vd[0, i] crossing in direction vd[1, i] (+1
     up, -1 down) at time t[i]; the compiled step writes the same three
-    buffers, and returns to be emptied when they are full.
+    buffers, and returns to be emptied (`take`) when they are full.
     """
 
     def __init__(self, cap: int):
         self.n = np.zeros(1, dtype=np.int64)
         self.vd = np.empty((2, cap), dtype=np.int64)
         self.t = np.empty(cap)
+        self.taken = [(self.vd[:, :0], self.t[:0])]
 
-    def take(self, crossings: list[list[tuple[float, int]]]) -> None:
-        """Append every logged crossing to its lane's list; empty the log."""
+    def take(self) -> None:
+        """Empty the buffers into the entries taken."""
         m = int(self.n[0])
-        if not m:
-            return
-        for v, d, t in zip(*self.vd[:, :m].tolist(), self.t[:m].tolist()):
-            crossings[v].append((t, d))
-        self.n[0] = 0
+        if m:
+            self.taken.append((self.vd[:, :m].copy(), self.t[:m].copy()))
+            self.n[0] = 0
+
+    @property
+    def pending(self) -> bool:
+        """Whether entries were taken since the last `per_lane`."""
+        return len(self.taken) > 1
+
+    def per_lane(self, n_lanes: int) -> list[np.ndarray]:
+        """Each lane's crossings taken so far, as `schedule_from_crossings`
+        takes them."""
+        vd = np.concatenate([vd for vd, _ in self.taken], axis=1)
+        t = np.concatenate([t for _, t in self.taken])
+        self.taken = [(vd, t)]
+        order = np.lexsort((vd[1], t, vd[0]))  # by lane, time, direction
+        rows = np.column_stack((t[order], vd[1, order]))
+        return np.split(rows, np.cumsum(
+            np.bincount(vd[0], minlength=n_lanes))[:-1])
 
 
 def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
@@ -357,20 +373,20 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     pool of volume env.v_out, so the two agree bit for bit.
 
     With `until_settled`, the run stops at the first record step at which
-    `schedule_is_final` holds, so its `schedule` is the full run's. The
-    trajectory then holds only what was found up to that stop: the
-    recorded samples (an exact prefix of the full run's), the events so
-    far, and the conservation drift checked so far.
+    its schedule is final (`schedule_final_time`), so its `schedule` is
+    the full run's. The trajectory then holds only what was found up to
+    that stop: the recorded samples (an exact prefix of the full run's),
+    the events so far, and the conservation drift checked so far.
     """
-    res, rates, light = _run_lanes([spec], kin, env, signal,
-                                   cfg or FdmConfig(), until_settled)
+    res, rates, light = _run_lanes(VesicleLanes.of([spec]), kin, env,
+                                   signal, cfg or FdmConfig(), until_settled)
     sched = res.schedules[0]
     cycles, phases = sched.annotate(res.t)
     return Trajectory(
         t=res.t, c_h_in=res.c_h_in[:, 0], c_h_out=res.pooled_c_h_out,
         c_s_in=res.c_s_in[:, 0], c_s_out=res.pooled_c_s_out, light=light,
         cycle=np.asarray(cycles, dtype=int), phase=phases, schedule=sched,
-        solver="fdm", derived=rates[0], events=res.events[0],
+        solver="fdm", derived=rates.lane(0), events=res.events[0],
         conservation_drift=float(res.conservation_drift),
     )
 
@@ -401,10 +417,11 @@ class SharedPoolResult:
 
 
 
-def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
+def simulate_mvs_shared_pool(specs: VesicleLanes, kin: KineticConstants,
                              env_total: Environment, signal: LightSignal,
                              cfg: FdmConfig | None = None) -> SharedPoolResult:
-    """Step all vesicles against one shared extravesicular compartment.
+    """Step the population `specs` against one shared extravesicular
+    compartment.
 
     `env_total.v_out` is the pool volume available to the modeled
     vesicles; every vesicle's nominal allotment, which sets its threshold
@@ -412,30 +429,27 @@ def simulate_mvs_shared_pool(specs: list[VesicleSpec], kin: KineticConstants,
     independence on purpose: it is the baseline against which the
     independent-compartment approximation is judged.
     """
-    if not specs:
-        raise ValueError("need at least one vesicle")
     return _run_lanes(specs, kin, env_total, signal, cfg or FdmConfig(),
                       False)[0]
 
 
-def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
+def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
                env_total: Environment, signal: LightSignal, cfg: FdmConfig,
                until_settled: bool):
-    """Step `specs` against one pool of volume `env_total.v_out`.
+    """Step the population `specs` against one pool of env_total.v_out.
 
     The driver of both public kernels (see the module docstring). With
     `until_settled` the run stops at the first record step at which
     every vesicle's schedule is final.
 
-    Returns the SharedPoolResult, each vesicle's DerivedRates and the
+    Returns the SharedPoolResult, the population's DerivedRates and the
     illumination (0 or 1) of each recorded sample.
     """
     n_ves = len(specs)
     v_pool = env_total.v_out
     env_alloc = dataclasses.replace(env_total, v_out=v_pool / n_ves)
-    rates = [derive_rates(s, kin, env_alloc) for s in specs]
-    for s, r in zip(specs, rates):
-        cfg.check_stability(s, kin, env_alloc, r)
+    rates = derive_rates(specs, kin, env_alloc)
+    cfg.check_stability(specs, kin, env_alloc, rates)
 
     dt = cfg.dt
     n_steps = int(round(signal.horizon / dt))
@@ -444,14 +458,11 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
     c_out0 = env_total.c_h_out0
 
     lanes = np.empty((len(_LANE_ROWS), n_ves))
+    lanes[:6] = (specs.v_in, rates.pump_rate, rates.leak_rate,
+                 rates.symport_rate_substrate, rates.symport_rate_proton,
+                 rates.switch_conc)
     (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
      th_in, cs_in, c_in, _, _) = lanes
-    v_in[:] = [s.v_in for s in specs]
-    gamma_p[:] = [r.pump_rate for r in rates]
-    gamma_l[:] = [r.leak_rate for r in rates]
-    gamma_s[:] = [r.symport_rate_substrate for r in rates]
-    gamma_h[:] = [r.symport_rate_proton for r in rates]
-    c_switch[:] = [r.switch_conc for r in rates]
     # a lane's threshold drops to 0 once it has reported depletion, so
     # the step's one test also finds the rare lanes to clamp at 0
     dep_threshold[:] = DEPLETION_FRACTION_OF_KM * km
@@ -488,9 +499,15 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
     rec_pool_s = np.empty(n_rec)
     rec_light = np.empty(n_rec, dtype=int)
 
-    crossings: list[list[tuple[float, int]]] = [[] for _ in range(n_ves)]
     events: list[list[Event]] = [[] for _ in range(n_ves)]
     drift = 0.0
+
+    def settled_at() -> float:
+        """The time from which the crossings taken fix every schedule."""
+        return max(schedule_final_time(signal, c, bool(a)) for c, a in
+                   zip(log.per_lane(n_ves), active_at_start))
+
+    t_settled = settled_at() if until_settled else math.inf
 
     ri = 0
     for k0, k1, light in _step_blocks(signal, dt, n_steps, stride):
@@ -503,11 +520,10 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
             rec_light[ri] = light
             ri += 1
             if until_settled:
-                log.take(crossings)
-            if k0 == n_steps or (until_settled and all(
-                    schedule_is_final(signal, crossings[v],
-                                      bool(active_at_start[v]), k0 * dt)
-                    for v in range(n_ves))):
+                log.take()
+                if log.pending:  # early returns take crossings too
+                    t_settled = settled_at()
+            if k0 == n_steps or k0 * dt >= t_settled:
                 break
         if k0 % 1000 == 1:  # the state after step k0 - 1
             drift = max(drift, inventory_drift())
@@ -518,7 +534,7 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
             if k == k1:
                 break
             # after step k a lane is low or the crossing log is full
-            log.take(crossings)
+            log.take()
             low = cs_in < dep_threshold
             under = cs_in < 0.0
             if under.any():
@@ -534,14 +550,13 @@ def _run_lanes(specs: list[VesicleSpec], kin: KineticConstants,
             k += 1
 
     drift = max(drift, inventory_drift())
-    log.take(crossings)
+    log.take()
     if ri < n_rec:  # stopped once every schedule was final
         rec_t, rec_chin, rec_csin, rec_pool_h, rec_pool_s, rec_light = (
             a[:ri].copy() for a in (rec_t, rec_chin, rec_csin, rec_pool_h,
                                     rec_pool_s, rec_light))
-    schedules = [schedule_from_crossings(signal, crossings[v],
-                                         bool(active_at_start[v]))
-                 for v in range(n_ves)]
+    schedules = [schedule_from_crossings(signal, c, bool(a)) for c, a in
+                 zip(log.per_lane(n_ves), active_at_start)]
     return SharedPoolResult(
         t=rec_t, c_h_in=rec_chin, c_s_in=rec_csin, pooled_c_h_out=rec_pool_h,
         pooled_c_s_out=rec_pool_s, schedules=schedules, events=events,

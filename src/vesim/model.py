@@ -8,6 +8,9 @@ The transmitter is a light-driven proton pump (the energizing module) and
 a proton/substrate symporter (the release module, the one vesim models):
 the pump moves H+ in, the symporter moves it out with its cargo, and
 leakage relaxes the gradient.
+One vesicle is a `VesicleSpec`; a population is a `VesicleLanes`, the same
+fields with one array element (lane) per vesicle, and `derive_rates` turns
+either into the `DerivedRates` all solvers use (floats or arrays).
 The flux laws (pump, symport, leakage and their net H+ balance) take plain
 concentrations and rates, floats or numpy arrays alike. They are the
 finite-difference step's physics: the FDM's numpy step calls them, and
@@ -20,13 +23,18 @@ phase's proton coefficients (a, b, h).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 AVOGADRO = 6.022e23  # 1/mol
 
 _VALID_MODES = ("symporter",)
+# the start of the small extravesicular volume advisory
+SMALL_V_OUT = "v_out < 100 * v_in"
 
 
 class ModelError(ValueError):
@@ -43,6 +51,31 @@ def _require_finite(obj) -> None:
     for name, value in vars(obj).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ModelError(f"{name} must be finite, got {value}")
+
+
+def _sphere_volume(d: float) -> float:
+    return math.pi / 6.0 * d ** 3
+
+
+def _outer_area(d_in: float, d_mem: float) -> float:
+    return math.pi * (d_in + 2.0 * d_mem) ** 2
+
+
+def _check_vesicle(v) -> None:
+    """Refuse a vesicle, or a population with a lane, that breaks a
+    condition of `VesicleSpec`, naming the first value that does."""
+    x = {k: np.asarray(getattr(v, k)) for k in
+         ("d_in", "d_mem", "n_pumps", "n_sym", "permeability")}
+    checks = [(k, np.isfinite(a), "finite") for k, a in x.items()
+              if a.dtype.kind == "f"]
+    checks += [(k, x[k] > 0, "> 0") for k in ("d_in", "d_mem", "permeability")]
+    checks += [(k, (x[k] >= 0) & (x[k] == np.trunc(x[k])),
+                "a non-negative integer") for k in ("n_pumps", "n_sym")]
+    for k, ok, condition in checks:
+        if not ok.all():
+            raise ModelError(f"{k} must be {condition}, got {x[k][~ok][0]}")
+    _require(v.mode in _VALID_MODES,
+             f"mode must be one of {_VALID_MODES}, got {v.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -67,32 +100,63 @@ class VesicleSpec:
     mode: str = "symporter"
 
     def __post_init__(self):
-        _require_finite(self)
-        _require(self.d_in > 0, f"d_in must be > 0, got {self.d_in}")
-        _require(self.d_mem > 0, f"d_mem must be > 0, got {self.d_mem}")
-        _require(self.permeability > 0,
-                 f"permeability must be > 0, got {self.permeability}")
-        _require(self.n_pumps >= 0 and self.n_pumps == int(self.n_pumps),
-                 f"n_pumps must be a non-negative integer, got {self.n_pumps}")
-        _require(self.n_sym >= 0 and self.n_sym == int(self.n_sym),
-                 f"n_sym must be a non-negative integer, got {self.n_sym}")
-        _require(self.mode in _VALID_MODES,
-                 f"mode must be one of {_VALID_MODES}, got {self.mode!r}")
+        _check_vesicle(self)
 
     @property
     def v_in(self) -> float:
         """Intravesicular volume (m^3), sphere of diameter d_in."""
-        return math.pi / 6.0 * self.d_in ** 3
-
-    @property
-    def d_out(self) -> float:
-        """Total outer diameter d_in + 2*d_mem (m)."""
-        return self.d_in + 2.0 * self.d_mem
+        return _sphere_volume(self.d_in)
 
     @property
     def a_ves(self) -> float:
         """Outer surface area (m^2), used for leakage and protein slots."""
-        return math.pi * self.d_out ** 2
+        return _outer_area(self.d_in, self.d_mem)
+
+
+@dataclass(frozen=True, eq=False)
+class VesicleLanes:
+    """A population: `VesicleSpec`'s fields under its conditions, with
+    d_in, n_pumps, n_sym and permeability as arrays holding one element
+    (lane) per vesicle, d_mem and mode shared. `v_in` and `a_ves` are
+    formed lane by lane as `VesicleSpec` forms them, bit for bit.
+    """
+
+    d_in: np.ndarray
+    d_mem: float
+    n_pumps: np.ndarray
+    n_sym: np.ndarray
+    permeability: np.ndarray
+    mode: str = "symporter"
+
+    def __post_init__(self):
+        for k in ("d_in", "n_pumps", "n_sym", "permeability"):
+            object.__setattr__(self, k, np.asarray(getattr(self, k)))
+        _require(self.d_in.ndim == 1 and len(self) > 0 and all(
+            getattr(self, k).shape == self.d_in.shape
+            for k in ("n_pumps", "n_sym", "permeability")),
+            "need at least one vesicle, in lane arrays of one length")
+        _check_vesicle(self)
+
+    @classmethod
+    def of(cls, specs: list[VesicleSpec]) -> "VesicleLanes":
+        """`specs` in order, one lane each."""
+        _require(len({(s.d_mem, s.mode) for s in specs}) == 1, "need at "
+                 "least one vesicle, all of one d_mem and mode")
+        d_in, d_mem, n_pumps, n_sym, perm, mode = zip(
+            *(vars(s).values() for s in specs))
+        return cls(d_in, d_mem[0], n_pumps, n_sym, perm, mode[0])
+
+    def __len__(self) -> int:
+        return self.d_in.size
+
+    @functools.cached_property
+    def v_in(self) -> np.ndarray:
+        return np.array([_sphere_volume(d) for d in self.d_in.tolist()])
+
+    @functools.cached_property
+    def a_ves(self) -> np.ndarray:
+        return np.array([_outer_area(d, self.d_mem)
+                         for d in self.d_in.tolist()])
 
 
 @dataclass(frozen=True)
@@ -156,7 +220,7 @@ class Environment:
 
 @dataclass(frozen=True)
 class DerivedRates:
-    """Per-vesicle effective rates and conserved inventories.
+    """Rates and inventories of a vesicle (floats) or population (arrays).
 
     Attributes:
         pump_rate: whole-vesicle pump rate at unit concentration ratio (mol/s)
@@ -178,6 +242,10 @@ class DerivedRates:
     total_substrate: float
     switch_conc: float
 
+    def lane(self, m: int) -> "DerivedRates":
+        """The rates of lane m of a population, as floats."""
+        return DerivedRates(*(float(v[m]) for v in vars(self).values()))
+
 
 def switch_concentration(total_free_protons: float, v_in: float,
                          v_out: float, xi: float) -> float:
@@ -189,35 +257,36 @@ def switch_concentration(total_free_protons: float, v_in: float,
     return total_free_protons / (v_out * 10.0 ** (-xi) + v_in)
 
 
-def derive_rates(spec: VesicleSpec, kin: KineticConstants,
-                 env: Environment) -> DerivedRates:
-    """Assemble the per-vesicle rates and inventories used by all solvers.
+def derive_rates(vesicles: VesicleSpec | VesicleLanes,
+                 kin: KineticConstants, env: Environment) -> DerivedRates:
+    """Assemble the rates and inventories used by all solvers.
 
-    Emits a warning (never an error) for physically inert but valid
-    configurations, and when v_out is small enough to strain the
-    small-vesicle assumption (v_out < 100 * v_in).
+    Takes one vesicle or a population, whose lanes get their specs'
+    rates bit for bit. Emits at most one warning (never an error) per
+    call, with a static message, for each of: some vesicle is physically
+    inert but valid; v_out is small enough to strain the small-vesicle
+    assumption (v_out < 100 * v_in).
     """
-    if spec.n_pumps == 0 and spec.n_sym == 0:
+    if np.any((vesicles.n_pumps == 0) & (vesicles.n_sym == 0)):
         warnings.warn("vesicle has no pumps and no symporters; "
                       "only leakage will act", stacklevel=2)
-    if env.v_out < 100.0 * spec.v_in:
-        # static message so the default filter dedupes it in ensembles
-        warnings.warn(
-            "v_out < 100 * v_in; the single-vesicle compartment "
-            "approximation degrades", stacklevel=2)
+    v_in = vesicles.v_in
+    if np.any(env.v_out < 100.0 * v_in):
+        warnings.warn(SMALL_V_OUT + "; the single-vesicle compartment "
+                      "approximation degrades", stacklevel=2)
 
-    gamma_p = kin.pump_rate_per_protein * spec.n_pumps / AVOGADRO
-    gamma_s = kin.symport_rate_per_protein * spec.n_sym / AVOGADRO
-    n_h = env.c_h_in0 * spec.v_in + env.c_h_out0 * env.v_out
-    n_s = env.c_s_in0 * spec.v_in
+    gamma_p = kin.pump_rate_per_protein * vesicles.n_pumps / AVOGADRO
+    gamma_s = kin.symport_rate_per_protein * vesicles.n_sym / AVOGADRO
+    n_h = env.c_h_in0 * v_in + env.c_h_out0 * env.v_out
+    n_s = env.c_s_in0 * v_in
     return DerivedRates(
         pump_rate=gamma_p,
         symport_rate_substrate=gamma_s,
         symport_rate_proton=kin.stoichiometry * gamma_s,
-        leak_rate=spec.permeability * spec.a_ves,
+        leak_rate=vesicles.permeability * vesicles.a_ves,
         total_free_protons=n_h,
         total_substrate=n_s,
-        switch_conc=switch_concentration(n_h, spec.v_in, env.v_out, kin.xi),
+        switch_conc=switch_concentration(n_h, v_in, env.v_out, kin.xi),
     )
 
 

@@ -365,28 +365,29 @@ def classify_cycle(t1: float, t2: float, t3: float, t4: float,
     return "a"
 
 
-def _symport_estimates(events: list[tuple[float, int]],
-                       active_at_start: bool, t1: float, t3: float,
+def _symport_estimates(events, active_at_start: bool, t1: float, t3: float,
                        t1_next: float) -> tuple[float, float]:
-    """Unclipped (t2, t4) of one cycle from time-sorted crossings.
+    """Unclipped (t2, t4) of one cycle from sorted crossings.
 
-    t2 is t1 when the symport indicator is on at t1, else the first
-    upward crossing in [t1, t3); t4 is the first downward crossing in
-    (t2, t1_next). Each is NO_CROSSING when there is none, and t4 is
-    NO_CROSSING whenever t2 is.
+    `events` holds (time, direction) rows as `schedule_from_crossings`
+    takes them. t2 is t1 when the symport indicator is on at t1, else the
+    first upward crossing in [t1, t3); t4 is the first downward crossing
+    in (t2, t1_next). Each is NO_CROSSING when there is none, and t4 is
+    NO_CROSSING whenever t2 is. Reads only the rows of the cycle.
     """
-    active = active_at_start
-    for tc, d in events:
-        if tc > t1:
-            break
-        active = d > 0
-    t2_est = t1 if active else next(
-        (tc for tc, d in events if d > 0 and t1 <= tc < t3), NO_CROSSING)
-    if t2_est == NO_CROSSING:
-        return NO_CROSSING, NO_CROSSING
-    t4_est = next((tc for tc, d in events if d < 0 and t2_est < tc < t1_next),
-                  NO_CROSSING)
-    return t2_est, t4_est
+    t, d = np.asarray(events, dtype=float).reshape(-1, 2).T
+    before = np.searchsorted(t, t1, side="right")  # crossings at or before t1
+    if d[before - 1] > 0 if before else active_at_start:
+        t2_est = t1
+    else:
+        lo, hi = np.searchsorted(t, (t1, t3))
+        up = np.flatnonzero(d[lo:hi] > 0)
+        if not up.size:
+            return NO_CROSSING, NO_CROSSING
+        t2_est = float(t[lo + up[0]])
+    lo = np.searchsorted(t, t2_est, side="right")
+    down = np.flatnonzero(d[lo:np.searchsorted(t, t1_next)] < 0)
+    return t2_est, float(t[lo + down[0]]) if down.size else NO_CROSSING
 
 
 def schedule_from_times(signal: LightSignal, t2s, t4s) -> CycleSchedule:
@@ -406,22 +407,22 @@ def schedule_from_times(signal: LightSignal, t2s, t4s) -> CycleSchedule:
     return CycleSchedule(cycles, signal.horizon)
 
 
-def schedule_from_crossings(signal: LightSignal,
-                            crossings: list[tuple[float, int]],
+def schedule_from_crossings(signal: LightSignal, crossings,
                             active_at_start: bool = False) -> CycleSchedule:
     """Assemble a CycleSchedule from detected threshold crossings.
 
     Args:
         signal: the driving light signal
-        crossings: (time, direction) pairs, direction +1 for upward
-            (symport on) and -1 for downward, sorted in time
+        crossings: (time, direction) rows, an (m, 2) array or a list of
+            pairs, direction +1 for upward (symport on) and -1 for
+            downward, sorted as `sorted` sorts such pairs
         active_at_start: whether the symport indicator is on at t=0
 
     The same clipping semantics as the analytical route apply: a new
     cycle begins at every t_on even if symport has not ended, and a cycle
     whose illumination never triggers symport degenerates to type (b).
     """
-    events = sorted(crossings)
+    events = np.asarray(crossings, dtype=float)
     t2s, t4s = [], []
     for i in range(signal.n_cycles):
         t1, t3, t1_next = signal.cycle_bounds(i)
@@ -436,24 +437,24 @@ def schedule_from_crossings(signal: LightSignal,
     return schedule_from_times(signal, t2s, t4s)
 
 
-def schedule_is_final(signal: LightSignal,
-                      crossings: list[tuple[float, int]],
-                      active_at_start: bool, t: float) -> bool:
-    """Whether crossings at or after t can no longer change the schedule.
+def schedule_final_time(signal: LightSignal, crossings,
+                        active_at_start: bool) -> float:
+    """The time from which no later crossing can change the schedule.
 
-    `crossings` are those found before t, in the form
-    `schedule_from_crossings` takes. Every cycle before the last one is
-    bounded by the next cycle's t1, so only the last cycle can still
-    move. It is final once a downward crossing after its t2 is known, or
-    from its t3 on if it has no t2 (type b); either way t is past its t1,
-    so whether symport was on at t1 is known too. A signal without cycles
-    is final at once.
+    `crossings` are those found so far, in the form
+    `schedule_from_crossings` takes; the schedule is final at any time t
+    past them with t >= the returned time. Every cycle before the last
+    one is bounded by the next cycle's t1, so only the last cycle can
+    still move. It is final once a downward crossing after its t2 is
+    known (-inf), or from its t3 on if it has no t2 (type b); with a t2
+    and no such crossing yet, more crossings are needed (inf). A signal
+    without cycles is final at once.
     """
     if not signal.intervals:
-        return True
+        return -math.inf
     t1, t3, t1_next = signal.cycle_bounds(signal.n_cycles - 1)
-    t2_est, t4_est = _symport_estimates(sorted(crossings), active_at_start,
-                                        t1, t3, t1_next)
+    t2_est, t4_est = _symport_estimates(crossings, active_at_start, t1, t3,
+                                        t1_next)
     if t2_est == NO_CROSSING:
-        return t >= t3
-    return t4_est != NO_CROSSING
+        return t3
+    return -math.inf if t4_est != NO_CROSSING else math.inf

@@ -12,7 +12,7 @@ from vesim.analytic import (QuadratureError, buffered_log_ratio,
                             exact_depletion_offset, exact_proton_series,
                             exact_substrate, phase_coefficients,
                             run_analytic, run_analytic_batch)
-from vesim.ensemble import PopulationDistributions, sample_vesicle
+from vesim.ensemble import PopulationDistributions, sample_vesicles
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
 from vesim.model import (VesicleSpec, default_environment, default_kinetics,
                          default_vesicle, derive_rates)
@@ -407,19 +407,22 @@ class TestRunAnalytic:
         # five vesicles of the default population (seed fixed before the
         # results were seen); one batched closed run against each
         # vesicle's own FDM run
-        rng = np.random.default_rng(5)
-        specs = [sample_vesicle(PopulationDistributions(), rng)
-                 for _ in range(5)]
+        lanes = sample_vesicles(PopulationDistributions(),
+                                np.random.default_rng(5), 5)
+        specs = [VesicleSpec(d_in=d, d_mem=lanes.d_mem, n_pumps=p, n_sym=s,
+                             permeability=g) for d, p, s, g in zip(
+            lanes.d_in.tolist(), lanes.n_pumps.tolist(),
+            lanes.n_sym.tolist(), lanes.permeability.tolist())]
         # unbuffered, at each vesicle's stable_dt
         env0 = default_environment(buffer_total=0.0)
         sig0 = LightSignal([(0.0, 300.0)], 400.0)
-        batch0 = run_analytic_batch(specs, base_kinetics, env0, sig0,
+        batch0 = run_analytic_batch(lanes, base_kinetics, env0, sig0,
                                     "closed", [0.0, 400.0])
         # buffered, where stable_dt is 5-10 s: at the 1e-2 s of the
         # default-vesicle test above
         env = default_environment()
         sig = LightSignal([(0.0, 600.0)], 1200.0)
-        batch = run_analytic_batch(specs, base_kinetics, env, sig, "closed",
+        batch = run_analytic_batch(lanes, base_kinetics, env, sig, "closed",
                                    [0.0, 1200.0])
         for m, spec in enumerate(specs):
             for e, s, b, dt in ((env0, sig0, batch0,

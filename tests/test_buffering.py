@@ -114,3 +114,12 @@ def test_array_root_equals_scalar_root(totals, b0, ka, q_sign, fracs,
         if t > 1e-12 and b0 > 0.0:
             assert c == pytest.approx(bisect_free_conc(t, b0, ka),
                                       rel=1e-8, abs=1e-18)
+
+
+def test_slowdown_of_an_array_equals_its_floats_slowdowns():
+    # a population's stability coefficient takes the slowdown per lane,
+    # so the array form must give each float's bits
+    c = 10.0 ** np.random.default_rng(3).uniform(-8.0, -2.0, 20000)
+    for b0 in (2.0, 20.0, 100.0):
+        assert buffering_slowdown(c, b0, 6.2e-5).tolist() == [
+            buffering_slowdown(x, b0, 6.2e-5) for x in c.tolist()]

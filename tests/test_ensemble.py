@@ -7,13 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from scipy.special import ndtr, ndtri
+
 from vesim.analytic import run_analytic, run_analytic_batch
-from vesim.ensemble import (DiameterDistribution, EnsembleConfig,
+from vesim.ensemble import (DEFAULT_P_PUMP, DEFAULT_RHO,
+                            DiameterDistribution, EnsembleConfig,
                             PermeabilityDistribution,
-                            PopulationDistributions, jensen_gap_check,
-                            mean_parameter_spec, protein_slots, run_ensemble,
-                            sample_vesicle)
-from vesim.model import ModelError, default_environment, default_kinetics
+                            PopulationDistributions, experiment_vesicles,
+                            jensen_gap_check, mean_parameter_spec,
+                            protein_slots, run_ensemble, sample_vesicles)
+from vesim.model import (ModelError, VesicleSpec, default_environment,
+                         default_kinetics)
 from vesim.runner import _write_ensemble_csv
 from vesim.schedule import LightSignal, classify_cycle
 
@@ -24,7 +28,16 @@ FIG4_SIGNAL = LightSignal([(10.0, 35.0), (50.0, 80.0), (110.0, 140.0),
 
 def _draw(dist, cfg, rng):
     """n_mod vesicles drawn one after the other from `rng`."""
-    return [sample_vesicle(dist, rng) for _ in range(cfg.n_mod)]
+    return sample_vesicles(dist, rng, cfg.n_mod)
+
+
+def _lane_spec(lanes, m):
+    """Lane m of a population as a VesicleSpec."""
+    return VesicleSpec(d_in=float(lanes.d_in[m]), d_mem=lanes.d_mem,
+                       n_pumps=int(lanes.n_pumps[m]),
+                       n_sym=int(lanes.n_sym[m]),
+                       permeability=float(lanes.permeability[m]),
+                       mode=lanes.mode)
 
 
 @pytest.fixture
@@ -45,9 +58,9 @@ class TestSampling:
         assert protein_slots(117.67e-9, 14e-9, pop.rho) == 112
 
     def test_counts_partition(self, pop):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            spec = sample_vesicle(pop, rng)
+        lanes = sample_vesicles(pop, np.random.default_rng(7), 200)
+        for m in range(len(lanes)):
+            spec = _lane_spec(lanes, m)
             n_tot = protein_slots(spec.d_in, spec.d_mem, pop.rho)
             assert spec.n_pumps + spec.n_sym == n_tot
             assert spec.d_in > pop.diameter.shift
@@ -55,11 +68,13 @@ class TestSampling:
             assert lo < math.log10(spec.permeability) < hi
 
     def test_reproducible(self, pop):
-        a = [sample_vesicle(pop, np.random.default_rng(42))
-             for _ in range(10)]
-        b = [sample_vesicle(pop, np.random.default_rng(42))
-             for _ in range(10)]
-        assert a == b
+        a = sample_vesicles(pop, np.random.default_rng(42), 10)
+        b = sample_vesicles(pop, np.random.default_rng(42), 10)
+        for name in ("d_in", "n_pumps", "n_sym", "permeability"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        # the first vesicles of a stream do not depend on how many follow
+        first = sample_vesicles(pop, np.random.default_rng(42), 4)
+        assert np.array_equal(first.permeability, a.permeability[:4])
 
     def test_degenerate_distributions_collapse(self):
         # vanishing spread: every vesicle identical, the population
@@ -73,10 +88,10 @@ class TestSampling:
                 lo_log10=math.log10(3e-6) - 1e-6,
                 hi_log10=math.log10(3e-6) + 1e-6),
             p_pump=1.0)
-        rng = np.random.default_rng(0)
-        specs = [sample_vesicle(pop, rng) for _ in range(20)]
-        assert len({(s.d_in, s.n_pumps, s.n_sym) for s in specs}) == 1
-        assert specs[0].n_sym == 0  # deterministic split at p_pump = 1
+        lanes = sample_vesicles(pop, np.random.default_rng(0), 20)
+        assert len(set(zip(lanes.d_in.tolist(), lanes.n_pumps.tolist(),
+                           lanes.n_sym.tolist()))) == 1
+        assert lanes.n_sym[0] == 0  # deterministic split at p_pump = 1
 
     def test_sampling_moments_match_analytic(self, pop):
         rng = np.random.default_rng(123)
@@ -214,11 +229,12 @@ def test_experiment_rows_equal_single_vesicle_runs(seed, mode, b0, c_s_in0,
     env = default_environment(v_out=cfg.v_out_per_vesicle, buffer_total=b0,
                               c_s_in0=c_s_in0)
     ts = np.linspace(0.0, signal.horizon, n_t)
-    specs = _draw(PopulationDistributions(), cfg, np.random.default_rng(seed))
-    exp = run_analytic_batch(specs, kin, env, signal, mode, ts)
+    lanes = _draw(PopulationDistributions(), cfg, np.random.default_rng(seed))
+    exp = run_analytic_batch(lanes, kin, env, signal, mode, ts)
     start, end = exp.symport_span()
-    for m, spec in enumerate(specs):
-        one = run_analytic(spec, kin, env, signal, mode, sample_times=ts)
+    for m in range(len(lanes)):
+        one = run_analytic(_lane_spec(lanes, m), kin, env, signal, mode,
+                           sample_times=ts)
         assert np.array_equal(exp.c_h_in[m], one.c_h_in)
         assert np.array_equal(exp.c_s_out[m], one.c_s_out)
         cycles = one.schedule.cycles
@@ -353,12 +369,15 @@ def test_shared_pool_draws_experiment_zeros_vesicles(monkeypatch):
                         lambda specs, *args: pooled.append(specs))
     res = runner.execute_run(cfg)
     rng = np.random.default_rng(np.random.SeedSequence((11, 0)))
-    specs0 = _draw(cfg.population, cfg.ensemble, rng)
+    lanes0 = _draw(cfg.population, cfg.ensemble, rng)
     env = dataclasses.replace(cfg.environment,
                               v_out=cfg.ensemble.v_out_per_vesicle)
-    exp0 = run_analytic_batch(specs0, cfg.kinetics, env, cfg.signal,
+    exp0 = run_analytic_batch(lanes0, cfg.kinetics, env, cfg.signal,
                               "closed", res["ensemble"].t)
-    assert pooled == [specs0]
+    (pool_lanes,) = pooled
+    for name in ("d_in", "n_pumps", "n_sym", "permeability"):
+        assert np.array_equal(getattr(pool_lanes, name),
+                              getattr(lanes0, name))
     assert np.array_equal(exp0.c_s_out.mean(axis=0),
                           res["ensemble"].per_exp_c_s_out[0])
 
@@ -390,3 +409,77 @@ def test_population_csv_matches_golden_hash(solver, tmp_path):
                           tmp_path)
     csv = (out / "pin" / "ensemble_stats.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == GOLDEN_POPULATION_CSV[solver]
+
+
+def _frozen_scalar_draw(dist, rng):
+    """One vesicle as the per-vesicle draw made it before populations
+    became lane arrays, frozen here as the lane draw's reference:
+    (d_in, n_tot, n_pumps, permeability)."""
+    diam, perm = dist.diameter, dist.permeability
+    d_in = float(diam.shift + np.exp(diam.mu_log + diam.sigma_log
+                                     * rng.standard_normal()))
+    n_tot = int(math.floor(math.pi * (d_in + 2.0 * dist.d_mem) ** 2
+                           * dist.rho))
+    n_pumps = int(rng.binomial(n_tot, dist.p_pump)) if n_tot > 0 else 0
+    alpha = (perm.lo_log10 - perm.mu_log10) / perm.sigma_log10
+    beta = (perm.hi_log10 - perm.mu_log10) / perm.sigma_log10
+    u = rng.uniform(ndtr(alpha), ndtr(beta))
+    return d_in, n_tot, n_pumps, float(
+        10.0 ** (perm.mu_log10 + perm.sigma_log10 * ndtri(u)))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       shift_nm=st.floats(1.0, 100.0), mu_nm=st.floats(1.0, 300.0),
+       sigma_log=st.floats(0.01, 1.5),
+       mu_log10=st.floats(-7.0, -4.0), sigma_log10=st.floats(0.02, 1.0),
+       lo=st.floats(0.01, 2.0), hi=st.floats(0.01, 2.0),
+       # 0 leaves every vesicle without slots; 1e13 gives 0 or 1 slot
+       rho=st.sampled_from([0.0, 1e13, 1e15, DEFAULT_RHO]),
+       p_pump=st.sampled_from([0.0, 1.0, 0.3, DEFAULT_P_PUMP]))
+@example(seed=0, n=20, shift_nm=39.74, mu_nm=64.07, sigma_log=0.62,
+         mu_log10=-5.52, sigma_log10=0.25, lo=0.25, hi=0.25, rho=1e13,
+         p_pump=0.0)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_lane_draw_equals_the_scalar_draw(seed, n, shift_nm, mu_nm,
+                                          sigma_log, mu_log10, sigma_log10,
+                                          lo, hi, rho, p_pump):
+    # the lanes and the stream left behind are those of n scalar draws,
+    # bit for bit
+    dist = PopulationDistributions(
+        diameter=DiameterDistribution(shift=shift_nm * 1e-9,
+                                      mu_log=math.log(mu_nm * 1e-9),
+                                      sigma_log=sigma_log),
+        permeability=PermeabilityDistribution(
+            mu_log10=mu_log10, sigma_log10=sigma_log10,
+            lo_log10=mu_log10 - lo, hi_log10=mu_log10 + hi),
+        rho=rho, p_pump=p_pump)
+    rng_lanes, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+    lanes = sample_vesicles(dist, rng_lanes, n)
+    ref = [_frozen_scalar_draw(dist, rng_ref) for _ in range(n)]
+    d_in, n_tot, n_pumps, perm = (list(c) for c in zip(*ref))
+    assert lanes.d_in.tolist() == d_in
+    assert lanes.n_pumps.tolist() == n_pumps
+    assert (lanes.n_pumps + lanes.n_sym).tolist() == n_tot
+    assert lanes.permeability.tolist() == perm
+    assert lanes.d_mem == dist.d_mem and lanes.mode == dist.mode
+    assert rng_lanes.random() == rng_ref.random()
+
+
+def test_run_ensemble_warns_once_counting_small_compartments(pop, signal):
+    # ~1.2e13 vesicles share the bath: v_out per vesicle is 83 zl, under
+    # 100 * v_in for the larger half of them; one warning per run says
+    # how many of the n_mod * n_ex vesicles that is
+    cfg = EnsembleConfig(n_ves=1.2e13, n_mod=6, n_ex=3, seed=8)
+    env = default_environment(v_out=cfg.v_out_per_vesicle)
+    small = sum(int(np.count_nonzero(
+        env.v_out < 100.0 * experiment_vesicles(pop, cfg, i).v_in))
+        for i in range(cfg.n_ex))
+    assert 0 < small < cfg.n_mod * cfg.n_ex
+    with pytest.warns(UserWarning) as caught:
+        run_ensemble(pop, default_kinetics(), env, signal, cfg,
+                     sample_times=np.array([0.0, 800.0]))
+    messages = [str(w.message) for w in caught
+                if "v_out < 100" in str(w.message)]
+    assert messages == [f"v_out < 100 * v_in for {small} of 18 vesicles; "
+                        "the single-vesicle compartment approximation "
+                        "degrades"]

@@ -6,3 +6,14 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names)), "a name is exported twice"
     missing = [n for n in names if not hasattr(vesim, n)]
     assert not missing, f"exported but undefined: {missing}"
+
+
+def test_lane_api_is_exported():
+    # a population travels as lane arrays from the draw to the solvers
+    from vesim import ensemble, model
+    for name in ("VesicleLanes", "sample_vesicles", "derive_rates",
+                 "simulate_mvs_shared_pool"):
+        assert name in vesim.__all__, name
+    assert vesim.VesicleLanes is model.VesicleLanes
+    assert vesim.sample_vesicles is ensemble.sample_vesicles
+    assert "sample_vesicle" not in vesim.__all__

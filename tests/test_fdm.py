@@ -14,8 +14,8 @@ from vesim.analytic import DEPLETION_FRACTION_OF_KM, run_analytic
 from vesim.buffering import total_conc_from_free
 from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_mvs_shared_pool,
                        simulate_svs, stability_coefficient, stable_dt)
-from vesim.model import (VesicleSpec, default_environment, default_kinetics,
-                         default_vesicle, derive_rates)
+from vesim.model import (VesicleLanes, VesicleSpec, default_environment,
+                         default_kinetics, default_vesicle, derive_rates)
 from vesim.presets import RUN_PRESETS
 from vesim.schedule import LightSignal, schedule_from_crossings
 from vesim.trajectory import write_trajectory_csv
@@ -437,8 +437,8 @@ class TestSharedPool:
                                 lambda self, *args: 0.0)
         svs = simulate_svs(spec, base_kinetics, env, sig, cfg)
         monkeypatch.setattr(fdm, "_compiled_step", lambda: fdm._step_numpy)
-        pool = simulate_mvs_shared_pool([spec], base_kinetics, env, sig,
-                                        cfg)
+        pool = simulate_mvs_shared_pool(VesicleLanes.of([spec]),
+                                        base_kinetics, env, sig, cfg)
         assert [e.info for e in svs.events] == infos
         assert np.any(svs.c_s_in == 0.0) == case.startswith("clamp")
         assert pool.events[0] == svs.events
@@ -456,11 +456,12 @@ class TestSharedPool:
         seen = []  # each lane's crossing list, as its schedule gets it
 
         def spy(signal, crossings, active_at_start=False):
-            seen.append(list(crossings))
+            seen.append([tuple(row) for row in crossings.tolist()])
             return schedule_from_crossings(signal, crossings, active_at_start)
 
         monkeypatch.setattr(fdm, "schedule_from_crossings", spy)
-        pool = simulate_mvs_shared_pool(specs, base_kinetics, env, sig, cfg)
+        pool = simulate_mvs_shared_pool(VesicleLanes.of(specs), base_kinetics,
+                                        env, sig, cfg)
         # every lane pinned bit for bit, not only the one-lane pools
         digest = hashlib.sha256()
         for a in (pool.t, pool.c_h_in, pool.c_s_in, pool.pooled_c_h_out,
@@ -507,7 +508,7 @@ class TestSharedPool:
         # step that has a crossing, and the step returns to be emptied
         step = _c_step() if step == "compiled" else fdm._step_numpy
         specs, env, sig, cfg = _six_lane_case()
-        args = (specs, base_kinetics, env, sig, cfg)
+        args = (VesicleLanes.of(specs), base_kinetics, env, sig, cfg)
         expected = _run_pool_on(step, *args)
         monkeypatch.setattr(fdm, "_LOG_ROOM", 0)
         _assert_same_pool(_run_pool_on(step, *args), expected)
@@ -536,7 +537,8 @@ class TestSharedPool:
 
         monkeypatch.setattr(fdm, "schedule_from_crossings", spy)
         specs, env, sig, cfg = _six_lane_case()
-        _run_pool_on(counting, specs, base_kinetics, env, sig, cfg)
+        _run_pool_on(counting, VesicleLanes.of(specs), base_kinetics, env,
+                     sig, cfg)
         assert crossings[2] > 20
         assert sum(early) <= 2 * len(specs) < crossings[2]
 
@@ -547,7 +549,8 @@ class TestSharedPool:
         env_total = default_environment(v_out=n * 1e-17)
         sig = LightSignal([(0, 120)], 240)
         cfg = FdmConfig(dt=1e-2, record_stride=100)
-        pool = simulate_mvs_shared_pool([spec] * n, base_kinetics,
+        pool = simulate_mvs_shared_pool(VesicleLanes.of([spec] * n),
+                                        base_kinetics,
                                         env_total, sig, cfg)
         env_split = default_environment(v_out=1e-17)
         svs = simulate_svs(spec, base_kinetics, env_split, sig, cfg)
@@ -563,7 +566,8 @@ class TestSharedPool:
                  dataclasses.replace(default_vesicle(), permeability=5e-6)]
         env_total = default_environment(v_out=3e-17)
         sig = LightSignal([(0, 60)], 120)
-        pool = simulate_mvs_shared_pool(specs, base_kinetics, env_total,
+        pool = simulate_mvs_shared_pool(VesicleLanes.of(specs),
+                                        base_kinetics, env_total,
                                         sig, FdmConfig(dt=1e-2,
                                                        record_stride=50))
         assert pool.conservation_drift < 1e-6
@@ -571,7 +575,8 @@ class TestSharedPool:
 
     def test_empty_pool_rejected(self, base_kinetics, base_env):
         with pytest.raises(ValueError, match="at least one"):
-            simulate_mvs_shared_pool([], base_kinetics, base_env,
+            simulate_mvs_shared_pool(VesicleLanes.of([]), base_kinetics,
+                                     base_env,
                                      LightSignal([(0, 1)], 2), FdmConfig())
 
 
@@ -637,7 +642,8 @@ def test_compiled_step_matches_numpy_step_on_random_pools(
     dt = min(1e-2, *(stable_dt(s, kin, env) for s in specs))
     intervals, horizon = pulses
     sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
-    args = (specs, kin, dataclasses.replace(env, v_out=n_ves * env.v_out),
+    args = (VesicleLanes.of(specs), kin,
+            dataclasses.replace(env, v_out=n_ves * env.v_out),
             sig, FdmConfig(dt=dt, record_stride=stride))
     _assert_same_pool(_run_pool_on(c_step, *args),
                       _run_pool_on(fdm._step_numpy, *args))
@@ -653,7 +659,8 @@ class TestCompiledStepBuild:
 
     def _pin_case(self, step):
         spec, env, sig, cfg, _, _ = PIN_CASES["depletion"]()
-        return _run_pool_on(step, [spec], default_kinetics(), env, sig, cfg)
+        return _run_pool_on(step, VesicleLanes.of([spec]), default_kinetics(),
+                            env, sig, cfg)
 
     def test_compiled_step_is_in_use_where_a_compiler_exists(self):
         if shutil.which("cc") is None:
@@ -702,3 +709,20 @@ class TestCompiledStepBuild:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         (tmp_path / "tmp").mkdir()
         assert fdm._cache_dir() == tmp_path / "tmp" / f"vesim-{os.getuid()}"
+
+
+def test_a_full_crossing_log_keeps_the_settled_stop(base_kinetics,
+                                                    monkeypatch):
+    # with no room beyond one step's flips, every crossing reaches the
+    # driver through an early return, between record steps; the run must
+    # still stop at the record step where it stops with room
+    sig = LightSignal([(10, 35), (50, 80)], 400)
+    args = (default_vesicle(), base_kinetics, default_environment(), sig,
+            FdmConfig(dt=1e-2, record_stride=10))
+    expected = simulate_svs(*args, until_settled=True)
+    monkeypatch.setattr(fdm, "_LOG_ROOM", 0)
+    got = simulate_svs(*args, until_settled=True)
+    assert expected.t[-1] < sig.horizon
+    assert got.schedule.cycles == expected.schedule.cycles
+    for name in ("t", "c_h_in", "c_s_in", "c_s_out"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))

@@ -1,15 +1,18 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from vesim.fdm import stability_coefficient
 from vesim.model import (AVOGADRO, Environment, KineticConstants,
-                         ModelError, VesicleSpec, default_environment,
-                         default_kinetics, default_vesicle, derive_rates,
-                         leakage_flux, net_proton_inflow, pump_flux,
-                         switch_concentration, symport_flux, symport_gate)
+                         ModelError, VesicleLanes, VesicleSpec,
+                         default_environment, default_kinetics,
+                         default_vesicle, derive_rates, leakage_flux,
+                         net_proton_inflow, pump_flux, switch_concentration,
+                         symport_flux, symport_gate)
 
 
 def test_geometry():
@@ -215,3 +218,101 @@ def test_switch_above_initial_for_positive_threshold(xi, c0,
     n_h = c0 * (v_in + v_out)
     assert switch_concentration(n_h, v_in, v_out, xi) > c0
 
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       d_mem=st.floats(2e-9, 30e-9),
+       b0=st.sampled_from([0.0, 2.0, 20.0, 100.0]),
+       v_out=st.floats(-21.0, -15.0).map(lambda e: 10.0 ** e),
+       c_h_in0=st.floats(1e-6, 1e-3), c_h_out0=st.floats(0.0, 1e-3),
+       c_s_in0=st.floats(0.0, 300.0))
+@example(seed=0, n=2, d_mem=14e-9, b0=20.0, v_out=1e-17, c_h_in0=3.98e-5,
+         c_h_out0=3.98e-5, c_s_in0=300.0)
+@settings(derandomize=True, deadline=None, max_examples=40)
+def test_population_rates_equal_per_spec_rates(seed, n, d_mem, b0, v_out,
+                                               c_h_in0, c_h_out0, c_s_in0):
+    # every lane's geometry, derived rates and stability coefficient are
+    # its spec's, bit for bit; the lanes are random doubles, on which an
+    # array power would differ from the spec's float power now and then
+    rng = np.random.default_rng(seed)
+    kin = default_kinetics()
+    env = default_environment(buffer_total=b0, v_out=v_out, c_h_in0=c_h_in0,
+                              c_h_out0=c_h_out0, c_s_in0=c_s_in0)
+    specs = [VesicleSpec(d, d_mem, p, s, g) for d, p, s, g in zip(
+        rng.uniform(20e-9, 400e-9, n).tolist(),
+        rng.integers(0, 300, n).tolist(), rng.integers(0, 300, n).tolist(),
+        (10.0 ** rng.uniform(-8.0, -4.0, n)).tolist())]
+    lanes = VesicleLanes.of(specs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rates = derive_rates(lanes, kin, env)
+        a = stability_coefficient(lanes, kin, env, rates)
+        for m, spec in enumerate(specs):
+            one = derive_rates(spec, kin, env)
+            assert rates.lane(m) == one
+            assert lanes.v_in[m] == spec.v_in
+            assert lanes.a_ves[m] == spec.a_ves
+            assert a[m] == stability_coefficient(spec, kin, env, one)
+
+
+_VALID_LANE = dict(d_in=87e-9, d_mem=14e-9, n_pumps=40, n_sym=30,
+                   permeability=3e-6)
+
+
+@given(field=st.sampled_from(["d_in", "d_mem", "n_pumps", "n_sym",
+                              "permeability", "mode"]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 2.5,
+                            -2, "osmosis"]),
+       n=st.integers(1, 5), data=st.data())
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_invalid_lanes_refused_as_specs(field, bad, n, data):
+    # a population with one invalid lane is refused with the message a
+    # VesicleSpec of that lane's values gets
+    if (field == "mode") != isinstance(bad, str):
+        bad = "osmosis" if field == "mode" else -1.0
+    if field in ("d_in", "permeability"):
+        bad = float(bad)  # lane arrays of diameters and permeabilities
+    values = dict(_VALID_LANE, **{field: bad})
+    try:
+        VesicleSpec(**values)
+    except ModelError as exc:
+        message = str(exc)
+    else:  # a value valid for this field
+        message = None
+    shared = ("d_mem", "mode")
+    m = data.draw(st.integers(0, n - 1))
+    lanes = {k: v if k in shared else [v if i == m and k == field else
+                                       _VALID_LANE[k] for i in range(n)]
+             for k, v in values.items()}
+    if message is None:
+        VesicleLanes(**lanes)
+    else:
+        with pytest.raises(ModelError) as exc:
+            VesicleLanes(**lanes)
+        assert str(exc.value) == message
+
+
+def test_population_lanes_of_one_length():
+    with pytest.raises(ModelError, match="at least one vesicle"):
+        VesicleLanes.of([])
+    with pytest.raises(ModelError, match="one length"):
+        VesicleLanes(d_in=[87e-9, 90e-9], d_mem=14e-9, n_pumps=[1],
+                     n_sym=[1, 2], permeability=[3e-6, 3e-6])
+    with pytest.raises(ModelError, match="all of one d_mem and mode"):
+        VesicleLanes.of([default_vesicle(),
+                         dataclasses.replace(default_vesicle(), d_mem=9e-9)])
+
+
+def test_population_rates_warn_once_per_call(base_kinetics):
+    # many inert lanes and many small compartments: one warning each,
+    # with the static messages
+    lanes = VesicleLanes(d_in=[87e-9, 300e-9, 300e-9, 87e-9], d_mem=14e-9,
+                         n_pumps=[0, 0, 40, 0], n_sym=[0, 0, 30, 0],
+                         permeability=[3e-6] * 4)
+    env = default_environment(v_out=1e-21)
+    with pytest.warns(UserWarning) as caught:
+        derive_rates(lanes, base_kinetics, env)
+    assert [str(w.message) for w in caught] == [
+        "vesicle has no pumps and no symporters; only leakage will act",
+        "v_out < 100 * v_in; the single-vesicle compartment approximation "
+        "degrades"]
