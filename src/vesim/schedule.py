@@ -377,7 +377,8 @@ def _symport_estimates(events, active_at_start: bool, t1: float, t3: float,
     """
     t, d = np.asarray(events, dtype=float).reshape(-1, 2).T
     before = np.searchsorted(t, t1, side="right")  # crossings at or before t1
-    if d[before - 1] > 0 if before else active_at_start:
+    active = d[before - 1] > 0 if before else active_at_start
+    if active:
         t2_est = t1
     else:
         lo, hi = np.searchsorted(t, (t1, t3))
