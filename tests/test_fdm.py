@@ -713,8 +713,8 @@ class TestCompiledStepBuild:
 
 def test_a_full_crossing_log_keeps_the_settled_stop(base_kinetics,
                                                     monkeypatch):
-    # with no room beyond one step's flips, every crossing reaches the
-    # driver through an early return, between record steps; the run must
+    # with no room beyond one step's flips, every crossing leaves the
+    # step through an early return, between record steps; the run must
     # still stop at the record step where it stops with room
     sig = LightSignal([(10, 35), (50, 80)], 400)
     args = (default_vesicle(), base_kinetics, default_environment(), sig,
