@@ -37,8 +37,8 @@ is its solution t(C). Each segment's end state comes from inverting t(C)
 whose rate is pinned to pass through both end states: the engine divides
 that segment's a, b and h by beta = a*dt / ln((C_start - s)/(C_end - s)),
 s = b'/a, which keeps s and scales the rate. Exact mode uses the same
-pinned a, b and h in its drain quadrature, one series per drained
-vesicle. The substrate rate is never attenuated.
+pinned a, b and h in its drain quadrature, one call for all drained
+vesicles of a segment. The substrate rate is never attenuated.
 
 Note the sign of j_l_b: it must be positive for the relaxation target
 b/a to reproduce the pump/leak equilibrium and for the phase solution to
@@ -297,94 +297,92 @@ def closed_form_substrate(c_s_start, ramp_rate, dt, drain):
     return np.where(drain, ramp, c_s_start)
 
 
-def exact_substrate(c_s_start: float, gamma_s: float, v_in: float,
-                    k_m: float, dt):
+def _exponent(c_s_start, gamma_s, v_in, k_m: float):
+    """(y0, decay) per drained lane: the exact substrate law is
+    K_M * W0(exp(y0 - decay*t)). y0 = ln(C0/K_M) + C0/K_M is formed from
+    Python floats, as `math.log` forms it (numpy's SIMD log may differ)."""
+    y0 = np.array([math.log(c / k_m) + c / k_m for c in c_s_start.tolist()])
+    return y0, gamma_s / (v_in * k_m)
+
+
+def exact_substrate(c_s_start, gamma_s, v_in, k_m: float, offsets):
     """Michaelis-Menten substrate law C_S = K_M * W0(f(dt)) under drain.
 
     f(dt) = (C0/K_M) * exp((C0 - (gamma_s/v_in)*dt) / K_M) is evaluated in
-    the log domain so large C0/K_M ratios cannot overflow. gamma_s is the
-    saturated substrate rate (mol/s); without it, or without cargo, the
-    concentration is constant.
+    the log domain so large C0/K_M ratios cannot overflow. Takes drained
+    lanes (C0 > 0, saturated substrate rate gamma_s > 0 mol/s) as arrays
+    of shape (n,), and one row of offsets per lane, shape (n, m).
     """
-    dt = np.asarray(dt, dtype=float)
-    if c_s_start <= 0.0 or gamma_s == 0.0:
-        return np.full_like(dt, max(c_s_start, 0.0))
-    y0 = math.log(c_s_start / k_m) + c_s_start / k_m
-    decay = gamma_s / (v_in * k_m)
-    return k_m * lambert_w0_exp(y0 - decay * dt)
+    y0, decay = _exponent(c_s_start, gamma_s, v_in, k_m)
+    return k_m * lambert_w0_exp(y0[:, None] - decay[:, None]
+                                * np.asarray(offsets, dtype=float))
 
 
-def exact_depletion_offset(c_s_start: float, gamma_s: float, v_in: float,
-                           k_m: float, threshold: float) -> float:
-    """Time offset at which the exact substrate law reaches `threshold`."""
-    if c_s_start <= threshold:
-        return 0.0
-    if gamma_s == 0.0:
-        return math.inf
+def exact_depletion_offset(c_s_start, gamma_s, v_in, k_m: float,
+                           threshold: float) -> np.ndarray:
+    """Time offset at which the exact substrate law reaches `threshold`,
+    per drained lane that starts above it."""
     w = threshold / k_m
-    y0 = math.log(c_s_start / k_m) + c_s_start / k_m
+    y0 = _exponent(c_s_start, gamma_s, v_in, k_m)[0]
     return (y0 - w - math.log(w)) * v_in * k_m / gamma_s
 
 
-def exact_proton_series(c_start: float, a: float, b: float, drain: float,
-                        c_s_start: float, gamma_s: float, v_in: float,
+def exact_proton_series(c_start, a, b, drain, c_s_start, gamma_s, v_in,
                         k_m: float, offsets) -> np.ndarray:
-    """Exact proton law at ascending offsets from the phase start.
+    """Exact proton law of drained lanes at offsets from the phase start.
 
     The phase law is C' = -a*C + b - drain*sat(t), where drain is the
-    symport H+ drain rate gamma_sym_h/v_in (mol/m^3/s; 0 for none) and
-    sat = C_S/(C_S + K_M) follows `exact_substrate`. Without an active
-    drain the variation-of-constants integral reduces algebraically to
-    the closed form. With it, the integral is accumulated stepwise
-    between consecutive offsets with the decaying exponential folded
-    into the integrand, which keeps the evaluation stable for arbitrarily
-    long phases:
+    symport H+ drain rate gamma_sym_h/v_in (mol/m^3/s) and sat =
+    C_S/(C_S + K_M) follows `exact_substrate`. The integral is
+    accumulated between consecutive offsets with the decaying
+    exponential folded into the integrand, which keeps long phases
+    stable:
 
         C(t+d) = C(t)*e^(-a d) + int_0^d g(u) e^(-a (d-u)) du,
         g(u) = b - drain * W(f(u)) / (W(f(u)) + 1).
 
-    All sample intervals of the segment are integrated at once by
-    `_gauss_kronrod` (one Lambert-W call per batch), then chained.
+    Takes arrays with one element per lane, and one non-decreasing row
+    of offsets per lane. All intervals go through one `_gauss_kronrod`
+    call; each lane is then chained in Python floats. A zero-length
+    interval adds nothing, so a row may repeat its last offset. Raises
+    QuadratureError for the first interval, in lane-major order, that
+    misses tolerance.
     """
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    if c_s_start <= 0.0 or drain == 0.0:
-        return closed_form_proton(c_start, a, (b - drain) / a, offsets)
-
-    y0 = math.log(c_s_start / k_m) + c_s_start / k_m
-    decay = gamma_s / (v_in * k_m)
-
-    t_prev = np.concatenate(([0.0], offsets[:-1]))
+    offsets = np.asarray(offsets, dtype=float)
+    y0, decay = _exponent(c_s_start, gamma_s, v_in, k_m)
+    t_prev = np.pad(offsets[:, :-1], ((0, 0), (1, 0)))
     d = offsets - t_prev
-    moving = d > 0.0
-    t_k, d_k = offsets[moving], d[moving]
+    lane, col = np.nonzero(d > 0.0)
+    t_k, d_k = offsets[lane, col], d[lane, col]
     # The exponential weight kills contributions older than ~45/a; the
     # neglected remainder is below 1e-19 relative.
-    lo = np.maximum(t_prev[moving],
-                    t_k - (45.0 / a if a > 0.0 else math.inf))
+    reach = np.divide(45.0, a, out=np.full_like(a, math.inf), where=a > 0.0)
+    lo = np.maximum(t_prev[lane, col], t_k - reach[lane])
 
     def integrand(u, rows):
-        w = lambert_w0_exp(y0 - decay * u)
-        return ((b - drain * w / (w + 1.0))
-                * np.exp(-a * (t_k[rows, None] - u)))
+        m = lane[rows, None]
+        w = lambert_w0_exp(y0[m] - decay[m] * u)
+        return ((b[m] - drain[m] * w / (w + 1.0))
+                * np.exp(-a[m] * (t_k[rows, None] - u)))
 
-    scale = abs(b) + drain
+    scale = (np.abs(b) + drain)[lane]
     integral = np.zeros_like(offsets)
-    integral[moving], abserr = _gauss_kronrod(
+    integral[lane, col], abserr = _gauss_kronrod(
         integrand, lo, t_k, 1e-12 * scale * d_k + 1e-300, 1e-8)
 
-    c, chained = c_start, []
-    for growth, val in zip(np.exp(-a * d).tolist(), integral.tolist()):
-        c = c * growth + val
-        chained.append(c)
-    out = np.array(chained)
+    out = np.zeros_like(offsets)  # c_k = c_(k-1)*e^(-a d_k) + I_k
+    for m, (c, growth, vals) in enumerate(zip(
+            c_start.tolist(), np.exp(-a[:, None] * d).tolist(),
+            integral.tolist())):
+        out[m] = [c := c * g + v for g, v in zip(growth, vals)]
 
     failed = np.flatnonzero(abserr > np.maximum(
-        1e-4 * scale * d_k, 1e-8 * np.abs(integral[moving])) + 1e-300)
+        1e-4 * scale * d_k, 1e-8 * np.abs(integral[lane, col])) + 1e-300)
     if failed.size:
         k = failed[0]
         raise QuadratureError(
             f"phase integral did not converge (abserr={abserr[k]:g})",
-            estimate=float(out[moving][k]), abserr=float(abserr[k]))
+            estimate=float(out[lane[k], col[k]]), abserr=float(abserr[k]))
     return out
 
 
@@ -430,12 +428,16 @@ def _gauss_kronrod(integrand, lo, hi, epsabs, epsrel):
 
 
 def _kronrod_rule(integrand, lo, hi, rows):
-    """One 15-point Kronrod rule per interval, and its |K15 - G7|."""
+    """One 15-point Kronrod rule per interval, and its |K15 - G7|.
+
+    Each row is summed on its own in a fixed order, so its bits depend
+    neither on the other rows nor on the BLAS build, as a matrix
+    product's would."""
     half = 0.5 * (hi - lo)
     u = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
     f = integrand(u, rows)
-    k15 = (f @ _K15_WEIGHTS) * half
-    g7 = (f @ _G7_WEIGHTS) * half
+    k15 = (f * _K15_WEIGHTS).sum(axis=1) * half
+    g7 = (f * _G7_WEIGHTS).sum(axis=1) * half
     return k15, np.abs(k15 - g7)
 
 
@@ -631,24 +633,26 @@ class _BatchEngine:
         c_s_end = closed_form_substrate(c_s0, ramp, end_offset, drain)
         if self.mode == "exact":
             # undrained, the exact proton law is the closed form; drained,
-            # one quadrature series per vesicle over its points and end
+            # one quadrature over every drained row: its sample offsets,
+            # then its end offset, which also fills the padding
             c_h_end = closed_form_proton(c_h0, a, s, end_offset)
-            for r in np.flatnonzero(drain):
-                n = last[r] - first[r]
-                all_off = np.append(offsets[r, :n], end_offset[r])
-                lane = (c_s0[r], self.gamma_s[rows[r]], self.v_in[rows[r]],
-                        self.k_m)
-                c_h_all = exact_proton_series(c_h0[r], a[r], b[r], -h[r],
-                                              *lane, all_off)
-                c_s_all = exact_substrate(*lane, all_off)
-                c_h_pts[r, :n], c_h_end[r] = c_h_all[:-1], c_h_all[-1]
-                c_s_pts[r, :n], c_s_end[r] = c_s_all[:-1], c_s_all[-1]
-                if c_s0[r] > self.depletion_threshold:
-                    d_off = exact_depletion_offset(
-                        *lane, self.depletion_threshold)
-                    if d_off <= end_offset[r]:
-                        self._record_depletion(rows[r:r + 1],
-                                               t0[r:r + 1] + d_off)
+            d = np.flatnonzero(drain)
+            if d.size:
+                end = end_offset[d, None]
+                all_off = np.concatenate(
+                    (np.where(taken[d], offsets[d], end), end), axis=1)
+                lanes = (c_s0[d], self.gamma_s[rows[d]], self.v_in[rows[d]],
+                         self.k_m)
+                c_h_all = exact_proton_series(c_h0[d], a[d], b[d], -h[d],
+                                              *lanes, all_off)
+                c_s_all = exact_substrate(*lanes, all_off)
+                c_h_pts[d], c_h_end[d] = c_h_all[:, :-1], c_h_all[:, -1]
+                c_s_pts[d], c_s_end[d] = c_s_all[:, :-1], c_s_all[:, -1]
+                d_off = exact_depletion_offset(*lanes,
+                                               self.depletion_threshold)
+                hit = ((c_s0[d] > self.depletion_threshold)
+                       & (d_off <= end_offset[d]))
+                self._record_depletion(rows[d[hit]], t0[d[hit]] + d_off[hit])
         at = (rows[:, None] * self.grid.size + col)[taken]
         self.c_h_in.ravel()[at] = c_h_pts[taken]
         self.c_s_in.ravel()[at] = c_s_pts[taken]

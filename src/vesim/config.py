@@ -122,6 +122,14 @@ def check_seed(value, path: str) -> int:
     return seed
 
 
+def _known(sec: dict, path: str, keys) -> None:
+    """Refuse a key of section `sec` that is not in `keys`."""
+    for key in sec:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key" if path
+                              else f"{key}: unknown key")
+
+
 def _section(tree: dict, path: str, required: bool = True) -> dict:
     """The section at `path` in `tree`, the mapping that holds its last
     name; an absent optional section is empty."""
@@ -159,11 +167,13 @@ _PERMEABILITY = (("mu_log10", "number"), ("sigma_log10", "number"),
 _PROTEINS = (("rho", "areal_density"), ("p_pump", "number"))
 
 
-def _read(sec: dict, path: str, fields, default) -> dict:
+def _read(sec: dict, path: str, fields, default, extra=()) -> dict:
     """The values of `fields` in section `sec`, normalized to SI.
 
-    An absent key takes the attribute of the `default` instance.
+    An absent key takes the attribute of the `default` instance. A key
+    that is neither a field nor in `extra` is refused.
     """
+    _known(sec, path, [key for key, _ in fields] + list(extra))
     values = {}
     for key, kind in fields:
         if key not in sec:
@@ -239,8 +249,12 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
     """
     if not isinstance(tree, dict):
         raise ConfigError("top level must be a mapping")
+    _known(tree, "", ("run", "vesicle", "population", "kinetics",
+                      "environment", "signal", "fdm", "sample_interval",
+                      "ensemble"))
 
     run = _section(tree, "run", required=False)
+    _known(run, "run", ("solver", "seed"))
     solver = run.get("solver", "all")
     if solver == "all":
         solvers: tuple[str, ...] = _SOLVERS
@@ -295,14 +309,15 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
         path = "population.diameter"
         d_t = _section(p_t, path, required=False)
         d_shift = math.log(_log_scale(d_t, path, "length", "nm"))
-        d = _read(d_t, path, _DIAMETER, pop.diameter)
+        d = _read(d_t, path, _DIAMETER, pop.diameter, extra=["log_unit"])
         if "mu_log" in d_t:
             d["mu_log"] += d_shift
         diameter = _build(DiameterDistribution, path, **d)
         path = "population.permeability"
         g_t = _section(p_t, path, required=False)
         g_shift = math.log10(_log_scale(g_t, path, "speed", "m/s"))
-        g = _read(g_t, path, _PERMEABILITY, pop.permeability)
+        g = _read(g_t, path, _PERMEABILITY, pop.permeability,
+                  extra=["log_unit"])
         for key in ("mu_log10", "lo_log10", "hi_log10"):
             if key in g_t:
                 g[key] += g_shift
@@ -312,9 +327,11 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
             permeability=permeability,
             **_read(_section(p_t, "population.proteins", required=False),
                     "population.proteins", _PROTEINS, pop),
-            **_read(p_t, "population", _POPULATION, pop))
+            **_read(p_t, "population", _POPULATION, pop,
+                    extra=["diameter", "permeability", "proteins"]))
 
     sig_t = _section(tree, "signal")
+    _known(sig_t, "signal", ("intervals", "horizon"))
     intervals = sig_t.get("intervals", [])
     if not isinstance(intervals, list) or not all(
             isinstance(iv, (list, tuple)) and len(iv) == 2

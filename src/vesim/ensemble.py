@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .analytic import lambert_w0_exp, run_analytic, run_analytic_batch
+from .analytic import exact_substrate, run_analytic, run_analytic_batch
 from .model import (_VALID_MODES, AVOGADRO, SMALL_V_OUT, Environment,
                     KineticConstants, VesicleLanes, VesicleSpec, _outer_area)
 from .schedule import LightSignal
@@ -429,23 +429,23 @@ def jensen_gap_check(dist: PopulationDistributions, kin: KineticConstants,
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("nsym_probs must sum to 1")
 
-    c_s0 = env.c_s_in0
     k_m = kin.k_m
     dt = t_probe - interval.t2
-    y0 = math.log(c_s0 / k_m) + c_s0 / k_m
-    beta4 = kin.symport_rate_per_protein / (AVOGADRO * spec.v_in * k_m)
-
-    def c_s(x):
-        return k_m * lambert_w0_exp(y0 - beta4 * np.asarray(x, dtype=float) * dt)
-
     mean_x = float(np.sum(values * probs))
-    ensemble_mean = float(np.sum(probs * c_s(values)))
-    at_mean = float(c_s(mean_x))
-
     h = max(1e-4 * mean_x, 1e-3)
-    d2_num = float((c_s(mean_x + h) - 2.0 * at_mean + c_s(mean_x - h)) / h ** 2)
-    w = lambert_w0_exp(y0 - beta4 * mean_x * dt)
+    # C_S at every count, then at the mean and either side of it
+    x = np.concatenate((values, [mean_x - h, mean_x, mean_x + h]))
+    c_s = exact_substrate(np.full(x.size, env.c_s_in0),
+                          kin.symport_rate_per_protein * x / AVOGADRO,
+                          np.full(x.size, spec.v_in), k_m,
+                          np.full((x.size, 1), dt))[:, 0]
+    ensemble_mean = float(np.sum(probs * c_s[:-3]))
+    below, at_mean, above = c_s[-3:].tolist()
+    d2_num = (above - 2.0 * at_mean + below) / h ** 2
+    # the exponent's slope per symporter, and W at the mean
+    beta4 = kin.symport_rate_per_protein / (AVOGADRO * spec.v_in * k_m)
+    w = at_mean / k_m
     d2_ana = k_m * (beta4 * dt) ** 2 * w / (1.0 + w) ** 3
 
     return JensenGapResult("ok", ensemble_mean, at_mean,
-                           ensemble_mean - at_mean, d2_num, float(d2_ana))
+                           ensemble_mean - at_mean, d2_num, d2_ana)

@@ -12,7 +12,8 @@ from vesim.analytic import (QuadratureError, buffered_log_ratio,
                             exact_depletion_offset, exact_proton_series,
                             exact_substrate, phase_coefficients,
                             run_analytic, run_analytic_batch)
-from vesim.ensemble import PopulationDistributions, sample_vesicles
+from vesim.ensemble import (EnsembleConfig, PopulationDistributions,
+                            sample_vesicles)
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
 from vesim.model import (VesicleSpec, default_environment, default_kinetics,
                          default_vesicle, derive_rates)
@@ -38,9 +39,18 @@ def _target(a, b, h):
     return (b + h) / a
 
 
-def _lane(spec, kin, rates):
-    """The (gamma_s, v_in, K_M) arguments of the exact substrate law."""
-    return rates.symport_rate_substrate, spec.v_in, kin.k_m
+def _lane(spec, kin, rates, c_s_start):
+    """The (c_s_start, gamma_s, v_in, K_M) arguments of the exact
+    substrate law for the one drained lane of `spec`."""
+    return (np.array([c_s_start]), np.array([rates.symport_rate_substrate]),
+            np.array([spec.v_in]), kin.k_m)
+
+
+def _series(c_start, a, b, drain, c_s_start, gamma_s, v_in, k_m, offsets):
+    """`exact_proton_series` of one lane given as floats, as a 1-D row."""
+    lane = [np.array([v]) for v in (c_start, a, b, drain, c_s_start,
+                                    gamma_s, v_in)]
+    return exact_proton_series(*lane, k_m, np.asarray(offsets)[None, :])[0]
 
 
 class TestPhaseCoefficients:
@@ -175,7 +185,8 @@ class TestSubstrateLaws:
 
     def test_exact_initial_condition(self, setup):
         spec, kin, env, rates = setup
-        assert exact_substrate(300.0, *_lane(spec, kin, rates), 0.0) \
+        lane = _lane(spec, kin, rates, 300.0)
+        assert exact_substrate(*lane, [[0.0]])[0, 0] \
             == pytest.approx(300.0, rel=1e-12)
 
     def test_exact_near_linear_for_large_cargo(self, setup):
@@ -183,7 +194,7 @@ class TestSubstrateLaws:
         # law tracks the linear ramp within 0.5%
         spec, kin, env, rates = setup
         dt = 1e4
-        exact = exact_substrate(300.0, *_lane(spec, kin, rates), dt)
+        exact = exact_substrate(*_lane(spec, kin, rates, 300.0), [[dt]])[0, 0]
         linear = 300.0 - rates.symport_rate_substrate / spec.v_in * dt
         assert exact == pytest.approx(linear, rel=5e-3)
 
@@ -193,7 +204,7 @@ class TestSubstrateLaws:
         c0, km = 3.14, kin.k_m
         rate = rates.symport_rate_substrate / spec.v_in
         for dt in (10.0, 500.0, 2500.0, 3400.0):
-            c = float(exact_substrate(c0, *_lane(spec, kin, rates), dt))
+            c = exact_substrate(*_lane(spec, kin, rates, c0), [[dt]])[0, 0]
             lhs = c + km * math.log(c)
             rhs = c0 + km * math.log(c0) - rate * dt
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -201,21 +212,30 @@ class TestSubstrateLaws:
     def test_depletion_offset_inverts_substrate_law(self, setup):
         spec, kin, env, rates = setup
         thr = 1e-2 * kin.k_m
-        lane = _lane(spec, kin, rates)
-        off = exact_depletion_offset(3.14, *lane, thr)
-        assert float(exact_substrate(3.14, *lane, off)) \
+        lane = _lane(spec, kin, rates, 3.14)
+        off = exact_depletion_offset(*lane, thr)
+        assert exact_substrate(*lane, off[:, None])[0, 0] \
             == pytest.approx(thr, rel=1e-10)
 
 
 class TestExactProton:
-    def test_reduces_to_closed_without_drain(self, setup):
-        spec, kin, env, rates = setup
-        a, b, h = _coeffs(spec, rates, env, True, False)
-        dts = np.array([0.0, 1.0, 10.0, 100.0])
-        exact = exact_proton_series(env.c_h_in0, a, b, 0.0, 300.0,
-                                    *_lane(spec, kin, rates), dts)
-        closed = closed_form_proton(env.c_h_in0, a, _target(a, b, h), dts)
-        assert np.allclose(exact, closed, rtol=1e-14)
+    def test_reduces_to_closed_without_drain(self):
+        # without cargo no segment drains, so the exact engine runs the
+        # closed-form proton law in every phase, symport windows included
+        lanes = sample_vesicles(PopulationDistributions(),
+                                np.random.default_rng(5), 6)
+        sig = LightSignal([(10, 35), (50, 80)], 150)
+        ts = np.linspace(0.0, 150.0, 31)
+        for b0 in (0.0, 20.0):
+            env = default_environment(
+                v_out=EnsembleConfig().v_out_per_vesicle, buffer_total=b0,
+                c_s_in0=0.0)
+            exact, closed = (run_analytic_batch(lanes, default_kinetics(),
+                                                env, sig, mode, ts)
+                             for mode in ("exact", "closed"))
+            assert np.any(exact.t4 > exact.t2)
+            assert np.array_equal(exact.c_h_in, closed.c_h_in)
+            assert np.array_equal(exact.t4, closed.t4)
 
     def test_quadrature_against_brute_force_euler(self, setup):
         # independent oracle: integrate the same ODE with a tiny explicit
@@ -223,18 +243,18 @@ class TestExactProton:
         spec, kin, env, rates = setup
         a, b, _ = _coeffs(spec, rates, env, True, True)
         drain = rates.symport_rate_proton / spec.v_in
-        lane = _lane(spec, kin, rates)
+        lane = _lane(spec, kin, rates, 3.14)
         c0 = rates.switch_conc
         dt_end = 0.05
         n = 200000
         h = dt_end / n
-        c_s = exact_substrate(3.14, *lane, np.arange(n) * h)
+        c_s = exact_substrate(*lane, (np.arange(n) * h)[None, :])[0]
         sat = (c_s / (c_s + kin.k_m)).tolist()
         c = c0
         for k in range(n):
             c += h * (-a * c + b - drain * sat[k])
-        series = exact_proton_series(c0, a, b, drain, 3.14, *lane,
-                                     np.array([dt_end]))
+        series = _series(c0, a, b, drain, 3.14, rates.symport_rate_substrate,
+                         spec.v_in, kin.k_m, [dt_end])
         assert series[0] == pytest.approx(c, rel=1e-6)
 
     def test_quadrature_error_when_budget_is_spent(self, setup,
@@ -243,15 +263,51 @@ class TestExactProton:
         # misses tolerance; bisection recovers it, a zero budget cannot
         spec, kin, env, rates = setup
         a, b, h = _coeffs(spec, rates, env, True, True)
-        args = (rates.switch_conc, a, b, -h, 3.14, *_lane(spec, kin, rates),
-                np.array([40.0 / a]))
-        converged = exact_proton_series(*args)
+        args = (rates.switch_conc, a, b, -h, 3.14,
+                rates.symport_rate_substrate, spec.v_in, kin.k_m,
+                [40.0 / a])
+        converged = _series(*args)
         monkeypatch.setattr(analytic, "_MAX_SUBDIVISIONS", 0)
         with pytest.raises(QuadratureError) as info:
-            exact_proton_series(*args)
+            _series(*args)
         assert math.isfinite(info.value.estimate)
         assert math.isfinite(info.value.abserr)
         assert info.value.estimate == pytest.approx(converged[0], rel=1e-2)
+
+    def test_quadrature_error_names_first_failing_interval_lane_major(
+            self, setup, monkeypatch):
+        # three drained lanes: lane 0 converges, lane 1 misses tolerance
+        # on its second interval and lane 2 on its first. The batch
+        # reports lane 1's interval, as a loop over the lanes would, with
+        # the estimate and error lane 1 gets alone
+        spec, kin, env, rates = setup
+        a, b, h = _coeffs(spec, rates, env, True, True)
+        cargo = [3.14, 3.14, 300.0]
+        rows = [[0.1 / a, 0.2 / a], [1.0 / a, 40.0 / a], [40.0 / a, 41.0 / a]]
+        lanes = [(rates.switch_conc, a, b, -h, c,
+                  rates.symport_rate_substrate, spec.v_in, kin.k_m, r)
+                 for c, r in zip(cargo, rows)]
+        batch = [np.array([lane[k] for lane in lanes]) for k in range(7)]
+        offsets = np.array(rows)
+        converged = exact_proton_series(*batch, kin.k_m, offsets)
+        for m, lane in enumerate(lanes):
+            assert np.array_equal(converged[m], _series(*lane))
+        monkeypatch.setattr(analytic, "_MAX_SUBDIVISIONS", 0)
+        assert np.array_equal(_series(*lanes[0]), converged[0])
+        assert np.array_equal(_series(*lanes[1][:-1], rows[1][:1]),
+                              converged[1, :1])
+        with pytest.raises(QuadratureError) as alone:
+            _series(*lanes[1])
+        with pytest.raises(QuadratureError) as later_lane:
+            _series(*lanes[2][:-1], rows[2][:1])
+        with pytest.raises(QuadratureError) as info:
+            exact_proton_series(*batch, kin.k_m, offsets)
+        assert info.value.estimate == alone.value.estimate
+        assert info.value.abserr == alone.value.abserr
+        assert str(info.value) == str(alone.value)
+        assert info.value.estimate == pytest.approx(converged[1, 1],
+                                                    rel=1e-2)
+        assert later_lane.value.estimate != alone.value.estimate
 
 
 def test_gauss_kronrod_constants_integrate_polynomials_exactly():
@@ -265,12 +321,37 @@ def test_gauss_kronrod_constants_integrate_polynomials_exactly():
                                                                  abs=1e-15)
 
 
+def test_kronrod_rule_rows_are_independent_of_their_batch():
+    # every interval gets the same bits alone as inside any batch, so a
+    # lane's quadrature does not depend on the other lanes
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(0.0, 50.0, 41)
+    hi = lo + 10.0 ** rng.uniform(-3.0, 1.5, 41)
+
+    def integrand(u, rows):
+        return np.exp(-0.3 * u) * np.cos(u) + 1.0 / (1.0 + u)
+
+    rows = np.arange(lo.size)
+    k15, err = analytic._kronrod_rule(integrand, lo, hi, rows)
+    for batch in (rows[::-1], rows[::3], rows[5:6], rows[7:30]):
+        b15, berr = analytic._kronrod_rule(integrand, lo[batch], hi[batch],
+                                           batch)
+        assert np.array_equal(b15, k15[batch])
+        assert np.array_equal(berr, err[batch])
+    for i in rows:
+        one = analytic._kronrod_rule(integrand, lo[i:i + 1], hi[i:i + 1],
+                                     rows[i:i + 1])
+        assert (one[0][0], one[1][0]) == (k15[i], err[i])
+
+
 def _chained_quad_reference(c_start, a, b, drain, c_s_start, gamma_s, v_in,
                             k_m, offsets):
     """quad per sample interval of (b - drain*sat(u))*e^(-a(t_k - u)),
     chained through c_k = c_(k-1)*e^(-a*d_k) + I_k."""
+    lane = [np.array([v]) for v in (c_s_start, gamma_s, v_in)]
+
     def g(u, t_k):
-        c_s = float(exact_substrate(c_s_start, gamma_s, v_in, k_m, u))
+        c_s = exact_substrate(*lane, k_m, [[u]])[0, 0]
         return (b - drain * c_s / (c_s + k_m)) * math.exp(-a * (t_k - u))
 
     out, c, t_prev = [], c_start, 0.0
@@ -299,8 +380,8 @@ def test_exact_series_matches_chained_quad(c_s_ratio, beta, light, steps,
     steps.insert(min(at, len(steps)), long_gap / a)
     offsets = np.cumsum(steps)
     args = (rates.switch_conc, a, b, -h, c_s_ratio * kin.k_m,
-            *_lane(spec, kin, rates), offsets)
-    np.testing.assert_allclose(exact_proton_series(*args),
+            rates.symport_rate_substrate, spec.v_in, kin.k_m, offsets)
+    np.testing.assert_allclose(_series(*args),
                                _chained_quad_reference(*args), rtol=1e-9)
 
 

@@ -179,6 +179,38 @@ INVALID = {
     "ensemble.n_ves overflow": (
         dict(POPULATION, ensemble={"n_mod": 2, "n_ex": 1, "n_ves": 10**400}),
         "ensemble.n_ves: expected a finite number, got 1000"),
+    # a misspelt key or section is refused, not run at the default
+    "vesicle.permeabilty": (
+        dict(MINIMAL, vesicle=dict(MINIMAL["vesicle"],
+                                   permeabilty="5e-6 m/s")),
+        "vesicle.permeabilty: unknown key"),
+    "unknown section": (dict(MINIMAL, enviroment={}),
+                        "enviroment: unknown key"),
+    "run.solvers": (dict(MINIMAL, run={"solvers": "fdm"}),
+                    "run.solvers: unknown key"),
+    "signal.horizn": (
+        dict(MINIMAL, signal={"intervals": [[0, 60]], "horizn": 120}),
+        "signal.horizn: unknown key"),
+    "kinetics.km": (dict(MINIMAL, kinetics={"km": "1 mol/m^3"}),
+                    "kinetics.km: unknown key"),
+    "environment.B0": (dict(MINIMAL, environment={"B0": "20 mol/m^3"}),
+                       "environment.B0: unknown key"),
+    "fdm.step": (dict(MINIMAL, fdm={"step": "1 ms"}),
+                 "fdm.step: unknown key"),
+    "ensemble.n_ves_": (dict(POPULATION, ensemble={"n_mod": 2, "n_ex": 1,
+                                                   "n_ves_": 5}),
+                        "ensemble.n_ves_: unknown key"),
+    "population.sigma": (dict(POPULATION, population={"sigma": 1}),
+                         "population.sigma: unknown key"),
+    "population.diameter.mu": (
+        dict(POPULATION, population={"diameter": {"mu": 4.0}}),
+        "population.diameter.mu: unknown key"),
+    "population.permeability.unit": (
+        dict(POPULATION, population={"permeability": {"unit": "m/s"}}),
+        "population.permeability.unit: unknown key"),
+    "population.proteins.log_unit": (
+        dict(POPULATION, population={"proteins": {"log_unit": "m"}}),
+        "population.proteins.log_unit: unknown key"),
 }
 
 

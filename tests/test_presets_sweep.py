@@ -55,7 +55,11 @@ def test_fig9_scenario_shared_pool(fig9_preset):
 # SHA-256 of the fig9 preset's population artifacts (seed 0): the
 # ensemble statistics and the shared-pool baseline. The vesicle draw, the
 # batched analytic engine and the pool FDM all feed them, so a change to
-# any of them that is not bit for bit shows here.
+# any of them that is not bit for bit shows here. The ensemble statistics
+# come from the closed solver, whose bits go through numpy's SIMD exp and
+# log: that digest holds for one numpy build on one CPU family (it
+# changes under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+# on an AVX-512 host). The shared-pool digest does not change there.
 GOLDEN_FIG9_CSV = {
     "ensemble_stats.csv": (
         "8c1a1364b49cab097f7fae075688a423"
