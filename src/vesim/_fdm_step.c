@@ -4,9 +4,18 @@
  * steps [k0, k1) under one light flag, in place, with the contract of
  * fdm._step_numpy. A lane whose threshold test c_in >= c_switch flips in
  * step k has the flip logged in the crossing log and `above` updated; a
- * chattering lane thus costs no return to Python. The step returns k1,
- * or the first step k after which some lane's cargo fell below its
- * depletion threshold or the log has no room for another step's flips.
+ * chattering lane thus costs no return to Python. Before each step k with
+ * k % stride == 0 the step writes record k / stride: each lane's c_in and
+ * cs_in, the pool's free H+ and its substrate concentration.
+ *
+ * The step returns k1; or -(k + 1) after the rare step k in which some
+ * lane's cargo fell below its depletion threshold or after which the log
+ * has no room for another step's flips, so that the driver sees to the
+ * cargo before record k + 1 is written; or, for a run that stops once
+ * its schedules are final (t_settled is not NaN), the record step k
+ * before writing its record, when crossings were logged since the driver
+ * last took the log or k * dt >= t_settled.
+ *
  * Each step makes the float operations of fdm._step_numpy, which calls
  * the flux laws of model.py and the buffer root of buffering.py, in the
  * same order, so the two agree bit for bit. That needs IEEE double
@@ -17,11 +26,14 @@
  * `pool`, in the order of the enums below (fdm._LANE_ROWS and
  * fdm._POOL_FIELDS). The crossing log holds n_log[0] entries of capacity
  * `cap`: lane and direction (+1 up, -1 down) in the two rows of
- * `log_vd`, the interpolated crossing time in `log_t`.
+ * `log_vd`, the interpolated crossing time in `log_t`. The records are
+ * the rows of rec_h_in and rec_s_in (n columns each) and the entries of
+ * rec_pool_h and rec_pool_s (fdm._Records).
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { V_IN, GAMMA_P, GAMMA_L, GAMMA_S, GAMMA_H, C_SWITCH, DEP_THRESHOLD,
        TH_IN, CS_IN, C_IN, NET_IN, RELEASED, N_ROWS };
@@ -74,7 +86,10 @@ static double free_conc(double total, double b0, double k_a)
 
 long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
                      double *pool, int64_t *n_log, int64_t *log_vd,
-                     double *log_t, long cap, long k0, long k1, int light)
+                     double *log_t, long cap, double *rec_h_in,
+                     double *rec_s_in, double *rec_pool_h,
+                     double *rec_pool_s, long stride, long k0, long k1,
+                     int light, double t_settled)
 {
     const double *v_in = lanes + V_IN * n, *gamma_p = lanes + GAMMA_P * n,
                  *gamma_l = lanes + GAMMA_L * n,
@@ -90,10 +105,20 @@ long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
     const int pumping = light && c_out0 > 0.0;  /* model.pump_flux */
     double pool_th = pool[POOL_TH], pool_ts = pool[POOL_TS],
            c_pool = pool[C_POOL];
-    long k;
+    const int settling = !isnan(t_settled);
+    long k, r = (k0 + stride - 1) / stride;  /* the next record */
     int64_t m = *n_log;
 
     for (k = k0; k < k1; k++) {
+        if (k == r * stride) {
+            if (settling && (m > 0 || (double)k * dt >= t_settled))
+                break;
+            memcpy(rec_h_in + r * n, c_in, n * sizeof(double));
+            memcpy(rec_s_in + r * n, cs_in, n * sizeof(double));
+            rec_pool_h[r] = c_pool;
+            rec_pool_s[r] = pool_ts / v_pool;
+            r++;
+        }
         const double ratio = pumping ? c_pool / c_out0 : 0.0;
         int low = 0;
         for (long v = 0; v < n; v++) {
@@ -130,8 +155,10 @@ long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
             low |= cs_in[v] < dep_threshold[v];
         }
         c_pool = free_conc(pool_th / v_pool, b0, k_a);
-        if (low || m + n > cap)
+        if (low || m + n > cap) {
+            k = -(k + 1);
             break;
+        }
     }
     pool[POOL_TH] = pool_th;
     pool[POOL_TS] = pool_ts;

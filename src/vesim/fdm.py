@@ -14,11 +14,12 @@ The flux laws are those of `model.py`, for its one release module, the
 proton/substrate symporter. Both public kernels, the single vesicle and
 many vesicles sharing one extravesicular pool, run in one driver,
 `_run_lanes`; a single vesicle is a pool of one lane. The driver walks
-the blocks of `_step_blocks`, which end at every record step, light
-switch and drift check, and hands each block to the compiled step
-`_fdm_step.c`, built with the system C compiler on first use and cached
-per user. Without a compiler it runs `_step_numpy`, which calls the
-flux laws and is the oracle the C step is pinned to bit for bit.
+the blocks of `_step_blocks`, which end at every light switch and drift
+check, and hands each block to the compiled step `_fdm_step.c`, built
+with the system C compiler on first use and cached per user. Without a
+compiler it runs `_step_numpy`, which calls the flux laws and is the
+oracle the C step is pinned to bit for bit. The step writes the
+recorded samples itself.
 
 When a vesicle's threshold test `model.symport_gate`, which gates its
 symport, flips in a step, the step locates the crossing by linear
@@ -140,30 +141,29 @@ def stable_dt(spec: VesicleSpec, kin: KineticConstants,
     return 10.0 ** exp
 
 
-def _step_blocks(signal: LightSignal, dt: float, n_steps: int,
-                 stride: int):
+def _lit(signal: LightSignal, dt: float, n_steps: int, ks: np.ndarray):
+    """Whether each step of `ks` is lit: k_on <= k < k_off for a light
+    interval, its switch times rounded to the step grid and clipped to
+    n_steps."""
+    lights = np.array([(min(int(round(t_on / dt)), n_steps),
+                        min(int(round(t_off / dt)), n_steps))
+                       for t_on, t_off in signal.intervals], dtype=int)
+    lights = lights.reshape(-1, 1, 2)
+    return ((ks >= lights[..., 0]) & (ks < lights[..., 1])).any(axis=0)
+
+
+def _step_blocks(signal: LightSignal, dt: float, n_steps: int):
     """The steps [0, n_steps) as blocks (k0, k1, light), in order.
 
-    Blocks end at every record step (k % stride == 0 and n_steps), at
-    every light switch and at every k with k % 1000 == 1, the step before
-    which a kernel samples the drift; `light` is the illumination of each
-    of the block's steps. The last block is (n_steps, n_steps), the final
-    record. Light switch times are rounded to the step grid.
+    Blocks end at every light switch, at every k with k % 1000 == 1 (the
+    step before which the driver samples the drift) and at n_steps;
+    `light` is the illumination of each of the block's steps (`_lit`).
     """
-    lights = [(min(int(round(t_on / dt)), n_steps),
-               min(int(round(t_off / dt)), n_steps))
-              for t_on, t_off in signal.intervals]
-    edges = np.unique(np.concatenate((
-        np.arange(0, n_steps + 1, stride), [n_steps],
-        np.arange(1, n_steps, 1000),
-        np.array(lights, dtype=int).ravel())))
-    edge_light = np.zeros(len(edges), dtype=bool)
-    for k_on, k_off in lights:
-        edge_light[np.searchsorted(edges, k_on):
-                   np.searchsorted(edges, k_off)] = True
-    edges = edges.tolist()
-    return zip(edges, edges[1:] + [n_steps], edge_light.tolist())
-
+    edges = sorted({0, n_steps, *range(1, n_steps, 1000),
+                    *(min(int(round(t / dt)), n_steps)
+                      for iv in signal.intervals for t in iv)})
+    return zip(edges[:-1], edges[1:],
+               _lit(signal, dt, n_steps, np.array(edges[:-1])).tolist())
 
 
 # The rows of the per-lane state array and the fields of the pool array,
@@ -215,30 +215,52 @@ class _CrossingLog:
             np.bincount(vd[0], minlength=n_lanes))[:-1])
 
 
+class _Records:
+    """A run's recorded samples: row i holds the state at step steps[i] =
+    min(i * stride, n_steps), every stride-th step from 0 and n_steps."""
+
+    def __init__(self, n_steps: int, stride: int, n_lanes: int):
+        n = -(-n_steps // stride) + 1
+        self.stride, self.steps = stride, np.minimum(np.arange(n) * stride,
+                                                     n_steps)
+        self.c_h_in, self.c_s_in = np.empty((2, n, n_lanes))
+        self.pool_h, self.pool_s = np.empty((2, n))
+
+
 def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
-                log: _CrossingLog):
+                log: _CrossingLog, rec: _Records):
     """The FDM step in numpy, on model.py's flux laws: the oracle and the
     fallback of the compiled step, vesim_fdm_steps of _fdm_step.c.
 
     Binds the state of `_run_lanes` (`lanes`, rows `_LANE_ROWS`; `above`,
     each lane's threshold test; `pool`, `_POOL_FIELDS`; `log`, the
-    crossings found and not yet taken) and returns steps(k0, k1, light).
-    It runs the steps [k0, k1) in place. A lane whose test flips in step
-    k has its crossing, interpolated linearly within the step, appended
-    to `log` and its `above` updated. It returns k1, or the first step k
-    after which some lane's cargo fell below its depletion threshold or
-    `log` has no room for another step's flips, with the state after
-    step k.
+    crossings found and not yet taken; `rec`, the records) and returns
+    steps(k0, k1, light, t_settled). It runs the steps [k0, k1) in place,
+    writing record r before step r * stride. A lane whose test flips in
+    step k has its crossing, interpolated linearly within the step,
+    appended to `log` and its `above` updated. It returns k1; or -(k + 1)
+    after the first step k after which some lane's cargo fell below its
+    depletion threshold or `log` has no room for another step's flips;
+    or, unless t_settled is NaN, the first record step k with crossings
+    in `log` or k * dt >= t_settled, before it writes its record.
     """
     (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
      th_in, cs_in, c_in) = lanes[:-2]
     flows = lanes[-2:]  # net H+ inflow and released substrate: one sum
     dt, v_pool, b0, k_a, km, c_out0 = pool[3:].tolist()
-    n, cap = above.size, log.t.size
+    n, cap, stride = above.size, log.t.size, rec.stride
 
-    def steps(k0: int, k1: int, light: bool) -> int:
+    def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
         pool_th, pool_ts, c_pool = pool[:3].tolist()
+        r = -(-k0 // stride)  # the next record
         for k in range(k0, k1):
+            if k == r * stride:
+                if not math.isnan(t_settled) and (log.n[0]
+                                                  or k * dt >= t_settled):
+                    break
+                rec.c_h_in[r], rec.c_s_in[r] = c_in, cs_in
+                rec.pool_h[r], rec.pool_s[r] = c_pool, pool_ts / v_pool
+                r += 1
             pump = pump_flux(c_pool, c_out0, gamma_p, light)
             f_s, f_h = symport_flux(above, cs_in, gamma_s, gamma_h, km)
             leak = leakage_flux(c_in, c_pool, gamma_l)
@@ -263,6 +285,7 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
                 log.t[m:m1] = k * dt + frac * dt
                 log.n[0] = m1
             if (cs_in < dep_threshold).any() or log.n[0] + n > cap:
+                k = -(k + 1)
                 break
         else:
             k = k1
@@ -297,9 +320,10 @@ def _load_step():
     """The compiled step as a binder with `_step_numpy`'s contract.
 
     Builds _fdm_step.c with the system C compiler `cc` unless the cache
-    already holds a library for this source and these flags, and loads
-    it with ctypes. Raises OSError or CalledProcessError when the
-    library cannot be built or loaded.
+    already holds a library for this source and these flags, loads it
+    with ctypes, and then removes the cache's libraries of other sources
+    or flags. Raises OSError or CalledProcessError when the library
+    cannot be built or loaded.
     """
     source = importlib.resources.files("vesim").joinpath(
         "_fdm_step.c").read_bytes()
@@ -321,27 +345,40 @@ def _load_step():
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
     fn = ctypes.CDLL(str(path)).vesim_fdm_steps
-    fn.argtypes = (ctypes.c_long, *(ctypes.c_void_p,) * 6, ctypes.c_long,
-                   ctypes.c_long, ctypes.c_long, ctypes.c_int)
-    fn.restype = ctypes.c_long
+    for stale in lib_dir.glob("_fdm_step-*.so"):
+        if stale != path:
+            with contextlib.suppress(FileNotFoundError):
+                stale.unlink()
+    void_p, long = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = (long, *[void_p] * 6, long, *[void_p] * 4, long, long,
+                   long, ctypes.c_int, ctypes.c_double)
+    fn.restype = long
 
     def bind(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
-             log: _CrossingLog):
-        n, cap = above.size, log.t.size
-        buffers = (lanes, above, pool, log.n, log.vd, log.t)
-        if not (lanes.shape == (len(_LANE_ROWS), n)
-                and pool.shape == (len(_POOL_FIELDS),)
-                and lanes.dtype == pool.dtype == log.t.dtype == np.float64
-                and above.dtype == np.bool_
-                and log.n.dtype == log.vd.dtype == np.int64
-                and log.vd.shape == (2, cap) and cap >= n
-                and all(a.flags.c_contiguous for a in buffers)):
+             log: _CrossingLog, rec: _Records):
+        n, cap, n_rec = above.size, log.t.size, rec.steps.size
+        buffers = (lanes, above, pool, log.n, log.vd, log.t, rec.c_h_in,
+                   rec.c_s_in, rec.pool_h, rec.pool_s)
+        layout = [((len(_LANE_ROWS), n), "f8"), ((n,), "?"),
+                  ((len(_POOL_FIELDS),), "f8"), ((1,), "i8"),
+                  ((2, cap), "i8"), ((cap,), "f8"), *[((n_rec, n), "f8")] * 2,
+                  *[((n_rec,), "f8")] * 2]
+        if cap < n or any(a.shape != shape or a.dtype != dtype
+                          or not a.flags.c_contiguous
+                          for a, (shape, dtype) in zip(buffers, layout)):
             raise ValueError("FDM state buffers of the wrong layout")
         # the caller keeps the buffers alive while it steps; arguments
         # passed as ctypes objects skip a conversion on every call
-        return functools.partial(fn, ctypes.c_long(n), *(
-            ctypes.c_void_p(a.ctypes.data) for a in buffers),
-            ctypes.c_long(cap))
+        ptrs = [void_p(a.ctypes.data) for a in buffers]
+        call = functools.partial(fn, long(n), *ptrs[:6], long(cap),
+                                 *ptrs[6:], long(rec.stride))
+        n_steps = int(rec.steps[-1])
+
+        def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
+            if not 0 <= k0 <= k1 <= n_steps:  # the records it writes exist
+                raise ValueError(f"steps [{k0}, {k1}) outside the run")
+            return call(k0, k1, light, t_settled)
+        return steps
 
     return bind
 
@@ -416,7 +453,6 @@ class SharedPoolResult:
     conservation_drift: float
 
 
-
 def simulate_mvs_shared_pool(specs: VesicleLanes, kin: KineticConstants,
                              env_total: Environment, signal: LightSignal,
                              cfg: FdmConfig | None = None) -> SharedPoolResult:
@@ -440,7 +476,9 @@ def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
 
     The driver of both public kernels (see the module docstring). With
     `until_settled` the run stops at the first record step at which
-    every vesicle's schedule is final.
+    every vesicle's schedule is final. The step writes the records but
+    the last, the state the run ends at; each record's t and light
+    follow from its step.
 
     Returns the SharedPoolResult, the population's DerivedRates and the
     illumination (0 or 1) of each recorded sample.
@@ -488,17 +526,8 @@ def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
     above = symport_gate(c_in, c_switch)
     active_at_start = above.copy()
     log = _CrossingLog(n_ves + _LOG_ROOM)
-    steps = _compiled_step()(lanes, above, pool, log)
-
-    # every stride-th step from 0, and step n_steps
-    n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
-    rec_t = np.empty(n_rec)
-    rec_chin = np.empty((n_rec, n_ves))
-    rec_csin = np.empty((n_rec, n_ves))
-    rec_pool_h = np.empty(n_rec)
-    rec_pool_s = np.empty(n_rec)
-    rec_light = np.empty(n_rec, dtype=int)
-
+    rec = _Records(n_steps, stride, n_ves)
+    steps = _compiled_step()(lanes, above, pool, log, rec)
     events: list[list[Event]] = [[] for _ in range(n_ves)]
     drift = 0.0
 
@@ -507,58 +536,50 @@ def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
         return max(schedule_final_time(signal, c, bool(a)) for c, a in
                    zip(log.per_lane(n_ves), active_at_start))
 
-    t_settled = settled_at() if until_settled else math.inf
-
-    ri = 0
-    for k0, k1, light in _step_blocks(signal, dt, n_steps, stride):
-        if k0 % stride == 0 or k0 == n_steps:
-            rec_t[ri] = k0 * dt
-            rec_chin[ri] = c_in
-            rec_csin[ri] = cs_in
-            rec_pool_h[ri] = pool[2]
-            rec_pool_s[ri] = pool[1] / v_pool
-            rec_light[ri] = light
-            ri += 1
-            if until_settled:
-                log.take()
-                if log.pending:  # early returns take crossings too
-                    t_settled = settled_at()
-            if k0 == n_steps or k0 * dt >= t_settled:
-                break
+    t_settled = settled_at() if until_settled else math.nan
+    k = 0
+    for k0, k1, light in _step_blocks(signal, dt, n_steps):
         if k0 % 1000 == 1:  # the state after step k0 - 1
             drift = max(drift, inventory_drift())
-
         k = k0
         while k < k1:
-            k = steps(k, k1, light)
-            if k == k1:
-                break
-            # after step k a lane is low or the crossing log is full
-            log.take()
-            low = cs_in < dep_threshold
-            under = cs_in < 0.0
-            if under.any():
-                pool[1] += (cs_in[under] * v_in[under]).sum()
-                cs_in[under] = 0.0
-            for v in np.flatnonzero(low):
-                if dep_threshold[v] > 0.0:
-                    events[v].append(Event(
-                        "depletion", (k + 1) * dt,
-                        "substrate clamped at 0" if under[v]
-                        else "fell below reporting threshold"))
-                    dep_threshold[v] = 0.0
-            k += 1
+            k = steps(k, k1, light, t_settled)
+            if k < 0:  # after step -k - 1 a lane is low or the log full
+                k = -k
+                log.take()
+                low = cs_in < dep_threshold
+                under = cs_in < 0.0
+                if under.any():
+                    pool[1] += (cs_in[under] * v_in[under]).sum()
+                    cs_in[under] = 0.0
+                for v in np.flatnonzero(low):
+                    if dep_threshold[v] > 0.0:
+                        events[v].append(Event(
+                            "depletion", k * dt,
+                            "substrate clamped at 0" if under[v]
+                            else "fell below reporting threshold"))
+                        dep_threshold[v] = 0.0
+            if until_settled:
+                log.take()
+                if log.pending:
+                    t_settled = settled_at()
+                if k % stride == 0 and k * dt >= t_settled:
+                    break
+        else:
+            continue
+        break  # at step k every schedule is final
 
     drift = max(drift, inventory_drift())
     log.take()
-    if ri < n_rec:  # stopped once every schedule was final
-        rec_t, rec_chin, rec_csin, rec_pool_h, rec_pool_s, rec_light = (
-            a[:ri].copy() for a in (rec_t, rec_chin, rec_csin, rec_pool_h,
-                                    rec_pool_s, rec_light))
+    # the record at the step the run ends at is the driver's to write
+    n_rec = -(-k // stride) + 1
+    rec.c_h_in[n_rec - 1], rec.c_s_in[n_rec - 1] = c_in, cs_in
+    rec.pool_h[n_rec - 1], rec.pool_s[n_rec - 1] = pool[2], pool[1] / v_pool
     schedules = [schedule_from_crossings(signal, c, bool(a)) for c, a in
                  zip(log.per_lane(n_ves), active_at_start)]
     return SharedPoolResult(
-        t=rec_t, c_h_in=rec_chin, c_s_in=rec_csin, pooled_c_h_out=rec_pool_h,
-        pooled_c_s_out=rec_pool_s, schedules=schedules, events=events,
-        conservation_drift=drift,
-    ), rates, rec_light
+        t=rec.steps[:n_rec] * dt, c_h_in=rec.c_h_in[:n_rec],
+        c_s_in=rec.c_s_in[:n_rec], pooled_c_h_out=rec.pool_h[:n_rec],
+        pooled_c_s_out=rec.pool_s[:n_rec], schedules=schedules,
+        events=events, conservation_drift=drift,
+    ), rates, _lit(signal, dt, n_steps, rec.steps[:n_rec]).astype(int)

@@ -12,6 +12,7 @@ analytical solvers so mixed run directories stay self-describing.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -83,8 +84,22 @@ def fmt_float(x: float) -> str:
 
 
 def float_fields(values) -> Iterable[str]:
-    """`fmt_float` over a float column, with no Python call per value."""
-    return map(repr, np.asarray(values, dtype=float).tolist())
+    """`fmt_float` over a float column, with no Python call per value:
+    one `repr` per run of bit-identical values (0.0 and -0.0 stay apart),
+    4096 values at a time to bound what a writer holds."""
+    values = np.asarray(values, dtype=float)
+    return itertools.chain.from_iterable(
+        _run_fields(values[i:i + 4096]) for i in range(0, values.size, 4096))
+
+
+def _run_fields(values: np.ndarray):
+    bits = values.view(np.int64)
+    ends = np.flatnonzero(bits[1:] != bits[:-1])  # of all runs but the last
+    if ends.size + 1 == values.size:
+        return list(map(repr, values.tolist()))
+    heads = np.append(0, ends + 1)
+    fields = np.array(list(map(repr, values[heads].tolist())), dtype=object)
+    return np.repeat(fields, np.diff(heads, append=values.size))
 
 
 def int_fields(values) -> Iterable[str]:

@@ -28,6 +28,9 @@ from vesim.trajectory import (CSV_COLUMNS, Trajectory, read_trajectory_csv,
 SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
            -1.5, 1e300, math.nan, math.inf, -math.inf]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# the values of runs: 0.0 next to -0.0, and NaN and +-inf runs
+RUN_VALUES = st.sampled_from([0.0, -0.0, math.nan, math.inf,
+                              -math.inf]) | FLOATS
 
 
 # --- row-by-row references ----------------------------------------------------
@@ -162,8 +165,20 @@ def make_pool(t, c_h, c_s):
                             schedules=[], events=[], conservation_drift=0.0)
 
 
-def float_rows(k, n):
-    return hnp.arrays(np.float64, (k, n), elements=FLOATS)
+@st.composite
+def float_column(draw, n):
+    """n floats: independent values, or runs of repeated ones."""
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.float64, n, elements=FLOATS))
+    heads = sorted({0, *draw(st.sets(st.integers(0, max(n - 1, 0))))})
+    values = draw(st.lists(RUN_VALUES, min_size=len(heads),
+                           max_size=len(heads)))
+    return np.repeat(values, np.diff(heads, append=n))
+
+
+@st.composite
+def float_rows(draw, k, n):
+    return np.array([draw(float_column(n)) for _ in range(k)]).reshape(k, n)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import os
 import shutil
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,33 +375,28 @@ def test_settled_run_is_a_prefix_with_the_full_schedule(
     assert settled.events == full.events[:len(settled.events)]
 
 
-@given(pulses=_pulses(), n_steps=st.integers(0, 25000),
-       stride=st.integers(1, 1000))
+@given(pulses=_pulses(), n_steps=st.integers(0, 25000))
 @settings(derandomize=True, deadline=None, max_examples=60)
-def test_step_blocks_tile_the_run_at_every_decision_step(pulses, n_steps,
-                                                         stride):
+def test_step_blocks_tile_the_run_at_every_decision_step(pulses, n_steps):
     # the one block schedule both kernels walk: contiguous blocks that
-    # start at every record step, drift check and light switch, each lit
-    # as all its steps are
+    # start at 0 and only at every drift check and light switch (the
+    # step writes the records itself), each lit as all its steps are
     dt = 1e-2
     intervals, horizon = pulses
     sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
-    k0, k1, lit = (np.array(c) for c in
-                   zip(*fdm._step_blocks(sig, dt, n_steps, stride)))
-    assert (k0[-1], k1[-1]) == (n_steps, n_steps)
-    assert k0[0] == 0 and np.array_equal(k0[1:], k1[:-1])
-    assert np.all(k0[:-1] < k1[:-1])
-    starts = set(k0.tolist())
-    steps = range(n_steps + 1)
-    assert starts >= {k for k in steps if k % stride == 0 or k == n_steps}
-    assert starts >= {k for k in steps if k % 1000 == 1}
-    switches = [round(t / dt) for iv in sig.intervals for t in iv]
-    assert starts >= {min(k, n_steps) for k in switches}
+    blocks = np.array(list(fdm._step_blocks(sig, dt, n_steps)), dtype=int)
+    k0, k1, lit = blocks.reshape(-1, 3).T
+    assert np.array_equal(np.append(0, k1), np.append(k0, n_steps))
+    assert np.all(k0 < k1)
+    switches = {min(round(t / dt), n_steps) for iv in sig.intervals
+                for t in iv}
+    assert set(k0.tolist()) == ({0, *range(1, n_steps, 1000), *switches}
+                                - {n_steps})
     # the per-step illumination on the step grid, k in [k_on, k_off)
     light = np.zeros(n_steps, dtype=bool)
     for t_on, t_off in sig.intervals:
         light[round(t_on / dt):round(t_off / dt)] = True
-    assert np.array_equal(np.repeat(lit[:-1], k1[:-1] - k0[:-1]), light)
+    assert np.array_equal(np.repeat(lit, k1 - k0), light)
 
 
 def _six_lane_case():
@@ -522,11 +518,11 @@ class TestSharedPool:
         bind = _c_step() if step == "compiled" else fdm._step_numpy
         early, crossings = [], []
 
-        def counting(lanes, above, pool, log):
-            steps = bind(lanes, above, pool, log)
+        def counting(*state):
+            steps = bind(*state)
 
-            def run(k0, k1, light):
-                k = steps(k0, k1, light)
+            def run(k0, k1, *args):
+                k = steps(k0, k1, *args)
                 early.append(k < k1)
                 return k
             return run
@@ -649,6 +645,51 @@ def test_compiled_step_matches_numpy_step_on_random_pools(
                       _run_pool_on(fdm._step_numpy, *args))
 
 
+@pytest.mark.parametrize("step", ["compiled", "numpy"])
+@pytest.mark.parametrize("stride", [7, 100])
+@pytest.mark.parametrize("case", ["clamp", "clamp_checked", "depletion",
+                                  "switch_mid_block", "partial_last_record"])
+def test_records_are_every_stride_th_sample_of_stride_one(case, stride, step,
+                                                          monkeypatch):
+    # the step writes the records, the driver the last one; each holds
+    # the state after the driver has seen to a low lane, so no recorded
+    # cargo is below 0
+    step = _c_step() if step == "compiled" else fdm._step_numpy
+    spec, env, sig, cfg, checked, _ = PIN_CASES[case]()
+    if not checked:
+        monkeypatch.setattr(FdmConfig, "check_stability",
+                            lambda self, *args: 0.0)
+    monkeypatch.setattr(fdm, "_compiled_step", lambda: step)
+
+    def run(s):
+        res, _, light = fdm._run_lanes(
+            VesicleLanes.of([spec]), default_kinetics(), env, sig,
+            dataclasses.replace(cfg, record_stride=s), False)
+        return res, light
+
+    (every, every_light), (res, light) = run(1), run(stride)
+    n_steps = len(every.t) - 1
+    rows = np.append(np.arange(0, n_steps, stride), n_steps)
+    for name in ("t", "c_h_in", "c_s_in", "pooled_c_h_out",
+                 "pooled_c_s_out"):
+        assert np.array_equal(getattr(res, name),
+                              getattr(every, name)[rows]), name
+    assert np.array_equal(light, every_light[rows])
+    assert np.all(every.c_s_in >= 0.0)
+    assert np.any(every.c_s_in == 0.0) == case.startswith("clamp")
+
+
+def test_compiled_step_refuses_steps_outside_the_run():
+    # the step writes record k // stride for k in [k0, k1): a range past
+    # the run's n_steps = 10 would write past the record buffers
+    steps = _c_step()(np.zeros((len(fdm._LANE_ROWS), 1)),
+                      np.zeros(1, dtype=bool), np.zeros(len(fdm._POOL_FIELDS)),
+                      fdm._CrossingLog(1), fdm._Records(10, 5, 1))
+    for k0, k1 in ((0, 11), (-1, 3), (4, 3)):
+        with pytest.raises(ValueError, match="outside the run"):
+            steps(k0, k1, False, float("nan"))
+
+
 class TestCompiledStepBuild:
     """The compiled step's build and cache, each in a fresh cache."""
 
@@ -700,6 +741,24 @@ class TestCompiledStepBuild:
         assert len(caught) == 1
         assert step is fdm._step_numpy
         _assert_same_pool(self._pin_case(step), expected)
+
+    def test_load_removes_only_stale_step_libraries(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on the PATH")
+        self.lib_dir.mkdir()
+        stale = self.lib_dir / "_fdm_step-0123456789abcdef.so"
+        # another library, and a build's temporary file
+        others = [self.lib_dir / "fdm_kernel-0123456789abcdef.so",
+                  self.lib_dir / "_fdm_step-0123456789abcdef.sok2x_9f"]
+        for path in (stale, *others):
+            path.write_bytes(b"")
+        glob = Path.glob  # a stale library another process removes first
+        monkeypatch.setattr(Path, "glob", lambda self, pattern: [
+            *glob(self, pattern), self / "_fdm_step-fedcba9876543210.so"])
+        fdm._load_step()
+        assert not stale.exists()
+        assert all(path.exists() for path in others)
+        assert len(list(glob(self.lib_dir, "_fdm_step-*.so"))) == 1
 
     def test_unwritable_cache_falls_back_to_a_user_temp_dir(self, tmp_path,
                                                            monkeypatch):
