@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import os
-from itertools import starmap
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import add, sub
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,9 @@ from .config import RunConfig, config_hash, to_config_tree
 from .ensemble import EnsembleResult, experiment_vesicles, run_ensemble
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
-from .trajectory import (Trajectory, float_fields, fmt_float, sample_grid,
-                         write_csv_columns, write_trajectory_csv)
+from .trajectory import (CHUNK_ROWS, Trajectory, float_fields, fmt_float,
+                         join_columns, sample_grid, write_csv_columns,
+                         write_trajectory_csv)
 
 OUT_ROOT_ENV = "VESIM_OUT_ROOT"
 
@@ -243,10 +243,11 @@ def emit_plot_data(run_dir: Path | str) -> Path:
     Trajectory files contribute light/C_H_in/C_S_in/C_S_out series per
     solver; ensemble files contribute mean and mean+/-std band series;
     shared-pool files their pooled series. The inputs must be vesim's own
-    artifacts, whose fields are unquoted (`trajectory.write_csv_columns`):
-    each is streamed to the output in file order, row by row, with its t
-    and value fields copied verbatim. The output is moved into place only
-    once complete, so a failed export leaves no partial file.
+    artifacts (`trajectory.write_csv_columns`): unquoted fields, lines
+    ending in '\\r\\n', as many fields in each as in the header. Each is
+    streamed to the output in file order, `CHUNK_ROWS` rows at a time,
+    with its t and value fields copied verbatim. The output is moved into
+    place only once complete, so a failed export leaves no partial file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -286,43 +287,69 @@ def emit_plot_data(run_dir: Path | str) -> Path:
 
 def _write_series(out, path: Path, prefix: str, columns: tuple[str, ...],
                   series: tuple[str, ...], derive=None) -> None:
-    """Write one input's (series, t, value) lines, row by row.
+    """Write one input's (series, t, value) lines by `join_columns`.
 
-    Reads `columns` (and t) of each row; `derive` maps those fields to
-    the values of `series`, which are the columns themselves without it.
+    Reads the `columns` (and t) of each chunk of rows; `derive` maps
+    those columns to the columns of `series`, which are the columns
+    themselves without it.
     """
+    heads = [_csv_field(f"{prefix}/{name}") for name in series]
     with open(path, newline="") as fh:
-        text = fh.read()
-    if '"' in text:
-        raise MissingArtifacts(
-            f"{path} holds a '\"', so it is not a vesim artifact")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    index = {name: i for i, name in enumerate(next(reader, []))}
-    for col in ("t",) + columns:
-        if col not in index:
-            raise MissingArtifacts(f"{path} has no column {col!r}")
-    rows = map(itemgetter(*(index[c] for c in ("t",) + columns)), reader)
-    if derive is not None:
-        rows = map(derive, rows)
-    # one str.format per input row; braces in a series name are literal
-    line = "".join(
-        _csv_field(f"{prefix}/{name}").replace("{", "{{").replace("}", "}}")
-        + f",{{0}},{{{j}}}\r\n" for j, name in enumerate(series, 1))
-    try:
-        out.writelines(starmap(line.format, rows))
-    except IndexError:
-        raise MissingArtifacts(
-            f"{path} has a row shorter than its header") from None
+        header = fh.readline()
+        names = _fields(path, [header], 1, header.count(",") + 1)[:-1]
+        index = {name: i for i, name in enumerate(names)}
+        for col in ("t",) + columns:
+            if col not in index:
+                raise MissingArtifacts(f"{path} has no column {col!r}")
+        first, stride = 2, len(names) + 1
+        while lines := list(islice(fh, CHUNK_ROWS)):
+            fields = _fields(path, lines, first, len(names))
+            first += len(lines)
+            t, *values = (fields[index[c]::stride] for c in ("t",) + columns)
+            if derive is not None:
+                values = derive(*values)
+            out.write(join_columns([col for head, value in zip(heads, values)
+                                    for col in ([head] * len(t), t, value)],
+                                   [",", ",", "\r\n"] * len(series)))
 
 
-def _ensemble_bands(row: tuple[str, ...]) -> tuple[str, ...]:
-    """t, the two means and their mean+/-std bands from the variances."""
-    t, mean_h, mean_s, var_h, var_s = row
+def _fields(path: Path, lines: list[str], first: int,
+            width: int) -> list[str]:
+    """The fields of `lines`, each line's `width` fields and then '\\n'.
+
+    Raises MissingArtifacts naming `path` and the first line (numbered
+    from `first`) that holds a '"', does not end in '\\r\\n' or holds
+    another number of fields.
+    """
+    text, n = "".join(lines), len(lines)
+    # each line end becomes a '\n' field: a line holds no other '\n'
+    fields = text.replace("\r\n", ",\n,").split(",")[:-1]
+    if ('"' in text or text.count("\r\n") != n
+            or len(fields) != (width + 1) * n
+            or fields[width::width + 1].count("\n") != n):
+        for no, line in enumerate(lines, first):
+            count = line.count(",") + 1
+            if '"' in line:
+                why = "holds a '\"', so it is not a vesim artifact"
+            elif not line.endswith("\r\n"):
+                why = "does not end in '\\r\\n'"
+            elif count != width:
+                why = (f"is {'shorter' if count < width else 'longer'} than"
+                       f" its header (fields: {count}, header: {width})")
+            else:
+                continue
+            raise MissingArtifacts(f"{path} line {no} {why}")
+    return fields
+
+
+def _ensemble_bands(mean_h, mean_s, var_h, var_s) -> list[list[str]]:
+    """The two means and their mean+/-std bands from the variances."""
     bands = []
     for mean, var in ((mean_h, var_h), (mean_s, var_s)):
-        std = float(var) ** 0.5
-        bands += [fmt_float(float(mean) + std), fmt_float(float(mean) - std)]
-    return (t, mean_h, mean_s, *bands)
+        std = list(map(pow, map(float, var), repeat(0.5)))
+        for op in (add, sub):
+            bands.append(list(map(fmt_float, map(op, map(float, mean), std))))
+    return [mean_h, mean_s, *bands]
 
 
 def _csv_field(text: str) -> str:

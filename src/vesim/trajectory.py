@@ -107,6 +107,23 @@ def int_fields(values) -> Iterable[str]:
     return map(str, np.asarray(values).astype(int).tolist())
 
 
+CHUNK_ROWS = 1024  # rows a writer or the plot export holds at once
+
+
+def join_columns(columns: Sequence[Sequence[str]],
+                 separators: Sequence[str]) -> str:
+    """The rows held by equal-length columns as text, row i being
+    columns[0][i], separators[0], columns[1][i], separators[1], ...;
+    each column fills its tokens by one slice assignment."""
+    n = len(columns[0])
+    stride = 2 * len(columns)
+    tokens = [""] * (stride * n)
+    tokens[1::2] = list(separators) * n
+    for j, column in enumerate(columns):
+        tokens[2 * j::stride] = column
+    return "".join(tokens)
+
+
 def write_csv_columns(path, header: Sequence[str],
                       columns: Sequence[Iterable[str]]) -> None:
     """Write one artifact CSV from its columns of finished fields.
@@ -115,12 +132,16 @@ def write_csv_columns(path, header: Sequence[str],
     joined by ',' and lines ending in '\\r\\n', with no quoting, because
     no vesim field needs it (float reprs, ints, phase labels, solver
     names, column names). The bytes are those `csv.writer` writes for
-    the same rows. Every column must hold one field per row.
+    the same rows, joined `CHUNK_ROWS` rows at a time by `join_columns`.
+    Every column must hold one field per row, else this raises ValueError.
     """
+    separators = [","] * (len(columns) - 1) + ["\r\n"]
+    columns = [iter(c) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map("{}\r\n".format,
-                          map(",".join, zip(*columns, strict=True))))
+        while any(chunk := [list(itertools.islice(c, CHUNK_ROWS))
+                             for c in columns]):
+            fh.write(join_columns(chunk, separators))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -6,6 +6,7 @@ current code writes must match theirs byte for byte.
 """
 
 import csv
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -22,8 +23,9 @@ from vesim.fdm import SharedPoolResult
 from vesim.runner import (MissingArtifacts, _write_ensemble_csv,
                           _write_shared_pool_csv, emit_plot_data, execute_run)
 from vesim.schedule import CycleSchedule
-from vesim.trajectory import (CSV_COLUMNS, Trajectory, read_trajectory_csv,
-                              sample_grid, write_trajectory_csv)
+from vesim.trajectory import (CHUNK_ROWS, CSV_COLUMNS, Trajectory,
+                              read_trajectory_csv, sample_grid,
+                              write_csv_columns, write_trajectory_csv)
 
 SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
            -1.5, 1e300, math.nan, math.inf, -math.inf]
@@ -279,6 +281,58 @@ def test_empty_trajectory_writes_its_header_only(tmp_path):
         assert new.count(b"\r\n") == 1
 
 
+
+# rows at and around the writers' and the export's chunk edges, and one
+# past float_fields' 4096-value chunk
+EDGE_ROWS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+             2 * CHUNK_ROWS + 1, 4097)
+
+
+def _edge_columns(k, n):
+    """k float columns of n rows; column j holds runs of 2j + 1 equal
+    SPECIAL values, so runs straddle every chunk edge (a power of 2)."""
+    rows = np.arange(n)
+    return np.array([np.roll(SPECIAL, j)[rows // (2 * j + 1) % len(SPECIAL)]
+                     for j in range(k)]).reshape(k, n)
+
+
+@pytest.mark.parametrize("n", EDGE_ROWS)
+def test_writers_and_export_match_references_across_chunk_edges(tmp_path, n):
+    cols = _edge_columns(13, n)
+    codes = np.arange(n) // 5  # runs of phase, cycle and light as well
+    phase = [f"P{c % 4 + 1}" for c in codes]
+    # variances stay >= 0, as an ensemble's do
+    ens = make_ensemble(cols[0], [cols[1], abs(cols[2]), cols[3],
+                                  abs(cols[4])], cols[5:], n_ex=2)
+    artifacts = [(write_trajectory_csv, reference_trajectory_csv,
+                  make_trajectory(cols[:5], phase, codes, codes % 2, solver),
+                  f"trajectory_{solver}.csv") for solver in ("fdm", "exact")]
+    artifacts += [
+        (_write_ensemble_csv, reference_ensemble_csv, ens,
+         "ensemble_stats.csv"),
+        (_write_shared_pool_csv, reference_shared_pool_csv,
+         make_pool(*cols[10:]), "shared_pool.csv")]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for write, ref, obj, name in artifacts:
+        write(obj, run_dir / name)
+        ref(obj, tmp_path / "ref.csv")
+        assert (run_dir / name).read_bytes() == (
+            tmp_path / "ref.csv").read_bytes(), name
+    ref = reference_plot_data(run_dir, "reference.csv").read_bytes()
+    assert emit_plot_data(run_dir).read_bytes() == ref
+
+
+@pytest.mark.parametrize("n", (1, CHUNK_ROWS, CHUNK_ROWS + 1))
+@pytest.mark.parametrize("extra", (-1, 1))
+@pytest.mark.parametrize("odd", (0, 2))
+def test_writer_refuses_columns_of_unequal_length(tmp_path, n, extra, odd):
+    # column `odd` holds one field fewer or one more than the others
+    columns = [iter(["1.5"] * (n + extra * (j == odd))) for j in range(3)]
+    with pytest.raises(ValueError):
+        write_csv_columns(tmp_path / "x.csv", ["a", "b", "c"], columns)
+
+
 # --- plot export --------------------------------------------------------------
 
 def _fill_run_dir(d: Path) -> None:
@@ -323,10 +377,38 @@ def test_plot_export_matches_dictreader_reference(tmp_path):
         "shared_pool.csv", "trajectory_exact.csv", "trajectory_fdm.csv"]
 
 
+# SHA-256 of fig4's plot export (seed 0): its fdm, exact and closed
+# trajectories through the writer and the export. The analytic solvers'
+# bits go through numpy's SIMD exp and log, so like GOLDEN_FIG9_CSV this
+# holds for one numpy build on one CPU family.
+GOLDEN_FIG4_PLOT_DATA = (
+    "42d41e83b13b604bc6cecf80d3470d16"
+    "54e3cfdbb131b4de38a5838f93da66a4")
+
+
+def test_fig4_plot_export_matches_golden_hash(tmp_path):
+    assert cli_main(["run", "--preset", "fig4", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    out = emit_plot_data(tmp_path)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        GOLDEN_FIG4_PLOT_DATA)
+
+
 MALFORMED = {
     "missing column": ("t,C_H_in\r\n0.0,1.0\r\n", "'C_S_in'"),
     "short row": ("t,C_H_in,C_S_in,C_S_out,light\r\n0.0,1.0,2.0\r\n",
                   "shorter than its header"),
+    # the short row after it leaves the chunk's field count right
+    "long row": ("t,C_H_in,C_S_in,C_S_out,light\r\n0.0,1.0,2.0,3.0,0,5\r\n"
+                 "0.1,1.0,2.0,3.0\r\n", "line 2 is longer than its header"),
+    "LF line end": ("t,C_H_in,C_S_in,C_S_out,light\r\n0.0,1.0,2.0,3.0,0\n"
+                    "0.1,1.0,2.0,3.0,0\r\n", "line 2 does not end in"),
+    # split at ',' and '\r\n' alone, these fields line up with the header
+    "LF line end between empty fields": (
+        "t,C_H_in,C_S_in,C_S_out,light\r\n0.0,1.0,2.0,3.0,0,\n"
+        ",0.1,1.0,2.0,3.0,0\r\n", "line 2 does not end in"),
+    "blank line": ("t,C_H_in,C_S_in,C_S_out,light\r\n0.0,1.0,2.0,3.0,0\r\n"
+                   "\r\n", "line 3 is shorter than its header"),
     "quoted field": ('t,C_H_in,C_S_in,C_S_out,light\r\n0.0,"1.0",2,3,0\r\n',
                      "not a vesim artifact"),
 }

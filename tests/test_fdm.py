@@ -5,6 +5,7 @@ import shutil
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_mvs_shared_pool,
 from vesim.model import (VesicleLanes, VesicleSpec, default_environment,
                          default_kinetics, default_vesicle, derive_rates)
 from vesim.presets import RUN_PRESETS
-from vesim.schedule import LightSignal, schedule_from_crossings
+from vesim.schedule import (NO_CROSSING, LightSignal, _symport_estimates,
+                            schedule_from_crossings)
 from vesim.trajectory import write_trajectory_csv
 
 
@@ -362,11 +364,20 @@ def test_settled_run_is_a_prefix_with_the_full_schedule(
     intervals, horizon = pulses
     sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
     cfg = FdmConfig(dt=dt, record_stride=10)
-    full = simulate_svs(spec, kin, env, sig, cfg)
+    with mock.patch.object(fdm, "schedule_from_crossings",
+                           wraps=schedule_from_crossings) as spy:
+        full = simulate_svs(spec, kin, env, sig, cfg)
     settled = simulate_svs(spec, kin, env, sig, cfg, until_settled=True)
     assert (settled.c_h_in[0] >= full.derived.switch_conc) == active_at_start
     assert settled.schedule.cycles == full.schedule.cycles
+    # the stop is the first record step at which the full run's last
+    # cycle is final: t3 without a t2, else its t4 crossing (or never)
+    _, crossings, active = spy.call_args.args
+    t1, t3, t1_next = sig.cycle_bounds(sig.n_cycles - 1)
+    t2, t4 = _symport_estimates(crossings, active, t1, t3, t1_next)
+    final = t3 if t2 == NO_CROSSING else t4
     n = len(settled)
+    assert n == min(np.searchsorted(full.t, final) + 1, len(full))
     for name in ("t", "c_h_in", "c_h_out", "c_s_in", "c_s_out", "light",
                  "cycle"):
         assert np.array_equal(getattr(settled, name),
