@@ -320,10 +320,9 @@ def _load_step():
     """The compiled step as a binder with `_step_numpy`'s contract.
 
     Builds _fdm_step.c with the system C compiler `cc` unless the cache
-    already holds a library for this source and these flags, loads it
-    with ctypes, and then removes the cache's libraries of other sources
-    or flags. Raises OSError or CalledProcessError when the library
-    cannot be built or loaded.
+    already holds a library for this source and these flags (those of
+    others stay), and loads it with ctypes. Raises OSError or
+    CalledProcessError when the library cannot be built or loaded.
     """
     source = importlib.resources.files("vesim").joinpath(
         "_fdm_step.c").read_bytes()
@@ -345,10 +344,6 @@ def _load_step():
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
     fn = ctypes.CDLL(str(path)).vesim_fdm_steps
-    for stale in lib_dir.glob("_fdm_step-*.so"):
-        if stale != path:
-            with contextlib.suppress(FileNotFoundError):
-                stale.unlink()
     void_p, long = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = (long, *[void_p] * 6, long, *[void_p] * 4, long, long,
                    long, ctypes.c_int, ctypes.c_double)

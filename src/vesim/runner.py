@@ -19,7 +19,6 @@ rendering dependency.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -35,8 +34,8 @@ from .ensemble import EnsembleResult, experiment_vesicles, run_ensemble
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
 from .trajectory import (CHUNK_ROWS, Trajectory, float_fields, fmt_float,
-                         join_columns, sample_grid, write_csv_columns,
-                         write_trajectory_csv)
+                         join_columns, sample_grid, write_atomically,
+                         write_csv_columns, write_trajectory_csv)
 
 OUT_ROOT_ENV = "VESIM_OUT_ROOT"
 
@@ -170,13 +169,15 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
 
     if scenario.self_check is not None:
         manifest["self_check"] = _jsonable(scenario.self_check(results))
-    with open(out / "manifest.json", "w") as fh:
+    with write_atomically(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)
     return out, results
 
 
 def write_sweep_artifacts(result, out_dir: Path | str | None = None) -> Path:
-    """Persist a SweepResult as summary.csv + summary.json."""
+    """Persist a SweepResult as summary.csv + summary.json; summary.csv
+    holds `csv.writer`'s bytes, but for a row of one empty field ('""'
+    there), which no sweep row is (each holds its point)."""
     out = (Path(out_dir) if out_dir is not None
            else default_out_root() / result.name)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,24 +186,23 @@ def write_sweep_artifacts(result, out_dir: Path | str | None = None) -> Path:
         for key in row:
             if key not in cols and key != "traceback":
                 cols.append(key)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in result.rows:
-            w.writerow([_csv_cell(row.get(c)) for c in cols])
-    with open(out / "summary.json", "w") as fh:
+    write_csv_columns(out / "summary.csv", list(map(_csv_cell, cols)),
+                      [[_csv_cell(row.get(c)) for row in result.rows]
+                       for c in cols])
+    with write_atomically(out / "summary.json") as fh:
         json.dump({"name": result.name, "summary": _jsonable(result.summary),
                    "rows": _jsonable(result.rows)}, fh, indent=2,
                   sort_keys=True)
     return out
 
 
-def _csv_cell(v):
+def _csv_cell(v) -> str:
+    """One sweep summary value as a finished CSV field."""
     if v is None:
         return ""
     if isinstance(v, float):
         return fmt_float(v)
-    return v
+    return _csv_field(str(v))
 
 
 def _safe_name(label: str) -> str:
@@ -246,8 +246,8 @@ def emit_plot_data(run_dir: Path | str) -> Path:
     artifacts (`trajectory.write_csv_columns`): unquoted fields, lines
     ending in '\\r\\n', as many fields in each as in the header. Each is
     streamed to the output in file order, `CHUNK_ROWS` rows at a time,
-    with its t and value fields copied verbatim. The output is moved into
-    place only once complete, so a failed export leaves no partial file.
+    with its t and value fields copied verbatim. The output is written
+    through `write_atomically`, so a failed export leaves no partial file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -265,23 +265,17 @@ def emit_plot_data(run_dir: Path | str) -> Path:
         return "/".join(rel.parts[:-1]) or "."
 
     out_path = run_dir / "plot_data.csv"
-    part = out_path.with_name(out_path.name + ".part")
-    try:
-        with open(part, "w", newline="") as out:
-            out.write("series,t,value\r\n")
-            for path in traj_files:
-                solver = path.stem.replace("trajectory_", "")
-                _write_series(out, path, f"{tag(path)}/{solver}",
-                              _TRAJECTORY_SERIES, _TRAJECTORY_SERIES)
-            for path in ens_files:
-                _write_series(out, path, tag(path), _ENSEMBLE_COLUMNS,
-                              _ENSEMBLE_SERIES, _ensemble_bands)
-            for path in pool_files:
-                _write_series(out, path, tag(path), _POOL_SERIES,
-                              _POOL_SERIES)
-        part.replace(out_path)
-    finally:
-        part.unlink(missing_ok=True)  # left only by a failed export
+    with write_atomically(out_path) as out:
+        out.write("series,t,value\r\n")
+        for path in traj_files:
+            solver = path.stem.replace("trajectory_", "")
+            _write_series(out, path, f"{tag(path)}/{solver}",
+                          _TRAJECTORY_SERIES, _TRAJECTORY_SERIES)
+        for path in ens_files:
+            _write_series(out, path, tag(path), _ENSEMBLE_COLUMNS,
+                          _ENSEMBLE_SERIES, _ensemble_bands)
+        for path in pool_files:
+            _write_series(out, path, tag(path), _POOL_SERIES, _POOL_SERIES)
     return out_path
 
 

@@ -1,8 +1,8 @@
 # trajectory.py
 """
 Time-series container shared by the finite-difference and analytical
-solvers, plus its CSV schema and the artifact format (`write_csv_columns`)
-that every vesim CSV writer but the sweep summary uses.
+solvers, plus its CSV schema, the artifact format every vesim CSV writer
+uses (`write_csv_columns`) and vesim's one file writer (`write_atomically`).
 
 Columns written: t, C_H_in, C_H_out, C_S_in, C_S_out, phase, cycle, light
 (all SI, full double precision), with a trailing `solver` column for the
@@ -11,11 +11,12 @@ analytical solvers so mixed run directories stay self-describing.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +41,10 @@ class Trajectory:
         t: sample times (s)
         c_h_in/c_h_out: free H+ concentrations (mol/m^3)
         c_s_in/c_s_out: substrate concentrations (mol/m^3)
-        light: 0/1 illumination flag per sample
+        light: 0/1 illumination flag per sample. At a sample on a light
+            switch the solvers differ: the FDM flags the step that starts
+            there (1 at light-on, 0 at light-off), `exact` and `closed`
+            the segment that ends there (0 at light-on, 1 at light-off)
         cycle/phase: cycle index (1-based) and phase label per sample
         schedule: resolved cycle boundary times
         events: depletion and anomaly events
@@ -124,20 +128,34 @@ def join_columns(columns: Sequence[Sequence[str]],
     return "".join(tokens)
 
 
+@contextlib.contextmanager
+def write_atomically(path):
+    """Open `path` for writing text, as `<path>.part` moved onto `path`
+    when the block ends: a block that raises leaves no `.part` file and
+    `path` as it was. Lines are written as given (no newline mapping)."""
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "w", newline="") as fh:
+            yield fh
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)  # left only by a block that raised
+
+
 def write_csv_columns(path, header: Sequence[str],
                       columns: Sequence[Iterable[str]]) -> None:
     """Write one artifact CSV from its columns of finished fields.
 
     This is vesim's artifact format: floats as `float_fields`, fields
-    joined by ',' and lines ending in '\\r\\n', with no quoting, because
-    no vesim field needs it (float reprs, ints, phase labels, solver
-    names, column names). The bytes are those `csv.writer` writes for
+    joined by ',' and lines ending in '\\r\\n', written as given: no solver
+    artifact field needs quoting, and the sweep summary quotes its own
+    (`runner._csv_field`). The bytes are those `csv.writer` writes for
     the same rows, joined `CHUNK_ROWS` rows at a time by `join_columns`.
-    Every column must hold one field per row, else this raises ValueError.
+    Columns of unequal length raise ValueError, leaving `path` as it was.
     """
     separators = [","] * (len(columns) - 1) + ["\r\n"]
     columns = [iter(c) for c in columns]
-    with open(path, "w", newline="") as fh:
+    with write_atomically(path) as fh:
         fh.write(",".join(header) + "\r\n")
         while any(chunk := [list(itertools.islice(c, CHUNK_ROWS))
                              for c in columns]):
@@ -155,25 +173,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         header += ("solver",)
         columns.append([traj.solver] * len(traj))
     write_csv_columns(path, header, columns)
-
-
-def read_trajectory_csv(path) -> dict:
-    """Read a trajectory CSV back into plain arrays (round-trip checks)."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        rows = list(r)
-    out: dict = {name: [] for name in header}
-    for row in rows:
-        for name, val in zip(header, row):
-            out[name].append(val)
-    for name in ("t", "C_H_in", "C_H_out", "C_S_in", "C_S_out"):
-        out[name] = np.array([float(v) for v in out[name]])
-    if "cycle" in out:
-        out["cycle"] = np.array([int(v) for v in out["cycle"]])
-    if "light" in out:
-        out["light"] = np.array([int(v) for v in out["light"]])
-    return out
 
 
 def sample_grid(horizon: float, interval: float) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 The references below are the `csv.writer` / `csv.DictReader` code the
 column-wise writers and the streaming export replaced; every file the
-current code writes must match theirs byte for byte.
+current code writes must match theirs byte for byte, and a write that
+fails leaves no partial file.
 """
 
 import csv
 import hashlib
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -20,12 +22,15 @@ from vesim.cli import main as cli_main
 from vesim.config import parse_config
 from vesim.ensemble import EnsembleResult
 from vesim.fdm import SharedPoolResult
+from vesim.presets import Scenario
 from vesim.runner import (MissingArtifacts, _write_ensemble_csv,
-                          _write_shared_pool_csv, emit_plot_data, execute_run)
+                          _write_shared_pool_csv, emit_plot_data, execute_run,
+                          run_scenario, write_sweep_artifacts)
 from vesim.schedule import CycleSchedule
+from vesim.sweep import SweepResult
 from vesim.trajectory import (CHUNK_ROWS, CSV_COLUMNS, Trajectory,
-                              read_trajectory_csv, sample_grid,
-                              write_csv_columns, write_trajectory_csv)
+                              sample_grid, write_csv_columns,
+                              write_trajectory_csv)
 
 SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
            -1.5, 1e300, math.nan, math.inf, -math.inf]
@@ -86,6 +91,21 @@ def reference_shared_pool_csv(res, path):
         for k in range(len(res.t)):
             w.writerow([_fmt(res.t[k]), _fmt(res.pooled_c_h_out[k]),
                         _fmt(res.pooled_c_s_out[k])])
+
+
+def reference_summary_csv(rows, path):
+    cols = []
+    for row in rows:
+        for key in row:
+            if key not in cols and key != "traceback":
+                cols.append(key)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for row in rows:
+            w.writerow([
+                "" if v is None else _fmt(v) if isinstance(v, float) else v
+                for v in (row.get(c) for c in cols)])
 
 
 def reference_plot_data(run_dir, out_name):
@@ -230,15 +250,18 @@ def test_writers_match_row_by_row_reference(traj, ens, pool):
             assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
         write_trajectory_csv(traj, d / "traj.csv")
-        back = read_trajectory_csv(d / "traj.csv")
+        with open(d / "traj.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
         for name, arr in zip(CSV_COLUMNS[:5], (traj.t, traj.c_h_in,
                                                 traj.c_h_out, traj.c_s_in,
                                                 traj.c_s_out)):
-            assert _same_floats(back[name], arr), name
-        assert back["phase"] == traj.phase
-        assert np.array_equal(back["cycle"], traj.cycle)
-        assert np.array_equal(back["light"], traj.light)
-        assert ("solver" in back) == (traj.solver != "fdm")
+            back = np.array([float(r[name]) for r in rows])
+            assert _same_floats(back, arr), name
+        assert [r["phase"] for r in rows] == traj.phase
+        assert [int(r["cycle"]) for r in rows] == list(traj.cycle)
+        assert [int(r["light"]) for r in rows] == list(traj.light)
+        assert ("solver" in reader.fieldnames) == (traj.solver != "fdm")
 
 
 @given(interval=st.floats(1e-3, 100.0), n=st.integers(0, 2000),
@@ -327,10 +350,66 @@ def test_writers_and_export_match_references_across_chunk_edges(tmp_path, n):
 @pytest.mark.parametrize("extra", (-1, 1))
 @pytest.mark.parametrize("odd", (0, 2))
 def test_writer_refuses_columns_of_unequal_length(tmp_path, n, extra, odd):
-    # column `odd` holds one field fewer or one more than the others
-    columns = [iter(["1.5"] * (n + extra * (j == odd))) for j in range(3)]
-    with pytest.raises(ValueError):
-        write_csv_columns(tmp_path / "x.csv", ["a", "b", "c"], columns)
+    # column `odd` holds one field fewer or one more than the others; the
+    # refused file neither replaces an older one nor stays as a .part
+    path = tmp_path / "x.csv"
+    for old in (None, b"old\r\n"):
+        if old is not None:
+            path.write_bytes(old)
+        columns = [iter(["1.5"] * (n + extra * (j == odd))) for j in range(3)]
+        with pytest.raises(ValueError):
+            write_csv_columns(path, ["a", "b", "c"], columns)
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert list(tmp_path.iterdir()) == ([path] if old else [])
+
+
+def test_a_failed_json_write_leaves_no_file(tmp_path, monkeypatch):
+    def dump(obj, fh, **kwargs):
+        fh.write("{")  # part of the document, then the failure
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump)
+    cfg = parse_config({"run": {"solver": "closed"}, "vesicle": {},
+                        "signal": {"intervals": [[0, 60]], "horizon": 120}},
+                       label="mini")
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_scenario(Scenario("mini", "", [cfg]), tmp_path / "run")
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_sweep_artifacts(SweepResult("s", [{"a": 1.0}], {}),
+                              tmp_path / "sweep")
+    # what was written before the failure stays; no manifest or summary
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["mini"]
+    assert [p.name for p in (tmp_path / "sweep").iterdir()] == [
+        "summary.csv"]
+
+
+# --- sweep summary ------------------------------------------------------------
+
+SUMMARY_VALUES = (st.sampled_from([None, 0, -3, True, False, "", "a,b",
+                                   'say "hi"', "two\nlines", "cr\r",
+                                   np.float64(0.1), np.int64(7)])
+                  | FLOATS | st.text(alphabet=',"\r\n a'))
+# every row holds the point it came from, so no row is one empty field
+SUMMARY_ROWS = st.lists(st.builds(
+    lambda k, rest: {"point": k, **rest}, st.integers(0, 9),
+    st.dictionaries(st.sampled_from(["duration", "error", "traceback",
+                                     "a,b", 'k"ey']), SUMMARY_VALUES)),
+    max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=SUMMARY_ROWS)
+@example(rows=[])
+@example(rows=[{"point": 0, "duration": 60.0, "rate": math.nan},
+               {"point": 1, "error": 'ValueError: bad "x", line\n2',
+                "traceback": "Traceback ...", "flag": True},
+               {"point": 2, "duration": "", "rate": 3}])
+def test_summary_matches_csv_writer(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_sweep_artifacts(SweepResult("s", rows, {}), d)
+        reference_summary_csv(rows, d / "ref.csv")
+        assert (d / "summary.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
 # --- plot export --------------------------------------------------------------

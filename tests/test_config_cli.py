@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -16,7 +17,6 @@ from vesim.fdm import FdmConfig
 from vesim.model import Environment, KineticConstants, default_vesicle
 from vesim.presets import RUN_PRESETS
 from vesim.runner import emit_plot_data, run_scenario
-from vesim.trajectory import read_trajectory_csv
 
 MINIMAL = {
     "run": {"solver": "closed", "seed": 5},
@@ -377,12 +377,14 @@ class TestRunnerArtifacts:
         cfg = parse_config(dict(MINIMAL, run={"solver": "all", "seed": 1}),
                            label="mini")
         out, _ = run_scenario(Scenario("mini", "t", [cfg]), tmp_path / "s")
-        fdm = read_trajectory_csv(out / "mini" / "trajectory_fdm.csv")
-        assert list(fdm)[:8] == ["t", "C_H_in", "C_H_out", "C_S_in",
-                                 "C_S_out", "phase", "cycle", "light"]
-        assert "solver" not in fdm
-        exact = read_trajectory_csv(out / "mini" / "trajectory_exact.csv")
-        assert "solver" in exact and set(exact["solver"]) == {"exact"}
+        with open(out / "mini" / "trajectory_fdm.csv", newline="") as fh:
+            fdm = csv.DictReader(fh)
+            assert fdm.fieldnames == ["t", "C_H_in", "C_H_out", "C_S_in",
+                                      "C_S_out", "phase", "cycle", "light"]
+        with open(out / "mini" / "trajectory_exact.csv", newline="") as fh:
+            exact = csv.DictReader(fh)
+            assert exact.fieldnames[-1] == "solver"
+            assert {row["solver"] for row in exact} == {"exact"}
 
     def test_emit_plot_data(self, tmp_path):
         from vesim.presets import Scenario

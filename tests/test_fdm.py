@@ -4,7 +4,6 @@ import os
 import shutil
 import tempfile
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -106,6 +105,46 @@ def test_first_order_convergence_richardson(base_kinetics, base_env):
         terminals.append(traj.c_h_in[-1])
     ratio = (terminals[0] - terminals[1]) / (terminals[1] - terminals[2])
     assert ratio == pytest.approx(2.0, abs=0.3)
+
+
+def dt_ladder(cfg, rungs=4):
+    """The FDM's own error bar: RunConfig `cfg`'s vesicle run at dt,
+    dt/2, ..., dt/2**(rungs - 1), recording at the same times (the
+    record stride doubles with each halving).
+
+    Returns, per output, the successive differences d_k (rung k minus
+    rung k + 1, shape (rungs - 1, ...)) and the observed orders
+    log2(|d_k| / |d_k+1|), elementwise. Outputs: 't2' and 't4' per
+    cycle (NaN where a cycle has none), 'C_H_in' at the records and
+    'released' substrate (the first C_S_in minus the last).
+    """
+    outputs = {"t2": [], "t4": [], "C_H_in": [], "released": []}
+    for k in range(rungs):
+        traj = simulate_svs(cfg.vesicle, cfg.kinetics, cfg.environment,
+                            cfg.signal,
+                            FdmConfig(dt=cfg.fdm.dt / 2**k,
+                                      record_stride=cfg.fdm.record_stride
+                                      * 2**k))
+        if k == 0:
+            t = traj.t
+        assert np.array_equal(traj.t, t)  # the records line up
+        outputs["t2"].append([c.t2 for c in traj.schedule.cycles])
+        outputs["t4"].append([c.t4 for c in traj.schedule.cycles])
+        outputs["C_H_in"].append(traj.c_h_in)
+        outputs["released"].append(traj.c_s_in[0] - traj.c_s_in[-1])
+    ladder = {}
+    for name, values in outputs.items():
+        d = -np.diff(np.array(values, dtype=float), axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ladder[name] = d, np.log2(np.abs(d[:-1]) / np.abs(d[1:]))
+    return ladder
+
+
+def test_fig4_symport_start_converges_at_first_order():
+    # cycle 2's t2 is a transversal crossing: halving dt halves its
+    # error (from dt = 1e-2 to 1.25e-3)
+    _, order = dt_ladder(RUN_PRESETS["fig4"]().runs[0])["t2"]
+    assert np.all((order[:, 1] >= 0.9) & (order[:, 1] <= 1.1))
 
 
 def test_converges_to_closed_form_unbuffered(base_kinetics):
@@ -753,23 +792,29 @@ class TestCompiledStepBuild:
         assert step is fdm._step_numpy
         _assert_same_pool(self._pin_case(step), expected)
 
-    def test_load_removes_only_stale_step_libraries(self, monkeypatch):
+    def test_libraries_of_two_flag_sets_both_stay_cached(self, monkeypatch):
+        # checkouts with other step sources or flags share the cache: each
+        # library is built once, and loading one does not evict another
         if shutil.which("cc") is None:
             pytest.skip("no C compiler (cc) on the PATH")
-        self.lib_dir.mkdir()
-        stale = self.lib_dir / "_fdm_step-0123456789abcdef.so"
-        # another library, and a build's temporary file
-        others = [self.lib_dir / "fdm_kernel-0123456789abcdef.so",
-                  self.lib_dir / "_fdm_step-0123456789abcdef.sok2x_9f"]
-        for path in (stale, *others):
-            path.write_bytes(b"")
-        glob = Path.glob  # a stale library another process removes first
-        monkeypatch.setattr(Path, "glob", lambda self, pattern: [
-            *glob(self, pattern), self / "_fdm_step-fedcba9876543210.so"])
-        fdm._load_step()
-        assert not stale.exists()
-        assert all(path.exists() for path in others)
-        assert len(list(glob(self.lib_dir, "_fdm_step-*.so"))) == 1
+        flag_sets = (fdm._CC_FLAGS, (*fdm._CC_FLAGS, "-DVESIM_OTHER_BUILD"))
+        builds = []
+        run = fdm.subprocess.run
+
+        def counted_run(*args, **kwargs):
+            builds.append(args)
+            return run(*args, **kwargs)
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("a cached library was built again")
+
+        for compile_with in (counted_run, no_compiler):
+            monkeypatch.setattr(fdm.subprocess, "run", compile_with)
+            for flags in flag_sets:
+                monkeypatch.setattr(fdm, "_CC_FLAGS", flags)
+                fdm._load_step()
+        assert len(builds) == 2
+        assert len(list(self.lib_dir.glob("_fdm_step-*.so"))) == 2
 
     def test_unwritable_cache_falls_back_to_a_user_temp_dir(self, tmp_path,
                                                            monkeypatch):

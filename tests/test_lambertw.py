@@ -82,3 +82,26 @@ def test_lambert_domain_function_identity():
     w = lambert_w0_exp(y)
     assert km * w == pytest.approx(c_start, rel=1e-12)
     assert w + math.log(w) == pytest.approx(y, rel=1e-13)
+
+
+def newton_w_log(y):
+    """Independent oracle for y beyond exp's range: Newton on
+    w + ln(w) = y, run until an iterate repeats (a fixed point)."""
+    w, seen = y - math.log(y), set()
+    while w not in seen:
+        seen.add(w)
+        w -= (w + math.log(w) - y) / (1.0 + 1.0 / w)
+    return w
+
+
+def test_log_domain_matches_oracles_on_both_branches():
+    # lambert_w0_exp takes scipy's W0(exp(y)) up to y = 700 and four
+    # Newton steps on w + ln(w) = y above it; `exact` calls it (not
+    # lambert_w0), so both branches are held to 1e-15 relative
+    edge = [np.nextafter(700.0, -np.inf), 700.0, np.nextafter(700.0, np.inf)]
+    ys = np.concatenate([np.linspace(-30.0, 700.0, 400), edge,
+                         np.geomspace(700.0, 1e8, 400)])
+    want = np.array([newton_w0(math.exp(y)) if y <= 700.0 else newton_w_log(y)
+                     for y in ys])
+    for got in (lambert_w0_exp(ys), [lambert_w0_exp(float(y)) for y in ys]):
+        assert np.all(np.abs(got - want) <= 1e-15 * want)

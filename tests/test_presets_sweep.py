@@ -80,7 +80,6 @@ def test_fig9_csv_matches_golden_hash(fig9_preset, name):
 def test_empty_signal_constant_trajectories(tmp_path):
     import yaml
     from vesim.cli import main as cli_main
-    from vesim.trajectory import read_trajectory_csv
     tree = {
         "run": {"solver": "all", "seed": 0},
         "vesicle": {"d_in": "87 nm", "d_mem": "14 nm", "n_pumps": 40,
@@ -94,8 +93,9 @@ def test_empty_signal_constant_trajectories(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 0
     for solver in ("fdm", "exact", "closed"):
-        data = read_trajectory_csv(tmp_path / "o" / "dark"
-                                   / f"trajectory_{solver}.csv")
+        data = np.genfromtxt(tmp_path / "o" / "dark"
+                             / f"trajectory_{solver}.csv", delimiter=",",
+                             names=True)
         assert np.allclose(data["C_H_in"], 3.98e-5, rtol=1e-12), solver
         assert np.allclose(data["C_S_in"], 300.0, rtol=1e-12), solver
         assert np.all(data["light"] == 0)
