@@ -15,11 +15,10 @@ proton/substrate symporter. Both public kernels, the single vesicle and
 many vesicles sharing one extravesicular pool, run in one driver,
 `_run_lanes`; a single vesicle is a pool of one lane. The driver walks
 the blocks of `_step_blocks`, which end at every light switch and drift
-check, and hands each block to the compiled step `_fdm_step.c`, built
-with the system C compiler on first use and cached per user. Without a
-compiler it runs `_step_numpy`, which calls the flux laws and is the
-oracle the C step is pinned to bit for bit. The step writes the
-recorded samples itself.
+check, and hands each block to the compiled step, vesim_fdm_steps of
+`_native.c` (`native`). Without a compiler it runs `_step_numpy`, which
+calls the flux laws and is the oracle the C step is pinned to bit for
+bit. The step writes the recorded samples itself.
 
 When a vesicle's threshold test `model.symport_gate`, which gates its
 symport, flips in a step, the step locates the crossing by linear
@@ -35,24 +34,16 @@ logs the depletion event, and resumes.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
 import functools
-import hashlib
-import importlib.resources
 import math
 import numbers
-import os
-import shutil
-import subprocess
-import tempfile
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .analytic import DEPLETION_FRACTION_OF_KM
 from .buffering import (buffering_slowdown, free_proton_conc,
                         free_proton_conc_array, total_conc_from_free)
@@ -167,7 +158,7 @@ def _step_blocks(signal: LightSignal, dt: float, n_steps: int):
 
 
 # The rows of the per-lane state array and the fields of the pool array,
-# in the order of the enums of _fdm_step.c
+# in the order of the enums of _native.c
 _LANE_ROWS = ("v_in", "gamma_p", "gamma_l", "gamma_s", "gamma_h",
               "c_switch", "dep_threshold", "th_in", "cs_in", "c_in", "net_in",
               "released")
@@ -230,7 +221,7 @@ class _Records:
 def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
                 log: _CrossingLog, rec: _Records):
     """The FDM step in numpy, on model.py's flux laws: the oracle and the
-    fallback of the compiled step, vesim_fdm_steps of _fdm_step.c.
+    fallback of the compiled step, vesim_fdm_steps of _native.c.
 
     Binds the state of `_run_lanes` (`lanes`, rows `_LANE_ROWS`; `above`,
     each lane's threshold test; `pool`, `_POOL_FIELDS`; `log`, the
@@ -295,105 +286,44 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
     return steps
 
 
-# Fixed, so the library's bits do not depend on the environment: no
-# fused multiply-add, no -ffast-math, no host-specific instructions
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-lm")
-
-
-def _cache_dir() -> Path:
-    """$XDG_CACHE_HOME/vesim (default ~/.cache/vesim), or a per-user
-    temporary directory when that cannot be written."""
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    path = Path(root) / "vesim"
-    with contextlib.suppress(OSError):
-        path.mkdir(parents=True, exist_ok=True)
-    if os.access(path, os.W_OK):
-        return path
-    path = Path(tempfile.gettempdir()) / f"vesim-{os.getuid()}"
-    path.mkdir(mode=0o700, exist_ok=True)
-    if path.stat().st_uid != os.getuid():
-        raise OSError(f"{path} belongs to another user")
-    return path
-
-
-def _load_step():
-    """The compiled step as a binder with `_step_numpy`'s contract.
-
-    Builds _fdm_step.c with the system C compiler `cc` unless the cache
-    already holds a library for this source and these flags (those of
-    others stay), and loads it with ctypes. Raises OSError or
-    CalledProcessError when the library cannot be built or loaded.
-    """
-    source = importlib.resources.files("vesim").joinpath(
-        "_fdm_step.c").read_bytes()
-    key = hashlib.sha256(source + str(_CC_FLAGS).encode()).hexdigest()[:16]
-    lib_dir = _cache_dir()
-    path = lib_dir / f"_fdm_step-{key}.so"
-    if not path.exists():
-        cc = shutil.which("cc")
-        if cc is None:
-            raise OSError("no C compiler: cc is not on the PATH")
-        # build under a temporary name: other processes may build it too
-        fd, tmp = tempfile.mkstemp(dir=lib_dir, prefix=path.name)
-        os.close(fd)
-        try:
-            subprocess.run([cc, "-x", "c", "-", "-o", tmp, *_CC_FLAGS],
-                           input=source, capture_output=True, check=True)
-            os.replace(tmp, path)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-    fn = ctypes.CDLL(str(path)).vesim_fdm_steps
+def _bind_step(fn, lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
+               log: _CrossingLog, rec: _Records):
+    """`_step_numpy`'s contract on the compiled step `fn`
+    (`native.Library.fdm_steps`)."""
+    n, cap, n_rec = above.size, log.t.size, rec.steps.size
+    buffers = (lanes, above, pool, log.n, log.vd, log.t, rec.c_h_in,
+               rec.c_s_in, rec.pool_h, rec.pool_s)
+    layout = [((len(_LANE_ROWS), n), "f8"), ((n,), "?"),
+              ((len(_POOL_FIELDS),), "f8"), ((1,), "i8"),
+              ((2, cap), "i8"), ((cap,), "f8"), *[((n_rec, n), "f8")] * 2,
+              *[((n_rec,), "f8")] * 2]
+    if cap < n or any(a.shape != shape or a.dtype != dtype
+                      or not a.flags.c_contiguous
+                      for a, (shape, dtype) in zip(buffers, layout)):
+        raise ValueError("FDM state buffers of the wrong layout")
+    # the caller keeps the buffers alive while it steps; arguments
+    # passed as ctypes objects skip a conversion on every call
     void_p, long = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = (long, *[void_p] * 6, long, *[void_p] * 4, long, long,
-                   long, ctypes.c_int, ctypes.c_double)
-    fn.restype = long
+    ptrs = [void_p(a.ctypes.data) for a in buffers]
+    call = functools.partial(fn, long(n), *ptrs[:6], long(cap),
+                             *ptrs[6:], long(rec.stride))
+    n_steps = int(rec.steps[-1])
 
-    def bind(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
-             log: _CrossingLog, rec: _Records):
-        n, cap, n_rec = above.size, log.t.size, rec.steps.size
-        buffers = (lanes, above, pool, log.n, log.vd, log.t, rec.c_h_in,
-                   rec.c_s_in, rec.pool_h, rec.pool_s)
-        layout = [((len(_LANE_ROWS), n), "f8"), ((n,), "?"),
-                  ((len(_POOL_FIELDS),), "f8"), ((1,), "i8"),
-                  ((2, cap), "i8"), ((cap,), "f8"), *[((n_rec, n), "f8")] * 2,
-                  *[((n_rec,), "f8")] * 2]
-        if cap < n or any(a.shape != shape or a.dtype != dtype
-                          or not a.flags.c_contiguous
-                          for a, (shape, dtype) in zip(buffers, layout)):
-            raise ValueError("FDM state buffers of the wrong layout")
-        # the caller keeps the buffers alive while it steps; arguments
-        # passed as ctypes objects skip a conversion on every call
-        ptrs = [void_p(a.ctypes.data) for a in buffers]
-        call = functools.partial(fn, long(n), *ptrs[:6], long(cap),
-                                 *ptrs[6:], long(rec.stride))
-        n_steps = int(rec.steps[-1])
-
-        def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
-            if not 0 <= k0 <= k1 <= n_steps:  # the records it writes exist
-                raise ValueError(f"steps [{k0}, {k1}) outside the run")
-            return call(k0, k1, light, t_settled)
-        return steps
-
-    return bind
+    def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
+        if not 0 <= k0 <= k1 <= n_steps:  # the records it writes exist
+            raise ValueError(f"steps [{k0}, {k1}) outside the run")
+        return call(k0, k1, light, t_settled)
+    return steps
 
 
-def _select_step():
-    """The compiled step, or `_step_numpy` with one UserWarning saying why."""
-    try:
-        return _load_step()
-    except (OSError, subprocess.CalledProcessError) as exc:
-        # a failed build's reason is the compiler's first message
-        err = getattr(exc, "stderr", b"").decode(errors="replace")
-        reason = err.split("\n")[0] or exc
-        warnings.warn(f"vesim: cannot build the compiled FDM step ({reason}); "
-                      "running the numpy step, 20 to 200 times slower",
-                      UserWarning, stacklevel=2)
+def _compiled_step():
+    """The compiled step as a binder with `_step_numpy`'s contract, or
+    `_step_numpy` where the library cannot be built (`native.library`).
+    """
+    lib = native.library()
+    if lib is None:
         return _step_numpy
-
-
-# Built and loaded on the first FDM run, never at import
-_compiled_step = functools.cache(_select_step)
+    return functools.partial(_bind_step, lib.fdm_steps)
 
 
 def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,

@@ -14,7 +14,7 @@ either into the `DerivedRates` all solvers use (floats or arrays).
 The flux laws (pump, symport, leakage and their net H+ balance) take plain
 concentrations and rates, floats or numpy arrays alike. They are the
 finite-difference step's physics: the FDM's numpy step calls them, and
-its compiled step (`_fdm_step.c`) repeats them in the same arithmetic
+its compiled step (`_native.c`) repeats them in the same arithmetic
 order (pinned bit for bit by tests/test_fdm.py). The analytic solvers linearise
 the same laws per cycle phase: `analytic.phase_coefficients` takes the
 `DerivedRates` fields as floats or per-vesicle arrays and returns that

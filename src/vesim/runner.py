@@ -20,22 +20,24 @@ rendering dependency.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, sub
 from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .analytic import run_analytic
 from .config import RunConfig, config_hash, to_config_tree
 from .ensemble import EnsembleResult, experiment_vesicles, run_ensemble
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
-from .trajectory import (CHUNK_ROWS, Trajectory, float_fields, fmt_float,
-                         join_columns, sample_grid, write_atomically,
-                         write_csv_columns, write_trajectory_csv)
+from .trajectory import (Trajectory, fmt_float, join_columns, sample_grid,
+                         write_atomically, write_csv_columns,
+                         write_trajectory_csv)
 
 OUT_ROOT_ENV = "VESIM_OUT_ROOT"
 
@@ -104,13 +106,12 @@ def _write_ensemble_csv(res: EnsembleResult, path: Path) -> None:
                    f"exp{q}_c_s_out", f"exp{q}_std_c_s_out"]
         columns += [res.per_exp_mean_c_h_in[q], res.per_exp_std_c_h_in[q],
                     res.per_exp_c_s_out[q], res.per_exp_std_c_s_out[q]]
-    write_csv_columns(path, header, [float_fields(c) for c in columns])
+    write_csv_columns(path, header, columns)
 
 
 def _write_shared_pool_csv(res: SharedPoolResult, path: Path) -> None:
     write_csv_columns(path, ["t", "pooled_c_h_out", "pooled_c_s_out"],
-                      [float_fields(res.t), float_fields(res.pooled_c_h_out),
-                       float_fields(res.pooled_c_s_out)])
+                      [res.t, res.pooled_c_h_out, res.pooled_c_s_out])
 
 
 def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
@@ -245,9 +246,11 @@ def emit_plot_data(run_dir: Path | str) -> Path:
     shared-pool files their pooled series. The inputs must be vesim's own
     artifacts (`trajectory.write_csv_columns`): unquoted fields, lines
     ending in '\\r\\n', as many fields in each as in the header. Each is
-    streamed to the output in file order, `CHUNK_ROWS` rows at a time,
-    with its t and value fields copied verbatim. The output is written
-    through `write_atomically`, so a failed export leaves no partial file.
+    streamed to the output in file order, with its t and value fields
+    copied verbatim. Inputs are read as UTF-8, and a series is named by
+    the bytes of its input's path, whatever the locale. The output is
+    written through `write_atomically`, so a failed export leaves no
+    partial file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -261,14 +264,14 @@ def emit_plot_data(run_dir: Path | str) -> Path:
             "shared_pool.csv artifacts")
 
     def tag(path: Path) -> str:
-        rel = path.relative_to(run_dir)
-        return "/".join(rel.parts[:-1]) or "."
+        return _as_written(path.relative_to(run_dir).parent)
 
     out_path = run_dir / "plot_data.csv"
-    with write_atomically(out_path) as out:
-        out.write("series,t,value\r\n")
+    with write_atomically(out_path) as fh:
+        out = fh.buffer
+        out.write(b"series,t,value\r\n")
         for path in traj_files:
-            solver = path.stem.replace("trajectory_", "")
+            solver = _as_written(path.stem).replace("trajectory_", "")
             _write_series(out, path, f"{tag(path)}/{solver}",
                           _TRAJECTORY_SERIES, _TRAJECTORY_SERIES)
         for path in ens_files:
@@ -279,32 +282,74 @@ def emit_plot_data(run_dir: Path | str) -> Path:
     return out_path
 
 
+def _as_written(name) -> str:
+    """A path as the UTF-8 reading of its bytes (lone bytes as
+    surrogates), which the export writes back as they were."""
+    return os.fsencode(name).decode(errors="surrogateescape")
+
+
 def _write_series(out, path: Path, prefix: str, columns: tuple[str, ...],
                   series: tuple[str, ...], derive=None) -> None:
-    """Write one input's (series, t, value) lines by `join_columns`.
+    """Write one input's (series, t, value) lines to the binary `out`.
 
-    Reads the `columns` (and t) of each chunk of rows; `derive` maps
-    those columns to the columns of `series`, which are the columns
-    themselves without it.
+    Reads the input in blocks of whole lines (`_line_blocks`). The
+    compiled copier (`native`) copies the t and `columns` fields of a
+    block. The text path (`_fields`, `join_columns`) takes a block the
+    copier refuses, and names its fault; and every block where there is
+    no copier, or a `derive`, which maps the columns to the columns of
+    `series` (without it they are the columns themselves).
     """
     heads = [_csv_field(f"{prefix}/{name}") for name in series]
-    with open(path, newline="") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        # the first line as text mode splits it, at a lone '\\r' too
+        header = io.StringIO(fh.readline().decode(), newline="").readline()
+        fh.seek(len(header.encode()))
         names = _fields(path, [header], 1, header.count(",") + 1)[:-1]
         index = {name: i for i, name in enumerate(names)}
         for col in ("t",) + columns:
             if col not in index:
                 raise MissingArtifacts(f"{path} has no column {col!r}")
+        pick = [index[c] for c in ("t",) + columns]
+        copy = None
+        if derive is None and (lib := native.library()) is not None:
+            copy = lib.field_copier(
+                [h.encode(errors="surrogateescape") for h in heads], pick,
+                len(names))
         first, stride = 2, len(names) + 1
-        while lines := list(islice(fh, CHUNK_ROWS)):
+        for block in _line_blocks(fh):
+            if copy is not None and (copied := copy(block)) is not None:
+                out.write(copied[0])
+                first += copied[1]
+                continue
+            lines = io.StringIO(block.decode(), newline="").readlines()
             fields = _fields(path, lines, first, len(names))
             first += len(lines)
-            t, *values = (fields[index[c]::stride] for c in ("t",) + columns)
+            t, *values = (fields[i::stride] for i in pick)
             if derive is not None:
                 values = derive(*values)
-            out.write(join_columns([col for head, value in zip(heads, values)
-                                    for col in ([head] * len(t), t, value)],
-                                   [",", ",", "\r\n"] * len(series)))
+            out.write(join_columns(
+                [col for head, value in zip(heads, values)
+                 for col in ([head] * len(t), t, value)],
+                [",", ",", "\r\n"] * len(series)).encode(
+                    errors="surrogateescape"))
+
+
+_READ_BYTES = 1 << 16  # what the plot export reads of an input at once
+
+
+def _line_blocks(fh):
+    """The rest of binary file `fh` in blocks of whole lines, each
+    ending in '\\n' but maybe the last."""
+    rest = b""
+    while more := fh.read(_READ_BYTES):
+        end = more.rfind(b"\n") + 1
+        if end:
+            yield rest + more[:end]
+            rest = more[end:]
+        else:
+            rest += more
+    if rest:
+        yield rest
 
 
 def _fields(path: Path, lines: list[str], first: int,

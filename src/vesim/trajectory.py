@@ -12,14 +12,14 @@ analytical solvers so mixed run directories stay self-describing.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .model import DerivedRates
 from .schedule import CycleSchedule
 
@@ -87,31 +87,26 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def float_fields(values) -> Iterable[str]:
+def float_fields(values) -> Sequence[str]:
     """`fmt_float` over a float column, with no Python call per value:
-    one `repr` per run of bit-identical values (0.0 and -0.0 stay apart),
-    4096 values at a time to bound what a writer holds."""
+    one `repr` per run of bit-identical values (0.0 and -0.0 stay
+    apart)."""
     values = np.asarray(values, dtype=float)
-    return itertools.chain.from_iterable(
-        _run_fields(values[i:i + 4096]) for i in range(0, values.size, 4096))
-
-
-def _run_fields(values: np.ndarray):
     bits = values.view(np.int64)
     ends = np.flatnonzero(bits[1:] != bits[:-1])  # of all runs but the last
-    if ends.size + 1 == values.size:
+    if ends.size + 1 >= values.size:
         return list(map(repr, values.tolist()))
     heads = np.append(0, ends + 1)
     fields = np.array(list(map(repr, values[heads].tolist())), dtype=object)
     return np.repeat(fields, np.diff(heads, append=values.size))
 
 
-def int_fields(values) -> Iterable[str]:
+def int_fields(values) -> list[str]:
     """An integer column as artifact fields."""
-    return map(str, np.asarray(values).astype(int).tolist())
+    return list(map(str, np.asarray(values).astype(int).tolist()))
 
 
-CHUNK_ROWS = 1024  # rows a writer or the plot export holds at once
+CHUNK_ROWS = 1024  # rows a writer formats at once
 
 
 def join_columns(columns: Sequence[Sequence[str]],
@@ -130,12 +125,14 @@ def join_columns(columns: Sequence[Sequence[str]],
 
 @contextlib.contextmanager
 def write_atomically(path):
-    """Open `path` for writing text, as `<path>.part` moved onto `path`
-    when the block ends: a block that raises leaves no `.part` file and
-    `path` as it was. Lines are written as given (no newline mapping)."""
+    """Open `path` for writing text as UTF-8, whatever the locale, as
+    `<path>.part` moved onto `path` when the block ends: a block that
+    raises leaves no `.part` file and `path` as it was. Lines are written
+    as given (no newline mapping); a CSV writer writes bytes to the
+    file's `buffer`."""
     part = Path(f"{path}.part")
     try:
-        with open(part, "w", newline="") as fh:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
             yield fh
         part.replace(path)
     finally:
@@ -143,32 +140,56 @@ def write_atomically(path):
 
 
 def write_csv_columns(path, header: Sequence[str],
-                      columns: Sequence[Iterable[str]]) -> None:
-    """Write one artifact CSV from its columns of finished fields.
+                      columns: Sequence) -> None:
+    """Write one artifact CSV from its columns.
 
-    This is vesim's artifact format: floats as `float_fields`, fields
-    joined by ',' and lines ending in '\\r\\n', written as given: no solver
-    artifact field needs quoting, and the sweep summary quotes its own
-    (`runner._csv_field`). The bytes are those `csv.writer` writes for
-    the same rows, joined `CHUNK_ROWS` rows at a time by `join_columns`.
-    Columns of unequal length raise ValueError, leaving `path` as it was.
+    A column is a float array (written as `float_fields`), an integer
+    array (`int_fields`) or any other sequence of finished fields, the
+    labels. This is vesim's artifact format: fields joined by ',' and
+    lines ending in '\\r\\n', as UTF-8; no solver artifact field needs
+    quoting, and the sweep summary quotes its own (`runner._csv_field`).
+    The bytes are those `csv.writer` writes for the same rows. The
+    compiled row writer (`native`) formats `CHUNK_ROWS` rows at a time;
+    without it `join_columns` joins them. Columns of unequal length
+    raise ValueError, leaving `path` as it was.
     """
-    separators = [","] * (len(columns) - 1) + ["\r\n"]
-    columns = [iter(c) for c in columns]
+    columns = [np.ascontiguousarray(c, dtype=np.float64
+                                    if c.dtype.kind == "f" else np.int64)
+               if isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
+               else list(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError("columns of unequal length")
+    lib = native.library()
+    rows = (_joined_rows(columns) if lib is None
+            else lib.row_writer(columns, CHUNK_ROWS))
     with write_atomically(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        while any(chunk := [list(itertools.islice(c, CHUNK_ROWS))
-                             for c in columns]):
-            fh.write(join_columns(chunk, separators))
+        out = fh.buffer
+        out.write(",".join(header).encode() + b"\r\n")
+        for r0 in range(0, n, CHUNK_ROWS):
+            out.write(rows(r0, min(r0 + CHUNK_ROWS, n)))
+
+
+def _joined_rows(columns):
+    """The Python twin of `native.Library.row_writer`."""
+    separators = [","] * (len(columns) - 1) + ["\r\n"]
+
+    def rows(r0: int, r1: int) -> bytes:
+        return join_columns(
+            [(float_fields if c.dtype.kind == "f" else int_fields)(c[r0:r1])
+             if isinstance(c, np.ndarray) else c[r0:r1] for c in columns],
+            separators).encode()
+    return rows
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one trajectory; analytical solvers carry a solver column."""
     header = CSV_COLUMNS
-    columns = [float_fields(traj.t), float_fields(traj.c_h_in),
-               float_fields(traj.c_h_out), float_fields(traj.c_s_in),
-               float_fields(traj.c_s_out), traj.phase,
-               int_fields(traj.cycle), int_fields(traj.light)]
+    columns = [np.asarray(c, dtype=float)
+               for c in (traj.t, traj.c_h_in, traj.c_h_out, traj.c_s_in,
+                         traj.c_s_out)]
+    columns += [traj.phase, np.asarray(traj.cycle).astype(int),
+                np.asarray(traj.light).astype(int)]
     if traj.solver != "fdm":
         header += ("solver",)
         columns.append([traj.solver] * len(traj))

@@ -3,13 +3,20 @@
 The references below are the `csv.writer` / `csv.DictReader` code the
 column-wise writers and the streaming export replaced; every file the
 current code writes must match theirs byte for byte, and a write that
-fails leaves no partial file.
+fails leaves no partial file. The compiled writer and export must match
+their Python twins byte for byte, and refuse what they refuse.
 """
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vesim import native
 from vesim.cli import main as cli_main
 from vesim.config import parse_config
 from vesim.ensemble import EnsembleResult
@@ -38,6 +46,19 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
 # the values of runs: 0.0 next to -0.0, and NaN and +-inf runs
 RUN_VALUES = st.sampled_from([0.0, -0.0, math.nan, math.inf,
                               -math.inf]) | FLOATS
+
+
+@contextlib.contextmanager
+def python_twins():
+    """Run the block on the Python twins of the compiled kernels."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "library", lambda: None)
+        yield
+
+
+# a test that loops over `PATHS` runs once on the compiled kernels
+# (where a C compiler builds them) and once on their Python twins
+PATHS = (contextlib.nullcontext, python_twins)
 
 
 # --- row-by-row references ----------------------------------------------------
@@ -305,8 +326,8 @@ def test_empty_trajectory_writes_its_header_only(tmp_path):
 
 
 
-# rows at and around the writers' and the export's chunk edges, and one
-# past float_fields' 4096-value chunk
+# rows at and around the writers' chunk edges, and past the export's
+# first block of input
 EDGE_ROWS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
              2 * CHUNK_ROWS + 1, 4097)
 
@@ -335,15 +356,17 @@ def test_writers_and_export_match_references_across_chunk_edges(tmp_path, n):
          "ensemble_stats.csv"),
         (_write_shared_pool_csv, reference_shared_pool_csv,
          make_pool(*cols[10:]), "shared_pool.csv")]
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    for write, ref, obj, name in artifacts:
-        write(obj, run_dir / name)
-        ref(obj, tmp_path / "ref.csv")
-        assert (run_dir / name).read_bytes() == (
-            tmp_path / "ref.csv").read_bytes(), name
-    ref = reference_plot_data(run_dir, "reference.csv").read_bytes()
-    assert emit_plot_data(run_dir).read_bytes() == ref
+    for k, path in enumerate(PATHS):
+        run_dir = tmp_path / f"run{k}"
+        run_dir.mkdir()
+        with path():
+            for write, ref, obj, name in artifacts:
+                write(obj, run_dir / name)
+                ref(obj, tmp_path / "ref.csv")
+                assert (run_dir / name).read_bytes() == (
+                    tmp_path / "ref.csv").read_bytes(), name
+            ref = reference_plot_data(run_dir, "reference.csv").read_bytes()
+            assert emit_plot_data(run_dir).read_bytes() == ref
 
 
 @pytest.mark.parametrize("n", (1, CHUNK_ROWS, CHUNK_ROWS + 1))
@@ -443,9 +466,11 @@ def _fill_run_dir(d: Path) -> None:
 def test_plot_export_matches_dictreader_reference(tmp_path):
     _fill_run_dir(tmp_path)
     ref = reference_plot_data(tmp_path, "reference.csv").read_bytes()
-    out = emit_plot_data(tmp_path)
-    assert out == tmp_path / "plot_data.csv"
-    assert out.read_bytes() == ref
+    for path in PATHS:
+        with path():
+            out = emit_plot_data(tmp_path)
+        assert out == tmp_path / "plot_data.csv"
+        assert out.read_bytes() == ref
     # the nested names were quoted, and every input contributed
     assert b'"run,one/exact/C_H_in"' in ref
     assert b'"q""uote/deep/fdm/light"' in ref
@@ -496,18 +521,202 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_plot_export_refuses_malformed_input(tmp_path, capsys, case):
     # a valid input sorts first, so a streaming export has begun writing
-    # when it reaches the malformed one
+    # when it reaches the malformed one; both paths name the same fault
     _fill_run_dir(tmp_path / "a")
     text, message = MALFORMED[case]
     bad = tmp_path / "b" / "trajectory_fdm.csv"
     bad.parent.mkdir()
     bad.write_bytes(text.encode())
-    with pytest.raises(MissingArtifacts, match=message) as info:
-        emit_plot_data(tmp_path)
-    assert str(bad) in str(info.value)
-    assert not list(tmp_path.glob("plot_data*"))
+    messages = []
+    for path in PATHS:
+        with path():
+            with pytest.raises(MissingArtifacts, match=message) as info:
+                emit_plot_data(tmp_path)
+            messages.append(str(info.value))
+            assert str(bad) in str(info.value)
+            assert not list(tmp_path.glob("plot_data*"))
 
-    assert cli_main(["emit-plot-data", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(bad) in err
-    assert not list(tmp_path.glob("plot_data*"))
+            assert cli_main(["emit-plot-data", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bad) in err
+            assert not list(tmp_path.glob("plot_data*"))
+    assert messages[0] == messages[1]
+
+
+# --- compiled kernels against their Python twins ------------------------------
+
+def _bits(b):
+    return np.array([b], dtype=np.uint64).view(np.float64)[0]
+
+
+# raw float bit patterns: NaN payloads (quiet, signalling, negative),
+# +-0.0, +-inf, subnormals, the normal extremes and plain values
+FLOAT_BITS = st.sampled_from([
+    0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+    0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF, 0x0000000000000000,
+    0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+    0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, 0x3FB999999999999A,
+    0x4330000000000000, 0x3EE4F8B588E368F1]) | st.integers(0, 2**64 - 1)
+INT64S = st.sampled_from([-2**63, 2**63 - 1, 0, -1, 10**19 - 2**63]) \
+    | st.integers(-2**63, 2**63 - 1)
+LABELS = (st.sampled_from(["", '"quoted, with ""quotes"""', "µs", "P1",
+                           "é\u6570\U0001F600", "solver"])
+          | st.text(max_size=5))
+
+
+@st.composite
+def writer_columns(draw):
+    """Float, int64 and label columns of one length; each row draws from
+    a few values, so runs of equal values form and break."""
+    n = draw(st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                              CHUNK_ROWS + 1]) | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("fil"), min_size=1,
+                              max_size=6)):
+        values = draw(st.lists({"f": FLOAT_BITS, "i": INT64S,
+                                "l": LABELS}[kind], min_size=1, max_size=5))
+        rows = rng.integers(0, len(values), n)
+        if kind == "f":
+            columns.append(np.array(values, dtype=np.uint64)[rows].view(
+                np.float64))
+        elif kind == "i":
+            columns.append(np.array(values, dtype=np.int64)[rows])
+        else:
+            columns.append([values[r] for r in rows])
+    return columns
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(columns=writer_columns())
+@example(columns=[np.array([_bits(0x8000000000000000), 0.0, 0.0,
+                            _bits(0x7FF8000000000001), math.nan]),
+                  np.array([-2**63, -2**63, 2**63 - 1, 0, 0]),
+                  ["", "", "µ", '"a,b"', ""]])
+def test_compiled_writer_matches_its_python_twin(columns):
+    if native.library() is None:
+        pytest.skip("no compiled library on this host")
+    header = [f"c{j}" for j in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = []
+        for k, path in enumerate(PATHS):
+            with path():
+                write_csv_columns(Path(tmp) / f"{k}.csv", header, columns)
+            out.append((Path(tmp) / f"{k}.csv").read_bytes())
+    assert out[0] == out[1]
+    n = len(columns[0])
+    assert out[0].count(b"\r\n") == n + 1
+
+
+# bytes of fields and line ends, most of them valid: '"', a lone '\r'
+# or '\n' and a byte that is no UTF-8 are faults; a form feed and a
+# character outside ASCII are not, nor line ends to str.splitlines
+FIELD = st.sampled_from([b"0.5", b"-1e-05", b"nan", b"3", b""] * 4
+                        + [b"\xc2\xb5", b"\x0c", b"\xc2\x85", b'"', b"\r",
+                           b"\n", b"\xff"])
+LINE = st.builds(lambda fields, end: b",".join(fields) + end,
+                 st.lists(FIELD, min_size=5, max_size=5)
+                 | st.lists(FIELD, min_size=0, max_size=7),
+                 st.sampled_from([b"\r\n"] * 8 + [b"\n", b"\r", b""]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lines=st.lists(LINE, max_size=4), valid=st.sampled_from([0, 1, 4000]))
+@example(lines=[b"0.5,\x0c,1,2,3\r\n"], valid=0)
+@example(lines=[b"0.5,1,2,3,4\r\r\n", b"0.5,1,2,3,4\r\n"], valid=4000)
+def test_compiled_export_matches_its_python_twin_on_any_input(lines, valid):
+    # `valid` good lines first put a fault past the first block read
+    body = b"0.5,1.0,2.0,3.0,0\r\n" * valid + b"".join(lines)
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "trajectory_fdm.csv").write_bytes(
+            b"t,C_H_in,C_S_in,C_S_out,light\r\n" + body)
+        for path in PATHS:
+            with path():
+                try:
+                    results.append(emit_plot_data(tmp).read_bytes())
+                except (MissingArtifacts, UnicodeDecodeError) as exc:
+                    results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
+
+
+def test_compiled_kernels_refuse_what_would_overrun_their_buffers():
+    lib = native.library()
+    if lib is None:
+        pytest.skip("no compiled library on this host")
+    rows = lib.row_writer([np.array([1.5, 2.5]), ["a", "b"]], max_rows=1)
+    assert bytes(rows(0, 1)) == b"1.5,a\r\n"
+    for r0, r1 in ((0, 2), (1, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the columns"):
+            rows(r0, r1)
+    cols = rows.args[0]
+    out = np.empty(8, dtype=np.uint8)
+    with pytest.raises(RuntimeError, match="vesim_format_rows failed"):
+        lib._format_rows(len(cols), cols.ctypes.data, 0, 1, out.ctypes.data,
+                         6)  # one byte short of the row
+    with pytest.raises(ValueError, match="outside the input's width"):
+        lib.field_copier([b"s"], [0, 2], width=2)
+    copy = lib.field_copier([b"s"], [0, 1], width=2)
+    assert bytes(copy(b"1,2\r\n")[0]) == b"s,1,2\r\n"
+    assert copy(b"1,2\r") is None  # refused: the text path names why
+    with pytest.raises(RuntimeError, match="vesim_copy_fields failed"):
+        lib._copy_fields(b"1,2\r\n", 5, 2, 2, np.array([0, 1]).ctypes, b"s",
+                         np.array([0, 1]).ctypes, np.empty(3, int).ctypes,
+                         out.ctypes, 6, np.empty(1, int).ctypes)
+
+
+def test_without_a_compiler_every_kernel_falls_back_alike(tmp_path,
+                                                         monkeypatch):
+    # fig4 runs every solver, the writer and the export: without `cc`
+    # and a cached library, one warning names the reason for all three
+    # kernels, and every artifact keeps its bytes
+    if native.library() is None:
+        pytest.skip("no compiled library on this host")
+
+    def fig4(out):
+        assert cli_main(["run", "--preset", "fig4", "--seed", "0",
+                         "--out", str(out)]) == 0
+        emit_plot_data(out)
+        return {p.relative_to(out): p.read_bytes()
+                for p in out.rglob("*") if p.is_file()}
+
+    compiled = fig4(tmp_path / "compiled")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(native, "library", functools.cache(native._select))
+    with pytest.warns(UserWarning) as caught:
+        fallback = fig4(tmp_path / "fallback")
+    assert [str(w.message) for w in caught] == [
+        "vesim: cannot build the compiled kernels (no C compiler: cc is not "
+        "on the PATH); running their Python twins: the FDM step 20 to 200 "
+        "times slower, the CSV writer 1.3 and the plot export 5 times "
+        "slower"]
+    assert fallback.keys() == compiled.keys()
+    assert fallback == compiled
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+def test_export_writes_utf8_in_any_locale(tmp_path, path):
+    # a run directory named by a non-ASCII config file name, exported
+    # in the C locale (ASCII, no UTF-8 mode): the same bytes as in UTF-8
+    name = os.fsdecode("Bµ".encode())
+    config = tmp_path / f"{name}.yaml"
+    config.write_text("run: {solver: closed}\nvesicle: {}\n"
+                      "signal: {intervals: [[0, 60]], horizon: 120}\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    with contextlib.nullcontext() if path == "compiled" else python_twins():
+        utf8 = emit_plot_data(out).read_bytes()
+    assert b"\r\nB\xc2\xb5/closed/C_H_in,0.0," in utf8
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(native.__file__).parents[1]))
+    script = ("import sys\nfrom vesim import cli, native\n"
+              "if sys.argv[1] == 'python':\n"
+              "    native.library = lambda: None\n"
+              "sys.exit(cli.main(['emit-plot-data', sys.argv[2]]))\n")
+    done = subprocess.run([sys.executable, "-c", script, path, out],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert (out / "plot_data.csv").read_bytes() == utf8

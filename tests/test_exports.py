@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 import vesim
 
 
@@ -17,3 +21,14 @@ def test_lane_api_is_exported():
     assert vesim.VesicleLanes is model.VesicleLanes
     assert vesim.sample_vesicles is ensemble.sample_vesicles
     assert "sample_vesicle" not in vesim.__all__
+
+
+def test_every_c_source_ships_with_the_package():
+    # a non-editable install without a source silently runs the Python
+    # twins of its kernels
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    sources = {p.name for p in (root / "src" / "vesim").glob("*.c")}
+    assert sources and sources <= set(package_data["vesim"])

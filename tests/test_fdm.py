@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import os
 import shutil
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vesim import fdm
+from vesim import fdm, native
 from vesim.analytic import DEPLETION_FRACTION_OF_KM, run_analytic
 from vesim.buffering import total_conc_from_free
 from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_mvs_shared_pool,
@@ -741,7 +742,8 @@ def test_compiled_step_refuses_steps_outside_the_run():
 
 
 class TestCompiledStepBuild:
-    """The compiled step's build and cache, each in a fresh cache."""
+    """The compiled library's build and cache, as the FDM step sees them,
+    each in a fresh cache."""
 
     @pytest.fixture(autouse=True)
     def _fresh_cache(self, tmp_path, monkeypatch):
@@ -753,53 +755,62 @@ class TestCompiledStepBuild:
         return _run_pool_on(step, VesicleLanes.of([spec]), default_kinetics(),
                             env, sig, cfg)
 
+    @staticmethod
+    def _load_step():
+        lib = native.Library(native._build())
+        return functools.partial(fdm._bind_step, lib.fdm_steps)
+
     def test_compiled_step_is_in_use_where_a_compiler_exists(self):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler (cc) on the PATH")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback warns
-            assert fdm._select_step() is not fdm._step_numpy
+            assert native._select() is not None
         assert fdm._compiled_step() is not fdm._step_numpy
-        assert len(list(self.lib_dir.glob("_fdm_step-*.so"))) == 1
+        assert len(list(self.lib_dir.glob("_native-*.so"))) == 1
 
     def test_second_load_runs_no_compiler(self, monkeypatch):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler (cc) on the PATH")
-        first = fdm._load_step()
+        first = self._load_step()
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("the cached library was built again")
 
-        monkeypatch.setattr(fdm.subprocess, "run", no_compiler)
-        second = fdm._load_step()
+        monkeypatch.setattr(native.subprocess, "run", no_compiler)
+        second = self._load_step()
         _assert_same_pool(self._pin_case(first),
                           self._pin_case(second))
         assert [p.name for p in self.lib_dir.iterdir()] == [
-            p.name for p in self.lib_dir.glob("_fdm_step-*.so")]
+            p.name for p in self.lib_dir.glob("_native-*.so")]
 
     def test_cflags_from_the_environment_are_ignored(self, monkeypatch):
         c_step = _c_step()
         monkeypatch.setenv("CFLAGS", "-ffast-math -march=native")
-        _assert_same_pool(self._pin_case(fdm._load_step()),
+        _assert_same_pool(self._pin_case(self._load_step()),
                           self._pin_case(c_step))
 
     def test_failed_build_falls_back_with_one_warning(self, monkeypatch):
         expected = self._pin_case(fdm._compiled_step())
-        monkeypatch.setattr(fdm, "_CC_FLAGS", ("-no-such-flag",))
-        with pytest.warns(UserWarning, match="numpy step") as caught:
-            step = fdm._select_step()
+        monkeypatch.setattr(native, "_CC_FLAGS", ("-no-such-flag",))
+        with pytest.warns(UserWarning, match="Python twins") as caught:
+            lib = native._select()
         assert len(caught) == 1
+        assert lib is None
+        monkeypatch.setattr(native, "library", lambda: lib)
+        step = fdm._compiled_step()
         assert step is fdm._step_numpy
         _assert_same_pool(self._pin_case(step), expected)
 
     def test_libraries_of_two_flag_sets_both_stay_cached(self, monkeypatch):
-        # checkouts with other step sources or flags share the cache: each
+        # checkouts with other sources or flags share the cache: each
         # library is built once, and loading one does not evict another
         if shutil.which("cc") is None:
             pytest.skip("no C compiler (cc) on the PATH")
-        flag_sets = (fdm._CC_FLAGS, (*fdm._CC_FLAGS, "-DVESIM_OTHER_BUILD"))
+        flag_sets = (native._CC_FLAGS,
+                     (*native._CC_FLAGS, "-DVESIM_OTHER_BUILD"))
         builds = []
-        run = fdm.subprocess.run
+        run = native.subprocess.run
 
         def counted_run(*args, **kwargs):
             builds.append(args)
@@ -809,12 +820,12 @@ class TestCompiledStepBuild:
             raise AssertionError("a cached library was built again")
 
         for compile_with in (counted_run, no_compiler):
-            monkeypatch.setattr(fdm.subprocess, "run", compile_with)
+            monkeypatch.setattr(native.subprocess, "run", compile_with)
             for flags in flag_sets:
-                monkeypatch.setattr(fdm, "_CC_FLAGS", flags)
-                fdm._load_step()
+                monkeypatch.setattr(native, "_CC_FLAGS", flags)
+                self._load_step()
         assert len(builds) == 2
-        assert len(list(self.lib_dir.glob("_fdm_step-*.so"))) == 2
+        assert len(list(self.lib_dir.glob("_native-*.so"))) == 2
 
     def test_unwritable_cache_falls_back_to_a_user_temp_dir(self, tmp_path,
                                                            monkeypatch):
@@ -823,7 +834,8 @@ class TestCompiledStepBuild:
         monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         (tmp_path / "tmp").mkdir()
-        assert fdm._cache_dir() == tmp_path / "tmp" / f"vesim-{os.getuid()}"
+        assert native._cache_dir() == (tmp_path / "tmp"
+                                       / f"vesim-{os.getuid()}")
 
 
 def test_a_full_crossing_log_keeps_the_settled_stop(base_kinetics,
