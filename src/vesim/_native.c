@@ -3,7 +3,9 @@
  * vesim_fdm_steps is the forward-Euler step of the FDM; vesim_format_rows
  * and vesim_copy_fields write the artifact text format (the CSV writer
  * and the plot export). Each has a Python twin that it equals bit for
- * bit and that runs where no C compiler is found.
+ * bit and that runs where no C compiler is found. None calls into
+ * CPython, so native.py loads them with ctypes.CDLL, which releases the
+ * GIL around each call.
  *
  * --- The FDM step ------------------------------------------------------
  *
@@ -186,15 +188,15 @@ long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
  * after another, and of its int64 offsets, one more than there are
  * labels; and the column's run state, which the call sets.
  *
- * A float is written as float.__repr__ writes it: `repr` is CPython's
- * PyOS_double_to_string, called with the arguments float.__repr__ gives
- * it, and its string is released with `mem_free` (PyMem_Free). The
- * caller holds the GIL (ctypes.PyDLL). Each run of bit-identical floats
- * (0.0 and -0.0 differ), and each run of equal integers, is formatted
- * once per call; the run's other fields are copied from its first one.
+ * A float is written as float.__repr__ writes it (format_float), from the
+ * power-of-5 tables `pow5_inv` and `pow5` (native._pow5_tables). Each run
+ * of bit-identical floats (0.0 and -0.0 differ), and each run of equal
+ * integers, is formatted once per call; the run's other fields are copied
+ * from its first one. The call touches no Python object, so ctypes.CDLL
+ * releases the GIL around it.
  *
- * Returns the number of bytes written; -1 if `repr` failed, having set a
- * Python exception; -2 if a row would not fit into `cap`.
+ * Returns the number of bytes written; -1 if a row would not fit into
+ * `cap`.
  */
 
 enum { COL_FLOAT, COL_INT, COL_LABEL };
@@ -203,9 +205,7 @@ enum { COL_KIND, COL_DATA, COL_TABLE, COL_OFFSETS, COL_RUN_KEY,
 
 #define FLOAT_REPR_MAX 24   /* "-2.2250738585072014e-308" */
 #define INT_MAX_LEN 20      /* "-9223372036854775808" */
-#define PY_DTSF_ADD_DOT_0 0x02  /* Py_DTSF_ADD_DOT_0 of pystrtod.h */
-
-typedef char *(*repr_fn)(double, char, int, int, int *);
+#define POW5_BITS 125       /* bits of a power-of-5 table entry */
 
 static long format_int(char *dst, int64_t v)
 {
@@ -223,8 +223,198 @@ static long format_int(char *dst, int64_t v)
     return len;
 }
 
-long vesim_format_rows(repr_fn repr, void (*mem_free)(void *), long n_cols,
-                       int64_t *cols, long r0, long r1, char *out, long cap)
+/* floor(m * mul / 2^j), mul being a table entry's (low, high) words */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int j)
+{
+    const unsigned __int128 lo = (unsigned __int128)m * mul[0],
+                            hi = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+static int multiple_of_pow5(uint64_t v, int p)
+{
+    for (; v % 5 == 0; v /= 5)
+        p--;
+    return p <= 0;
+}
+
+/* ceil(log2(5^e)) for 0 < e <= 3528, and 1 for e = 0 */
+static int pow5_bits(int e)
+{
+    return (int)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/* floor(log10(2^e)) for 0 <= e <= 1650 */
+static int log10_pow2(int e)
+{
+    return (int)(((uint32_t)e * 78913) >> 18);
+}
+
+/* floor(log10(5^e)) for 0 <= e <= 2620 */
+static int log10_pow5(int e)
+{
+    return (int)(((uint32_t)e * 732923) >> 20);
+}
+
+/* The shortest digits that read back as the finite double m2 * 2^e2 > 0
+ * (the significand m2 and exponent e2 of the bits `frac` and `exp`), the
+ * one nearest to it where several are shortest, the even one at a tie:
+ * Ryu's d2d (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018),
+ * which gives the digits of CPython's float_repr_style "short". Returns
+ * them as an integer, with x = digits * 10^*e10 in *e10. Bounds that the
+ * nearest-even rounding of a decimal string reads back as x are in its
+ * interval when m2 is even.
+ *
+ * The tables hold 125-bit integers as two words each, low first:
+ * pow5_inv[q] = floor(2^(b + 124) / 5^q) + 1 for 0 <= q < 292 and
+ * pow5[i] = floor(5^i * 2^(125 - b)), the leading 125 bits of 5^i, for
+ * 0 <= i < 326, b being the bit length of the power. The largest q a
+ * double needs is floor(log10(2^969)) = 291, the largest i 325. */
+static uint64_t shortest_digits(uint64_t frac, int exp,
+                                const uint64_t *pow5_inv,
+                                const uint64_t *pow5, int *e10)
+{
+    /* two more bits than the double, for the interval's bounds */
+    const int e2 = (exp ? exp : 1) - 1023 - 52 - 2;
+    const uint64_t m2 = exp ? frac | (uint64_t)1 << 52 : frac;
+    const int accept_bounds = (m2 & 1) == 0;
+    const uint64_t mv = 4 * m2;
+    /* the lower gap is half the upper one at a power of 2 */
+    const int mm_shift = frac != 0 || exp <= 1;
+    uint64_t vr, vp, vm, output;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0, removed = 0;
+    int last = 0;  /* the last digit dropped */
+    if (e2 >= 0) {
+        const int q = log10_pow2(e2) - (e2 > 3);
+        const int j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        *e10 = q;
+        vr = mul_shift(mv, pow5_inv + 2 * q, j);
+        vp = mul_shift(mv + 2, pow5_inv + 2 * q, j);
+        vm = mul_shift(mv - 1 - mm_shift, pow5_inv + 2 * q, j);
+        if (q <= 21) {
+            /* at most one of mv - 1 - mm_shift, mv and mv + 2 is a
+             * multiple of 5 */
+            if (mv % 5 == 0)
+                vr_trailing_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        const int q = log10_pow5(-e2) - (-e2 > 1);
+        const int i = -e2 - q;
+        const int j = q - (pow5_bits(i) - POW5_BITS);
+        *e10 = q + e2;
+        vr = mul_shift(mv, pow5 + 2 * i, j);
+        vp = mul_shift(mv + 2, pow5 + 2 * i, j);
+        vm = mul_shift(mv - 1 - mm_shift, pow5 + 2 * i, j);
+        if (q <= 1) {
+            /* mv has two trailing 0 bits, mv + 2 one, mv - 1 - mm_shift
+             * one where mm_shift is 1 */
+            vr_trailing_zeros = 1;
+            if (accept_bounds)
+                vm_trailing_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_trailing_zeros = (mv & (((uint64_t)1 << q) - 1)) == 0;
+        }
+    }
+    /* drop digits while the interval (vm, vp) holds a shorter number;
+     * an exact vm then drops the zeros it ends in */
+    while (vp / 10 > vm / 10 || (vm_trailing_zeros && vm % 10 == 0)) {
+        vm_trailing_zeros &= vm % 10 == 0;
+        vr_trailing_zeros &= last == 0;
+        last = (int)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vr_trailing_zeros && last == 5 && vr % 2 == 0)
+        last = 4;  /* exactly half way: round to even */
+    /* vr + 1 where vr is out of the interval or rounds up */
+    output = vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros))
+                   || last >= 5);
+    *e10 += removed;
+    return output;
+}
+
+/* The double of the bits `bits` as repr writes it: its shortest digits,
+ * in fixed notation where the decimal point falls after digit decpt of
+ * the digits with -4 < decpt <= 16, with ".0" on an integral value, else
+ * as d.ddde+XX with two exponent digits or more; -0.0, inf, -inf, and
+ * nan whatever its sign and payload. Writes at most FLOAT_REPR_MAX
+ * bytes. */
+static long format_float(char *dst, uint64_t bits,
+                         const uint64_t *pow5_inv, const uint64_t *pow5)
+{
+    uint64_t digits;
+    char d[20];
+    int e10, n = 0;
+    long len = 0;
+    const uint64_t frac = bits & (((uint64_t)1 << 52) - 1);
+    const int exp = (int)(bits >> 52 & 0x7FF);
+    if (exp == 0x7FF && frac != 0) {
+        memcpy(dst, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        dst[len++] = '-';
+    if (exp == 0x7FF) {
+        memcpy(dst + len, "inf", 3);
+        return len + 3;
+    }
+    if (exp == 0 && frac == 0) {
+        memcpy(dst + len, "0.0", 3);
+        return len + 3;
+    }
+    digits = shortest_digits(frac, exp, pow5_inv, pow5, &e10);
+    for (; digits; digits /= 10)
+        d[sizeof d - ++n] = (char)('0' + digits % 10);
+    const char *dig = d + sizeof d - n;
+    const int decpt = n + e10;  /* x = 0.ddd * 10^decpt */
+    if (decpt > -4 && decpt <= 16) {
+        if (decpt <= 0) {
+            dst[len++] = '0';
+            dst[len++] = '.';
+            for (int k = decpt; k < 0; k++)
+                dst[len++] = '0';
+            for (int k = 0; k < n; k++)
+                dst[len++] = dig[k];
+        } else {
+            for (int k = 0; k < decpt; k++)
+                dst[len++] = k < n ? dig[k] : '0';
+            dst[len++] = '.';
+            if (decpt >= n)
+                dst[len++] = '0';
+            for (int k = decpt; k < n; k++)
+                dst[len++] = dig[k];
+        }
+        return len;
+    }
+    dst[len++] = dig[0];
+    if (n > 1) {
+        dst[len++] = '.';
+        for (int k = 1; k < n; k++)
+            dst[len++] = dig[k];
+    }
+    int e = decpt - 1;
+    dst[len++] = 'e';
+    dst[len++] = e < 0 ? '-' : '+';
+    if (e < 0)
+        e = -e;
+    if (e >= 100)
+        dst[len++] = (char)('0' + e / 100);
+    dst[len++] = (char)('0' + e / 10 % 10);
+    dst[len++] = (char)('0' + e % 10);
+    return len;
+}
+
+long vesim_format_rows(const uint64_t *pow5_inv, const uint64_t *pow5,
+                       long n_cols, int64_t *cols, long r0, long r1,
+                       char *out, long cap)
 {
     long w = 0;
     if (n_cols <= 0)
@@ -243,7 +433,7 @@ long vesim_format_rows(repr_fn repr, void (*mem_free)(void *), long n_cols,
                 const int64_t code = ((const int64_t *)data)[r];
                 len = (long)(off[code + 1] - off[code]);
                 if (w + len + 2 > cap)
-                    return -2;
+                    return -1;
                 memcpy(out + w,
                        (const char *)(intptr_t)col[COL_TABLE] + off[code],
                        len);
@@ -255,31 +445,15 @@ long vesim_format_rows(repr_fn repr, void (*mem_free)(void *), long n_cols,
                 if (col[COL_RUN_AT] >= 0 && key == col[COL_RUN_KEY]) {
                     len = (long)col[COL_RUN_LEN];
                     if (w + len + 2 > cap)
-                        return -2;
+                        return -1;
                     memcpy(out + w, out + col[COL_RUN_AT], len);
                 } else {
                     const int is_int = col[COL_KIND] == COL_INT;
                     if (w + (is_int ? INT_MAX_LEN : FLOAT_REPR_MAX) + 2 > cap)
-                        return -2;
-                    if (is_int) {
-                        len = format_int(out + w, key);
-                    } else {
-                        char *s = repr(((const double *)data)[r], 'r', 0,
-                                       PY_DTSF_ADD_DOT_0, NULL);
-                        if (s == NULL)
-                            return -1;
-                        /* copied byte by byte, not by strlen: a new
-                         * libc import moves vesim_fdm_steps' code, which
-                         * made the pool step ~4% slower on one CPU */
-                        for (len = 0; s[len] != '\0'; len++) {
-                            if (len == FLOAT_REPR_MAX) {
-                                mem_free(s);
-                                return -2;
-                            }
-                            out[w + len] = s[len];
-                        }
-                        mem_free(s);
-                    }
+                        return -1;
+                    len = is_int ? format_int(out + w, key)
+                                 : format_float(out + w, (uint64_t)key,
+                                                pow5_inv, pow5);
                     col[COL_RUN_KEY] = key;
                     col[COL_RUN_AT] = w;
                     col[COL_RUN_LEN] = len;

@@ -363,11 +363,14 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
 
 
 def load_config(path, label: str | None = None) -> RunConfig:
-    with open(path) as fh:
+    """The RunConfig of a YAML file, read as UTF-8 whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
         try:
             tree = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     return parse_config(tree, label=label or str(path))
 
 

@@ -62,8 +62,7 @@ def _build() -> Path:
     and these flags (those of others stay). Raises OSError or
     CalledProcessError when it cannot be built.
     """
-    source = importlib.resources.files("vesim").joinpath(
-        "_native.c").read_bytes()
+    source = (importlib.resources.files("vesim") / "_native.c").read_bytes()
     key = hashlib.sha256(source + str(_CC_FLAGS).encode()).hexdigest()[:16]
     lib_dir = _cache_dir()
     path = lib_dir / f"_native-{key}.so"
@@ -79,9 +78,17 @@ def _build() -> Path:
                            input=source, capture_output=True, check=True)
             os.replace(tmp, path)
         finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
+            Path(tmp).unlink(missing_ok=True)
     return path
+
+
+def _pow5_tables() -> tuple[np.ndarray, ...]:
+    """vesim_format_rows' exact power-of-5 tables (see shortest_digits)."""
+    powers = [5**k for k in range(326)]
+    tables = ([(1 << p.bit_length() + 124) // p + 1 for p in powers[:292]],
+              [(p << 125) >> p.bit_length() for p in powers])
+    return tuple(np.array([(v % 2**64, v >> 64) for v in t], np.uint64)
+                 for t in tables)
 
 
 def _returns_at_least(floor: int):
@@ -102,26 +109,21 @@ class Library:
     """
 
     def __init__(self, path: Path):
-        # the FDM step and the copier release the GIL; the row writer
-        # calls CPython, which allocates, so it keeps it (PyDLL)
-        lib, py_lib = ctypes.CDLL(str(path)), ctypes.PyDLL(str(path))
+        lib = ctypes.CDLL(str(path))  # its calls release the GIL
         long, ptr = ctypes.c_long, ctypes.c_void_p
-        self.fdm_steps = lib.vesim_fdm_steps
-        self.fdm_steps.argtypes = (long, *[ptr] * 6, long, *[ptr] * 4, long,
-                                   long, long, ctypes.c_int, ctypes.c_double)
-        self.fdm_steps.restype = long
-        fmt = py_lib.vesim_format_rows
+        steps = self.fdm_steps = lib.vesim_fdm_steps
+        steps.argtypes = (long, *[ptr] * 6, long, *[ptr] * 4, long, long,
+                          long, ctypes.c_int, ctypes.c_double)
+        steps.restype = long
+        fmt = lib.vesim_format_rows
         fmt.argtypes = (ptr, ptr, long, ptr, long, long, ptr, long)
         fmt.restype, fmt.errcheck = long, _returns_at_least(0)
-        api = ctypes.pythonapi
-        self._format_rows = functools.partial(fmt, *(
-            ptr(ctypes.cast(fn, ptr).value)
-            for fn in (api.PyOS_double_to_string, api.PyMem_Free)))
-        self._copy_fields = lib.vesim_copy_fields
-        self._copy_fields.argtypes = (ctypes.c_char_p, long, long, long,
-                                      *[ptr] * 4, ptr, long, ptr)
-        self._copy_fields.restype = long
-        self._copy_fields.errcheck = _returns_at_least(-1)  # -1 refuses
+        self._format_rows = functools.partial(
+            fmt, *(table.ctypes for table in _pow5_tables()))
+        copy = self._copy_fields = lib.vesim_copy_fields
+        copy.argtypes = (ctypes.c_char_p, long, long, long, *[ptr] * 5, long,
+                         ptr)
+        copy.restype, copy.errcheck = long, _returns_at_least(-1)  # -1 refuses
 
     def row_writer(self, columns: Sequence,
                    max_rows: int) -> Callable[[int, int], np.ndarray]:
@@ -158,7 +160,6 @@ class Library:
                                           dtype=np.uint8))
 
     def _rows(self, cols, keep, n, max_rows, out, r0, r1) -> np.ndarray:
-        # `keep` holds the arrays `cols` points into while this is bound
         if not 0 <= r0 <= r1 <= min(n, r0 + max_rows):
             raise ValueError(f"rows [{r0}, {r1}) outside the columns")
         return out[:self._format_rows(len(cols), cols.ctypes.data, r0, r1,
@@ -208,7 +209,7 @@ def _select() -> Library | None:
         warnings.warn(
             f"vesim: cannot build the compiled kernels ({reason}); running "
             "their Python twins: the FDM step 20 to 200 times slower, "
-            "the CSV writer 1.3 and the plot export 5 times slower",
+            "the CSV writer 7 and the plot export 5 times slower",
             UserWarning, stacklevel=2)
         return None
 

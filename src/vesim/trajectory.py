@@ -149,7 +149,8 @@ def write_csv_columns(path, header: Sequence[str],
     lines ending in '\\r\\n', as UTF-8; no solver artifact field needs
     quoting, and the sweep summary quotes its own (`runner._csv_field`).
     The bytes are those `csv.writer` writes for the same rows. The
-    compiled row writer (`native`) formats `CHUNK_ROWS` rows at a time;
+    compiled row writer (`native`) formats `CHUNK_ROWS` rows at a time,
+    floats by its own shortest round-trip digits, byte for byte `repr`;
     without it `join_columns` joins them. Columns of unequal length
     raise ValueError, leaving `path` as it was.
     """

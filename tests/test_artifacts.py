@@ -550,14 +550,16 @@ def _bits(b):
 
 
 # raw float bit patterns: NaN payloads (quiet, signalling, negative),
-# +-0.0, +-inf, subnormals, the normal extremes and plain values
+# +-0.0, +-inf, subnormals, the normal extremes and plain values; and
+# the bits of st.floats() draws, whose exponents uniform bits seldom hit
 FLOAT_BITS = st.sampled_from([
     0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
     0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF, 0x0000000000000000,
     0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
     0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
     0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, 0x3FB999999999999A,
-    0x4330000000000000, 0x3EE4F8B588E368F1]) | st.integers(0, 2**64 - 1)
+    0x4330000000000000, 0x3EE4F8B588E368F1]) | st.integers(0, 2**64 - 1) \
+    | st.floats().map(lambda x: int(np.float64(x).view(np.uint64)))
 INT64S = st.sampled_from([-2**63, 2**63 - 1, 0, -1, 10**19 - 2**63]) \
     | st.integers(-2**63, 2**63 - 1)
 LABELS = (st.sampled_from(["", '"quoted, with ""quotes"""', "µs", "P1",
@@ -607,6 +609,64 @@ def test_compiled_writer_matches_its_python_twin(columns):
     assert out[0] == out[1]
     n = len(columns[0])
     assert out[0].count(b"\r\n") == n + 1
+
+
+def _float_corpus() -> np.ndarray:
+    """Doubles where a shortest round-trip formatter goes wrong, as bits,
+    each also with its sign bit set."""
+    rng = np.random.default_rng(20181)
+    ulps = np.arange(-2, 3, dtype=np.int64)
+    # every binade's first and last value, each +-1 ulp, and the
+    # subnormals' edges, powers of 2 and smallest values
+    edges = (np.arange(2048, dtype=np.int64) << 52)[:, None] + ulps
+    subnormal = np.append(np.arange(1, 64),
+                          (1 << np.arange(53))[:, None] + ulps)
+    # 2^53 +- k, 10^k and its neighbours, the fixed/scientific switch
+    near_2_53 = (np.float64(2**53) + np.arange(-64, 65)).view(np.int64)
+    tens = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    switch = np.array([m * 10.0**k for m in (1.0, 1.5, 9.5, 9.999999999999999)
+                       for k in (-6, -5, -4, -3, 15, 16, 17)])
+    near = [(tens.view(np.int64)[:, None] + ulps).ravel(),
+            (switch.view(np.int64)[:, None] + ulps).ravel()]
+    seeded = [rng.integers(0, 2**63, 10**5, dtype=np.int64),
+              (10.0 ** rng.uniform(-12, 4, 10**5)).view(np.int64)]
+    nans = np.array([0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF])
+    bits = np.concatenate([edges.ravel(), subnormal, near_2_53,
+                           *near, *seeded, nans])
+    bits = bits[bits >= 0]
+    return np.concatenate([bits, bits | np.int64(-2**63)])
+
+
+def test_compiled_floats_equal_repr_on_a_corpus(tmp_path):
+    if native.library() is None:
+        pytest.skip("no compiled library on this host")
+    values = _float_corpus().view(np.float64)
+    write_csv_columns(tmp_path / "x.csv", ["x"], [values])
+    expected = "".join(f"{x!r}\r\n" for x in values.tolist())
+    assert (tmp_path / "x.csv").read_bytes() == f"x\r\n{expected}".encode()
+
+
+def test_pow5_tables_are_exact():
+    # checked by products, not by the divisions and shifts that made them
+    inv, pow5 = ([hi << 64 | lo for lo, hi in table.tolist()]
+                 for table in native._pow5_tables())
+    for q, v in enumerate(inv):
+        p = 5**q  # v = floor(2^(b + 124) / p) + 1
+        assert (v - 1) * p <= 1 << p.bit_length() + 124 < v * p
+    for i, v in enumerate(pow5):
+        p = 5**i  # v is the leading 125 bits of p
+        assert v << p.bit_length() <= p << 125 < (v + 1) << p.bit_length()
+
+
+def test_c_source_builds_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on the PATH")
+    source = Path(native.__file__).with_name("_native.c").read_bytes()
+    done = subprocess.run([cc, "-x", "c", "-", "-o", str(tmp_path / "x.so"),
+                           *native._CC_FLAGS, "-Wall", "-Wextra", "-Werror"],
+                          input=source, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 # bytes of fields and line ends, most of them valid: '"', a lone '\r'
@@ -690,7 +750,7 @@ def test_without_a_compiler_every_kernel_falls_back_alike(tmp_path,
     assert [str(w.message) for w in caught] == [
         "vesim: cannot build the compiled kernels (no C compiler: cc is not "
         "on the PATH); running their Python twins: the FDM step 20 to 200 "
-        "times slower, the CSV writer 1.3 and the plot export 5 times "
+        "times slower, the CSV writer 7 and the plot export 5 times "
         "slower"]
     assert fallback.keys() == compiled.keys()
     assert fallback == compiled

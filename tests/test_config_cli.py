@@ -2,13 +2,16 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import vesim
 from vesim.cli import main as cli_main
 from vesim.config import (ConfigError, config_hash, load_config,
                           parse_config, parse_quantity, to_config_tree)
@@ -495,6 +498,29 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out",
                        str(tmp_path / "o")])
         assert rc == 2
+
+    def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # in the C locale (ASCII, no UTF-8 mode): a config with a non-ASCII
+        # comment runs, and one that is no UTF-8 exits 1 naming its path
+        good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+        text = yaml.safe_dump(MINIMAL)
+        good.write_text("# 87 \u00b5m, in UTF-8\n" + text, encoding="utf-8")
+        bad.write_bytes(b"# 87 \xb5m, in Latin-1\n" + text.encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(vesim.__file__).parents[1]))
+        runs = [subprocess.run([sys.executable, "-m", "vesim.cli", "run",
+                                "--config", str(cfg), "--out",
+                                str(tmp_path / cfg.stem)],
+                               env=env, capture_output=True)
+                for cfg in (good, bad)]
+        assert runs[0].returncode == 0, runs[0].stderr.decode()
+        assert (tmp_path / "good" / "manifest.json").exists()
+        assert runs[1].returncode == 1
+        assert runs[1].stderr.decode().startswith(
+            f"configuration error: {bad}: not UTF-8: ")
+        assert b"Traceback" not in runs[1].stderr
+        assert not (tmp_path / "bad").exists()
 
     def test_module_entrypoint(self, tmp_path):
         r = subprocess.run([sys.executable, "-m", "vesim.cli", "presets",
