@@ -455,7 +455,6 @@ class BatchTrajectory:
     Attributes:
         t: the shared sample grid (n_t,)
         c_h_in/c_s_in: (n, n_t) intravesicular concentrations
-        light: (n, n_t) 0/1 illumination flag of each sample's segment
         n_sampled: (n,) leading grid points each vesicle sampled
         t2/t4: (n, n_cycles) clipped symport start and end per cycle
         depletion_time: (n,) first depletion event (NaN: none)
@@ -466,7 +465,6 @@ class BatchTrajectory:
     t: np.ndarray
     c_h_in: np.ndarray
     c_s_in: np.ndarray
-    light: np.ndarray
     n_sampled: np.ndarray
     t2: np.ndarray
     t4: np.ndarray
@@ -531,7 +529,6 @@ class _BatchEngine:
         self.depletion_threshold = DEPLETION_FRACTION_OF_KM * k_m
         self.c_h_in = np.full((n, grid.size), math.nan)
         self.c_s_in = np.full((n, grid.size), math.nan)
-        self.light = np.zeros((n, grid.size), dtype=np.int8)
 
     # -- phase-level helpers -------------------------------------------------
 
@@ -656,7 +653,6 @@ class _BatchEngine:
         at = (rows[:, None] * self.grid.size + col)[taken]
         self.c_h_in.ravel()[at] = c_h_pts[taken]
         self.c_s_in.ravel()[at] = c_s_pts[taken]
-        self.light.ravel()[at] = light
         self.t[rows] = seg_end
         self.c_h[rows], self.c_s[rows] = c_h_end, c_s_end
         self.cursor[rows] = last
@@ -722,7 +718,6 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
     eng = _BatchEngine(vesicles.v_in, rates, kin.k_m, env, mode, grid)
     if grid.size and grid[0] == 0.0:
         eng.c_h_in[:, 0], eng.c_s_in[:, 0] = env.c_h_in0, env.c_s_in0
-        eng.light[:, 0] = signal.is_on(0.0)
         eng.cursor[:] = 1
     if np.any(eng.c_h >= eng.switch):
         warnings.warn("initial H+ concentration already exceeds the symport "
@@ -746,7 +741,7 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
     eng.segment(signal.horizon, light=False, indicator=False)  # trailing dark
 
     return BatchTrajectory(
-        t=grid, c_h_in=eng.c_h_in, c_s_in=eng.c_s_in, light=eng.light,
+        t=grid, c_h_in=eng.c_h_in, c_s_in=eng.c_s_in,
         n_sampled=eng.cursor, t2=t2, t4=t4, depletion_time=eng.depletion,
         rates=rates, v_in=eng.v_in, v_out=env.v_out)
 
@@ -784,7 +779,7 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     return Trajectory(
         t=t_arr, c_h_in=batch.c_h_in[0, :n], c_h_out=batch.c_h_out[0, :n],
         c_s_in=batch.c_s_in[0, :n], c_s_out=batch.c_s_out[0, :n],
-        light=batch.light[0, :n].astype(int),
+        light=signal.is_on(t_arr).astype(int),
         cycle=np.asarray(cycles, dtype=int),
         phase=phases, schedule=sched, solver=mode,
         derived=batch.rates.lane(0),

@@ -145,7 +145,7 @@ def _section(tree: dict, path: str, required: bool = True) -> dict:
 
 # The fields of each section, as (key, kind) pairs naming the fields of
 # the dataclass the section builds. A kind is a UNITS dimension (a
-# quantity with a unit suffix), "number", "integer" or "text".
+# quantity with a unit suffix), "number" or "integer".
 _KINETICS = (("pump_rate_per_protein", "rate"),
              ("symport_rate_per_protein", "rate"),
              ("stoichiometry", "number"), ("k_m", "concentration"),
@@ -155,11 +155,11 @@ _ENVIRONMENT = (("buffer_total", "concentration"), ("k_a", "concentration"),
                 ("c_s_in0", "concentration"))
 _V_OUT = (("v_out", "volume"),)  # vesicle runs only
 _VESICLE = (("d_in", "length"), ("d_mem", "length"), ("n_pumps", "integer"),
-            ("n_sym", "integer"), ("permeability", "speed"), ("mode", "text"))
+            ("n_sym", "integer"), ("permeability", "speed"))
 _FDM = (("dt", "time"), ("record_stride", "integer"))
 _ENSEMBLE = (("n_ves", "number"), ("n_mod", "integer"), ("n_ex", "integer"),
              ("v_out_tot", "volume"))
-_POPULATION = (("d_mem", "length"), ("mode", "text"))
+_POPULATION = (("d_mem", "length"),)
 _DIAMETER = (("shift", "length"), ("mu_log", "number"),
              ("sigma_log", "number"))
 _PERMEABILITY = (("mu_log10", "number"), ("sigma_log10", "number"),
@@ -182,11 +182,20 @@ def _read(sec: dict, path: str, fields, default, extra=()) -> dict:
             values[key] = _number(sec[key], f"{path}.{key}")
         elif kind == "integer":
             values[key] = _integer(sec[key], f"{path}.{key}")
-        elif kind == "text":
-            values[key] = sec[key]
         else:
             values[key] = parse_quantity(sec[key], kind, f"{path}.{key}")
     return values
+
+
+def _without_mode(sec: dict, path: str) -> dict:
+    """Section `sec` without the `mode` key older config files carry;
+    it may only name the one release module vesim models."""
+    if "mode" not in sec:
+        return sec
+    if sec["mode"] != "symporter":
+        raise ConfigError(f"{path}: mode must be one of ('symporter',), "
+                          f"got {sec['mode']!r}")
+    return {k: v for k, v in sec.items() if k != "mode"}
 
 
 def _write(obj, fields) -> dict:
@@ -300,10 +309,10 @@ def parse_config(tree: dict, label: str = "run") -> RunConfig:
     population = None
     if has_vesicle:
         vesicle = _build(VesicleSpec, "vesicle", **_read(
-            _section(tree, "vesicle"), "vesicle", _VESICLE,
-            default_vesicle()))
+            _without_mode(_section(tree, "vesicle"), "vesicle"), "vesicle",
+            _VESICLE, default_vesicle()))
     else:
-        p_t = _section(tree, "population")
+        p_t = _without_mode(_section(tree, "population"), "population")
         pop = PopulationDistributions()
         # log_unit shifts only the log-scale values the tree gives
         path = "population.diameter"

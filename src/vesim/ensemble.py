@@ -39,8 +39,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .analytic import exact_substrate, run_analytic, run_analytic_batch
-from .model import (_VALID_MODES, AVOGADRO, SMALL_V_OUT, Environment,
-                    KineticConstants, VesicleLanes, VesicleSpec, _outer_area)
+from .model import (AVOGADRO, SMALL_V_OUT, Environment, KineticConstants,
+                    VesicleLanes, VesicleSpec, _outer_area)
 from .schedule import LightSignal
 from .trajectory import Trajectory
 
@@ -85,15 +85,13 @@ class DiameterDistribution:
                        / self.sigma_log)
         return out
 
-    @staticmethod
-    def with_mean(target_mean: float, shift: float = 39.74e-9,
-                  sigma_log: float = 0.62) -> "DiameterDistribution":
-        """Distribution with the same shape but a prescribed mean."""
-        if target_mean <= shift:
+    def with_mean(self, target_mean: float) -> "DiameterDistribution":
+        """This distribution's shift and shape, moved to a prescribed
+        mean."""
+        if target_mean <= self.shift:
             raise ValueError("target mean must exceed the shift")
-        mu = math.log(target_mean - shift) - 0.5 * sigma_log ** 2
-        return DiameterDistribution(shift=shift, mu_log=mu,
-                                    sigma_log=sigma_log)
+        mu = math.log(target_mean - self.shift) - 0.5 * self.sigma_log ** 2
+        return dataclasses.replace(self, mu_log=mu)
 
 
 @dataclass(frozen=True)
@@ -150,12 +148,13 @@ class PermeabilityDistribution:
                       0.0, 1.0)
         return np.where(z <= alpha, 0.0, np.where(z >= beta, 1.0, num))
 
-    @staticmethod
-    def with_mean_log10(center: float, half_width: float = 0.25,
-                        sigma_log10: float = 0.25) -> "PermeabilityDistribution":
-        return PermeabilityDistribution(
-            mu_log10=center, sigma_log10=sigma_log10,
-            lo_log10=center - half_width, hi_log10=center + half_width)
+    def with_mean_log10(self, center: float) -> "PermeabilityDistribution":
+        """This distribution's spread and truncation width, moved to be
+        centred on log10(g) = center."""
+        half_width = (self.hi_log10 - self.lo_log10) / 2
+        return dataclasses.replace(self, mu_log10=center,
+                                   lo_log10=center - half_width,
+                                   hi_log10=center + half_width)
 
 
 @dataclass(frozen=True)
@@ -168,16 +167,12 @@ class PopulationDistributions:
     rho: float = DEFAULT_RHO
     p_pump: float = DEFAULT_P_PUMP
     d_mem: float = 14e-9
-    mode: str = "symporter"
 
     def __post_init__(self):
         if not 0.0 <= self.p_pump <= 1.0:
             raise ValueError("p_pump must lie in [0, 1]")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
-        if self.mode not in _VALID_MODES:
-            raise ValueError(f"mode must be one of {_VALID_MODES}, "
-                             f"got {self.mode!r}")
 
 
 def protein_slots(d_in: float, d_mem: float, rho: float) -> int:
@@ -204,7 +199,7 @@ def sample_vesicles(dist: PopulationDistributions, rng: np.random.Generator,
         u.append(rng.uniform(lo_u, hi_u))
     return VesicleLanes(d_in, dist.d_mem, n_pumps,
                         np.array(n_tot) - n_pumps,
-                        dist.permeability.at_uniform(np.array(u)), dist.mode)
+                        dist.permeability.at_uniform(np.array(u)))
 
 
 def mean_parameter_spec(dist: PopulationDistributions) -> VesicleSpec:
@@ -222,7 +217,7 @@ def mean_parameter_spec(dist: PopulationDistributions) -> VesicleSpec:
     n_pumps = int(round(dist.p_pump * n_tot))
     return VesicleSpec(d_in=d_mean, d_mem=dist.d_mem, n_pumps=n_pumps,
                        n_sym=n_tot - n_pumps,
-                       permeability=dist.permeability.mean, mode=dist.mode)
+                       permeability=dist.permeability.mean)
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,7 @@ class SharedPoolResult:
         t: shared sample times, shape (n_t,)
         c_h_in / c_s_in: each vesicle's free H+ and substrate
             concentrations (mol/m^3), shape (n_t, n), one column per
-            vesicle in the order of the specs
+            vesicle in the order of the population's lanes
         pooled_c_h_out / pooled_c_s_out: pool concentrations (mol/m^3)
         schedules: each vesicle's cycle schedule, from its crossings
         events: each vesicle's depletion events
@@ -394,10 +394,10 @@ def simulate_mvs_shared_pool(specs: VesicleLanes, kin: KineticConstants,
                       False)[0]
 
 
-def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
+def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
                env_total: Environment, signal: LightSignal, cfg: FdmConfig,
                until_settled: bool):
-    """Step the population `specs` against one pool of env_total.v_out.
+    """Step the population `vesicles` against one pool of env_total.v_out.
 
     The driver of both public kernels (see the module docstring). With
     `until_settled` the run stops at the first record step at which
@@ -408,11 +408,11 @@ def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
     Returns the SharedPoolResult, the population's DerivedRates and the
     illumination (0 or 1) of each recorded sample.
     """
-    n_ves = len(specs)
+    n_ves = len(vesicles)
     v_pool = env_total.v_out
     env_alloc = dataclasses.replace(env_total, v_out=v_pool / n_ves)
-    rates = derive_rates(specs, kin, env_alloc)
-    cfg.check_stability(specs, kin, env_alloc, rates)
+    rates = derive_rates(vesicles, kin, env_alloc)
+    cfg.check_stability(vesicles, kin, env_alloc, rates)
 
     dt = cfg.dt
     n_steps = int(round(signal.horizon / dt))
@@ -421,7 +421,7 @@ def _run_lanes(specs: VesicleLanes, kin: KineticConstants,
     c_out0 = env_total.c_h_out0
 
     lanes = np.empty((len(_LANE_ROWS), n_ves))
-    lanes[:6] = (specs.v_in, rates.pump_rate, rates.leak_rate,
+    lanes[:6] = (vesicles.v_in, rates.pump_rate, rates.leak_rate,
                  rates.symport_rate_substrate, rates.symport_rate_proton,
                  rates.switch_conc)
     (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,

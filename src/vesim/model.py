@@ -32,7 +32,6 @@ import numpy as np
 
 AVOGADRO = 6.022e23  # 1/mol
 
-_VALID_MODES = ("symporter",)
 # the start of the small extravesicular volume advisory
 SMALL_V_OUT = "v_out < 100 * v_in"
 
@@ -74,8 +73,6 @@ def _check_vesicle(v) -> None:
     for k, ok, condition in checks:
         if not ok.all():
             raise ModelError(f"{k} must be {condition}, got {x[k][~ok][0]}")
-    _require(v.mode in _VALID_MODES,
-             f"mode must be one of {_VALID_MODES}, got {v.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,6 @@ class VesicleSpec:
         n_pumps: number of light-driven proton pumps
         n_sym: number of co-transporters
         permeability: membrane H+ permeability coefficient (m/s)
-        mode: the release module; 'symporter' (a proton/substrate
-            symporter) is the one vesim models
     """
 
     d_in: float
@@ -97,7 +92,6 @@ class VesicleSpec:
     n_pumps: int
     n_sym: int
     permeability: float
-    mode: str = "symporter"
 
     def __post_init__(self):
         _check_vesicle(self)
@@ -117,7 +111,7 @@ class VesicleSpec:
 class VesicleLanes:
     """A population: `VesicleSpec`'s fields under its conditions, with
     d_in, n_pumps, n_sym and permeability as arrays holding one element
-    (lane) per vesicle, d_mem and mode shared. `v_in` and `a_ves` are
+    (lane) per vesicle, d_mem shared. `v_in` and `a_ves` are
     formed lane by lane as `VesicleSpec` forms them, bit for bit.
     """
 
@@ -126,7 +120,6 @@ class VesicleLanes:
     n_pumps: np.ndarray
     n_sym: np.ndarray
     permeability: np.ndarray
-    mode: str = "symporter"
 
     def __post_init__(self):
         for k in ("d_in", "n_pumps", "n_sym", "permeability"):
@@ -140,11 +133,11 @@ class VesicleLanes:
     @classmethod
     def of(cls, specs: list[VesicleSpec]) -> "VesicleLanes":
         """`specs` in order, one lane each."""
-        _require(len({(s.d_mem, s.mode) for s in specs}) == 1, "need at "
-                 "least one vesicle, all of one d_mem and mode")
-        d_in, d_mem, n_pumps, n_sym, perm, mode = zip(
+        _require(len({s.d_mem for s in specs}) == 1, "need at least one "
+                 "vesicle, all of one d_mem")
+        d_in, d_mem, n_pumps, n_sym, perm = zip(
             *(vars(s).values() for s in specs))
-        return cls(d_in, d_mem[0], n_pumps, n_sym, perm, mode[0])
+        return cls(d_in, d_mem[0], n_pumps, n_sym, perm)
 
     def __len__(self) -> int:
         return self.d_in.size

@@ -30,8 +30,8 @@ import numpy as np
 from .config import RunConfig
 from .ensemble import EnsembleConfig, PopulationDistributions
 from .fdm import FdmConfig, stable_dt
-from .model import (Environment, KineticConstants, VesicleSpec,
-                    default_environment, default_kinetics, default_vesicle)
+from .model import (Environment, VesicleSpec, default_environment,
+                    default_kinetics, default_vesicle)
 from .schedule import LightSignal
 
 RECORD_INTERVAL = 0.1  # seconds between stored samples in run presets
@@ -46,18 +46,19 @@ class Scenario:
 
 
 def _svs_config(label: str, spec: VesicleSpec, env: Environment,
-                signal: LightSignal, kin: KineticConstants | None = None,
-                seed: int = 0, sample_interval: float = RECORD_INTERVAL,
-                solvers=("fdm", "exact", "closed")) -> RunConfig:
-    kin = kin or default_kinetics()
+                signal: LightSignal, seed: int = 0,
+                sample_interval: float = RECORD_INTERVAL) -> RunConfig:
+    """A single-vesicle run of all three solvers on the default kinetics."""
+    kin = default_kinetics()
     dt = 1e-2
     limit = stable_dt(spec, kin, env)
     if dt > limit:  # unbuffered runs are too stiff for the baseline step
         dt = limit
     stride = max(1, int(round(sample_interval / dt)))
-    return RunConfig(solvers=tuple(solvers), seed=seed, vesicle=spec,
-                     population=None, kinetics=kin, environment=env,
-                     signal=signal, fdm=FdmConfig(dt=dt, record_stride=stride),
+    return RunConfig(solvers=("fdm", "exact", "closed"), seed=seed,
+                     vesicle=spec, population=None, kinetics=kin,
+                     environment=env, signal=signal,
+                     fdm=FdmConfig(dt=dt, record_stride=stride),
                      sample_interval=sample_interval, ensemble=None,
                      label=label)
 

@@ -84,14 +84,14 @@ class LightSignal:
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "horizon", float(horizon))
 
-    def is_on(self, t: float) -> bool:
-        """l(t) as a boolean; intervals are closed-open [t_on, t_off)."""
-        for t_on, t_off in self.intervals:
-            if t_on <= t < t_off:
-                return True
-            if t < t_on:
-                return False
-        return False
+    def is_on(self, t):
+        """l(t): whether the light acts at t, in some closed-open
+        [t_on, t_off). Takes a float (and returns a bool) or an array
+        (and returns a bool array of its shape)."""
+        edges = np.asarray(self.intervals, dtype=float).reshape(-1)
+        # t lies in an interval when an odd number of edges are <= t
+        on = np.searchsorted(edges, t, side="right") % 2 == 1
+        return bool(on) if np.ndim(on) == 0 else on
 
     @property
     def n_cycles(self) -> int:

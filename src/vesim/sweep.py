@@ -24,9 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import run_analytic
-from .ensemble import (DiameterDistribution, EnsembleConfig,
-                       PermeabilityDistribution, PopulationDistributions,
-                       run_ensemble)
+from .ensemble import EnsembleConfig, PopulationDistributions, run_ensemble
 from .fdm import FdmConfig, simulate_svs
 from .model import (default_environment, default_kinetics,
                     default_vesicle)
@@ -138,11 +136,10 @@ def _population_for_point(point: dict) -> PopulationDistributions:
     pop = PopulationDistributions()
     if "d_mean_nm" in point:
         pop = dataclasses.replace(
-            pop, diameter=DiameterDistribution.with_mean(
-                point["d_mean_nm"] * 1e-9))
+            pop, diameter=pop.diameter.with_mean(point["d_mean_nm"] * 1e-9))
     if "g_l_mean" in point:
         pop = dataclasses.replace(
-            pop, permeability=PermeabilityDistribution.with_mean_log10(
+            pop, permeability=pop.permeability.with_mean_log10(
                 math.log10(point["g_l_mean"])))
     return pop
 
@@ -202,6 +199,20 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(name=sweep.name, rows=rows, summary=summary)
 
 
+def _line_fit(xs, ys) -> tuple[float, float]:
+    """Slope and R^2 of the least-squares line through (xs, ys), from
+    centred `math.fsum` sums (slope = Sxy/Sxx): no BLAS or LAPACK call,
+    so no CPU-specific kernel can move a bit."""
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    dy = [y - y_mean for y in ys]
+    slope = (math.fsum(a * b for a, b in zip(dx, dy))
+             / math.fsum(a * a for a in dx))
+    ss_tot = math.fsum(b * b for b in dy)
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def _summarize(sweep: SweepSpec, rows: list[dict]) -> dict:
     ok = [r for r in rows if "error" not in r]
     summary: dict = {"points": len(rows), "failed": len(rows) - len(ok)}
@@ -214,18 +225,12 @@ def _summarize(sweep: SweepSpec, rows: list[dict]) -> dict:
                 continue
             key = f"gamma_sym={g_sym:g},g_l={g_l:g}"
             t_min = _min_illumination(g_sym, g_l)
-            xs = np.array([r["duration"] for r in sel])
-            ys = np.array([r["symport_duration_closed"] for r in sel])
-            mask = xs > t_min
             entry = {"min_illumination_time": float(t_min)}
-            if mask.sum() >= 3:
-                slope, icept = np.polyfit(xs[mask], ys[mask], 1)
-                pred = slope * xs[mask] + icept
-                ss_res = float(np.sum((ys[mask] - pred) ** 2))
-                ss_tot = float(np.sum((ys[mask] - ys[mask].mean()) ** 2))
-                entry["linear_fit_slope"] = float(slope)
-                entry["linear_fit_r2"] = (1.0 - ss_res / ss_tot
-                                          if ss_tot > 0 else 1.0)
+            fit = [(r["duration"], r["symport_duration_closed"])
+                   for r in sel if r["duration"] > t_min]
+            if len(fit) >= 3:
+                (entry["linear_fit_slope"],
+                 entry["linear_fit_r2"]) = _line_fit(*zip(*fit))
             by_combo[key] = entry
         summary["combos"] = by_combo
     else:

@@ -41,10 +41,8 @@ class Trajectory:
         t: sample times (s)
         c_h_in/c_h_out: free H+ concentrations (mol/m^3)
         c_s_in/c_s_out: substrate concentrations (mol/m^3)
-        light: 0/1 illumination flag per sample. At a sample on a light
-            switch the solvers differ: the FDM flags the step that starts
-            there (1 at light-on, 0 at light-off), `exact` and `closed`
-            the segment that ends there (0 at light-on, 1 at light-off)
+        light: 0/1 illumination acting from each sample on, the
+            signal's `is_on` (1 at light-on, 0 at light-off)
         cycle/phase: cycle index (1-based) and phase label per sample
         schedule: resolved cycle boundary times
         events: depletion and anomaly events

@@ -486,8 +486,8 @@ def test_plot_export_matches_dictreader_reference(tmp_path):
 # bits go through numpy's SIMD exp and log, so like GOLDEN_FIG9_CSV this
 # holds for one numpy build on one CPU family.
 GOLDEN_FIG4_PLOT_DATA = (
-    "42d41e83b13b604bc6cecf80d3470d16"
-    "54e3cfdbb131b4de38a5838f93da66a4")
+    "6dee1d6f0babf2f5cdbd5dd688bfe25b"
+    "f4741966e02760624acbeefa723f8560")
 
 
 def test_fig4_plot_export_matches_golden_hash(tmp_path):

@@ -71,6 +71,17 @@ class TestParsing:
         cfg2 = parse_config(tree)
         assert config_hash(cfg) == config_hash(cfg2)
 
+    def test_legacy_mode_symporter_is_dropped(self):
+        # older config files name the one release module; the key parses,
+        # leaves the canonical tree and does not move the config hash
+        for base, section in ((MINIMAL, "vesicle"),
+                              (POPULATION, "population")):
+            tree = dict(base, **{section: dict(base[section],
+                                               mode="symporter")})
+            cfg = parse_config(tree)
+            assert config_hash(cfg) == config_hash(parse_config(base))
+            assert "mode" not in to_config_tree(cfg)[section]
+
     def test_defaults_match_reference_table(self):
         cfg = parse_config(MINIMAL)
         assert cfg.environment.buffer_total == 20.0

@@ -36,8 +36,7 @@ def _lane_spec(lanes, m):
     return VesicleSpec(d_in=float(lanes.d_in[m]), d_mem=lanes.d_mem,
                        n_pumps=int(lanes.n_pumps[m]),
                        n_sym=int(lanes.n_sym[m]),
-                       permeability=float(lanes.permeability[m]),
-                       mode=lanes.mode)
+                       permeability=float(lanes.permeability[m]))
 
 
 @pytest.fixture
@@ -467,7 +466,7 @@ def test_lane_draw_equals_the_scalar_draw(seed, n, shift_nm, mu_nm,
     assert lanes.n_pumps.tolist() == n_pumps
     assert (lanes.n_pumps + lanes.n_sym).tolist() == n_tot
     assert lanes.permeability.tolist() == perm
-    assert lanes.d_mem == dist.d_mem and lanes.mode == dist.mode
+    assert lanes.d_mem == dist.d_mem
     assert rng_lanes.random() == rng_ref.random()
 
 

@@ -28,10 +28,6 @@ def test_invalid_specs_rejected():
     with pytest.raises(ModelError):
         VesicleSpec(d_in=87e-9, d_mem=14e-9, n_pumps=-3, n_sym=1,
                     permeability=3e-6)
-    for mode in ("osmosis", "antiporter"):
-        with pytest.raises(ModelError):
-            VesicleSpec(d_in=87e-9, d_mem=14e-9, n_pumps=1, n_sym=1,
-                        permeability=3e-6, mode=mode)
     with pytest.raises(ModelError):
         Environment(v_out=0.0)
     for cls, kwargs in ((Environment, dict(c_s_in0=math.inf)),
@@ -260,16 +256,14 @@ _VALID_LANE = dict(d_in=87e-9, d_mem=14e-9, n_pumps=40, n_sym=30,
 
 
 @given(field=st.sampled_from(["d_in", "d_mem", "n_pumps", "n_sym",
-                              "permeability", "mode"]),
+                              "permeability"]),
        bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 2.5,
-                            -2, "osmosis"]),
+                            -2]),
        n=st.integers(1, 5), data=st.data())
 @settings(derandomize=True, deadline=None, max_examples=60)
 def test_invalid_lanes_refused_as_specs(field, bad, n, data):
     # a population with one invalid lane is refused with the message a
     # VesicleSpec of that lane's values gets
-    if (field == "mode") != isinstance(bad, str):
-        bad = "osmosis" if field == "mode" else -1.0
     if field in ("d_in", "permeability"):
         bad = float(bad)  # lane arrays of diameters and permeabilities
     values = dict(_VALID_LANE, **{field: bad})
@@ -279,9 +273,8 @@ def test_invalid_lanes_refused_as_specs(field, bad, n, data):
         message = str(exc)
     else:  # a value valid for this field
         message = None
-    shared = ("d_mem", "mode")
     m = data.draw(st.integers(0, n - 1))
-    lanes = {k: v if k in shared else [v if i == m and k == field else
+    lanes = {k: v if k == "d_mem" else [v if i == m and k == field else
                                        _VALID_LANE[k] for i in range(n)]
              for k, v in values.items()}
     if message is None:
@@ -298,7 +291,7 @@ def test_population_lanes_of_one_length():
     with pytest.raises(ModelError, match="one length"):
         VesicleLanes(d_in=[87e-9, 90e-9], d_mem=14e-9, n_pumps=[1],
                      n_sym=[1, 2], permeability=[3e-6, 3e-6])
-    with pytest.raises(ModelError, match="all of one d_mem and mode"):
+    with pytest.raises(ModelError, match="all of one d_mem"):
         VesicleLanes.of([default_vesicle(),
                          dataclasses.replace(default_vesicle(), d_mem=9e-9)])
 

@@ -1,16 +1,21 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vesim
 from vesim.ensemble import EnsembleConfig, PopulationDistributions, run_ensemble
 from vesim.fdm import FdmConfig, simulate_svs
 from vesim.model import default_environment, default_kinetics, default_vesicle
-from vesim.presets import (FIG4_EXPECTED_TYPES, describe_presets,
-                           fig4_scenario, fig9_scenario)
-from vesim.runner import run_scenario
+from vesim.presets import (FIG4_EXPECTED_TYPES, RUN_PRESETS,
+                           describe_presets, fig4_scenario, fig9_scenario)
+from vesim.runner import execute_run, run_scenario
 from vesim.schedule import LightSignal
 from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_point, _point_worker,
                          fig6_sweep, fig10_sweep, run_sweep)
@@ -20,6 +25,19 @@ def test_preset_registry_complete():
     names = {name for name, _, _ in describe_presets()}
     assert {"fig3", "fig4", "fig5", "fig6", "fig9", "fig10",
             "fig11"} <= names
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_every_solver_writes_the_signals_light(preset):
+    # `light` is the illumination acting from each sample on, in every
+    # solver alike, at the samples on a light switch too
+    for cfg in RUN_PRESETS[preset](seed=0).runs:
+        switches = {t for iv in cfg.signal.intervals for t in iv}
+        for solver, traj in execute_run(cfg)["trajectories"].items():
+            assert switches <= set(traj.t.tolist())
+            assert traj.light.tolist() == [
+                int(cfg.signal.is_on(t)) for t in traj.t.tolist()], (
+                    cfg.label, solver)
 
 
 def test_fig4_scenario_selfcheck(tmp_path):
@@ -156,6 +174,24 @@ def test_fig6_point_stops_with_the_full_run_duration(duration):
     (cyc,) = full.schedule.cycles
     assert (cyc.cycle_type == "b") == (duration == 15.0)
     assert _fig6_point(point)["symport_duration_fdm"] == cyc.symport_duration
+
+
+def test_fig6_summary_holds_its_bytes_on_any_blas_kernel(tmp_path):
+    # the line fit calls no BLAS or LAPACK routine, so the CPU kernels
+    # OpenBLAS picks cannot move a bit of the summary
+    summaries = []
+    for kernels in ("", "Sandybridge"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernels,
+                   PYTHONPATH=str(Path(vesim.__file__).parents[1]))
+        if not kernels:
+            del env["OPENBLAS_CORETYPE"]
+        out = tmp_path / (kernels or "default")
+        r = subprocess.run([sys.executable, "-m", "vesim.cli", "sweep",
+                            "--preset", "fig6", "--out", str(out)],
+                           env=env, capture_output=True)
+        assert r.returncode == 0, r.stderr.decode()
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_ensemble_parallel_matches_serial():

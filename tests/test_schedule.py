@@ -19,6 +19,24 @@ class TestLightSignal:
         assert sig.is_on(0.0) and sig.is_on(599.99)
         assert not sig.is_on(600.0) and not sig.is_on(1000.0)
 
+    def test_is_on_takes_arrays(self):
+        # on, just before and just after each switch, with a touching
+        # pair of intervals: the array form answers as the scalar form
+        # and both as the half-open [t_on, t_off) test
+        sig = LightSignal([(10, 35), (35, 50), (80, 110)], 200)
+        switches = [t for iv in sig.intervals for t in iv]
+        ts = np.array([[np.nextafter(t, -math.inf), t,
+                        np.nextafter(t, math.inf)] for t in switches])
+        on = sig.is_on(ts)
+        assert on.dtype == bool and on.shape == ts.shape
+        scalar = [[sig.is_on(float(t)) for t in row] for row in ts]
+        assert all(type(x) is bool for row in scalar for x in row)
+        assert on.tolist() == scalar
+        assert on.tolist() == [
+            [any(a <= t < b for a, b in sig.intervals) for t in row]
+            for row in ts.tolist()]
+        assert on[:, 1].tolist() == [True, True, True, False, True, False]
+
     def test_overlap_rejected(self):
         with pytest.raises(ScheduleError):
             LightSignal([(0, 60), (50, 100)], 200)
