@@ -11,7 +11,7 @@ statistics.
 from .analytic import lambert_w0, lambert_w0_exp, run_analytic
 from .buffering import free_proton_conc
 from .ensemble import (EnsembleConfig, PopulationDistributions,
-                       jensen_gap_check, run_ensemble, sample_vesicles)
+                       run_ensemble, sample_vesicles)
 from .fdm import FdmConfig, simulate_mvs_shared_pool, simulate_svs
 from .model import (AVOGADRO, DerivedRates, Environment, KineticConstants,
                     VesicleLanes, VesicleSpec, derive_rates, leakage_flux,
@@ -25,9 +25,8 @@ __all__ = [
     "AVOGADRO", "CycleSchedule", "DerivedRates", "EnsembleConfig",
     "Environment", "FdmConfig", "KineticConstants", "LightSignal",
     "PopulationDistributions", "Trajectory", "VesicleLanes", "VesicleSpec",
-    "clip_cycle_times", "derive_rates", "free_proton_conc",
-    "jensen_gap_check", "lambert_w0", "lambert_w0_exp", "leakage_flux",
-    "pump_flux", "run_analytic", "run_ensemble", "sample_vesicles",
-    "simulate_mvs_shared_pool", "simulate_svs", "symport_flux",
-    "symport_gate",
+    "clip_cycle_times", "derive_rates", "free_proton_conc", "lambert_w0",
+    "lambert_w0_exp", "leakage_flux", "pump_flux", "run_analytic",
+    "run_ensemble", "sample_vesicles", "simulate_mvs_shared_pool",
+    "simulate_svs", "symport_flux", "symport_gate",
 ]

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .config import ConfigError, check_seed, load_config
 from .presets import RUN_PRESETS, Scenario, describe_presets
-from .runner import (MissingArtifacts, SolverFailure, emit_plot_data,
-                     run_scenario, write_sweep_artifacts)
+from .runner import (MissingArtifacts, SolverFailure, _as_written,
+                     emit_plot_data, run_scenario, write_sweep_artifacts)
 from .sweep import SWEEP_PRESETS, run_sweep
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--solver",
                        choices=["fdm", "exact", "closed", "all"],
-                       default=None)
+                       default=None, help="solvers of a --config run")
 
     sweep_p = sub.add_parser("sweep", help="execute a sweep preset")
     sweep_p.add_argument("--preset", choices=sorted(SWEEP_PRESETS),
@@ -67,22 +67,25 @@ def _scenario_from_args(args) -> Scenario:
     if bool(args.preset) == (args.config is not None):
         raise ConfigError("give exactly one of --preset and --config")
     if args.preset:
+        if args.solver:
+            raise ConfigError("--solver applies to --config runs only; a "
+                              "preset runs its own solvers")
         builder = RUN_PRESETS[args.preset]
-        scenario = builder(seed=args.seed) if args.seed is not None \
-            else builder()
-    else:
-        cfg = load_config(args.config, label=args.config.stem)
-        scenario = Scenario(name=args.config.stem,
-                            description=f"config file {args.config}",
-                            runs=[cfg])
-        if args.seed is not None:
-            scenario.runs = [_reseed(c, args.seed) for c in scenario.runs]
+        return (builder(seed=args.seed) if args.seed is not None
+                else builder())
+    # the file name's bytes read as UTF-8, so the run's name, directory
+    # and manifest do not depend on the locale
+    name = _as_written(args.config.stem)
+    cfg = load_config(args.config, label=name)
+    if args.seed is not None:
+        cfg = _reseed(cfg, args.seed)
     if args.solver:
-        solvers = (("fdm", "exact", "closed") if args.solver == "all"
-                   else (args.solver,))
-        scenario.runs = [dataclasses.replace(c, solvers=solvers)
-                         for c in scenario.runs]
-    return scenario
+        cfg = dataclasses.replace(cfg, solvers=(
+            ("fdm", "exact", "closed") if args.solver == "all"
+            else (args.solver,)))
+    return Scenario(name=name,
+                    description=f"config file {_as_written(args.config)}",
+                    runs=[cfg])
 
 
 def _reseed(cfg, seed: int):

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .analytic import exact_substrate, run_analytic, run_analytic_batch
-from .model import (AVOGADRO, SMALL_V_OUT, Environment, KineticConstants,
+from .analytic import run_analytic, run_analytic_batch
+from .model import (SMALL_V_OUT, Environment, KineticConstants,
                     VesicleLanes, VesicleSpec, _outer_area)
 from .schedule import LightSignal
 from .trajectory import Trajectory
@@ -366,81 +366,3 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
         symport_end_median=np.array(end_median),
         config=cfg, solver=solver,
     )
-
-
-@dataclass(frozen=True)
-class JensenGapResult:
-    """Outcome of the convexity (mean-parameter bias) check."""
-
-    status: str                    # 'ok' or 'inconclusive'
-    ensemble_mean: float
-    mean_param_value: float
-    gap: float                     # E{C_S(X)} - C_S(E{X})
-    second_derivative_numeric: float
-    second_derivative_analytic: float
-
-
-def jensen_gap_check(dist: PopulationDistributions, kin: KineticConstants,
-                     env_base: Environment, signal: LightSignal,
-                     t_probe: float, cfg: EnsembleConfig | None = None,
-                     nsym_values=None, nsym_probs=None) -> JensenGapResult:
-    """Compare E{C_S_in(n_sym)} with C_S_in(E{n_sym}) at time t_probe.
-
-    The intravesicular substrate concentration under active symport is
-    C_S = K_M * W(f) with the symporter count entering the exponent of f,
-    which is strictly convex in that count, so randomness in it biases
-    the ensemble mean above the mean-parameter value. The count is
-    relaxed to a real parameter, as in the differentiation argument.
-
-    By default n_sym varies binomially over the mean vesicle's protein
-    slots; an explicit two-point (or any discrete) distribution can be
-    supplied through nsym_values / nsym_probs.
-    """
-    cfg = cfg or EnsembleConfig()
-    env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
-    spec = mean_parameter_spec(dist)
-    traj = run_analytic(spec, kin, env, signal, "closed",
-                        sample_times=np.array([0.0, signal.horizon]))
-    interval = None
-    for c in traj.schedule.cycles:
-        if c.t2 < t_probe <= c.t4:
-            interval = c
-            break
-    if interval is None:
-        return JensenGapResult("inconclusive", math.nan, math.nan, math.nan,
-                               math.nan, math.nan)
-
-    n_tot = spec.n_pumps + spec.n_sym
-    if nsym_values is None:
-        from scipy.stats import binom
-        ks = np.arange(n_tot + 1)
-        probs = binom.pmf(ks, n_tot, 1.0 - dist.p_pump)
-        keep = probs > 1e-15
-        values, probs = ks[keep].astype(float), probs[keep]
-    else:
-        values = np.asarray(nsym_values, dtype=float)
-        probs = (np.asarray(nsym_probs, dtype=float) if nsym_probs is not None
-                 else np.full(len(values), 1.0 / len(values)))
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("nsym_probs must sum to 1")
-
-    k_m = kin.k_m
-    dt = t_probe - interval.t2
-    mean_x = float(np.sum(values * probs))
-    h = max(1e-4 * mean_x, 1e-3)
-    # C_S at every count, then at the mean and either side of it
-    x = np.concatenate((values, [mean_x - h, mean_x, mean_x + h]))
-    c_s = exact_substrate(np.full(x.size, env.c_s_in0),
-                          kin.symport_rate_per_protein * x / AVOGADRO,
-                          np.full(x.size, spec.v_in), k_m,
-                          np.full((x.size, 1), dt))[:, 0]
-    ensemble_mean = float(np.sum(probs * c_s[:-3]))
-    below, at_mean, above = c_s[-3:].tolist()
-    d2_num = (above - 2.0 * at_mean + below) / h ** 2
-    # the exponent's slope per symporter, and W at the mean
-    beta4 = kin.symport_rate_per_protein / (AVOGADRO * spec.v_in * k_m)
-    w = at_mean / k_m
-    d2_ana = k_m * (beta4 * dt) ** 2 * w / (1.0 + w) ** 3
-
-    return JensenGapResult("ok", ensemble_mean, at_mean,
-                           ensemble_mean - at_mean, d2_num, d2_ana)

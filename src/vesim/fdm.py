@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .analytic import DEPLETION_FRACTION_OF_KM
+from .analytic import DEPLETION_FRACTION_OF_KM, phase_coefficients
 from .buffering import (buffering_slowdown, free_proton_conc,
                         free_proton_conc_array, total_conc_from_free)
 from .model import (DerivedRates, Environment, KineticConstants,
@@ -102,8 +102,9 @@ def stability_coefficient(spec: VesicleSpec | VesicleLanes,
                           rates: DerivedRates):
     """Fastest relaxation rate (1/s) any phase can exhibit, per lane.
 
-    The proton coefficient is the unbuffered rate divided by the smallest
-    buffering slowdown along the reachable concentration range; the
+    The proton coefficient is the lit phase's unbuffered rate a
+    (`analytic.phase_coefficients`) divided by the smallest buffering
+    slowdown along the reachable concentration range; the
     substrate adds its own Michaelis-Menten bound. One vesicle's, or
     each lane's, the same bits either way.
     """
@@ -112,9 +113,9 @@ def stability_coefficient(spec: VesicleSpec | VesicleLanes,
     c_max = np.maximum(max(env.c_h_in0, env.c_h_out0), env.c_h_out0
                        + pump / np.where(leak > 0, leak, math.inf))
     slow = buffering_slowdown(c_max, env.buffer_total, env.k_a)
-    a_h = leak * (1.0 / spec.v_in + 1.0 / env.v_out)
-    if env.c_h_out0 > 0:  # adds 0.0 where there are no pumps
-        a_h = a_h + pump / (env.v_out * env.c_h_out0)
+    a_h, _, _ = phase_coefficients(
+        spec.v_in, leak, pump, rates.total_free_protons,
+        rates.symport_rate_proton, env, light=True, drain=False)
     return np.maximum(a_h / slow,
                       rates.symport_rate_substrate / (spec.v_in * kin.k_m))
 

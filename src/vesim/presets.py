@@ -139,8 +139,6 @@ def _fig4_check(results: dict) -> dict:
                                         == FIG4_EXPECTED_TYPES)
     devs = {}
     for solver in ("exact", "closed"):
-        if solver not in res["trajectories"]:
-            continue
         ana = res["trajectories"][solver]
         devs[solver] = max(
             max(abs(cf.t2 - ca.t2), abs(cf.t4 - ca.t4))

@@ -122,7 +122,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
     label. Raises SolverFailure if any run's solver errors out.
     """
     out = (Path(out_dir) if out_dir is not None
-           else default_out_root() / scenario.name)
+           else default_out_root() / _on_disk(scenario.name))
     out.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}
@@ -135,7 +135,8 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
             raise SolverFailure(f"run {cfg.label!r}: "
                                 f"{type(exc).__name__}: {exc}") from exc
         results[cfg.label] = res
-        run_dir = out / _safe_name(cfg.label)
+        name = _safe_name(cfg.label)
+        run_dir = out / _on_disk(name)
         run_dir.mkdir(exist_ok=True)
         entry: dict = {"config": to_config_tree(cfg),
                        "config_hash": config_hash(cfg),
@@ -143,7 +144,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
         for solver, traj in res["trajectories"].items():
             fname = f"trajectory_{solver}.csv"
             write_trajectory_csv(traj, run_dir / fname)
-            entry["artifacts"].append(f"{run_dir.name}/{fname}")
+            entry["artifacts"].append(f"{name}/{fname}")
             entry["schedule"][solver] = _schedule_json(traj)
             entry["events"][solver] = _events_json(traj)
             if solver == "fdm":
@@ -151,7 +152,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
         if res["ensemble"] is not None:
             fname = "ensemble_stats.csv"
             _write_ensemble_csv(res["ensemble"], run_dir / fname)
-            entry["artifacts"].append(f"{run_dir.name}/{fname}")
+            entry["artifacts"].append(f"{name}/{fname}")
             entry["ensemble"] = {
                 "solver": res["ensemble"].solver,
                 "n_mod": cfg.ensemble.n_mod, "n_ex": cfg.ensemble.n_ex,
@@ -163,7 +164,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
         if res["shared_pool"] is not None:
             fname = "shared_pool.csv"
             _write_shared_pool_csv(res["shared_pool"], run_dir / fname)
-            entry["artifacts"].append(f"{run_dir.name}/{fname}")
+            entry["artifacts"].append(f"{name}/{fname}")
             entry["shared_pool_conservation_drift"] = (
                 res["shared_pool"].conservation_drift)
         manifest["runs"][cfg.label] = entry
@@ -286,6 +287,12 @@ def _as_written(name) -> str:
     """A path as the UTF-8 reading of its bytes (lone bytes as
     surrogates), which the export writes back as they were."""
     return os.fsencode(name).decode(errors="surrogateescape")
+
+
+def _on_disk(name: str) -> str:
+    """The path name whose bytes are `name` in UTF-8: `_as_written`'s
+    inverse, so a name reads the same in any locale."""
+    return os.fsdecode(name.encode(errors="surrogateescape"))
 
 
 def _write_series(out, path: Path, prefix: str, columns: tuple[str, ...],

@@ -446,6 +446,27 @@ class TestCli:
         assert cli_main(["run", "--preset", "fig4", "--config",
                          str(cfg_path)]) == 1
 
+    def test_solver_option_narrows_a_config_run(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        tree = dict(MINIMAL, run={"solver": "all", "seed": 5})
+        cfg_path.write_text(yaml.safe_dump(tree))
+        assert cli_main(["run", "--config", str(cfg_path), "--solver",
+                         "closed", "--out", str(tmp_path / "o")]) == 0
+        assert sorted(os.listdir(tmp_path / "o" / "cfg")) == [
+            "trajectory_closed.csv"]
+
+    @pytest.mark.parametrize("preset", sorted(RUN_PRESETS))
+    def test_solver_option_with_a_preset_exits_1(self, preset, tmp_path,
+                                                 capsys):
+        # a preset's self-check reads its own solvers' trajectories
+        rc = cli_main(["run", "--preset", preset, "--solver", "closed",
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: --solver applies to "
+                              "--config runs only")
+        assert not (tmp_path / "o").exists()
+
     def test_emit_plot_data_missing_dir(self, tmp_path):
         assert cli_main(["emit-plot-data", str(tmp_path / "nowhere")]) == 1
 
@@ -532,6 +553,30 @@ class TestCli:
             f"configuration error: {bad}: not UTF-8: ")
         assert b"Traceback" not in runs[1].stderr
         assert not (tmp_path / "bad").exists()
+
+    def test_run_names_do_not_depend_on_the_locale(self, tmp_path):
+        # a config named by a non-ASCII file name: the C locale (ASCII, no
+        # UTF-8 mode) writes the same directories, under the output root
+        # too, and the same manifest bytes as UTF-8
+        cfg = tmp_path / f"{os.fsdecode('Bµ'.encode())}.yaml"
+        cfg.write_text(yaml.safe_dump(MINIMAL))
+        assert cli_main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "utf8")]) == 0
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0", VESIM_OUT_ROOT=str(tmp_path / "c"),
+                   PYTHONPATH=str(Path(vesim.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "vesim.cli", "run",
+                               "--config", cfg], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert os.listdir(os.fsencode(tmp_path / "c")) == [b"B\xc2\xb5"]
+        manifests = []
+        for out in (tmp_path / "utf8", tmp_path / "c" / cfg.stem):
+            assert sorted(os.listdir(os.fsencode(out))) == [
+                b"B\xc2\xb5", b"manifest.json"]
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        entry = json.loads(manifests[0])["runs"]["Bµ"]
+        assert entry["artifacts"] == ["Bµ/trajectory_closed.csv"]
 
     def test_module_entrypoint(self, tmp_path):
         r = subprocess.run([sys.executable, "-m", "vesim.cli", "presets",

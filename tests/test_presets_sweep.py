@@ -208,3 +208,19 @@ def test_ensemble_parallel_matches_serial():
     assert np.array_equal(serial.per_exp_c_s_out, parallel.per_exp_c_s_out)
     assert np.array_equal(serial.per_exp_mean_c_h_in,
                           parallel.per_exp_mean_c_h_in)
+
+
+@pytest.mark.parametrize("builder, n_points", [(fig6_sweep, 2),
+                                               (fig10_sweep, 1)],
+                         ids=["fig6", "fig10"])
+def test_sweep_parallel_matches_serial(builder, n_points):
+    # rows and summary, compared through their JSON text so that NaN
+    # fields compare equal and each float bit for bit
+    spec = builder()
+    spec = dataclasses.replace(spec, points=spec.points[:n_points])
+    serial = run_sweep(spec, workers=1)
+    parallel = run_sweep(spec, workers=2)
+    for result in (serial, parallel):
+        assert result.summary["failed"] == 0
+    assert (json.dumps([parallel.rows, parallel.summary], sort_keys=True)
+            == json.dumps([serial.rows, serial.summary], sort_keys=True))
