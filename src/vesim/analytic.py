@@ -449,13 +449,11 @@ _DEPLETION_INFO = {"closed": "closed-form ramp reached 0",
 class BatchTrajectory:
     """Sampled series and symport times of a batch of vesicles.
 
-    Row m belongs to lane m of the population. Grid points a vesicle
-    never reached (past the horizon) hold NaN.
+    Row m belongs to lane m of the population.
 
     Attributes:
         t: the shared sample grid (n_t,)
         c_h_in/c_s_in: (n, n_t) intravesicular concentrations
-        n_sampled: (n,) leading grid points each vesicle sampled
         t2/t4: (n, n_cycles) clipped symport start and end per cycle
         depletion_time: (n,) first depletion event (NaN: none)
         rates: the population's rates, one element per vesicle
@@ -465,7 +463,6 @@ class BatchTrajectory:
     t: np.ndarray
     c_h_in: np.ndarray
     c_s_in: np.ndarray
-    n_sampled: np.ndarray
     t2: np.ndarray
     t4: np.ndarray
     depletion_time: np.ndarray
@@ -709,12 +706,20 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
     Args:
         vesicles: the population, one lane (and one row) per vesicle
         mode: 'exact' or 'closed'
-        sample_times: ascending sample times in [0, horizon]
+        sample_times: non-decreasing sample times in [0, horizon]
     """
     if mode not in ("exact", "closed"):
         raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
-    rates = derive_rates(vesicles, kin, env)
     grid = np.asarray(sample_times, dtype=float)
+    if grid.ndim != 1:
+        raise ModelError(f"sample times must be one-dimensional, got "
+                         f"shape {grid.shape}")
+    bad = ~((grid >= 0.0) & (grid <= signal.horizon))  # also NaN
+    bad[1:] |= grid[1:] < grid[:-1]
+    if bad.any():
+        raise ModelError(f"sample time {grid[bad.argmax()].item()!r} is not "
+                         f"non-decreasing within [0, {signal.horizon!r}]")
+    rates = derive_rates(vesicles, kin, env)
     eng = _BatchEngine(vesicles.v_in, rates, kin.k_m, env, mode, grid)
     if grid.size and grid[0] == 0.0:
         eng.c_h_in[:, 0], eng.c_s_in[:, 0] = env.c_h_in0, env.c_s_in0
@@ -742,7 +747,7 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
 
     return BatchTrajectory(
         t=grid, c_h_in=eng.c_h_in, c_s_in=eng.c_s_in,
-        n_sampled=eng.cursor, t2=t2, t4=t4, depletion_time=eng.depletion,
+        t2=t2, t4=t4, depletion_time=eng.depletion,
         rates=rates, v_in=eng.v_in, v_out=env.v_out)
 
 
@@ -762,24 +767,23 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
         mode: 'exact' or 'closed'
         sample_interval: uniform output spacing (s), ignored when
             `sample_times` is given
-        sample_times: explicit ascending sample times in [0, horizon]
+        sample_times: explicit non-decreasing sample times in
+            [0, horizon]
     """
     grid = (np.asarray(sample_times, dtype=float) if sample_times is not None
             else sample_grid(signal.horizon, sample_interval))
     batch = run_analytic_batch(VesicleLanes.of([spec]), kin, env, signal,
                                mode, grid)
-    n = int(batch.n_sampled[0])
     sched = schedule_from_times(signal, batch.t2[0].tolist(),
                                 batch.t4[0].tolist())
     t_dep = float(batch.depletion_time[0])
     events = ([] if math.isnan(t_dep)
               else [Event("depletion", t_dep, _DEPLETION_INFO[mode])])
-    t_arr = grid[:n]
-    cycles, phases = sched.annotate(t_arr)
+    cycles, phases = sched.annotate(grid)
     return Trajectory(
-        t=t_arr, c_h_in=batch.c_h_in[0, :n], c_h_out=batch.c_h_out[0, :n],
-        c_s_in=batch.c_s_in[0, :n], c_s_out=batch.c_s_out[0, :n],
-        light=signal.is_on(t_arr).astype(int),
+        t=grid, c_h_in=batch.c_h_in[0], c_h_out=batch.c_h_out[0],
+        c_s_in=batch.c_s_in[0], c_s_out=batch.c_s_out[0],
+        light=signal.is_on(grid).astype(int),
         cycle=np.asarray(cycles, dtype=int),
         phase=phases, schedule=sched, solver=mode,
         derived=batch.rates.lane(0),

@@ -9,69 +9,54 @@ T with total ligand B0, the free concentration as the positive root of
     C^2 + C*(B0 + k_a - T) - k_a*T = 0.
 
 The finite-difference solver re-equilibrates both compartments after every
-flux update: its numpy step with `free_proton_conc` for the pool and with
-the array form `free_proton_conc_array` for the vesicles, and its compiled
-step with the same expressions in C. The array form is bit-identical to
-the scalar root element by element; when all totals are positive and
-q = B0 + k_a - T >= 0 throughout, it evaluates only the conjugate branch
-of the root. The analytical solvers divide the free-H+ flux by the exact
-local slowdown dT/dC = `buffering_slowdown`, whose separable law they
-integrate in closed form (`schedule.buffered_relaxation_time`).
+flux update: its numpy step with one `free_proton_conc` call on the
+vesicles' totals and the pool's, and its compiled step with the same
+expressions in C, element by element. The analytical solvers divide the
+free-H+ flux by the exact local slowdown dT/dC = `buffering_slowdown`,
+whose separable law they integrate in closed form
+(`schedule.buffered_relaxation_time`).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
-def free_proton_conc(total_conc: float, buffer_total: float,
-                     k_a: float) -> float:
+def free_proton_conc(total_conc, buffer_total: float, k_a: float):
     """Free H+ concentration of a compartment at buffer equilibrium.
 
     Args:
-        total_conc: free + complexed H+ concentration T (mol/m^3)
+        total_conc: free + complexed H+ concentration T (mol/m^3), a
+            float (and the root is a float) or an array (and the root is
+            an array of its shape)
         buffer_total: total ligand B0 (mol/m^3)
         k_a: dissociation constant (mol/m^3)
 
     Returns:
-        The unique non-negative root of the mass-action quadratic.
+        The unique non-negative root of the mass-action quadratic, 0
+        where T <= 0 and NaN where T is NaN, as in the compiled FDM step.
+        Each element has the bits its float would. When every T > 0 and
+        every q >= 0, only the conjugate branch is evaluated: the FDM's
+        numpy step calls this once per step on its lanes' totals and its
+        pool's, and in the fig9 pool (seeds 0 and 7) all 160001 calls take
+        that branch. The checks index at argmin, which numpy runs several
+        times faster than min on small arrays (a NaN fails them).
     """
-    if total_conc <= 0.0:
-        return 0.0
+    total = np.asarray(total_conc, dtype=float)
     if buffer_total <= 0.0:
-        return total_conc
-    # q > 0 would cancel against the discriminant; use the conjugate form.
-    q = buffer_total + k_a - total_conc
-    disc = math.sqrt(q * q + 4.0 * k_a * total_conc)
-    if q >= 0.0:
-        return 2.0 * k_a * total_conc / (q + disc)
-    return 0.5 * (disc - q)
-
-
-def free_proton_conc_array(total_conc: np.ndarray, buffer_total: float,
-                           k_a: float) -> np.ndarray:
-    """`free_proton_conc` of every element of `total_conc`.
-
-    Evaluates the same expressions in the same order, so each element is
-    bit-identical to the scalar root. When every total is positive and
-    every q >= 0, only the conjugate branch is evaluated: the FDM's numpy
-    step calls this once per step, and in the fig9 pool (seeds 0 and 7)
-    every one of its 160001 calls takes that branch. The checks index at
-    argmin, which numpy runs several times faster than min on small
-    arrays (a NaN fails them and takes the general path).
-    """
-    if buffer_total <= 0.0:
-        return np.where(total_conc > 0.0, total_conc, 0.0)
-    q = buffer_total + k_a - total_conc
-    disc = np.sqrt(q * q + 4.0 * k_a * total_conc)
-    if total_conc.size and total_conc[total_conc.argmin()] > 0.0:
-        if q[q.argmin()] >= 0.0:
-            return 2.0 * k_a * total_conc / (q + disc)
-    root = np.where(q >= 0.0, 2.0 * k_a * total_conc / (q + disc),
-                    0.5 * (disc - q))
-    return np.where(total_conc > 0.0, root, 0.0)
+        root = total
+    else:
+        # q > 0 would cancel against the discriminant; use the conjugate
+        # form. For T <= 0, q^2 + 4*k_a*T >= (B0 + k_a + T)^2 >= 0.
+        q = buffer_total + k_a - total
+        disc = np.sqrt(q * q + 4.0 * k_a * total)
+        root = 2.0 * k_a * total / (q + disc)
+        if (total.size and total.flat[total.argmin()] > 0.0
+                and q.flat[q.argmin()] >= 0.0):
+            return root if root.ndim else float(root)
+        root = np.where(q >= 0.0, root, 0.5 * (disc - q))
+    root = np.where(total <= 0.0, 0.0, root)
+    return root if root.ndim else float(root)
 
 
 def complexed_conc(c_free: float, buffer_total: float, k_a: float) -> float:

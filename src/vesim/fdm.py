@@ -46,7 +46,7 @@ import numpy as np
 from . import native
 from .analytic import DEPLETION_FRACTION_OF_KM, phase_coefficients
 from .buffering import (buffering_slowdown, free_proton_conc,
-                        free_proton_conc_array, total_conc_from_free)
+                        total_conc_from_free)
 from .model import (DerivedRates, Environment, KineticConstants,
                     VesicleLanes, VesicleSpec, derive_rates, leakage_flux,
                     net_proton_inflow, pump_flux, symport_flux, symport_gate)
@@ -67,8 +67,9 @@ class FdmConfig:
         dt: time step in seconds (baseline default 1e-2)
         record_stride: one recorded sample every `record_stride` steps
 
-    Light switch times are quantized to the step grid, so signals should
-    use switch times that are multiples of dt.
+    The steps switch the light at the step nearest each switch time, so
+    signals should use switch times that are multiples of dt; the
+    recorded `light` column is the signal's own (`LightSignal.is_on`).
     """
 
     dt: float = 1e-2
@@ -241,6 +242,8 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
     flows = lanes[-2:]  # net H+ inflow and released substrate: one sum
     dt, v_pool, b0, k_a, km, c_out0 = pool[3:].tolist()
     n, cap, stride = above.size, log.t.size, rec.stride
+    totals = np.empty(n + 1)  # the lanes' H+ totals, then the pool's
+    lane_totals = totals[:n]
 
     def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
         pool_th, pool_ts, c_pool = pool[:3].tolist()
@@ -263,19 +266,21 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
             net_sum, released_sum = flows.sum(axis=1).tolist()
             pool_th -= dt * net_sum
             pool_ts += released_sum
-            c_prev = c_in.copy()
-            c_in[:] = free_proton_conc_array(th_in / v_in, b0, k_a)
-            c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-            flipped = symport_gate(c_in, c_switch) != above
+            np.divide(th_in, v_in, out=lane_totals)
+            totals[n] = pool_th / v_pool
+            roots = free_proton_conc(totals, b0, k_a)
+            c_new, c_pool = roots[:n], roots.item(n)
+            flipped = symport_gate(c_new, c_switch) != above
             if flipped.any():  # log the crossings within step k
                 v = np.flatnonzero(flipped)
                 above[v] ^= True
-                diff_prev = c_prev[v] - c_switch[v]
-                frac = diff_prev / (diff_prev - (c_in[v] - c_switch[v]))
+                diff_prev = c_in[v] - c_switch[v]
+                frac = diff_prev / (diff_prev - (c_new[v] - c_switch[v]))
                 m, m1 = log.n[0], log.n[0] + v.size
                 log.vd[:, m:m1] = v, np.where(above[v], 1, -1)
                 log.t[m:m1] = k * dt + frac * dt
                 log.n[0] = m1
+            c_in[:] = c_new
             if (cs_in < dep_threshold).any() or log.n[0] + n > cap:
                 k = -(k + 1)
                 break
@@ -341,13 +346,14 @@ def simulate_svs(spec: VesicleSpec, kin: KineticConstants, env: Environment,
     that stop: the recorded samples (an exact prefix of the full run's),
     the events so far, and the conservation drift checked so far.
     """
-    res, rates, light = _run_lanes(VesicleLanes.of([spec]), kin, env,
-                                   signal, cfg or FdmConfig(), until_settled)
+    res, rates = _run_lanes(VesicleLanes.of([spec]), kin, env, signal,
+                            cfg or FdmConfig(), until_settled)
     sched = res.schedules[0]
     cycles, phases = sched.annotate(res.t)
     return Trajectory(
         t=res.t, c_h_in=res.c_h_in[:, 0], c_h_out=res.pooled_c_h_out,
-        c_s_in=res.c_s_in[:, 0], c_s_out=res.pooled_c_s_out, light=light,
+        c_s_in=res.c_s_in[:, 0], c_s_out=res.pooled_c_s_out,
+        light=signal.is_on(res.t).astype(int),
         cycle=np.asarray(cycles, dtype=int), phase=phases, schedule=sched,
         solver="fdm", derived=rates.lane(0), events=res.events[0],
         conservation_drift=float(res.conservation_drift),
@@ -403,11 +409,10 @@ def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
     The driver of both public kernels (see the module docstring). With
     `until_settled` the run stops at the first record step at which
     every vesicle's schedule is final. The step writes the records but
-    the last, the state the run ends at; each record's t and light
-    follow from its step.
+    the last, the state the run ends at; each record's t follows from
+    its step.
 
-    Returns the SharedPoolResult, the population's DerivedRates and the
-    illumination (0 or 1) of each recorded sample.
+    Returns the SharedPoolResult and the population's DerivedRates.
     """
     n_ves = len(vesicles)
     v_pool = env_total.v_out
@@ -432,10 +437,12 @@ def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
     dep_threshold[:] = DEPLETION_FRACTION_OF_KM * km
     th_in[:] = total_conc_from_free(env_total.c_h_in0, b0, k_a) * v_in
     cs_in[:] = env_total.c_s_in0
-    c_in[:] = free_proton_conc_array(th_in / v_in, b0, k_a)
     pool_th = total_conc_from_free(c_out0, b0, k_a) * v_pool
-    c_pool = free_proton_conc(pool_th / v_pool, b0, k_a)
-    pool = np.array([pool_th, 0.0, c_pool, dt, v_pool, b0, k_a, km, c_out0])
+    roots = free_proton_conc(np.append(th_in / v_in, pool_th / v_pool),
+                             b0, k_a)
+    c_in[:] = roots[:-1]
+    pool = np.array([pool_th, 0.0, roots[-1], dt, v_pool, b0, k_a, km,
+                     c_out0])
     h_total0 = th_in.sum() + pool_th
     s_total0 = (cs_in * v_in).sum()
 
@@ -508,4 +515,4 @@ def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
         c_s_in=rec.c_s_in[:n_rec], pooled_c_h_out=rec.pool_h[:n_rec],
         pooled_c_s_out=rec.pool_s[:n_rec], schedules=schedules,
         events=events, conservation_drift=drift,
-    ), rates, _lit(signal, dt, n_steps, rec.steps[:n_rec]).astype(int)
+    ), rates

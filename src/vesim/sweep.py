@@ -95,19 +95,6 @@ def _fig6_point(point: dict) -> dict:
     return row
 
 
-def _min_illumination(g_sym: float, g_l: float) -> float:
-    """Shortest illumination that still triggers symport (cold start)."""
-    spec = dataclasses.replace(default_vesicle(), permeability=g_l)
-    kin = dataclasses.replace(default_kinetics(),
-                              symport_rate_per_protein=g_sym)
-    env = default_environment()
-    long_sig = LightSignal([(0.0, 1e4)], horizon=2e4)
-    traj = run_analytic(spec, kin, env, long_sig, "closed",
-                        sample_times=np.array([0.0, 2e4]))
-    c = traj.schedule.cycles[0]
-    return c.t2 if c.t4 > c.t2 else math.inf
-
-
 # --- fig10 / fig11 -----------------------------------------------------------
 
 FIG10_DIAMETERS_NM = (100.0, 500.0, 1000.0)
@@ -217,14 +204,17 @@ def _summarize(sweep: SweepSpec, rows: list[dict]) -> dict:
     ok = [r for r in rows if "error" not in r]
     summary: dict = {"points": len(rows), "failed": len(rows) - len(ok)}
     if sweep.kind == "illumination":
+        groups: dict = {}  # the rows of each combo, in first-seen order
+        for r in ok:
+            groups.setdefault((r["symport_rate"], r["permeability"]),
+                              []).append(r)
         by_combo: dict = {}
-        for (g_sym, g_l) in FIG6_COMBOS:
-            sel = [r for r in ok if r["symport_rate"] == g_sym
-                   and r["permeability"] == g_l]
-            if not sel:
-                continue
+        for (g_sym, g_l), sel in groups.items():
             key = f"gamma_sym={g_sym:g},g_l={g_l:g}"
-            t_min = _min_illumination(g_sym, g_l)
+            # symport starts at the cold-start crossing of every point
+            # whose light outlasts it; inf where no point triggers symport
+            t_min = next((r["t2_closed"] for r in sel
+                          if r["symport_duration_closed"] > 0), math.inf)
             entry = {"min_illumination_time": float(t_min)}
             fit = [(r["duration"], r["symport_duration_closed"])
                    for r in sel if r["duration"] > t_min]

@@ -15,7 +15,8 @@ from vesim.analytic import (QuadratureError, buffered_log_ratio,
 from vesim.ensemble import (EnsembleConfig, PopulationDistributions,
                             sample_vesicles)
 from vesim.fdm import FdmConfig, simulate_svs, stable_dt
-from vesim.model import (VesicleSpec, default_environment, default_kinetics,
+from vesim.model import (ModelError, VesicleLanes, VesicleSpec,
+                         default_environment, default_kinetics,
                          default_vesicle, derive_rates)
 from vesim.schedule import LightSignal, buffered_relaxation_time
 
@@ -525,3 +526,19 @@ class TestRunAnalytic:
         assert traj.phase[k] == "P3"  # inside the second window, crossed
         assert traj.light[k] == 1
         assert traj.cycle[k] == 2
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 5.0, 3.0, 1.0], "sample time 3.0 "),   # decreasing
+    ([-1.0, 0.0], "sample time -1.0 "),           # before 0
+    ([0.0, 60.0, 60.5], "sample time 60.5 "),     # past the horizon
+    ([0.0, math.nan, 10.0], "sample time nan "),
+    (5.0, r"one-dimensional, got shape \(\)"),
+])
+def test_batch_refuses_a_grid_it_cannot_sample(times, message):
+    # every grid point of an accepted grid is sampled; any other grid is
+    # refused, naming its first bad time
+    with pytest.raises(ModelError, match=message):
+        run_analytic_batch(VesicleLanes.of([default_vesicle()]),
+                           default_kinetics(), default_environment(),
+                           LightSignal([(0.0, 30.0)], 60.0), "closed", times)

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from vesim.buffering import (buffering_slowdown, complexed_conc,
-                             free_proton_conc, free_proton_conc_array,
-                             total_conc_from_free)
+                             free_proton_conc, total_conc_from_free)
 
 
 def bisect_free_conc(total, b0, ka, tol=1e-12):
@@ -32,6 +33,15 @@ def test_unbuffered_identity():
 
 def test_zero_total():
     assert free_proton_conc(0.0, 20.0, 6.2e-5) == 0.0
+
+
+@pytest.mark.parametrize("b0", [0.0, 20.0])
+def test_nan_total_stays_nan(b0):
+    # as in the compiled FDM step: a NaN total is not taken for T <= 0,
+    # so a lane gone NaN shows in every kernel
+    assert math.isnan(free_proton_conc(math.nan, b0, 6.2e-5))
+    roots = free_proton_conc(np.array([1e-3, math.nan, 0.0]), b0, 6.2e-5)
+    assert np.isnan(roots).tolist() == [False, True, False]
 
 
 def test_reference_complex_concentration():
@@ -94,9 +104,9 @@ def test_slowdown_reference_value():
                             max_size=3))
 def test_array_root_equals_scalar_root(totals, b0, ka, q_sign, fracs,
                                        nonpositive):
-    # the shared-pool kernel's root: the scalar root of every element,
-    # whether q = B0 + k_a - T has one sign on every element or both,
-    # and with totals <= 0 among positive ones
+    # the root of an array, as the FDM's numpy step takes it: the float
+    # root of every element, whether q = B0 + k_a - T has one sign on
+    # every element or both, and with totals <= 0 among positive ones
     s = b0 + ka
     if q_sign == ">=0":  # T = s*f <= s, so q >= 0 (q = 0 at f = 1)
         totals = [s * f for f in fracs]
@@ -106,11 +116,12 @@ def test_array_root_equals_scalar_root(totals, b0, ka, q_sign, fracs,
         totals = [s * (f if i % 2 else 1.0 + f) for i, f in enumerate(fracs)]
     for i, t in nonpositive:
         totals.insert(i, t)
-    arr = free_proton_conc_array(np.array(totals), b0, ka)
+    arr = free_proton_conc(np.array(totals), b0, ka)
     assert arr.shape == (len(totals),)
     for t, c in zip(totals, arr):
-        assert c == free_proton_conc(t, b0, ka)
-        assert np.signbit(c) == np.signbit(free_proton_conc(t, b0, ka))
+        c_float = free_proton_conc(t, b0, ka)
+        assert type(c_float) is float
+        assert c == c_float and np.signbit(c) == np.signbit(c_float)
         if t > 1e-12 and b0 > 0.0:
             assert c == pytest.approx(bisect_free_conc(t, b0, ka),
                                       rel=1e-8, abs=1e-18)

@@ -172,6 +172,22 @@ def test_monotone_rise_while_pump_beats_leak(base_vesicle, base_kinetics):
     assert np.all(np.diff(traj.c_h_in[lit]) >= 0)
 
 
+def test_light_column_is_the_signals_off_the_step_grid(base_vesicle,
+                                                      base_kinetics,
+                                                      base_env):
+    # the steps switch at the nearest step (1000 and 3501), but each
+    # sample's light is the signal's, as in the exact solver: off at
+    # t = 10.0 s, which precedes t_on = 10.004 s
+    sig = LightSignal([(10.004, 35.006)], 60)
+    traj = simulate_svs(base_vesicle, base_kinetics, base_env, sig,
+                        FdmConfig(dt=1e-2, record_stride=1))
+    exact = run_analytic(base_vesicle, base_kinetics, base_env, sig, "exact",
+                         sample_times=traj.t)
+    assert traj.t[1000] == 10.0 and traj.light[1000] == 0
+    assert traj.light.tolist() == sig.is_on(traj.t).astype(int).tolist()
+    assert np.array_equal(traj.light, exact.light)
+
+
 def test_depletion_event_recorded(base_kinetics):
     spec = VesicleSpec(d_in=87e-9, d_mem=14e-9, n_pumps=35, n_sym=35,
                        permeability=3e-6)
@@ -713,19 +729,17 @@ def test_records_are_every_stride_th_sample_of_stride_one(case, stride, step,
     monkeypatch.setattr(fdm, "_compiled_step", lambda: step)
 
     def run(s):
-        res, _, light = fdm._run_lanes(
+        return fdm._run_lanes(
             VesicleLanes.of([spec]), default_kinetics(), env, sig,
-            dataclasses.replace(cfg, record_stride=s), False)
-        return res, light
+            dataclasses.replace(cfg, record_stride=s), False)[0]
 
-    (every, every_light), (res, light) = run(1), run(stride)
+    every, res = run(1), run(stride)
     n_steps = len(every.t) - 1
     rows = np.append(np.arange(0, n_steps, stride), n_steps)
     for name in ("t", "c_h_in", "c_s_in", "pooled_c_h_out",
                  "pooled_c_s_out"):
         assert np.array_equal(getattr(res, name),
                               getattr(every, name)[rows]), name
-    assert np.array_equal(light, every_light[rows])
     assert np.all(every.c_s_in >= 0.0)
     assert np.any(every.c_s_in == 0.0) == case.startswith("clamp")
 
@@ -739,6 +753,51 @@ def test_compiled_step_refuses_steps_outside_the_run():
     for k0, k1 in ((0, 11), (-1, 3), (4, 3)):
         with pytest.raises(ValueError, match="outside the run"):
             steps(k0, k1, False, float("nan"))
+
+
+def _two_lane_state(b0: float, dt: float = 1e-2):
+    """The set-up of `_run_lanes` for two default vesicles and one record
+    step, but lane 1's H+ total is NaN."""
+    specs, kin = VesicleLanes.of([default_vesicle()] * 2), default_kinetics()
+    env = default_environment(buffer_total=b0)
+    rates = derive_rates(specs, kin, env)
+    row = {name: i for i, name in enumerate(fdm._LANE_ROWS)}
+    lanes = np.zeros((len(fdm._LANE_ROWS), 2))
+    lanes[:6] = (specs.v_in, rates.pump_rate, rates.leak_rate,
+                 rates.symport_rate_substrate, rates.symport_rate_proton,
+                 rates.switch_conc)
+    lanes[row["dep_threshold"]] = DEPLETION_FRACTION_OF_KM * kin.k_m
+    lanes[row["th_in"]] = (total_conc_from_free(env.c_h_in0, b0, env.k_a)
+                           * specs.v_in)
+    lanes[row["th_in"], 1] = np.nan
+    lanes[row["cs_in"]], lanes[row["c_in"]] = env.c_s_in0, env.c_h_in0
+    v_pool = 2 * env.v_out
+    pool = np.array([total_conc_from_free(env.c_h_out0, b0, env.k_a)
+                     * v_pool, 0.0, env.c_h_out0, dt, v_pool, b0, env.k_a,
+                     kin.k_m, env.c_h_out0])
+    rec = fdm._Records(1, 1, 2)
+    for buf in (rec.c_h_in, rec.c_s_in, rec.pool_h, rec.pool_s):
+        buf.fill(0.0)
+    return (lanes, np.zeros(2, dtype=bool), pool,
+            fdm._CrossingLog(2 + fdm._LOG_ROOM), rec)
+
+
+@pytest.mark.parametrize("b0", [0.0, 20.0])
+def test_a_nan_lane_is_nan_in_both_steps(b0):
+    # the numpy step's buffer root keeps a NaN total NaN, as the compiled
+    # step's does, so the oracle reports the NaN lane it would report
+    after = []
+    for bind in (_c_step(), fdm._step_numpy):
+        state = _two_lane_state(b0)
+        k = bind(*state)(0, 1, True, float("nan"))
+        lanes, above, pool, log, rec = state
+        m = int(log.n[0])
+        after.append((k, lanes, above, pool, log.vd[:, :m], log.t[:m],
+                      rec.c_h_in, rec.c_s_in, rec.pool_h, rec.pool_s))
+    for c, n in zip(*after):
+        assert np.array_equal(c, n, equal_nan=True)
+    c_in = after[1][1][fdm._LANE_ROWS.index("c_in")]
+    assert np.isnan(c_in[1]) and np.isfinite(c_in[0])
 
 
 class TestCompiledStepBuild:

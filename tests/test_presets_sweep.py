@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -130,6 +131,26 @@ def test_sweep_point_failure_isolated():
     assert result.summary["failed"] == 1
     assert "error" in result.rows[0]
     assert "error" not in result.rows[1]
+
+
+def test_fig6_summary_has_an_entry_per_combo_of_its_own_points():
+    # a combo outside the preset's gets its entry too, in first-seen
+    # order; a combo whose light never triggers symport has no minimum
+    points = [{"symport_rate": g, "permeability": p, "duration": d}
+              for g, p, d in ((0.007, 4e-6, 60.0), (0.007, 4e-6, 15.0),
+                              (0.006, 3e-6, 15.0), (0.007, 4e-6, 90.0))]
+    result = run_sweep(SweepSpec(name="combos", description="",
+                                 kind="illumination", points=points))
+    combos = result.summary["combos"]
+    assert list(combos) == ["gamma_sym=0.007,g_l=4e-06",
+                            "gamma_sym=0.006,g_l=3e-06"]
+    rows = [r for r in result.rows if r["symport_rate"] == 0.007]
+    assert [r["symport_duration_closed"] > 0 for r in rows] == [
+        True, False, True]
+    assert combos["gamma_sym=0.007,g_l=4e-06"]["min_illumination_time"] \
+        == rows[0]["t2_closed"] == rows[2]["t2_closed"] < 60.0
+    assert combos["gamma_sym=0.006,g_l=3e-06"] == {
+        "min_illumination_time": math.inf}
 
 
 def test_ensemble_sweep_keys_rows_by_the_point_parameter():
