@@ -10,15 +10,19 @@ Two modes share one phase-by-phase engine:
   * closed -- linearized release flux, giving piecewise-linear substrate
               and a pure exponential proton relaxation per phase.
 
-The engine advances a population of vesicles that share one light
-signal and one sample grid (`run_analytic_batch`). It takes the
-population as lane arrays (`model.VesicleLanes`) and its rates as one
-`DerivedRates` of arrays, and its state is one array element per
-vesicle. Each phase is one batched segment with per-vesicle end times,
-and vesicles whose segment is empty sit it out. An ensemble experiment
-is one population; `run_analytic` is the population of one lane. Every
-element is computed on its own, so a vesicle's row is the same bit for
-bit whatever else is in the population.
+The engine advances a population of vesicles on one sample grid
+(`run_analytic_batch`). It takes the population as lane arrays
+(`model.VesicleLanes`) and its rates as one `DerivedRates` of arrays,
+and its state is one array element per vesicle. Its cycle bounds are
+per lane too: t1 and t3 of each cycle, the next cycle's t1 and the
+horizon, from one shared light signal or one signal per lane with a
+common cycle count. The light of each phase is shared: P2 and P3 are
+lit. Each phase is one batched segment with per-vesicle end times, and
+vesicles whose segment is empty sit it out. An ensemble experiment is
+one population, a fig6 sweep's points of one kinetics are another, and
+`run_analytic` is the population of one lane. Every element is computed
+on its own, so a vesicle's row is the same bit for bit whatever else is
+in the population.
 
 Within one cycle phase the proton ODE is C' = -a*C + b' with
 
@@ -501,11 +505,10 @@ class _BatchEngine:
     Every per-vesicle input is a plain array with one element per
     vesicle: the volumes and the population's `DerivedRates` (leak, pump
     and symport rates, free-H+ inventory and symport threshold). The
-    state holds one element per vesicle too:
-    time, C_H_in, C_S_in, the next unsampled grid point and the first
-    depletion time. Every phase is one batched segment with a shared or
-    per-vesicle end time; the vesicles whose own segment is empty sit it
-    out.
+    state holds one element per vesicle too: time, C_H_in, C_S_in, the
+    next unsampled grid point and the first depletion time. Every phase
+    is one batched segment with per-vesicle end times; the vesicles whose
+    own segment is empty sit it out.
     """
 
     def __init__(self, v_in: np.ndarray, rates: DerivedRates, k_m: float,
@@ -560,15 +563,14 @@ class _BatchEngine:
         self.depletion[rows[first]] = times[first]
 
     def segment(self, t_end, light: bool, indicator: bool) -> None:
-        """Advance to t_end, shared or one per vesicle, under constant
-        light and symport indicator.
+        """Advance to t_end, one per vesicle, under constant light and
+        symport indicator.
 
         Only vesicles more than 1e-15 s short of t_end move. In closed
         mode a drained segment splits once, where the substrate ramp hits
         zero; in exact mode the drain fades smoothly instead and only the
         reporting threshold generates an event.
         """
-        t_end = np.broadcast_to(t_end, self.t.shape)
         rows = np.flatnonzero(self.t < t_end - 1e-15)
         if not rows.size:
             self.t = np.maximum(self.t, t_end)
@@ -656,33 +658,36 @@ class _BatchEngine:
 
     # -- symport time prediction ---------------------------------------------
 
-    def symport_start(self, t_from: float) -> np.ndarray:
-        """Upward threshold crossings under lit, symport-free dynamics."""
-        out = np.full(self.t.shape, t_from)
+    def symport_start(self, t_from: np.ndarray) -> np.ndarray:
+        """Upward threshold crossings under lit, symport-free dynamics,
+        from each vesicle's own t_from."""
+        out = np.array(t_from, dtype=float)
         rows = np.flatnonzero(self.c_h < self.switch)
         a, b, h = self.coeffs(rows, light=True, drain=False)
         out[rows] = predict_buffered_crossing(
-            self.c_h[rows], self.switch[rows], a, b + h, t_from,
+            self.c_h[rows], self.switch[rows], a, b + h, out[rows],
             self.env.buffer_total, self.env.k_a)
         return out
 
-    def symport_end(self, t_from: float) -> np.ndarray:
-        """Downward crossings in the dark, stepping over closed-form
-        substrate depletion where it happens first."""
-        out = np.full(self.t.shape, t_from)
+    def symport_end(self, t_from: np.ndarray) -> np.ndarray:
+        """Downward crossings in the dark from each vesicle's own t_from,
+        stepping over closed-form substrate depletion where it happens
+        first."""
+        out = np.array(t_from, dtype=float)
         c_h, t0 = self.c_h.copy(), out.copy()
         b0, k_a = self.env.buffer_total, self.env.k_a
         above = self.c_h >= self.switch
         d = np.flatnonzero(above & (self.c_s > 0.0) & (self.gamma_s > 0.0))
         a, b, h = self.coeffs(d, light=False, drain=True)
-        t_dep = t_from + self.v_in[d] * self.c_s[d] / self.gamma_s[d]
+        t_start = t0[d]
+        t_dep = t_start + self.v_in[d] * self.c_s[d] / self.gamma_s[d]
         tc = predict_buffered_crossing(c_h[d], self.switch[d], a, b + h,
-                                       t_from, b0, k_a)
+                                       t_start, b0, k_a)
         first = tc <= t_dep
         out[d[first]] = tc[first]
         late = ~first
         c_h[d[late]] = self.relax(c_h[d[late]], a[late], b[late], h[late],
-                                  t_dep[late] - t_from)[-1]
+                                  (t_dep - t_start)[late])[-1]
         t0[d[late]] = t_dep[late]
         above[d[first]] = False
         r = np.flatnonzero(above)  # crossing in the undrained dark
@@ -692,33 +697,55 @@ class _BatchEngine:
         return out
 
 
-def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
-                       env: Environment, signal: LightSignal,
-                       mode: str, sample_times) -> BatchTrajectory:
-    """Phase-by-phase analytic trajectories of a population sharing a
-    signal.
+def _lane_bounds(signal, n: int):
+    """t1, t3 and the next t1 of each lane's cycles, (n, n_cycles), and
+    each lane's horizon, from one `LightSignal` or n of one cycle count."""
+    signals = [signal] if isinstance(signal, LightSignal) else list(signal)
+    if len(signals) != (1 if isinstance(signal, LightSignal) else n):
+        raise ModelError(f"{len(signals)} light signals for {n} lanes")
+    for m, sig in enumerate(signals):
+        if sig.n_cycles != signals[0].n_cycles:
+            raise ModelError(f"lane {m}'s light signal has {sig.n_cycles} "
+                             f"cycles, lane 0's has {signals[0].n_cycles}")
+    # the horizon closes each lane's rows as the t1 after its last cycle
+    edges = np.array([sig.intervals + ((sig.horizon, sig.horizon),)
+                      for sig in signals])
+    edges = np.broadcast_to(edges, (n,) + edges.shape[1:])
+    return edges[:, :-1, 0], edges[:, :-1, 1], edges[:, 1:, 0], edges[:, -1, 0]
 
-    All vesicles share t1, t3 and the sample grid; each phase advances
-    the whole population at once, with per-vesicle symport times, end
-    states and depletion splits. Row m equals the batch-of-one run of
-    lane m bit for bit.
+
+def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
+                       env: Environment, signal, mode: str,
+                       sample_times) -> BatchTrajectory:
+    """Phase-by-phase analytic trajectories of a population.
+
+    Each phase advances the whole population at once, with per-vesicle
+    cycle bounds, symport times, end states and depletion splits. The
+    light of a phase and the sample grid are shared. Row m equals the
+    batch-of-one run of lane m on its own signal bit for bit.
 
     Args:
         vesicles: the population, one lane (and one row) per vesicle
+        signal: one `LightSignal` for all vesicles, or a sequence of one
+            per vesicle, all with the same number of cycles
         mode: 'exact' or 'closed'
-        sample_times: non-decreasing sample times in [0, horizon]
+        sample_times: non-decreasing sample times in [0, horizon] of
+            every vesicle
     """
     if mode not in ("exact", "closed"):
         raise ModelError(f"mode must be 'exact' or 'closed', got {mode!r}")
+    t1s, t3s, t1_nexts, horizon = _lane_bounds(signal, len(vesicles))
     grid = np.asarray(sample_times, dtype=float)
     if grid.ndim != 1:
         raise ModelError(f"sample times must be one-dimensional, got "
                          f"shape {grid.shape}")
-    bad = ~((grid >= 0.0) & (grid <= signal.horizon))  # also NaN
+    m = int(horizon.argmin())
+    bad = ~((grid >= 0.0) & (grid <= horizon[m]))  # also NaN
     bad[1:] |= grid[1:] < grid[:-1]
     if bad.any():
         raise ModelError(f"sample time {grid[bad.argmax()].item()!r} is not "
-                         f"non-decreasing within [0, {signal.horizon!r}]")
+                         f"non-decreasing within [0, {horizon[m].item()!r}], "
+                         f"the horizon of lane {m}")
     rates = derive_rates(vesicles, kin, env)
     eng = _BatchEngine(vesicles.v_in, rates, kin.k_m, env, mode, grid)
     if grid.size and grid[0] == 0.0:
@@ -729,10 +756,9 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
                       "threshold; the opening leakage phase treats the "
                       "release module as inactive", stacklevel=2)
 
-    t2 = np.empty((len(vesicles), signal.n_cycles))
+    t2 = np.empty(t1s.shape)
     t4 = np.empty_like(t2)
-    for i in range(signal.n_cycles):
-        t1, t3, t1_next = signal.cycle_bounds(i)
+    for i, (t1, t3, t1_next) in enumerate(zip(t1s.T, t3s.T, t1_nexts.T)):
         eng.segment(t1, light=False, indicator=False)  # P1: dark relaxation
         t2_est = eng.symport_start(t1)
         # P2: pumping below threshold, up to t2 as clip_cycle_times clips it
@@ -743,7 +769,7 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
         t2[:, i], t4[:, i] = clip_cycle_times(t2_est, t4_est, t1, t3,
                                               t1_next)
         eng.segment(t4[:, i], light=False, indicator=True)  # P4
-    eng.segment(signal.horizon, light=False, indicator=False)  # trailing dark
+    eng.segment(horizon, light=False, indicator=False)  # trailing dark
 
     return BatchTrajectory(
         t=grid, c_h_in=eng.c_h_in, c_s_in=eng.c_s_in,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 from itertools import repeat
 from operator import add, sub
@@ -170,9 +171,10 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
         manifest["runs"][cfg.label] = entry
 
     if scenario.self_check is not None:
-        manifest["self_check"] = _jsonable(scenario.self_check(results))
+        manifest["self_check"] = scenario.self_check(results)
     with write_atomically(out / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump(_jsonable(manifest), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
     return out, results
 
 
@@ -194,7 +196,7 @@ def write_sweep_artifacts(result, out_dir: Path | str | None = None) -> Path:
     with write_atomically(out / "summary.json") as fh:
         json.dump({"name": result.name, "summary": _jsonable(result.summary),
                    "rows": _jsonable(result.rows)}, fh, indent=2,
-                  sort_keys=True)
+                  sort_keys=True, allow_nan=False)
     return out
 
 
@@ -212,14 +214,18 @@ def _safe_name(label: str) -> str:
 
 
 def _jsonable(obj):
+    """`obj` in types `json` writes as strict JSON: a non-finite float
+    becomes null, for which JSON has no number."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -341,11 +341,16 @@ def clip_cycle_times(t2_est, t4_est, t1, t3, t1_next):
     t2 is confined to [t1, t3] and t4 to [t3, t1_next]; estimates of
     NO_CROSSING collapse onto the upper clip bound. This reproduces the
     degenerate boundary patterns of type (b) (t2 = t3 = t4) and type (c)
-    (t4 = t1_next) cycles. The estimates may be arrays, one per vesicle.
+    (t4 = t1_next) cycles. The estimates and the bounds may be arrays of
+    one shape, one element per vesicle.
     """
-    if not (t1 <= t3 <= t1_next):
+    t1, t3, t1_next = np.broadcast_arrays(t1, t3, t1_next)
+    ok = (t1 <= t3) & (t3 <= t1_next)
+    if not np.all(ok):
+        m = int(ok.argmin())  # the first bad lane, in flat order
         raise ScheduleError(
-            f"need t1 <= t3 <= t1_next, got {t1}, {t3}, {t1_next}")
+            f"lane {m}: need t1 <= t3 <= t1_next, got {t1.flat[m]}, "
+            f"{t3.flat[m]}, {t1_next.flat[m]}")
     t2 = np.maximum(np.minimum(t3, t2_est), t1)
     t4 = np.maximum(np.minimum(t1_next, t4_est), t3)
     return t2, np.maximum(t4, t2)

@@ -8,9 +8,13 @@ Parameter sweeps: symport-duration scans and ensemble sensitivity studies.
   fig11  ensemble response for mean permeabilities of 1/5/10 x 1e-6 m/s
 
 Each sweep yields one row per point; per-point failures are recorded in
-the row and do not abort the sweep. A fig6 point cross-checks its closed
-symport duration with an FDM run that stops once its cycle schedule is
-final, since no later step can change the duration it reports.
+the row and do not abort the sweep. fig6's closed points run as one
+`run_analytic_batch` call per kinetics, each point a lane with its own
+permeability and light signal; a point whose inputs break a model
+condition is an error row before the batch runs. Each point
+cross-checks its closed symport duration with its own FDM run, which
+stops once its cycle schedule is final, since no later step can change
+the duration it reports.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import run_analytic
+from .analytic import run_analytic_batch
 from .ensemble import EnsembleConfig, PopulationDistributions, run_ensemble
 from .fdm import FdmConfig, simulate_svs
-from .model import (default_environment, default_kinetics,
+from .model import (VesicleLanes, default_environment, default_kinetics,
                     default_vesicle)
 from .schedule import LightSignal
 
@@ -67,32 +71,69 @@ def fig6_sweep(seed: int = 0) -> SweepSpec:
         kind="illumination", points=points, seed=seed)
 
 
-def _fig6_point(point: dict) -> dict:
-    g_sym, g_l, dur = (point["symport_rate"], point["permeability"],
-                       point["duration"])
-    spec = dataclasses.replace(default_vesicle(), permeability=g_l)
-    kin = dataclasses.replace(default_kinetics(),
-                              symport_rate_per_protein=g_sym)
-    env = default_environment()
-    signal = LightSignal([(0.0, dur)], horizon=dur + FIG6_TAIL)
+def _fig6_inputs(point: dict):
+    """A fig6 point's vesicle, kinetics and light signal, or a raise."""
+    dur = point["duration"]
+    return (dataclasses.replace(default_vesicle(),
+                                permeability=point["permeability"]),
+            dataclasses.replace(default_kinetics(),
+                                symport_rate_per_protein=point["symport_rate"]),
+            LightSignal([(0.0, dur)], horizon=dur + FIG6_TAIL))
 
-    row = dict(point)
-    closed = run_analytic(spec, kin, env, signal, "closed",
-                          sample_times=np.array([0.0, dur, dur + FIG6_TAIL]))
-    cyc = closed.schedule.cycles[0]
-    row["t2_closed"] = cyc.t2
-    row["t4_closed"] = cyc.t4
-    row["symport_duration_closed"] = cyc.symport_duration
-    row["c_s_out_end_illumination"] = float(
-        np.interp(dur, closed.t, closed.c_s_out))
-    row["depletion_time"] = closed.depletion_time()
 
-    fdm = simulate_svs(spec, kin, env, signal,
+def _fig6_closed(points: list[dict]) -> list[dict]:
+    """Each point's row with its closed columns, or its error row.
+
+    The points of one kinetics run as one batch sampled on {0} and their
+    durations, which must lie within the smallest horizon of its lanes:
+    the points past it form the next batch.
+    """
+    rows, lanes = [], {}  # kinetics -> [(duration, row, vesicle, signal)]
+    for k, point in enumerate(points):
+        try:
+            spec, kin, signal = _fig6_inputs(point)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            rows.append(_error_row(point, exc))
+            continue
+        rows.append(dict(point))
+        lanes.setdefault(kin, []).append((point["duration"], k, spec, signal))
+    for kin, todo in lanes.items():
+        todo.sort()  # by duration, then row: no two lanes tie
+        while todo:
+            fit = [lane for lane in todo if lane[0] <= todo[0][3].horizon]
+            todo = todo[len(fit):]
+            durations, ks, specs, signals = zip(*fit)
+            try:
+                grid = np.unique((0.0, *durations))
+                batch = run_analytic_batch(
+                    VesicleLanes.of(specs), kin, default_environment(),
+                    signals, "closed", grid)
+            except Exception as exc:  # noqa: BLE001 - per-batch isolation
+                for k in ks:
+                    rows[k] = _error_row(points[k], exc)
+                continue
+            c_s_out = batch.c_s_out[np.arange(len(ks)),
+                                    np.searchsorted(grid, durations)]
+            for k, t2, t4, c_s, t_dep in zip(
+                    ks, batch.t2[:, 0].tolist(), batch.t4[:, 0].tolist(),
+                    c_s_out.tolist(), batch.depletion_time.tolist()):
+                rows[k].update(t2_closed=t2, t4_closed=t4,
+                               symport_duration_closed=t4 - t2,
+                               c_s_out_end_illumination=c_s,
+                               depletion_time=None if math.isnan(t_dep)
+                               else t_dep)
+    return rows
+
+
+def _fig6_fdm(row: dict) -> dict:
+    """`row` with its point's FDM symport duration, from a run that stops
+    once its cycle schedule is final."""
+    spec, kin, signal = _fig6_inputs(row)
+    fdm = simulate_svs(spec, kin, default_environment(), signal,
                        FdmConfig(dt=1e-2, record_stride=100),
                        until_settled=True)
-    fcyc = fdm.schedule.cycles[0]
-    row["symport_duration_fdm"] = fcyc.symport_duration
-    return row
+    return {**row,
+            "symport_duration_fdm": fdm.schedule.cycles[0].symport_duration}
 
 
 # --- fig10 / fig11 -----------------------------------------------------------
@@ -156,26 +197,38 @@ def _ensemble_point(point: dict, seed: int) -> dict:
 
 # --- driver -------------------------------------------------------------------
 
+def _error_row(point: dict, exc: Exception) -> dict:
+    """`point` with the error it raised; call it while handling `exc`."""
+    row = dict(point)
+    row["error"] = f"{type(exc).__name__}: {exc}"
+    row["traceback"] = traceback.format_exc(limit=3)
+    return row
+
+
 def _point_worker(args) -> dict:
-    kind, point, seed = args
+    """The per-point work of one row, or its error row: a fig6 row's FDM
+    cross-check, or an ensemble point. An error row comes back as is."""
+    kind, row, seed = args
+    if "error" in row:
+        return row
     try:
         if kind == "illumination":
-            return _fig6_point(point)
-        return _ensemble_point(point, seed)
+            return _fig6_fdm(row)
+        return _ensemble_point(row, seed)
     except Exception as exc:  # noqa: BLE001 - per-point isolation
-        row = dict(point)
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        row["traceback"] = traceback.format_exc(limit=3)
-        return row
+        return _error_row(row, exc)
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every sweep point, recording failures without aborting.
 
-    Points run concurrently for workers > 1; the result order always
-    follows the point order, so parallelism cannot change the output.
+    fig6's closed batches run here; the per-point work runs concurrently
+    for workers > 1. The result order always follows the point order, so
+    parallelism cannot change the output.
     """
-    jobs = [(sweep.kind, point, sweep.seed) for point in sweep.points]
+    rows = (_fig6_closed(sweep.points) if sweep.kind == "illumination"
+            else sweep.points)
+    jobs = [(sweep.kind, row, sweep.seed) for row in rows]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

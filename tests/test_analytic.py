@@ -542,3 +542,64 @@ def test_batch_refuses_a_grid_it_cannot_sample(times, message):
         run_analytic_batch(VesicleLanes.of([default_vesicle()]),
                            default_kinetics(), default_environment(),
                            LightSignal([(0.0, 30.0)], 60.0), "closed", times)
+
+
+_THREE_LANES = VesicleLanes.of([default_vesicle()] * 3)
+
+
+@pytest.mark.parametrize("signals, times, message", [
+    ([LightSignal([(0.0, 30.0)], 60.0)] * 2
+     + [LightSignal([(0.0, 10.0), (20.0, 30.0)], 60.0)], [0.0],
+     "lane 2's light signal has 2 cycles, lane 0's has 1"),
+    ([LightSignal([(0.0, 30.0)], 60.0)] * 2, [0.0],
+     "2 light signals for 3 lanes"),
+    ([LightSignal([(0.0, 30.0)], h) for h in (60.0, 40.0, 50.0)],
+     [0.0, 30.0, 45.0], r"sample time 45.0 .* the horizon of lane 1"),
+])
+def test_batch_refuses_lane_signals_it_cannot_run(signals, times, message):
+    # per-lane signals need one cycle count, one per lane, and a grid
+    # within the smallest horizon, whose lane is named
+    with pytest.raises(ModelError, match=message):
+        run_analytic_batch(_THREE_LANES, default_kinetics(),
+                           default_environment(), signals, "closed", times)
+
+
+@st.composite
+def _lane_signals(draw):
+    """1-3 lanes of one pulse count (1-3), each with its own pulses,
+    horizon and permeability."""
+    n_pulses, lanes = draw(st.integers(1, 3)), []
+    for _ in range(draw(st.integers(1, 3))):
+        t, pulses = 0.0, []
+        for _ in range(n_pulses):
+            t_on = t + draw(st.floats(0.0, 60.0))
+            t = t_on + draw(st.floats(5.0, 120.0))
+            pulses.append((t_on, t))
+        lanes.append((LightSignal(pulses, t + draw(st.floats(1.0, 300.0))),
+                      draw(st.floats(1e-6, 1e-5))))
+    return lanes
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(lanes=_lane_signals(), mode=st.sampled_from(["closed", "exact"]),
+       c_s_in0=st.sampled_from([0.01, 0.05, default_environment().c_s_in0]))
+def test_lane_signals_equal_each_lanes_own_run(lanes, mode, c_s_in0):
+    # a batch with one signal per lane: row m is the batch-of-one run of
+    # lane m on its own signal, bit for bit; the small cargoes run dry
+    specs = [dataclasses.replace(default_vesicle(), permeability=g)
+             for _, g in lanes]
+    signals = [sig for sig, _ in lanes]
+    grid = np.linspace(0.0, min(sig.horizon for sig in signals), 9)
+    kin, env = default_kinetics(), default_environment(c_s_in0=c_s_in0)
+    batch = run_analytic_batch(VesicleLanes.of(specs), kin, env, signals,
+                               mode, grid)
+    for m, (spec, sig) in enumerate(zip(specs, signals)):
+        one = run_analytic(spec, kin, env, sig, mode, sample_times=grid)
+        assert np.array_equal(batch.t2[m], [c.t2 for c in one.schedule.cycles])
+        assert np.array_equal(batch.t4[m], [c.t4 for c in one.schedule.cycles])
+        assert np.array_equal(batch.c_h_in[m], one.c_h_in)
+        assert np.array_equal(batch.c_s_in[m], one.c_s_in)
+        t_dep = one.depletion_time()
+        assert np.array_equal(batch.depletion_time[m],
+                              math.nan if t_dep is None else t_dep,
+                              equal_nan=True)

@@ -16,9 +16,9 @@ from vesim.fdm import FdmConfig, simulate_svs
 from vesim.model import default_environment, default_kinetics, default_vesicle
 from vesim.presets import (FIG4_EXPECTED_TYPES, RUN_PRESETS,
                            describe_presets, fig4_scenario, fig9_scenario)
-from vesim.runner import execute_run, run_scenario
+from vesim.runner import execute_run, run_scenario, write_sweep_artifacts
 from vesim.schedule import LightSignal
-from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_point, _point_worker,
+from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_fdm, _point_worker,
                          fig6_sweep, fig10_sweep, run_sweep)
 
 
@@ -120,17 +120,60 @@ def test_empty_signal_constant_trajectories(tmp_path):
         assert np.all(data["light"] == 0)
 
 
+def _illumination_sweep(points) -> SweepSpec:
+    points = [{"symport_rate": g, "permeability": p, "duration": d}
+              for g, p, d in points]
+    return SweepSpec(name="points", description="", kind="illumination",
+                     points=points)
+
+
+def _json(rows) -> str:
+    # through their JSON text, so that NaN fields compare equal and each
+    # float bit for bit
+    return json.dumps(rows, sort_keys=True)
+
+
 def test_sweep_point_failure_isolated():
-    # an impossible point must produce an error row, not abort the sweep
-    spec = SweepSpec(name="broken", description="", kind="illumination",
-                     points=[{"symport_rate": 0.006, "permeability": -1.0,
-                              "duration": 60.0},
-                             {"symport_rate": 0.006, "permeability": 3e-6,
-                              "duration": 60.0}])
-    result = run_sweep(spec)
+    # an impossible point must produce an error row, not abort the sweep;
+    # it is refused before its kinetics' batch runs, which gives the
+    # other points the rows they get without it
+    good = [(0.006, 3e-6, 60.0), (0.006, 5e-6, 90.0)]
+    result = run_sweep(_illumination_sweep([(0.006, -1.0, 60.0), *good]))
     assert result.summary["failed"] == 1
-    assert "error" in result.rows[0]
-    assert "error" not in result.rows[1]
+    assert "permeability must be > 0" in result.rows[0]["error"]
+    assert all("error" not in r for r in result.rows[1:])
+    assert _json(result.rows[1:]) == _json(
+        run_sweep(_illumination_sweep(good)).rows)
+
+
+def test_sweep_batches_points_past_the_smallest_horizon_apart():
+    # one kinetics, durations 15 s and 900 s: horizons 815 s and 1700 s,
+    # so 900 s lies past the first batch's grid and runs in a second
+    # batch; each row is the row of its point swept alone
+    points = [(0.006, 3e-6, 900.0), (0.006, 3e-6, 15.0),
+              (0.006, 5e-6, 300.0)]
+    result = run_sweep(_illumination_sweep(points))
+    assert result.summary["failed"] == 0
+    assert _json(result.rows) == _json(
+        [run_sweep(_illumination_sweep([p])).rows[0] for p in points])
+
+
+def test_sweep_summary_json_is_strict(tmp_path):
+    # the 15 s point never triggers symport: its combo's minimum
+    # illumination time is inf in memory and null on disk, and no bare
+    # Infinity or NaN token reaches the file
+    result = run_sweep(_illumination_sweep([(0.006, 3e-6, 15.0)]))
+    assert result.summary["combos"]["gamma_sym=0.006,g_l=3e-06"] == {
+        "min_illumination_time": math.inf}
+    out = write_sweep_artifacts(result, tmp_path / "strict")
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=refuse)
+    assert summary["summary"]["combos"]["gamma_sym=0.006,g_l=3e-06"] == {
+        "min_illumination_time": None}
 
 
 def test_fig6_summary_has_an_entry_per_combo_of_its_own_points():
@@ -165,11 +208,12 @@ def test_ensemble_sweep_keys_rows_by_the_point_parameter():
 
 
 def test_sweep_worker_roundtrip():
-    row = _point_worker(("illumination",
-                         {"symport_rate": 0.006, "permeability": 3e-6,
-                          "duration": 60.0}, 0))
-    assert row["symport_duration_closed"] > 0
+    # a fig6 point's worker adds its FDM cross-check to the row
+    point = {"symport_rate": 0.006, "permeability": 3e-6, "duration": 60.0}
+    row = _point_worker(("illumination", point, 0))
+    assert row["symport_duration_fdm"] > 0
     assert "error" not in row
+    assert row == {**point, "symport_duration_fdm": row["symport_duration_fdm"]}
 
 
 def test_fig6_sweep_spec_covers_required_grid():
@@ -194,7 +238,7 @@ def test_fig6_point_stops_with_the_full_run_duration(duration):
                         FdmConfig(dt=1e-2, record_stride=100))
     (cyc,) = full.schedule.cycles
     assert (cyc.cycle_type == "b") == (duration == 15.0)
-    assert _fig6_point(point)["symport_duration_fdm"] == cyc.symport_duration
+    assert _fig6_fdm(point)["symport_duration_fdm"] == cyc.symport_duration
 
 
 def test_fig6_summary_holds_its_bytes_on_any_blas_kernel(tmp_path):
