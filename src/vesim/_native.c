@@ -28,8 +28,25 @@
  * Each step makes the float operations of fdm._step_numpy, which calls
  * the flux laws of model.py and the buffer root of buffering.py, in the
  * same order, so the two agree bit for bit. That needs IEEE double
- * arithmetic as written: fdm.py builds this file with -O2
+ * arithmetic as written: native.py builds this file with -O2
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ * Its other flags move no value: -fvect-cost-model=cheap lets -O2
+ * vectorize a loop with a remainder, -fno-math-errno lets sqrt be one
+ * instruction, and -fno-trapping-math lets a lane's branches become
+ * selects that compute both sides.
+ *
+ * A pool of VEC_LANES lanes or more steps its lanes in two passes that
+ * the compiler vectorizes, lane_fluxes and lane_roots, and scans them
+ * for crossings only in a step with a flip. On x86-64 with glibc the
+ * passes are built twice (target_clones), for AVX2 and the baseline,
+ * and the loader picks the clone the CPU runs. Both clones make the same
+ * IEEE +, -, *, / and sqrt on each lane, each correctly rounded, with no
+ * contraction (AVX2 does not imply FMA) and no reassociation: a vector
+ * lane is a lane, and the pool's sums stay pairwise_sum's. So the bits
+ * depend neither on the clone the loader picks nor on whether the
+ * compiler has target_clones at all. A smaller pool, such as the single
+ * vesicle, runs the flux pass inline and fuses the root pass with the
+ * crossing log, and pays no clone's indirect call.
  *
  * The state lives in the rows of one n-column array, `lanes`, and in
  * `pool`, in the order of the enums below (fdm._LANE_ROWS and
@@ -47,6 +64,30 @@
 enum { V_IN, GAMMA_P, GAMMA_L, GAMMA_S, GAMMA_H, C_SWITCH, DEP_THRESHOLD,
        TH_IN, CS_IN, C_IN, NET_IN, RELEASED, N_ROWS };
 enum { POOL_TH, POOL_TS, C_POOL, DT, V_POOL, B0, K_A, K_M, C_OUT0 };
+
+/* Pools of VEC_LANES lanes or more take the cloned passes, CHUNK_LANES
+ * lanes to a lane_roots call */
+#define VEC_LANES 4
+#define CHUNK_LANES 256
+
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#define NOINLINE static __attribute__((noinline))
+#else
+#define INLINE static inline
+#define NOINLINE static
+#endif
+/* target_clones needs the loader's ifunc (glibc). VESIM_NO_CLONES
+ * builds the baseline loops alone, which the tests pin too. */
+#if defined(__has_attribute) && !defined(VESIM_NO_CLONES)
+#if __has_attribute(target_clones) && defined(__x86_64__) \
+    && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
 
 /* numpy's pairwise summation of a contiguous double array: a plain loop
  * below 8 elements, 8 accumulators up to 128, halves above that with the
@@ -79,8 +120,10 @@ static double pairwise_sum(const double *a, long n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* buffering.free_proton_conc */
-static double free_conc(double total, double b0, double k_a)
+/* buffering.free_proton_conc. The vector loops take its branches as
+ * selects; scalar code keeps them, so an unbuffered lane computes no
+ * root. */
+INLINE double free_conc(double total, double b0, double k_a)
 {
     if (total <= 0.0)
         return 0.0;
@@ -91,6 +134,120 @@ static double free_conc(double total, double b0, double k_a)
     if (q >= 0.0)
         return (2.0 * k_a) * total / (q + disc);
     return 0.5 * (disc - q);
+}
+
+/* The flux pass of one step: each lane's net H+ inflow and released
+ * substrate (model.py) into net_in and released, its H+ total and cargo
+ * stepped by them */
+INLINE void lane_fluxes(long n, const double *restrict v_in,
+                        const double *restrict gamma_p,
+                        const double *restrict gamma_l,
+                        const double *restrict gamma_s,
+                        const double *restrict gamma_h,
+                        const unsigned char *restrict above,
+                        const double *restrict c_in, double *restrict th_in,
+                        double *restrict cs_in, double *restrict net_in,
+                        double *restrict released, double dt, double k_m,
+                        double c_pool, int pumping, double ratio)
+{
+    for (long v = 0; v < n; v++) {
+        const double cs = cs_in[v];
+        /* model.symport_flux: mm = gate * c_s / (c_s + k_m) */
+        const double gate = (above[v] != 0) & (cs > 0.0) ? 1.0 : 0.0;
+        const double mm = gate * cs / (cs + k_m);
+        const double f_s = gamma_s[v] * mm, f_h = gamma_h[v] * mm;
+        const double pump = pumping ? gamma_p[v] * ratio : 0.0;
+        const double leak = gamma_l[v] * (c_in[v] - c_pool);
+        const double net = pump - leak - f_h;  /* net_proton_inflow */
+        const double rel = dt * f_s;
+        th_in[v] += dt * net;
+        cs_in[v] = cs - rel / v_in[v];
+        net_in[v] = net;
+        released[v] = rel;
+    }
+}
+
+/* lane_fluxes in the clones, for pools of VEC_LANES lanes or more */
+static CLONES void lane_fluxes_cloned(
+    long n, const double *restrict v_in, const double *restrict gamma_p,
+    const double *restrict gamma_l, const double *restrict gamma_s,
+    const double *restrict gamma_h, const unsigned char *restrict above,
+    const double *restrict c_in, double *restrict th_in,
+    double *restrict cs_in, double *restrict net_in,
+    double *restrict released, double dt, double k_m, double c_pool,
+    int pumping, double ratio)
+{
+    lane_fluxes(n, v_in, gamma_p, gamma_l, gamma_s, gamma_h, above, c_in,
+                th_in, cs_in, net_in, released, dt, k_m, c_pool, pumping,
+                ratio);
+}
+
+/* The root pass of one step: each lane's new free H+ into c_in, its
+ * last one into c_prev. Returns the number of lanes whose threshold test
+ * flips, and sets *low where a lane's cargo is below its depletion
+ * threshold. The flips are counted in a loop of their own: a one-byte
+ * test in the root loop would make its vectors 32 lanes wide. */
+static CLONES long lane_roots(
+    long n, const double *restrict th_in, const double *restrict v_in,
+    const double *restrict c_switch, const unsigned char *restrict above,
+    const double *restrict cs_in, const double *restrict dep_threshold,
+    double *restrict c_in, double *restrict c_prev, double b0, double k_a,
+    int *restrict low)
+{
+    long flips = 0;
+    int is_low = 0;
+    for (long v = 0; v < n; v++) {
+        c_prev[v] = c_in[v];
+        c_in[v] = free_conc(th_in[v] / v_in[v], b0, k_a);
+        is_low |= cs_in[v] < dep_threshold[v];
+    }
+    for (long v = 0; v < n; v++)
+        flips += (c_in[v] >= c_switch[v]) != (above[v] != 0);
+    *low |= is_low;
+    return flips;
+}
+
+/* Logs the flip of lane v's threshold test in step k as entry m: the
+ * crossing by linear interpolation between its free H+ c_prev before
+ * the step and c_now after it */
+INLINE void log_crossing(long v, double c_prev, double c_now,
+                         double c_switch, unsigned char *above,
+                         int64_t *log_vd, double *log_t, long cap,
+                         int64_t m, long k, double dt)
+{
+    const double diff_prev = c_prev - c_switch;
+    const double frac = diff_prev / (diff_prev - (c_now - c_switch));
+    above[v] = !above[v];
+    log_vd[m] = v;
+    log_vd[cap + m] = above[v] ? 1 : -1;
+    log_t[m] = (double)k * dt + frac * dt;
+}
+
+/* The root pass of a pool of VEC_LANES lanes or more: lane_roots on
+ * CHUNK_LANES lanes at a time, then the crossings of a chunk with flips.
+ * Returns the log's new number of entries. Kept out of the step, whose
+ * fused loop for fewer lanes then keeps its registers. */
+NOINLINE int64_t wide_roots(long n, double *lanes, unsigned char *above,
+                            const double *pool, int64_t *log_vd,
+                            double *log_t, long cap, int64_t m, long k,
+                            int *low)
+{
+    const double *v_in = lanes + V_IN * n, *c_switch = lanes + C_SWITCH * n,
+                 *dep_threshold = lanes + DEP_THRESHOLD * n,
+                 *th_in = lanes + TH_IN * n, *cs_in = lanes + CS_IN * n;
+    double *c_in = lanes + C_IN * n, c_prev[CHUNK_LANES];
+    for (long v0 = 0; v0 < n; v0 += CHUNK_LANES) {
+        const long w = n - v0 < CHUNK_LANES ? n - v0 : CHUNK_LANES;
+        const long flips = lane_roots(w, th_in + v0, v_in + v0,
+                                      c_switch + v0, above + v0, cs_in + v0,
+                                      dep_threshold + v0, c_in + v0, c_prev,
+                                      pool[B0], pool[K_A], low);
+        for (long v = v0; flips && v < v0 + w; v++)
+            if ((c_in[v] >= c_switch[v]) != (above[v] != 0))
+                log_crossing(v, c_prev[v - v0], c_in[v], c_switch[v], above,
+                             log_vd, log_t, cap, m++, k, pool[DT]);
+    }
+    return m;
 }
 
 long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
@@ -130,38 +287,29 @@ long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
         }
         const double ratio = pumping ? c_pool / c_out0 : 0.0;
         int low = 0;
-        for (long v = 0; v < n; v++) {
-            const double cs = cs_in[v];
-            /* model.symport_flux: mm = gate * c_s / (c_s + k_m) */
-            const double gate = (above[v] && cs > 0.0) ? 1.0 : 0.0;
-            const double mm = gate * cs / (cs + k_m);
-            const double f_s = gamma_s[v] * mm, f_h = gamma_h[v] * mm;
-            const double pump = pumping ? gamma_p[v] * ratio : 0.0;
-            const double leak = gamma_l[v] * (c_in[v] - c_pool);
-            const double net = pump - leak - f_h;  /* net_proton_inflow */
-            const double rel = dt * f_s;
-            th_in[v] += dt * net;
-            cs_in[v] = cs - rel / v_in[v];
-            net_in[v] = net;
-            released[v] = rel;
-        }
+        if (n < VEC_LANES)
+            lane_fluxes(n, v_in, gamma_p, gamma_l, gamma_s, gamma_h, above,
+                        c_in, th_in, cs_in, net_in, released, dt, k_m,
+                        c_pool, pumping, ratio);
+        else
+            lane_fluxes_cloned(n, v_in, gamma_p, gamma_l, gamma_s, gamma_h,
+                               above, c_in, th_in, cs_in, net_in, released,
+                               dt, k_m, c_pool, pumping, ratio);
         pool_th -= dt * (0.0 + pairwise_sum(net_in, n));
         pool_ts += 0.0 + pairwise_sum(released, n);
-        for (long v = 0; v < n; v++) {
-            const double c_prev = c_in[v];
-            c_in[v] = free_conc(th_in[v] / v_in[v], b0, k_a);
-            if ((c_in[v] >= c_switch[v]) != (above[v] != 0)) {
-                /* the crossing by linear interpolation within step k */
-                const double diff_prev = c_prev - c_switch[v];
-                const double frac =
-                    diff_prev / (diff_prev - (c_in[v] - c_switch[v]));
-                above[v] = !above[v];
-                log_vd[m] = v;
-                log_vd[cap + m] = above[v] ? 1 : -1;
-                log_t[m] = (double)k * dt + frac * dt;
-                m++;
+        if (n < VEC_LANES) {
+            /* one fused loop: a one-lane run makes no second pass */
+            for (long v = 0; v < n; v++) {
+                const double c_prev = c_in[v];
+                c_in[v] = free_conc(th_in[v] / v_in[v], b0, k_a);
+                if ((c_in[v] >= c_switch[v]) != (above[v] != 0))
+                    log_crossing(v, c_prev, c_in[v], c_switch[v], above,
+                                 log_vd, log_t, cap, m++, k, dt);
+                low |= cs_in[v] < dep_threshold[v];
             }
-            low |= cs_in[v] < dep_threshold[v];
+        } else {
+            m = wide_roots(n, lanes, above, pool, log_vd, log_t, cap, m, k,
+                           &low);
         }
         c_pool = free_conc(pool_th / v_pool, b0, k_a);
         if (low || m + n > cap) {

@@ -29,8 +29,15 @@ from pathlib import Path
 import numpy as np
 
 # Fixed, so the library's bits do not depend on the environment: no
-# fused multiply-add, no -ffast-math, no host-specific instructions
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-lm")
+# fused multiply-add, no -ffast-math, no -march. The middle three let -O2
+# vectorize the FDM step's lane loops and move no value: the cost model
+# takes loops with a remainder, sqrt sets no errno, and a lane's branches
+# become selects. _native.c builds those loops for AVX2 and the baseline
+# (target_clones on x86-64 with glibc) and the loader picks one; both
+# make the same IEEE operations in the same order.
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno",
+             "-fno-trapping-math", "-fvect-cost-model=cheap", "-fPIC",
+             "-shared", "-lm")
 
 # The longest float `repr` ("-2.2250738585072014e-308") and int64
 _FLOAT_WIDTH, _INT_WIDTH = 24, 20

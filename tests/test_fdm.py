@@ -667,7 +667,11 @@ def _assert_same_pool(a, b):
 
 
 # 7, 8, 9, 128 and 129 lanes sit at the block edges of numpy's pairwise
-# sum, which the compiled step repeats for the two pool sums
+# sum, which the compiled step repeats for the two pool sums. 3, 4 and 5
+# lanes sit on either side of the compiled step's cutoff for its vector
+# passes (VEC_LANES), and 17 and 101 leave a vector remainder. These five
+# start or go on in the dark, and a cargo runs low in each, from 4 lanes
+# on inside a vector body (first lane 3 of 4 and of 5, 6 of 17, 69 of 101)
 @given(n_ves=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        b0=st.sampled_from([0.0, 10.0, 20.0]), pulses=_pulses(),
        c_s_in0=st.floats(-3.0, 2.5).map(lambda e: 10.0 ** e),
@@ -686,13 +690,30 @@ def _assert_same_pool(a, b):
          c_s_in0=0.02, stride=10)
 @example(n_ves=300, seed=6, b0=0.0, pulses=([(0, 400), (600, 900)], 1200),
          c_s_in0=0.03, stride=10)
+@example(n_ves=3, seed=2, b0=0.0, pulses=([(0, 800), (1000, 1300)], 1800),
+         c_s_in0=0.0005, stride=10)
+@example(n_ves=4, seed=0, b0=20.0, pulses=([(200, 1200)], 1600),
+         c_s_in0=0.0005, stride=7)
+@example(n_ves=5, seed=10, b0=10.0, pulses=([(0, 400), (700, 1000)], 1500),
+         c_s_in0=0.001, stride=1)
+@example(n_ves=17, seed=7, b0=0.0, pulses=([(0, 600)], 1500),
+         c_s_in0=0.001, stride=10)
+@example(n_ves=101, seed=11, b0=20.0,
+         pulses=([(100, 700), (900, 1000)], 1400), c_s_in0=0.02, stride=100)
 @settings(derandomize=True, deadline=None, max_examples=12)
 @pytest.mark.filterwarnings("ignore:vesicle has no pumps")
 def test_compiled_step_matches_numpy_step_on_random_pools(
         n_ves, seed, b0, pulses, c_s_in0, stride):
     # heterogeneous vesicles against one pool: every record array, event,
     # schedule and drift of the compiled step equals the numpy step's
-    c_step = _c_step()
+    args = _random_pool(n_ves, seed, b0, pulses, c_s_in0, stride)
+    _assert_same_pool(_run_pool_on(_c_step(), *args),
+                      _run_pool_on(fdm._step_numpy, *args))
+
+
+def _random_pool(n_ves, seed, b0, pulses, c_s_in0, stride):
+    """simulate_mvs_shared_pool's arguments for n_ves random vesicles
+    against one pool, under light pulses given in steps."""
     rng = np.random.default_rng(seed)
     kin = default_kinetics()
     specs = [VesicleSpec(d_in=d, d_mem=14e-9, n_pumps=int(p), n_sym=int(s),
@@ -705,11 +726,9 @@ def test_compiled_step_matches_numpy_step_on_random_pools(
     dt = min(1e-2, *(stable_dt(s, kin, env) for s in specs))
     intervals, horizon = pulses
     sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
-    args = (VesicleLanes.of(specs), kin,
+    return (VesicleLanes.of(specs), kin,
             dataclasses.replace(env, v_out=n_ves * env.v_out),
             sig, FdmConfig(dt=dt, record_stride=stride))
-    _assert_same_pool(_run_pool_on(c_step, *args),
-                      _run_pool_on(fdm._step_numpy, *args))
 
 
 @pytest.mark.parametrize("step", ["compiled", "numpy"])
@@ -755,40 +774,40 @@ def test_compiled_step_refuses_steps_outside_the_run():
             steps(k0, k1, False, float("nan"))
 
 
-def _two_lane_state(b0: float, dt: float = 1e-2):
-    """The set-up of `_run_lanes` for two default vesicles and one record
-    step, but lane 1's H+ total is NaN."""
-    specs, kin = VesicleLanes.of([default_vesicle()] * 2), default_kinetics()
+def _nan_lane_state(b0: float, n: int = 2, nan_lane: int = 1,
+                    dt: float = 1e-2):
+    """The set-up of `_run_lanes` for n default vesicles and one record
+    step, but lane nan_lane's H+ total is NaN."""
+    specs, kin = VesicleLanes.of([default_vesicle()] * n), default_kinetics()
     env = default_environment(buffer_total=b0)
     rates = derive_rates(specs, kin, env)
     row = {name: i for i, name in enumerate(fdm._LANE_ROWS)}
-    lanes = np.zeros((len(fdm._LANE_ROWS), 2))
+    lanes = np.zeros((len(fdm._LANE_ROWS), n))
     lanes[:6] = (specs.v_in, rates.pump_rate, rates.leak_rate,
                  rates.symport_rate_substrate, rates.symport_rate_proton,
                  rates.switch_conc)
     lanes[row["dep_threshold"]] = DEPLETION_FRACTION_OF_KM * kin.k_m
     lanes[row["th_in"]] = (total_conc_from_free(env.c_h_in0, b0, env.k_a)
                            * specs.v_in)
-    lanes[row["th_in"], 1] = np.nan
+    lanes[row["th_in"], nan_lane] = np.nan
     lanes[row["cs_in"]], lanes[row["c_in"]] = env.c_s_in0, env.c_h_in0
-    v_pool = 2 * env.v_out
+    v_pool = n * env.v_out
     pool = np.array([total_conc_from_free(env.c_h_out0, b0, env.k_a)
                      * v_pool, 0.0, env.c_h_out0, dt, v_pool, b0, env.k_a,
                      kin.k_m, env.c_h_out0])
-    rec = fdm._Records(1, 1, 2)
+    rec = fdm._Records(1, 1, n)
     for buf in (rec.c_h_in, rec.c_s_in, rec.pool_h, rec.pool_s):
         buf.fill(0.0)
-    return (lanes, np.zeros(2, dtype=bool), pool,
-            fdm._CrossingLog(2 + fdm._LOG_ROOM), rec)
+    return (lanes, np.zeros(n, dtype=bool), pool,
+            fdm._CrossingLog(n + fdm._LOG_ROOM), rec)
 
 
-@pytest.mark.parametrize("b0", [0.0, 20.0])
-def test_a_nan_lane_is_nan_in_both_steps(b0):
-    # the numpy step's buffer root keeps a NaN total NaN, as the compiled
-    # step's does, so the oracle reports the NaN lane it would report
+def _step_both(make_state):
+    """Step 0 of a fresh state from make_state() in the compiled and the
+    numpy step: each step's return, state, log entries and records."""
     after = []
     for bind in (_c_step(), fdm._step_numpy):
-        state = _two_lane_state(b0)
+        state = make_state()
         k = bind(*state)(0, 1, True, float("nan"))
         lanes, above, pool, log, rec = state
         m = int(log.n[0])
@@ -796,8 +815,42 @@ def test_a_nan_lane_is_nan_in_both_steps(b0):
                       rec.c_h_in, rec.c_s_in, rec.pool_h, rec.pool_s))
     for c, n in zip(*after):
         assert np.array_equal(c, n, equal_nan=True)
-    c_in = after[1][1][fdm._LANE_ROWS.index("c_in")]
+    return after[1]
+
+
+@pytest.mark.parametrize("b0", [0.0, 20.0])
+def test_a_nan_lane_is_nan_in_both_steps(b0):
+    # the numpy step's buffer root keeps a NaN total NaN, as the compiled
+    # step's does, so the oracle reports the NaN lane it would report
+    c_in = _step_both(lambda: _nan_lane_state(b0))[1][
+        fdm._LANE_ROWS.index("c_in")]
     assert np.isnan(c_in[1]) and np.isfinite(c_in[0])
+
+
+@pytest.mark.parametrize("b0", [0.0, 20.0])
+@pytest.mark.parametrize("nan_lane, low_lane", [(1, None), (36, None),
+                                                (1, 36), (36, 2)])
+def test_a_nan_lane_in_the_vector_passes_hides_no_return(b0, nan_lane,
+                                                         low_lane):
+    # 37 lanes take the compiled step's vector passes: lane 1 lies inside
+    # a vector body and lane 36 in the remainder, whether a vector holds
+    # 2, 4, 16 or 32 lanes. Lanes 3 and 33 flip down, and a low lane's
+    # cargo is empty: the NaN lane neither hides nor makes a flip or a
+    # return.
+    def make_state():
+        state = _nan_lane_state(b0, 37, nan_lane, dt=1e-5)
+        lanes, above = state[:2]
+        above[[3, 33]] = True
+        if low_lane is not None:
+            lanes[fdm._LANE_ROWS.index("cs_in"), low_lane] = 0.0
+        return state
+
+    k, lanes, above, _, log_vd, *_ = _step_both(make_state)
+    assert k == (1 if low_lane is None else -1)
+    assert log_vd.tolist() == [[3, 33], [-1, -1]]
+    assert not above.any()
+    c_in = lanes[fdm._LANE_ROWS.index("c_in")]
+    assert np.flatnonzero(np.isnan(c_in)).tolist() == [nan_lane]
 
 
 class TestCompiledStepBuild:
@@ -885,6 +938,21 @@ class TestCompiledStepBuild:
                 self._load_step()
         assert len(builds) == 2
         assert len(list(self.lib_dir.glob("_native-*.so"))) == 2
+
+    @pytest.mark.filterwarnings("ignore:vesicle has no pumps")
+    def test_library_without_clones_matches_the_numpy_step(self,
+                                                          monkeypatch):
+        # the vector passes' baseline clone, which an AVX2 host's loader
+        # does not pick, built alone by a define that only this test
+        # passes; a compiler without target_clones builds the same loops
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on the PATH")
+        monkeypatch.setattr(native, "_CC_FLAGS",
+                            (*native._CC_FLAGS, "-DVESIM_NO_CLONES"))
+        args = _random_pool(101, 11, 20.0, ([(100, 700), (900, 1000)], 1400),
+                            0.02, 100)
+        _assert_same_pool(_run_pool_on(self._load_step(), *args),
+                          _run_pool_on(fdm._step_numpy, *args))
 
     def test_unwritable_cache_falls_back_to_a_user_temp_dir(self, tmp_path,
                                                            monkeypatch):
