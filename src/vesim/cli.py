@@ -4,7 +4,7 @@ Command-line interface.
 
     vesim run --preset fig3 [--seed N] [--out DIR] [--workers N]
     vesim run --config cfg.yaml [--solver fdm|exact|closed|all]
-    vesim sweep --preset fig6 [--seed N] [--out DIR] [--workers N]
+    vesim sweep --preset fig6 [--seed N] [--out DIR]
     vesim presets list
     vesim emit-plot-data RUN_DIR
 
@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", type=Path, help="YAML/JSON config path")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", type=Path, default=None)
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="processes for a population run's experiments")
     run_p.add_argument("--solver",
                        choices=["fdm", "exact", "closed", "all"],
                        default=None, help="solvers of a --config run")
@@ -52,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          required=True)
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--out", type=Path, default=None)
-    sweep_p.add_argument("--workers", type=int, default=1)
+    sweep_p.add_argument("--workers", type=int, default=1,
+                         help="unused: a sweep runs in one process")
 
     presets_p = sub.add_parser("presets", help="inspect available presets")
     presets_p.add_argument("action", choices=["list"])
@@ -99,6 +101,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None:
             check_seed(args.seed, "--seed")
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError("--workers: must be >= 1")
         if args.command == "run":
             scenario = _scenario_from_args(args)
             out, _ = run_scenario(scenario, out_dir=args.out,
@@ -108,7 +112,7 @@ def main(argv=None) -> int:
             builder = SWEEP_PRESETS[args.preset]
             spec = (builder(seed=args.seed) if args.seed is not None
                     else builder())
-            result = run_sweep(spec, workers=args.workers)
+            result = run_sweep(spec)
             out = write_sweep_artifacts(result, args.out)
             failed = result.summary.get("failed", 0)
             print(f"wrote {out} ({failed} failed points)")

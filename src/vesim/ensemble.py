@@ -28,11 +28,11 @@ for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,7 +288,7 @@ def experiment_vesicles(dist: PopulationDistributions, cfg: EnsembleConfig,
     return sample_vesicles(dist, rng, cfg.n_mod)
 
 
-def _experiment_worker(args) -> tuple:
+def _experiment_worker(dist, kin, env, signal, cfg, solver, sample_times, i):
     """Solve experiment i in one `run_analytic_batch` call and reduce it.
 
     Returns (mean C_H_in, std C_H_in, pooled C_S_out, std C_S_out)
@@ -297,7 +297,6 @@ def _experiment_worker(args) -> tuple:
     array outlives its experiment, and how many vesicles have
     v_out < 100 * v_in.
     """
-    dist, kin, env, signal, cfg, i, solver, sample_times = args
     vesicles = experiment_vesicles(dist, cfg, i)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=re.escape(SMALL_V_OUT))
@@ -329,13 +328,14 @@ def run_ensemble(dist: PopulationDistributions, kin: KineticConstants,
     """
     sample_times = np.asarray(sample_times, dtype=float)
     env = dataclasses.replace(env_base, v_out=cfg.v_out_per_vesicle)
-    jobs = [(dist, kin, env, signal, cfg, i, solver, sample_times)
-            for i in range(cfg.n_ex)]
+    experiment = functools.partial(_experiment_worker, dist, kin, env,
+                                   signal, cfg, solver, sample_times)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_experiment_worker, jobs))
+            rows = list(pool.map(experiment, range(cfg.n_ex)))
     else:
-        rows = [_experiment_worker(j) for j in jobs]
+        rows = list(map(experiment, range(cfg.n_ex)))
     mean_h, std_h, cs, std_cs, start_median, end_median, small = zip(*rows)
     per_mean_h = np.stack(mean_h)
     per_cs = np.stack(cs)

@@ -20,6 +20,7 @@ the duration it reports.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import traceback
 from dataclasses import dataclass, field
@@ -205,38 +206,28 @@ def _error_row(point: dict, exc: Exception) -> dict:
     return row
 
 
-def _point_worker(args) -> dict:
-    """The per-point work of one row, or its error row: a fig6 row's FDM
-    cross-check, or an ensemble point. An error row comes back as is."""
-    kind, row, seed = args
-    if "error" in row:
-        return row
-    try:
-        if kind == "illumination":
-            return _fig6_fdm(row)
-        return _ensemble_point(row, seed)
-    except Exception as exc:  # noqa: BLE001 - per-point isolation
-        return _error_row(row, exc)
+def run_sweep(sweep: SweepSpec) -> SweepResult:
+    """Execute every sweep point in order; a failing point does not abort.
 
-
-def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
-    """Execute every sweep point, recording failures without aborting.
-
-    fig6's closed batches run here; the per-point work runs concurrently
-    for workers > 1. The result order always follows the point order, so
-    parallelism cannot change the output.
+    fig6's closed batches run first, then each row's FDM cross-check;
+    an ensemble sweep runs each point's ensemble. An error row passes
+    through as is, and a point that raises becomes its error row.
     """
-    rows = (_fig6_closed(sweep.points) if sweep.kind == "illumination"
-            else sweep.points)
-    jobs = [(sweep.kind, row, sweep.seed) for row in rows]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_point_worker, jobs))
+    if sweep.kind == "illumination":
+        rows, point_run = _fig6_closed(sweep.points), _fig6_fdm
     else:
-        rows = [_point_worker(j) for j in jobs]
-    summary = _summarize(sweep, rows)
-    return SweepResult(name=sweep.name, rows=rows, summary=summary)
+        rows = sweep.points
+        point_run = functools.partial(_ensemble_point, seed=sweep.seed)
+    done = []
+    for row in rows:
+        if "error" not in row:
+            try:
+                row = point_run(row)
+            except Exception as exc:  # noqa: BLE001 - per-point isolation
+                row = _error_row(row, exc)
+        done.append(row)
+    return SweepResult(name=sweep.name, rows=done,
+                       summary=_summarize(sweep, done))
 
 
 def _line_fit(xs, ys) -> tuple[float, float]:

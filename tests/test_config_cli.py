@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import vesim
-from vesim.cli import main as cli_main
+from vesim.cli import _build_parser, main as cli_main
 from vesim.config import (ConfigError, config_hash, load_config,
                           parse_config, parse_quantity, to_config_tree)
 from vesim.ensemble import EnsembleConfig, PopulationDistributions
@@ -505,6 +505,20 @@ class TestCli:
         assert err.startswith("configuration error: --seed: expected a "
                               "non-negative integer, got -1")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig4", "--workers", "0"],
+        ["sweep", "--preset", "fig10", "--workers", "-3"],
+    ], ids=["run", "sweep"])
+    def test_workers_below_1_exits_1(self, argv, tmp_path, capsys):
+        rc = cli_main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("configuration error: --workers: "
+                                           "must be >= 1\n")
+        assert not (tmp_path / "o").exists()
+        # a sweep still takes --workers 1, as the benchmark passes it
+        args = _build_parser().parse_args(argv[:3] + ["--workers", "1"])
+        assert args.workers == 1
 
     def test_invalid_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.yaml"

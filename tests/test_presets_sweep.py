@@ -18,8 +18,8 @@ from vesim.presets import (FIG4_EXPECTED_TYPES, RUN_PRESETS,
                            describe_presets, fig4_scenario, fig9_scenario)
 from vesim.runner import execute_run, run_scenario, write_sweep_artifacts
 from vesim.schedule import LightSignal
-from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_fdm, _point_worker,
-                         fig6_sweep, fig10_sweep, run_sweep)
+from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_fdm, fig6_sweep,
+                         fig10_sweep, run_sweep)
 
 
 def test_preset_registry_complete():
@@ -207,15 +207,6 @@ def test_ensemble_sweep_keys_rows_by_the_point_parameter():
     assert "d_mean_nm" not in summary["rows"]["100"]
 
 
-def test_sweep_worker_roundtrip():
-    # a fig6 point's worker adds its FDM cross-check to the row
-    point = {"symport_rate": 0.006, "permeability": 3e-6, "duration": 60.0}
-    row = _point_worker(("illumination", point, 0))
-    assert row["symport_duration_fdm"] > 0
-    assert "error" not in row
-    assert row == {**point, "symport_duration_fdm": row["symport_duration_fdm"]}
-
-
 def test_fig6_sweep_spec_covers_required_grid():
     spec = fig6_sweep()
     combos = {(p["symport_rate"], p["permeability"]) for p in spec.points}
@@ -238,7 +229,9 @@ def test_fig6_point_stops_with_the_full_run_duration(duration):
                         FdmConfig(dt=1e-2, record_stride=100))
     (cyc,) = full.schedule.cycles
     assert (cyc.cycle_type == "b") == (duration == 15.0)
-    assert _fig6_fdm(point)["symport_duration_fdm"] == cyc.symport_duration
+    # the cross-check adds its one column to the row
+    assert _fig6_fdm(point) == {**point,
+                                "symport_duration_fdm": cyc.symport_duration}
 
 
 def test_fig6_summary_holds_its_bytes_on_any_blas_kernel(tmp_path):
@@ -259,33 +252,18 @@ def test_fig6_summary_holds_its_bytes_on_any_blas_kernel(tmp_path):
     assert summaries[0] == summaries[1]
 
 
-def test_ensemble_parallel_matches_serial():
+@pytest.mark.parametrize("solver", ["closed", "exact"])
+def test_ensemble_parallel_matches_serial(solver):
     pop = PopulationDistributions()
     kin = default_kinetics()
     cfg = EnsembleConfig(n_mod=6, n_ex=4, seed=11)
     env = default_environment(v_out=cfg.v_out_per_vesicle)
     sig = LightSignal([(0.0, 200.0)], 400.0)
     ts = np.array([0.0, 200.0, 400.0])
-    serial = run_ensemble(pop, kin, env, sig, cfg, sample_times=ts,
+    serial = run_ensemble(pop, kin, env, sig, cfg, solver, sample_times=ts,
                           workers=1)
-    parallel = run_ensemble(pop, kin, env, sig, cfg, sample_times=ts,
+    parallel = run_ensemble(pop, kin, env, sig, cfg, solver, sample_times=ts,
                             workers=2)
     assert np.array_equal(serial.per_exp_c_s_out, parallel.per_exp_c_s_out)
     assert np.array_equal(serial.per_exp_mean_c_h_in,
                           parallel.per_exp_mean_c_h_in)
-
-
-@pytest.mark.parametrize("builder, n_points", [(fig6_sweep, 2),
-                                               (fig10_sweep, 1)],
-                         ids=["fig6", "fig10"])
-def test_sweep_parallel_matches_serial(builder, n_points):
-    # rows and summary, compared through their JSON text so that NaN
-    # fields compare equal and each float bit for bit
-    spec = builder()
-    spec = dataclasses.replace(spec, points=spec.points[:n_points])
-    serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=2)
-    for result in (serial, parallel):
-        assert result.summary["failed"] == 0
-    assert (json.dumps([parallel.rows, parallel.summary], sort_keys=True)
-            == json.dumps([serial.rows, serial.summary], sort_keys=True))
