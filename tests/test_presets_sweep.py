@@ -207,6 +207,15 @@ def test_ensemble_sweep_keys_rows_by_the_point_parameter():
     assert "d_mean_nm" not in summary["rows"]["100"]
 
 
+def test_sweep_worker_roundtrip():
+    # a fig6 point's per-point work adds its FDM cross-check to the row
+    point = {"symport_rate": 0.006, "permeability": 3e-6, "duration": 60.0}
+    row = _fig6_fdm(point)
+    assert row["symport_duration_fdm"] > 0
+    assert "error" not in row
+    assert row == {**point, "symport_duration_fdm": row["symport_duration_fdm"]}
+
+
 def test_fig6_sweep_spec_covers_required_grid():
     spec = fig6_sweep()
     combos = {(p["symport_rate"], p["permeability"]) for p in spec.points}
@@ -229,9 +238,7 @@ def test_fig6_point_stops_with_the_full_run_duration(duration):
                         FdmConfig(dt=1e-2, record_stride=100))
     (cyc,) = full.schedule.cycles
     assert (cyc.cycle_type == "b") == (duration == 15.0)
-    # the cross-check adds its one column to the row
-    assert _fig6_fdm(point) == {**point,
-                                "symport_duration_fdm": cyc.symport_duration}
+    assert _fig6_fdm(point)["symport_duration_fdm"] == cyc.symport_duration
 
 
 def test_fig6_summary_holds_its_bytes_on_any_blas_kernel(tmp_path):
