@@ -8,7 +8,7 @@ and a stochastic multi-vesicle ensemble layer with inter-experiment
 statistics.
 """
 
-from .analytic import lambert_w0, lambert_w0_exp, run_analytic
+from .analytic import lambert_w0_exp, run_analytic
 from .buffering import free_proton_conc
 from .ensemble import (EnsembleConfig, PopulationDistributions,
                        run_ensemble, sample_vesicles)
@@ -25,8 +25,8 @@ __all__ = [
     "AVOGADRO", "CycleSchedule", "DerivedRates", "EnsembleConfig",
     "Environment", "FdmConfig", "KineticConstants", "LightSignal",
     "PopulationDistributions", "Trajectory", "VesicleLanes", "VesicleSpec",
-    "clip_cycle_times", "derive_rates", "free_proton_conc", "lambert_w0",
-    "lambert_w0_exp", "leakage_flux", "pump_flux", "run_analytic",
-    "run_ensemble", "sample_vesicles", "simulate_mvs_shared_pool",
-    "simulate_svs", "symport_flux", "symport_gate",
+    "clip_cycle_times", "derive_rates", "free_proton_conc", "lambert_w0_exp",
+    "leakage_flux", "pump_flux", "run_analytic", "run_ensemble",
+    "sample_vesicles", "simulate_mvs_shared_pool", "simulate_svs",
+    "symport_flux", "symport_gate",
 ]

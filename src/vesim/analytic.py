@@ -74,7 +74,6 @@ from .trajectory import Event, Trajectory, sample_grid
 # reported as depleted; the Michaelis-Menten flux there is ~1% of maximum.
 DEPLETION_FRACTION_OF_KM = 1e-2
 
-_BRANCH_POINT = -math.exp(-1.0)
 _EXP_SAFE = 700.0  # exp() overflow bound for float64
 # C + k_a (mol/m^3) below which the buffered law counts as stalled
 _STALL_CONC = 1e-150
@@ -111,10 +110,6 @@ _G7_WEIGHTS = np.array(_G7_HALF + _G7_HALF[-2::-1])
 _MAX_SUBDIVISIONS = 200
 
 
-class LambertDomainError(ValueError):
-    """Argument below -1/e, outside the real principal branch."""
-
-
 class QuadratureError(RuntimeError):
     """The Gauss-Kronrod rule missed tolerance on a sample interval.
 
@@ -130,31 +125,6 @@ class QuadratureError(RuntimeError):
         super().__init__(msg)
         self.estimate = estimate
         self.abserr = abserr
-
-
-def lambert_w0(x):
-    """Principal branch of the Lambert W function, w*exp(w) = x.
-
-    Accepts scalars or arrays with x >= -1/e; one Halley step polishes
-    the library value so the residual |w*e^w - x| stays within
-    1e-12 * max(1, |x|).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < _BRANCH_POINT):
-        bad = arr[arr < _BRANCH_POINT]
-        raise LambertDomainError(
-            f"lambert_w0 needs x >= -1/e = {_BRANCH_POINT!r}; got {bad!r}")
-    w = np.real(_lambertw(arr))
-    # Halley refinement; skipped next to the branch point where the
-    # correction denominator degenerates and the seed is already best.
-    ew = np.exp(w)
-    f = w * ew - arr
-    denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-    safe = np.abs(w + 1.0) > 1e-6
-    w = np.where(safe & (denom != 0.0), w - f / np.where(denom == 0, 1, denom), w)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(w)
-    return w
 
 
 def lambert_w0_exp(y):
@@ -779,7 +749,6 @@ def run_analytic_batch(vesicles: VesicleLanes, kin: KineticConstants,
 
 def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
                  signal: LightSignal, mode: str = "closed",
-                 sample_interval: float = 0.1,
                  sample_times=None) -> Trajectory:
     """Phase-by-phase analytic trajectory of one vesicle.
 
@@ -791,13 +760,12 @@ def run_analytic(spec: VesicleSpec, kin: KineticConstants, env: Environment,
 
     Args:
         mode: 'exact' or 'closed'
-        sample_interval: uniform output spacing (s), ignored when
-            `sample_times` is given
-        sample_times: explicit non-decreasing sample times in
-            [0, horizon]
+        sample_times: non-decreasing sample times in [0, horizon];
+            None samples every 0.1 s. Other spacings pass
+            `trajectory.sample_grid(horizon, interval)`.
     """
-    grid = (np.asarray(sample_times, dtype=float) if sample_times is not None
-            else sample_grid(signal.horizon, sample_interval))
+    grid = (sample_grid(signal.horizon, 0.1) if sample_times is None
+            else np.asarray(sample_times, dtype=float))
     batch = run_analytic_batch(VesicleLanes.of([spec]), kin, env, signal,
                                mode, grid)
     sched = schedule_from_times(signal, batch.t2[0].tolist(),

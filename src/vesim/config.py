@@ -248,6 +248,11 @@ class RunConfig:
                 "exactly one of 'vesicle' and 'population' must be present")
         if self.population is not None and self.ensemble is None:
             raise ConfigError("'population' runs need an 'ensemble' section")
+        # the config tree records run.seed only, the vesicles draw from
+        # ensemble.seed: a difference would not reproduce from the tree
+        if self.ensemble is not None and self.ensemble.seed != self.seed:
+            raise ConfigError(f"ensemble seed {self.ensemble.seed} differs "
+                              f"from run seed {self.seed}")
 
 
 def parse_config(tree: dict, label: str = "run") -> RunConfig:

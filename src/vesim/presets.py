@@ -83,34 +83,26 @@ def fig3_scenario(seed: int = 0) -> Scenario:
 
 
 def _fig3_check(results: dict) -> dict:
-    rates = None
-    slopes_fdm, slopes_closed, terminal_dev = {}, {}, {}
+    terminal_dev = {}
     for label, res in results.items():
         fdm = res["trajectories"]["fdm"]
-        closed = res["trajectories"]["closed"]
         rates = fdm.derived
         c_eq = (res["config"].environment.c_h_out0
                 + rates.pump_rate / rates.leak_rate)
-        slopes_fdm[label] = abs(fdm.c_h_in[1] - fdm.c_h_in[0]) / (
-            fdm.t[1] - fdm.t[0])
-        slopes_closed[label] = abs(closed.c_h_in[1] - closed.c_h_in[0]) / (
-            closed.t[1] - closed.t[0])
         k = int(np.argmin(np.abs(fdm.t - 600.0)))
-        terminal_dev[label] = abs(fdm.c_h_in[k] - c_eq) / c_eq
+        terminal_dev[label] = float(abs(fdm.c_h_in[k] - c_eq) / c_eq)
+    check = {"terminal_relative_deviation_from_equilibrium": terminal_dev}
     order = [f"B0={b:g}" for b in FIG3_BUFFERS]
-    dec_fdm = all(slopes_fdm[a] > slopes_fdm[b]
-                  for a, b in zip(order, order[1:]))
-    dec_closed = all(slopes_closed[a] > slopes_closed[b]
-                     for a, b in zip(order, order[1:]))
-    return {
-        "initial_slope_fdm": {k: float(v) for k, v in slopes_fdm.items()},
-        "initial_slope_closed": {k: float(v)
-                                 for k, v in slopes_closed.items()},
-        "slopes_strictly_decreasing_fdm": bool(dec_fdm),
-        "slopes_strictly_decreasing_closed": bool(dec_closed),
-        "terminal_relative_deviation_from_equilibrium":
-            {k: float(v) for k, v in terminal_dev.items()},
-    }
+    for solver in ("fdm", "closed"):
+        slopes = {}
+        for label, res in results.items():
+            traj = res["trajectories"][solver]
+            slopes[label] = float(abs(traj.c_h_in[1] - traj.c_h_in[0])
+                                  / (traj.t[1] - traj.t[0]))
+        check[f"initial_slope_{solver}"] = slopes
+        check[f"slopes_strictly_decreasing_{solver}"] = all(
+            slopes[a] > slopes[b] for a, b in zip(order, order[1:]))
+    return check
 
 
 # --- fig4: all three cycle types --------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import native
 from .analytic import run_analytic
-from .config import RunConfig, config_hash, to_config_tree
+from .config import ConfigError, RunConfig, config_hash, to_config_tree
 from .ensemble import EnsembleResult, experiment_vesicles, run_ensemble
 from .fdm import SharedPoolResult, simulate_mvs_shared_pool, simulate_svs
 from .presets import Scenario
@@ -55,6 +55,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
     """Execute one RunConfig; returns trajectories and ensemble results."""
     out: dict = {"config": cfg, "trajectories": {}, "ensemble": None,
                  "shared_pool": None}
+    sample_times = sample_grid(cfg.signal.horizon, cfg.sample_interval)
     if cfg.vesicle is not None:
         for solver in cfg.solvers:
             if solver == "fdm":
@@ -63,7 +64,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
             else:
                 traj = run_analytic(cfg.vesicle, cfg.kinetics,
                                     cfg.environment, cfg.signal, solver,
-                                    sample_interval=cfg.sample_interval)
+                                    sample_times=sample_times)
             out["trajectories"][solver] = traj
         return out
 
@@ -72,7 +73,6 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
     # reuses experiment 0's vesicle sample so the two are comparable.
     analytic_solvers = [s for s in cfg.solvers if s != "fdm"]
     solver = analytic_solvers[0] if analytic_solvers else "closed"
-    sample_times = sample_grid(cfg.signal.horizon, cfg.sample_interval)
     out["ensemble"] = run_ensemble(cfg.population, cfg.kinetics,
                                    cfg.environment, cfg.signal, cfg.ensemble,
                                    solver=solver, sample_times=sample_times,
@@ -120,8 +120,16 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
     """Execute a scenario and persist its artifact set.
 
     Returns the output directory and the in-memory results keyed by run
-    label. Raises SolverFailure if any run's solver errors out.
+    label. Raises ConfigError before any run if two runs would write one
+    run directory, and SolverFailure if any run's solver errors out.
     """
+    labels: dict[str, str] = {}
+    for cfg in scenario.runs:
+        name = _safe_name(cfg.label)
+        if name in labels:
+            raise ConfigError(f"runs {labels[name]!r} and {cfg.label!r} "
+                              f"share the run directory {name!r}")
+        labels[name] = cfg.label
     out = (Path(out_dir) if out_dir is not None
            else default_out_root() / _on_disk(scenario.name))
     out.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
-from vesim.analytic import (lambert_w0, phase_coefficients, run_analytic,
+from vesim.analytic import (lambert_w0_exp, phase_coefficients, run_analytic,
                             run_analytic_batch)
 from vesim.ensemble import (EnsembleConfig, PopulationDistributions,
                             mean_parameter_spec, protein_slots, run_ensemble)
@@ -37,6 +37,7 @@ from vesim.presets import (FIG4_EXPECTED_TYPES, fig3_scenario, fig4_scenario,
 from vesim.runner import execute_run
 from vesim.schedule import LightSignal, buffered_relaxation_time
 from vesim.sweep import fig6_sweep, fig10_sweep, fig11_sweep, run_sweep
+from vesim.trajectory import sample_grid
 
 C_EQ_REFERENCE = 5.58e-5  # mol/m^3, pump/leak balance at table defaults
 
@@ -86,7 +87,8 @@ def test_criterion_01_solver_cross_validation_unbuffered():
                        FdmConfig(dt=dt, record_stride=round(0.1 / dt)))
     errs = {}
     for mode in ("closed", "exact"):
-        ana = run_analytic(spec, kin, env, sig, mode, sample_interval=0.1)
+        ana = run_analytic(spec, kin, env, sig, mode,
+                           sample_times=sample_grid(sig.horizon, 0.1))
         errs[mode] = float(np.max(np.abs(ana.c_h_in - fdm.c_h_in)
                                   / fdm.c_h_in))
     elapsed = time.monotonic() - t0
@@ -204,9 +206,10 @@ def test_criterion_05_depletion_capture():
     dt = stable_dt(spec, kin, env)
     fdm = simulate_svs(spec, kin, env, sig,
                        FdmConfig(dt=dt, record_stride=round(0.5 / dt)))
-    exact = run_analytic(spec, kin, env, sig, "exact", sample_interval=0.5)
+    exact = run_analytic(spec, kin, env, sig, "exact",
+                         sample_times=sample_grid(sig.horizon, 0.5))
     closed = run_analytic(spec, kin, env, sig, "closed",
-                          sample_interval=0.5)
+                          sample_times=sample_grid(sig.horizon, 0.5))
     t_dep = fdm.depletion_time()
     floor = 1e-6 * env.c_s_in0  # six decades of resolved tail
     f = fdm.c_s_in
@@ -248,23 +251,27 @@ def test_criterion_06_symport_duration_linearity():
 
 
 def test_criterion_07_lambert_w_correctness():
+    # `exact` evaluates W0 only as W0(exp(y)): check w*e^w = x where exp
+    # is finite and w + ln(w) = y beyond it, where it overflows
     t0 = time.monotonic()
-    assert lambert_w0(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
-    xs = np.concatenate([
-        [-1.0 / math.e + 1e-9],
-        -(10.0 ** np.linspace(-9, math.log10(1 / math.e - 1e-9), 200)),
-        [0.0],
-        10.0 ** np.linspace(-12, 6, 600),
-    ])
-    w = lambert_w0(xs)
+    assert lambert_w0_exp(-math.inf) == 0.0
+    assert lambert_w0_exp(1.0) == pytest.approx(1.0, abs=1e-14)
+    ys = np.concatenate([np.log(10.0 ** np.linspace(-12, 6, 600)),
+                         np.linspace(14.0, 700.0, 200)])
+    xs = np.exp(ys)
+    w = lambert_w0_exp(ys)
     resid = np.abs(w * np.exp(w) - xs)
-    bound = 1e-12 * np.maximum(1.0, np.abs(xs))
+    bound = 1e-12 * np.maximum(1.0, xs)
+    ys_big = np.geomspace(700.0, 1e12, 200)
+    w_big = lambert_w0_exp(ys_big)
+    resid_big = np.abs(w_big + np.log(w_big) - ys_big)
     elapsed = time.monotonic() - t0
     print(f"\n[criterion 7] max residual ratio "
           f"{np.max(resid / bound):.3g} over {len(xs)} points, "
-          f"runtime {elapsed:.2f}s")
+          f"{np.max(resid_big / (1e-13 * ys_big)):.3g} over "
+          f"{len(ys_big)} log-domain points, runtime {elapsed:.2f}s")
     assert np.all(resid <= bound)
+    assert np.all(resid_big <= 1e-13 * ys_big)
     assert elapsed < 1.0
 
 

@@ -19,6 +19,7 @@ from vesim.model import (ModelError, VesicleLanes, VesicleSpec,
                          default_environment, default_kinetics,
                          default_vesicle, derive_rates)
 from vesim.schedule import LightSignal, buffered_relaxation_time
+from vesim.trajectory import sample_grid
 
 
 @pytest.fixture
@@ -400,7 +401,7 @@ class TestRunAnalytic:
         sig = LightSignal([(10, 35), (50, 80), (110, 140), (150, 180)], 250)
         for mode in ("exact", "closed"):
             traj = run_analytic(spec, kin, env, sig, mode,
-                                sample_interval=0.05)
+                                sample_times=sample_grid(sig.horizon, 0.05))
             jumps = np.abs(np.diff(traj.c_h_in)) / traj.c_h_in[:-1]
             # nothing moves faster than the attenuated rate allows
             assert np.max(jumps) < 1e-3
@@ -412,9 +413,9 @@ class TestRunAnalytic:
         spec = dataclasses.replace(default_vesicle(), n_sym=0)
         sig = LightSignal([(0, 600)], 1200)
         closed = run_analytic(spec, base_kinetics, base_env, sig, "closed",
-                              sample_interval=1.0)
+                              sample_times=sample_grid(sig.horizon, 1.0))
         exact = run_analytic(spec, base_kinetics, base_env, sig, "exact",
-                             sample_interval=1.0)
+                             sample_times=sample_grid(sig.horizon, 1.0))
         assert np.allclose(closed.c_h_in, exact.c_h_in, rtol=1e-13)
 
     def test_buffer_degeneracy_bitwise(self, base_kinetics):
@@ -437,7 +438,7 @@ class TestRunAnalytic:
         for b0 in (0.0, 10.0, 20.0):
             env = default_environment(buffer_total=b0)
             traj = run_analytic(spec, base_kinetics, env, sig, "closed",
-                                sample_interval=10.0)
+                                sample_times=sample_grid(sig.horizon, 10.0))
             k = int(np.argmin(np.abs(traj.t - 3000.0)))
             finals[b0] = traj.c_h_in[k]
         rates = derive_rates(spec, base_kinetics, default_environment())
@@ -456,7 +457,7 @@ class TestRunAnalytic:
         fdm = simulate_svs(spec, base_kinetics, env, sig,
                            FdmConfig(dt=dt, record_stride=round(0.5 / dt)))
         exact = run_analytic(spec, base_kinetics, env, sig, "exact",
-                             sample_interval=0.5)
+                             sample_times=sample_grid(sig.horizon, 0.5))
         assert np.max(np.abs(exact.c_h_in - fdm.c_h_in) / fdm.c_h_in) < 1e-6
         assert np.max(np.abs(exact.c_s_in - fdm.c_s_in)
                       / np.maximum(fdm.c_s_in, 1e-9)) < 1e-4
@@ -472,7 +473,7 @@ class TestRunAnalytic:
         fdm0 = simulate_svs(spec, base_kinetics, env0, sig,
                             FdmConfig(dt=dt0, record_stride=100))
         ana0 = run_analytic(spec, base_kinetics, env0, sig, "closed",
-                            sample_interval=1.0)
+                            sample_times=sample_grid(sig.horizon, 1.0))
         assert abs(fdm0.schedule.cycles[0].t2
                    - ana0.schedule.cycles[0].t2) <= 2 * dt0
         # buffered: t2 comes from the separable buffered law, which is the
@@ -481,7 +482,7 @@ class TestRunAnalytic:
         fdm = simulate_svs(spec, base_kinetics, env, sig,
                            FdmConfig(dt=1e-2, record_stride=100))
         ana = run_analytic(spec, base_kinetics, env, sig, "closed",
-                           sample_interval=1.0)
+                           sample_times=sample_grid(sig.horizon, 1.0))
         assert abs(fdm.schedule.cycles[0].t2
                    - ana.schedule.cycles[0].t2) <= 2 * 1e-2
 

@@ -111,6 +111,19 @@ class TestParsing:
         tree = to_config_tree(parsed)
         assert config_hash(parse_config(tree)) == config_hash(parsed)
 
+    def test_ensemble_seed_must_equal_run_seed(self):
+        # the config tree records run.seed only, so a run whose vesicles
+        # drew from another seed would not reproduce from its manifest
+        from vesim.presets import fig9_scenario
+        cfg = fig9_scenario(seed=1).runs[0]
+        with pytest.raises(ConfigError, match="ensemble seed 2 differs "
+                                              "from run seed 1"):
+            dataclasses.replace(
+                cfg, ensemble=dataclasses.replace(cfg.ensemble, seed=2))
+        with pytest.raises(ConfigError, match="ensemble seed 1 differs "
+                                              "from run seed 3"):
+            dataclasses.replace(cfg, seed=3)
+
     def test_population_diameter_log_units(self):
         cfg = {"run": {}, "population": {
                    "diameter": {"shift": "39.74 nm", "mu_log": 4.16,
@@ -411,6 +424,18 @@ class TestRunnerArtifacts:
         assert "mini/closed/C_H_in" in series
         assert "mini/closed/light" in series
 
+    @pytest.mark.parametrize("labels", [("B0=1", "B0_1"), ("mini", "mini")],
+                             ids=["same-directory", "same-label"])
+    def test_runs_sharing_a_run_directory_are_refused(self, labels,
+                                                      tmp_path):
+        from vesim.presets import Scenario
+        runs = [parse_config(MINIMAL, label=label) for label in labels]
+        first, second = map(repr, labels)
+        with pytest.raises(ConfigError, match=f"runs {first} and {second} "
+                                              "share the run directory"):
+            run_scenario(Scenario("two", "t", runs), tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_emit_plot_data_empty_dir(self, tmp_path):
         from vesim.runner import MissingArtifacts
         with pytest.raises(MissingArtifacts):
@@ -591,6 +616,18 @@ class TestCli:
         assert manifests[0] == manifests[1]
         entry = json.loads(manifests[0])["runs"]["Bµ"]
         assert entry["artifacts"] == ["Bµ/trajectory_closed.csv"]
+
+    def test_import_loads_no_process_pool_or_integrator(self):
+        # a fresh interpreter: the test session itself may load these
+        script = ("import sys, vesim.cli; print(sorted(m for m in ("
+                  "'multiprocessing', 'concurrent.futures.process', "
+                  "'scipy.integrate') if m in sys.modules))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(vesim.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_module_entrypoint(self, tmp_path):
         r = subprocess.run([sys.executable, "-m", "vesim.cli", "presets",

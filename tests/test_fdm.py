@@ -21,7 +21,7 @@ from vesim.model import (VesicleLanes, VesicleSpec, default_environment,
 from vesim.presets import RUN_PRESETS
 from vesim.schedule import (NO_CROSSING, LightSignal, _symport_estimates,
                             schedule_from_crossings)
-from vesim.trajectory import write_trajectory_csv
+from vesim.trajectory import sample_grid, write_trajectory_csv
 
 
 def test_stability_check_rejects_baseline_step_when_unbuffered(
@@ -157,7 +157,7 @@ def test_converges_to_closed_form_unbuffered(base_kinetics):
     fdm = simulate_svs(spec, base_kinetics, env, sig,
                        FdmConfig(dt=dt, record_stride=stride))
     closed = run_analytic(spec, base_kinetics, env, sig, "closed",
-                          sample_interval=0.1)
+                          sample_times=sample_grid(sig.horizon, 0.1))
     rel = np.abs(closed.c_h_in - fdm.c_h_in) / fdm.c_h_in
     assert np.max(rel) < 1e-3
 
@@ -211,7 +211,7 @@ def test_crossing_detection_matches_prediction_unbuffered(base_kinetics):
     fdm = simulate_svs(spec, base_kinetics, env, sig,
                        FdmConfig(dt=dt, record_stride=10))
     closed = run_analytic(spec, base_kinetics, env, sig, "closed",
-                          sample_interval=0.01)
+                          sample_times=sample_grid(sig.horizon, 0.01))
     cf, ca = fdm.schedule.cycles[0], closed.schedule.cycles[0]
     assert cf.t2 == pytest.approx(ca.t2, abs=2 * dt)
     assert cf.t4 == pytest.approx(ca.t4, abs=2 * dt)

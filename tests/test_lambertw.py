@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from vesim.analytic import LambertDomainError, lambert_w0, lambert_w0_exp
+from vesim.analytic import lambert_w0_exp
 
 
 def newton_w0(x, tol=1e-15):
@@ -23,40 +22,9 @@ def newton_w0(x, tol=1e-15):
     return w
 
 
-def test_fixed_points():
-    assert lambert_w0(0.0) == 0.0
-    assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_reference_value_against_newton_oracle():
-    assert lambert_w0(1.0) == pytest.approx(newton_w0(1.0), abs=1e-14)
-    assert lambert_w0(1.0) == pytest.approx(0.5671432904, abs=1e-10)
-
-
-def test_domain_error_below_branch_point():
-    with pytest.raises(LambertDomainError):
-        lambert_w0(-0.5)
-
-
-def test_residual_bound_on_log_grid():
-    xs = np.concatenate([
-        [-1 / math.e + 1e-9, -1e-6, 0.0],
-        10.0 ** np.linspace(-12, 6, 300),
-    ])
-    w = lambert_w0(xs)
-    resid = np.abs(w * np.exp(w) - xs)
-    assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(xs)))
-
-
-@given(st.floats(-1 / math.e + 1e-9, 1e6))
-def test_matches_newton_oracle(x):
-    assert lambert_w0(x) == pytest.approx(newton_w0(x), rel=1e-10,
-                                          abs=1e-12)
-
-
 def test_log_domain_consistency_small():
     for y in (-5.0, 0.0, 3.0, 100.0):
-        assert lambert_w0_exp(y) == pytest.approx(lambert_w0(math.exp(y)),
+        assert lambert_w0_exp(y) == pytest.approx(newton_w0(math.exp(y)),
                                                   rel=1e-13)
 
 
@@ -96,8 +64,8 @@ def newton_w_log(y):
 
 def test_log_domain_matches_oracles_on_both_branches():
     # lambert_w0_exp takes scipy's W0(exp(y)) up to y = 700 and four
-    # Newton steps on w + ln(w) = y above it; `exact` calls it (not
-    # lambert_w0), so both branches are held to 1e-15 relative
+    # Newton steps on w + ln(w) = y above it; `exact` calls it, so both
+    # branches are held to 1e-15 relative
     edge = [np.nextafter(700.0, -np.inf), 700.0, np.nextafter(700.0, np.inf)]
     ys = np.concatenate([np.linspace(-30.0, 700.0, 400), edge,
                          np.geomspace(700.0, 1e8, 400)])
