@@ -20,10 +20,8 @@
  * The step returns k1; or -(k + 1) after the rare step k in which some
  * lane's cargo fell below its depletion threshold or after which the log
  * has no room for another step's flips, so that the driver sees to the
- * cargo before record k + 1 is written; or, for a run that stops once
- * its schedules are final (t_settled is not NaN), the record step k
- * before writing its record, when crossings were logged since the driver
- * last took the log or k * dt >= t_settled.
+ * cargo, or takes the log, before record k + 1 is written. Where a run
+ * stops is the driver's to decide: it ends each call there.
  *
  * Each step makes the float operations of fdm._step_numpy, which calls
  * the flux laws of model.py and the buffer root of buffering.py, in the
@@ -255,7 +253,7 @@ long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
                      double *log_t, long cap, double *rec_h_in,
                      double *rec_s_in, double *rec_pool_h,
                      double *rec_pool_s, long stride, long k0, long k1,
-                     int light, double t_settled)
+                     int light)
 {
     const double *v_in = lanes + V_IN * n, *gamma_p = lanes + GAMMA_P * n,
                  *gamma_l = lanes + GAMMA_L * n,
@@ -271,14 +269,11 @@ long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
     const int pumping = light && c_out0 > 0.0;  /* model.pump_flux */
     double pool_th = pool[POOL_TH], pool_ts = pool[POOL_TS],
            c_pool = pool[C_POOL];
-    const int settling = !isnan(t_settled);
     long k, r = (k0 + stride - 1) / stride;  /* the next record */
     int64_t m = *n_log;
 
     for (k = k0; k < k1; k++) {
         if (k == r * stride) {
-            if (settling && (m > 0 || (double)k * dt >= t_settled))
-                break;
             memcpy(rec_h_in + r * n, c_in, n * sizeof(double));
             memcpy(rec_s_in + r * n, cs_in, n * sizeof(double));
             rec_pool_h[r] = c_pool;

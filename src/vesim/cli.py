@@ -8,8 +8,8 @@ Command-line interface.
     vesim presets list
     vesim emit-plot-data RUN_DIR
 
-Exit codes: 0 success, 1 validation error, 2 solver error. The output
-root defaults to ./runs and can be overridden with $VESIM_OUT_ROOT.
+Exit codes: 0 success, 1 validation or path error, 2 solver error. The
+output root defaults to ./runs and can be overridden with $VESIM_OUT_ROOT.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from pathlib import Path
 from .config import ConfigError, check_seed, load_config
 from .presets import RUN_PRESETS, Scenario, describe_presets
 from .runner import (MissingArtifacts, SolverFailure, _as_written,
-                     emit_plot_data, run_scenario, write_sweep_artifacts)
+                     emit_plot_data, make_out_dir, run_scenario,
+                     write_sweep_artifacts)
 from .sweep import SWEEP_PRESETS, run_sweep
 
 EXIT_OK = 0
@@ -112,8 +113,9 @@ def main(argv=None) -> int:
             builder = SWEEP_PRESETS[args.preset]
             spec = (builder(seed=args.seed) if args.seed is not None
                     else builder())
+            out = make_out_dir(args.out, spec.name)  # before any point runs
             result = run_sweep(spec)
-            out = write_sweep_artifacts(result, args.out)
+            write_sweep_artifacts(result, out)
             failed = result.summary.get("failed", 0)
             print(f"wrote {out} ({failed} failed points)")
             if failed:
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (MissingArtifacts, FileNotFoundError) as exc:
+    except (MissingArtifacts, OSError) as exc:  # a path it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverFailure as exc:

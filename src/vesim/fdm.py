@@ -30,6 +30,10 @@ rare step in which some vesicle's cargo falls below the depletion
 threshold; the driver then clamps a substrate overshoot at 0 (once the
 fluxes underflow to subnormals their rounding can overshoot the cargo),
 logs the depletion event, and resumes.
+
+The step knows no stopping rule: a run that stops once its schedules are
+final gives it a log with room for one step's crossings, so the driver
+sees each crossing right after its step and moves the stop it steps to.
 """
 
 from __future__ import annotations
@@ -184,17 +188,13 @@ class _CrossingLog:
         self.t = np.empty(cap)
         self.taken = [(self.vd[:, :0], self.t[:0])]
 
-    def take(self) -> None:
-        """Empty the buffers into the entries taken."""
+    def take(self) -> bool:
+        """Empty the buffers into the entries taken; whether they held any."""
         m = int(self.n[0])
         if m:
             self.taken.append((self.vd[:, :m].copy(), self.t[:m].copy()))
             self.n[0] = 0
-
-    @property
-    def pending(self) -> bool:
-        """Whether entries were taken since the last `per_lane`."""
-        return len(self.taken) > 1
+        return m > 0
 
     def per_lane(self, n_lanes: int) -> list[np.ndarray]:
         """Each lane's crossings taken so far, as `schedule_from_crossings`
@@ -228,14 +228,12 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
     Binds the state of `_run_lanes` (`lanes`, rows `_LANE_ROWS`; `above`,
     each lane's threshold test; `pool`, `_POOL_FIELDS`; `log`, the
     crossings found and not yet taken; `rec`, the records) and returns
-    steps(k0, k1, light, t_settled). It runs the steps [k0, k1) in place,
-    writing record r before step r * stride. A lane whose test flips in
-    step k has its crossing, interpolated linearly within the step,
-    appended to `log` and its `above` updated. It returns k1; or -(k + 1)
-    after the first step k after which some lane's cargo fell below its
-    depletion threshold or `log` has no room for another step's flips;
-    or, unless t_settled is NaN, the first record step k with crossings
-    in `log` or k * dt >= t_settled, before it writes its record.
+    steps(k0, k1, light). It runs the steps [k0, k1) in place, writing
+    record r before step r * stride. A lane whose test flips in step k
+    has its crossing, interpolated linearly within the step, appended to
+    `log` and its `above` updated. It returns k1; or -(k + 1) after the
+    first step k after which some lane's cargo fell below its depletion
+    threshold or `log` has no room for another step's flips.
     """
     (v_in, gamma_p, gamma_l, gamma_s, gamma_h, c_switch, dep_threshold,
      th_in, cs_in, c_in) = lanes[:-2]
@@ -245,14 +243,11 @@ def _step_numpy(lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
     totals = np.empty(n + 1)  # the lanes' H+ totals, then the pool's
     lane_totals = totals[:n]
 
-    def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
+    def steps(k0: int, k1: int, light: bool) -> int:
         pool_th, pool_ts, c_pool = pool[:3].tolist()
         r = -(-k0 // stride)  # the next record
         for k in range(k0, k1):
             if k == r * stride:
-                if not math.isnan(t_settled) and (log.n[0]
-                                                  or k * dt >= t_settled):
-                    break
                 rec.c_h_in[r], rec.c_s_in[r] = c_in, cs_in
                 rec.pool_h[r], rec.pool_s[r] = c_pool, pool_ts / v_pool
                 r += 1
@@ -315,10 +310,10 @@ def _bind_step(fn, lanes: np.ndarray, above: np.ndarray, pool: np.ndarray,
                              *ptrs[6:], long(rec.stride))
     n_steps = int(rec.steps[-1])
 
-    def steps(k0: int, k1: int, light: bool, t_settled: float) -> int:
+    def steps(k0: int, k1: int, light: bool) -> int:
         if not 0 <= k0 <= k1 <= n_steps:  # the records it writes exist
             raise ValueError(f"steps [{k0}, {k1}) outside the run")
-        return call(k0, k1, light, t_settled)
+        return call(k0, k1, light)
     return steps
 
 
@@ -408,9 +403,9 @@ def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
 
     The driver of both public kernels (see the module docstring). With
     `until_settled` the run stops at the first record step at which
-    every vesicle's schedule is final. The step writes the records but
-    the last, the state the run ends at; each record's t follows from
-    its step.
+    every vesicle's schedule is final, as the crossings so far show. The
+    step writes the records but the last, the state the run ends at;
+    each record's t follows from its step.
 
     Returns the SharedPoolResult and the population's DerivedRates.
     """
@@ -458,28 +453,38 @@ def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
     # symport and its flips are the crossings
     above = symport_gate(c_in, c_switch)
     active_at_start = above.copy()
-    log = _CrossingLog(n_ves + _LOG_ROOM)
+    # a settled run's every crossing returns from the step to move the stop
+    log = _CrossingLog(n_ves if until_settled else n_ves + _LOG_ROOM)
     rec = _Records(n_steps, stride, n_ves)
     steps = _compiled_step()(lanes, above, pool, log, rec)
     events: list[list[Event]] = [[] for _ in range(n_ves)]
     drift = 0.0
 
-    def settled_at() -> float:
-        """The time from which the crossings taken fix every schedule."""
-        return max(schedule_final_time(signal, c, bool(a)) for c, a in
-                   zip(log.per_lane(n_ves), active_at_start))
+    def settled_stop(k: int) -> int:
+        """The first record step from step k on at which the crossings
+        taken fix every schedule (`schedule_final_time`), or n_steps."""
+        t_final = max(schedule_final_time(signal, c, bool(a)) for c, a in
+                      zip(log.per_lane(n_ves), active_at_start))
+        # from a step before the first with k * dt >= t_final, whatever
+        # the rounding; both infinities clip to the run
+        k = max(k, int(np.clip(t_final, 0.0, signal.horizon) / dt) - 1)
+        k = -(-k // stride) * stride
+        while k < n_steps and k * dt < t_final:
+            k += stride
+        return min(k, n_steps)
 
-    t_settled = settled_at() if until_settled else math.nan
+    stop = settled_stop(0) if until_settled else n_steps
     k = 0
     for k0, k1, light in _step_blocks(signal, dt, n_steps):
         if k0 % 1000 == 1:  # the state after step k0 - 1
             drift = max(drift, inventory_drift())
         k = k0
-        while k < k1:
-            k = steps(k, k1, light, t_settled)
+        while k < min(k1, stop):
+            k = steps(k, min(k1, stop), light)
             if k < 0:  # after step -k - 1 a lane is low or the log full
                 k = -k
-                log.take()
+                if log.take() and until_settled:
+                    stop = settled_stop(k)
                 low = cs_in < dep_threshold
                 under = cs_in < 0.0
                 if under.any():
@@ -492,15 +497,8 @@ def _run_lanes(vesicles: VesicleLanes, kin: KineticConstants,
                             "substrate clamped at 0" if under[v]
                             else "fell below reporting threshold"))
                         dep_threshold[v] = 0.0
-            if until_settled:
-                log.take()
-                if log.pending:
-                    t_settled = settled_at()
-                if k % stride == 0 and k * dt >= t_settled:
-                    break
-        else:
-            continue
-        break  # at step k every schedule is final
+        if k == stop:  # every schedule is final, or the run is done
+            break
 
     drift = max(drift, inventory_drift())
     log.take()

@@ -120,7 +120,7 @@ class Library:
         long, ptr = ctypes.c_long, ctypes.c_void_p
         steps = self.fdm_steps = lib.vesim_fdm_steps
         steps.argtypes = (long, *[ptr] * 6, long, *[ptr] * 4, long, long,
-                          long, ctypes.c_int, ctypes.c_double)
+                          long, ctypes.c_int)
         steps.restype = long
         fmt = lib.vesim_format_rows
         fmt.argtypes = (ptr, ptr, long, ptr, long, long, ptr, long)

@@ -218,8 +218,7 @@ def _fig9_check(results: dict) -> dict:
     res = results["fig9"]
     ens = res["ensemble"]
     t_end_ill = FIG9_SIGNAL[0][1]
-    k = int(np.argmin(np.abs(ens.t - t_end_ill)))
-    mean_cs = float(ens.interex_mean_c_s_out[k])
+    mean_cs = ens.value_at(ens.interex_mean_c_s_out, t_end_ill)
     ref_cs = float(np.interp(t_end_ill, ens.mean_param_traj.t,
                              ens.mean_param_traj.c_s_out))
     out = {

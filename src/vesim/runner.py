@@ -47,8 +47,13 @@ class SolverFailure(RuntimeError):
     """A solver failed while executing a run."""
 
 
-def default_out_root() -> Path:
-    return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
+def make_out_dir(out_dir: Path | str | None, name: str) -> Path:
+    """`out_dir`, else `name` under $VESIM_OUT_ROOT (default ./runs); made
+    if missing."""
+    root = Path(os.environ.get(OUT_ROOT_ENV, "runs"))
+    out = Path(out_dir) if out_dir is not None else root / name
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
@@ -130,9 +135,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None,
             raise ConfigError(f"runs {labels[name]!r} and {cfg.label!r} "
                               f"share the run directory {name!r}")
         labels[name] = cfg.label
-    out = (Path(out_dir) if out_dir is not None
-           else default_out_root() / _on_disk(scenario.name))
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir, _on_disk(scenario.name))
 
     results: dict[str, dict] = {}
     manifest: dict = {"scenario": scenario.name,
@@ -190,9 +193,7 @@ def write_sweep_artifacts(result, out_dir: Path | str | None = None) -> Path:
     """Persist a SweepResult as summary.csv + summary.json; summary.csv
     holds `csv.writer`'s bytes, but for a row of one empty field ('""'
     there), which no sweep row is (each holds its point)."""
-    out = (Path(out_dir) if out_dir is not None
-           else default_out_root() / result.name)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir, result.name)
     cols: list[str] = []
     for row in result.rows:
         for key in row:

@@ -29,10 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .analytic import run_analytic_batch
-from .ensemble import EnsembleConfig, PopulationDistributions, run_ensemble
+from .ensemble import PopulationDistributions
 from .fdm import FdmConfig, simulate_svs
 from .model import (VesicleLanes, default_environment, default_kinetics,
                     default_vesicle)
+from .presets import fig9_scenario
+from .runner import execute_run
 from .schedule import LightSignal
 
 
@@ -141,8 +143,6 @@ def _fig6_fdm(row: dict) -> dict:
 
 FIG10_DIAMETERS_NM = (100.0, 500.0, 1000.0)
 FIG11_PERMEABILITIES = (1e-6, 5e-6, 1e-5)
-SENSITIVITY_SIGNAL = ((0.0, 800.0),)
-SENSITIVITY_HORIZON = 1600.0
 
 
 def fig10_sweep(seed: int = 0) -> SweepSpec:
@@ -174,14 +174,12 @@ def _population_for_point(point: dict) -> PopulationDistributions:
 
 
 def _ensemble_point(point: dict, seed: int) -> dict:
-    pop = _population_for_point(point)
-    ens = EnsembleConfig(n_mod=100, n_ex=10, seed=seed)
-    env = default_environment(v_out=ens.v_out_per_vesicle)
-    signal = LightSignal(SENSITIVITY_SIGNAL, horizon=SENSITIVITY_HORIZON)
-    res = run_ensemble(pop, default_kinetics(), env, signal, ens,
-                       solver="closed",
-                       sample_times=np.linspace(0.0, SENSITIVITY_HORIZON, 81))
-    t_end_ill = SENSITIVITY_SIGNAL[0][1]
+    """fig9's closed ensemble on a 20 s grid, for the point's population."""
+    cfg = dataclasses.replace(fig9_scenario(seed).runs[0],
+                              solvers=("closed",), sample_interval=20.0,
+                              population=_population_for_point(point))
+    res = execute_run(cfg)["ensemble"]
+    t_end_ill = cfg.signal.intervals[0][1]
     row = dict(point)
     row["peak_interex_mean_c_h_in"] = float(np.max(res.interex_mean_c_h_in))
     row["c_h_in_end_illumination"] = res.value_at(res.interex_mean_c_h_in,

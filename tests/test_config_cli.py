@@ -545,6 +545,27 @@ class TestCli:
         args = _build_parser().parse_args(argv[:3] + ["--workers", "1"])
         assert args.workers == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "DIR", "--out", "NEW"],
+        ["run", "--preset", "fig4", "--out", "FILE"],
+        ["sweep", "--preset", "fig10", "--out", "FILE"],
+    ], ids=["config-is-a-dir", "run-out-is-a-file", "sweep-out-is-a-file"])
+    def test_unusable_path_exits_1(self, argv, tmp_path, capsys,
+                                   monkeypatch):
+        # a sweep refuses its --out before it runs a point
+        def no_sweep(spec):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(vesim.cli, "run_sweep", no_sweep)
+        (tmp_path / "file").write_text("")
+        paths = {"DIR": tmp_path, "NEW": tmp_path / "o",
+                 "FILE": tmp_path / "file"}
+        rc = cli_main([str(paths.get(a, a)) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        assert (tmp_path / "file").read_text() == ""
+
     def test_invalid_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.yaml"
         cfg_path.write_text("run: {solver: closed\nvesicle: {}\n")

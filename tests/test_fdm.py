@@ -771,7 +771,7 @@ def test_compiled_step_refuses_steps_outside_the_run():
                       fdm._CrossingLog(1), fdm._Records(10, 5, 1))
     for k0, k1 in ((0, 11), (-1, 3), (4, 3)):
         with pytest.raises(ValueError, match="outside the run"):
-            steps(k0, k1, False, float("nan"))
+            steps(k0, k1, False)
 
 
 def _nan_lane_state(b0: float, n: int = 2, nan_lane: int = 1,
@@ -808,7 +808,7 @@ def _step_both(make_state):
     after = []
     for bind in (_c_step(), fdm._step_numpy):
         state = make_state()
-        k = bind(*state)(0, 1, True, float("nan"))
+        k = bind(*state)(0, 1, True)
         lanes, above, pool, log, rec = state
         m = int(log.n[0])
         after.append((k, lanes, above, pool, log.vd[:, :m], log.t[:m],
@@ -965,18 +965,33 @@ class TestCompiledStepBuild:
                                        / f"vesim-{os.getuid()}")
 
 
-def test_a_full_crossing_log_keeps_the_settled_stop(base_kinetics,
-                                                    monkeypatch):
-    # with no room beyond one step's flips, every crossing leaves the
-    # step through an early return, between record steps; the run must
-    # still stop at the record step where it stops with room
-    sig = LightSignal([(10, 35), (50, 80)], 400)
-    args = (default_vesicle(), base_kinetics, default_environment(), sig,
+def test_a_chattering_settled_run_stops_alike_on_either_step(
+        base_kinetics):
+    # the lane chatters across its threshold in its first cycle, and
+    # every crossing returns from the step; on either step the run stops at
+    # the first record step at which its last cycle is final, a prefix
+    # of the full run with the full run's schedule
+    spec = dataclasses.replace(default_vesicle(), n_pumps=10, n_sym=60)
+    sig = LightSignal([(10, 200), (300, 500)], 900)
+    args = (spec, base_kinetics, default_environment(), sig,
             FdmConfig(dt=1e-2, record_stride=10))
-    expected = simulate_svs(*args, until_settled=True)
-    monkeypatch.setattr(fdm, "_LOG_ROOM", 0)
-    got = simulate_svs(*args, until_settled=True)
-    assert expected.t[-1] < sig.horizon
-    assert got.schedule.cycles == expected.schedule.cycles
-    for name in ("t", "c_h_in", "c_s_in", "c_s_out"):
-        assert np.array_equal(getattr(got, name), getattr(expected, name))
+    with mock.patch.object(fdm, "schedule_from_crossings",
+                           wraps=schedule_from_crossings) as spy:
+        full = simulate_svs(*args)
+    _, crossings, active = spy.call_args.args
+    t1, t3, t1_next = sig.cycle_bounds(sig.n_cycles - 1)
+    t2, t4 = _symport_estimates(crossings, active, t1, t3, t1_next)
+    assert np.count_nonzero(crossings[:, 0] < t1) > 20 and t4 < t3
+    n = np.searchsorted(full.t, t4) + 1
+    names = ("t", "c_h_in", "c_h_out", "c_s_in", "c_s_out", "light",
+             "cycle")
+    for step in (_c_step(), fdm._step_numpy):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fdm, "_compiled_step", lambda: step)
+            settled = simulate_svs(*args, until_settled=True)
+        assert len(settled) == n
+        assert settled.schedule.cycles == full.schedule.cycles
+        for name in names:
+            assert np.array_equal(getattr(settled, name),
+                                  getattr(full, name)[:n]), name
+        assert settled.events == full.events[:len(settled.events)]

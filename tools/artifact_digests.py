@@ -5,9 +5,9 @@
 runs `vesim run --preset fig3|fig4|fig5|fig9 --seed 0` with
 `emit-plot-data` on each run, and `vesim sweep --preset fig6|fig10|fig11`,
 from the `src` of the checkout this script lies in, into the directory
-OUT, which must not exist yet. It prints one `sha256  path` line per file written, sorted by path
-relative to OUT. Two checkouts write the same bytes exactly when
-`diff` finds their outputs equal.
+OUT, which must not exist yet. It prints one `sha256  path` line per
+file written, sorted by path relative to OUT. Two checkouts write the
+same bytes exactly when `diff` finds their outputs equal.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ def vesim(*args: str) -> None:
 
 
 def main(out: Path) -> None:
-    out.mkdir(parents=True)  # no file of an earlier run is listed
+    try:
+        out.mkdir(parents=True)  # no file of an earlier run is listed
+    except FileExistsError:
+        sys.exit(f"{out} exists already; give a new directory")
     for name in RUNS:
         vesim("run", "--preset", name, "--seed", "0", "--out",
               str(out / name))
