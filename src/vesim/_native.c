@@ -9,19 +9,18 @@
  *
  * --- The FDM step ------------------------------------------------------
  *
- * Steps n vesicles ("lanes") that share one extravesicular pool over the
- * steps [k0, k1) under one light flag, in place, with the contract of
- * fdm._step_numpy. A lane whose threshold test c_in >= c_switch flips in
+ * Steps lanes [0, n_run) of n vesicles ("lanes") over the steps [k0, k1),
+ * in place, with the contract of fdm._step_numpy. The lanes share one
+ * extravesicular pool (n_pools == 1) or each has its own (n_pools == n).
+ * A dark lane's pump rate is 0.0; a call whose lanes are all dark skips
+ * the pump term. A lane whose threshold test c_in >= c_switch flips in
  * step k has the flip logged in the crossing log and `above` updated; a
- * chattering lane thus costs no return to Python. Before each step k with
- * k % stride == 0 the step writes record k / stride: each lane's c_in and
- * cs_in, the pool's free H+ and its substrate concentration.
- *
- * The step returns k1; or -(k + 1) after the rare step k in which some
- * lane's cargo fell below its depletion threshold or after which the log
- * has no room for another step's flips, so that the driver sees to the
- * cargo, or takes the log, before record k + 1 is written. Where a run
- * stops is the driver's to decide: it ends each call there.
+ * chattering lane thus costs no return to Python. Before each step k
+ * with k % stride == 0 the step writes record k / stride of its lanes
+ * and pools. It returns k1; or -(k + 1) after the rare step k in which
+ * some lane's cargo fell below its depletion threshold or after which
+ * the log has no room for another step's flips, so that fdm._run_lanes
+ * sees to the cargo, or takes the log, before record k + 1 is written.
  *
  * Each step makes the float operations of fdm._step_numpy, which calls
  * the flux laws of model.py and the buffer root of buffering.py, in the
@@ -33,26 +32,23 @@
  * instruction, and -fno-trapping-math lets a lane's branches become
  * selects that compute both sides.
  *
- * A pool of VEC_LANES lanes or more steps its lanes in two passes that
- * the compiler vectorizes, lane_fluxes and lane_roots, and scans them
- * for crossings only in a step with a flip. On x86-64 with glibc the
- * passes are built twice (target_clones), for AVX2 and the baseline,
- * and the loader picks the clone the CPU runs. Both clones make the same
- * IEEE +, -, *, / and sqrt on each lane, each correctly rounded, with no
- * contraction (AVX2 does not imply FMA) and no reassociation: a vector
- * lane is a lane, and the pool's sums stay pairwise_sum's. So the bits
- * depend neither on the clone the loader picks nor on whether the
- * compiler has target_clones at all. A smaller pool, such as the single
- * vesicle, runs the flux pass inline and fuses the root pass with the
- * crossing log, and pays no clone's indirect call.
+ * VEC_LANES lanes or more, and lanes with pools of their own, step in
+ * passes that the compiler vectorizes, and are scanned for crossings
+ * only in a step with a flip. On x86-64 with glibc the passes are built
+ * for AVX2 and the baseline (target_clones), and the loader picks the
+ * clone the CPU runs. Both make the same correctly rounded IEEE +, -, *,
+ * / and sqrt on each lane, with no contraction (AVX2 does not imply FMA)
+ * and no reassociation: a vector lane is a lane, and a shared pool's
+ * sums stay pairwise_sum's. Fewer lanes of one pool, such as the single
+ * vesicle, run the flux pass inline and fuse the root pass with the log.
  *
- * The state lives in the rows of one n-column array, `lanes`, and in
- * `pool`, in the order of the enums below (fdm._LANE_ROWS and
- * fdm._POOL_FIELDS). The crossing log holds n_log[0] entries of capacity
- * `cap`: lane and direction (+1 up, -1 down) in the two rows of
- * `log_vd`, the interpolated crossing time in `log_t`. The records are
- * the rows of rec_h_in and rec_s_in (n columns each) and the entries of
- * rec_pool_h and rec_pool_s (fdm._Records).
+ * The state is the rows of `lanes` (n columns) and `pools` (n_pools
+ * columns) and `consts`, in the order of the enums below (fdm._LANE_ROWS,
+ * _POOL_ROWS, _CONSTS). The log holds n_log[0] entries of capacity `cap`:
+ * lane and direction (+1 up, -1 down) in the rows of `log_vd`, the time
+ * in `log_t`. The records (fdm._Records) are the rows of rec_h_in and
+ * rec_s_in (c_in, cs_in) and of rec_pool_h and rec_pool_s (each pool's
+ * free H+ and substrate concentration).
  */
 
 #include <math.h>
@@ -61,20 +57,17 @@
 
 enum { V_IN, GAMMA_P, GAMMA_L, GAMMA_S, GAMMA_H, C_SWITCH, DEP_THRESHOLD,
        TH_IN, CS_IN, C_IN, NET_IN, RELEASED, N_ROWS };
-enum { POOL_TH, POOL_TS, C_POOL, DT, V_POOL, B0, K_A, K_M, C_OUT0 };
+enum { POOL_TH, POOL_TS, C_POOL, V_POOL };
+enum { DT, B0, K_A, K_M, C_OUT0 };
 
-/* Pools of VEC_LANES lanes or more take the cloned passes, CHUNK_LANES
- * lanes to a lane_roots call */
+/* A shared pool of VEC_LANES lanes or more takes the cloned passes, as
+ * lanes with pools of their own do; CHUNK_LANES lanes to a lane_roots */
 #define VEC_LANES 4
 #define CHUNK_LANES 256
 
-#if defined(__GNUC__)
+/* GNU C, as unsigned __int128 below needs too */
 #define INLINE static inline __attribute__((always_inline))
 #define NOINLINE static __attribute__((noinline))
-#else
-#define INLINE static inline
-#define NOINLINE static
-#endif
 /* target_clones needs the loader's ifunc (glibc). VESIM_NO_CLONES
  * builds the baseline loops alone, which the tests pin too. */
 #if defined(__has_attribute) && !defined(VESIM_NO_CLONES)
@@ -134,28 +127,27 @@ INLINE double free_conc(double total, double b0, double k_a)
     return 0.5 * (disc - q);
 }
 
-/* The flux pass of one step: each lane's net H+ inflow and released
- * substrate (model.py) into net_in and released, its H+ total and cargo
- * stepped by them */
-INLINE void lane_fluxes(long n, const double *restrict v_in,
-                        const double *restrict gamma_p,
-                        const double *restrict gamma_l,
-                        const double *restrict gamma_s,
-                        const double *restrict gamma_h,
-                        const unsigned char *restrict above,
-                        const double *restrict c_in, double *restrict th_in,
-                        double *restrict cs_in, double *restrict net_in,
-                        double *restrict released, double dt, double k_m,
-                        double c_pool, int pumping, double ratio)
+/* The flux pass: each lane's net H+ inflow and released substrate
+ * (model.py) into net_in and released, its H+ total and cargo stepped by
+ * them. Lane v's pool holds free H+ c_pools[v] if the lanes have pools of
+ * their own (own_pools, a constant at each call), else c_shared. */
+INLINE void lane_fluxes(
+    long n, const double *restrict v_in, const double *restrict gamma_p,
+    const double *restrict gamma_l, const double *restrict gamma_s,
+    const double *restrict gamma_h, const unsigned char *restrict above,
+    const double *restrict c_in, double *restrict th_in,
+    double *restrict cs_in, double *restrict net_in,
+    double *restrict released, int own_pools, const double *restrict c_pools,
+    double c_shared, double dt, double k_m, double c_out0, int pumping)
 {
     for (long v = 0; v < n; v++) {
-        const double cs = cs_in[v];
+        const double cs = cs_in[v], c_out = own_pools ? c_pools[v] : c_shared;
         /* model.symport_flux: mm = gate * c_s / (c_s + k_m) */
         const double gate = (above[v] != 0) & (cs > 0.0) ? 1.0 : 0.0;
         const double mm = gate * cs / (cs + k_m);
         const double f_s = gamma_s[v] * mm, f_h = gamma_h[v] * mm;
-        const double pump = pumping ? gamma_p[v] * ratio : 0.0;
-        const double leak = gamma_l[v] * (c_in[v] - c_pool);
+        const double pump = pumping ? gamma_p[v] * (c_out / c_out0) : 0.0;
+        const double leak = gamma_l[v] * (c_in[v] - c_out);
         const double net = pump - leak - f_h;  /* net_proton_inflow */
         const double rel = dt * f_s;
         th_in[v] += dt * net;
@@ -165,19 +157,40 @@ INLINE void lane_fluxes(long n, const double *restrict v_in,
     }
 }
 
-/* lane_fluxes in the clones, for pools of VEC_LANES lanes or more */
-static CLONES void lane_fluxes_cloned(
-    long n, const double *restrict v_in, const double *restrict gamma_p,
-    const double *restrict gamma_l, const double *restrict gamma_s,
-    const double *restrict gamma_h, const unsigned char *restrict above,
-    const double *restrict c_in, double *restrict th_in,
-    double *restrict cs_in, double *restrict net_in,
-    double *restrict released, double dt, double k_m, double c_pool,
-    int pumping, double ratio)
+/* lane_fluxes on the rows of `lanes`, n entries apart */
+#define LANE_FLUXES(n_run, lanes, n, above, own_pools, c_pools, c_shared, \
+                    dt, k_m, c_out0, pumping)                             \
+    lane_fluxes(n_run, lanes + V_IN * n, lanes + GAMMA_P * n,            \
+                lanes + GAMMA_L * n, lanes + GAMMA_S * n,                \
+                lanes + GAMMA_H * n, above, lanes + C_IN * n,            \
+                lanes + TH_IN * n, lanes + CS_IN * n, lanes + NET_IN * n, \
+                lanes + RELEASED * n, own_pools, c_pools, c_shared, dt,  \
+                k_m, c_out0, pumping)
+
+/* The flux pass in the clones. Lanes with pools of their own then step
+ * each pool by its lane's flows and take its new free H+, in a loop of
+ * its own: fused with lane_roots' loop it is not vectorized. */
+static CLONES void wide_fluxes(
+    long n_run, double *lanes, long n, const unsigned char *above,
+    int own_pools, double *restrict pool_th, double *restrict pool_ts,
+    double *restrict c_pool, const double *restrict v_pool, double c_shared,
+    const double *consts, int pumping)
 {
-    lane_fluxes(n, v_in, gamma_p, gamma_l, gamma_s, gamma_h, above, c_in,
-                th_in, cs_in, net_in, released, dt, k_m, c_pool, pumping,
-                ratio);
+    const double dt = consts[DT], k_m = consts[K_M], c_out0 = consts[C_OUT0];
+    if (!own_pools) {
+        LANE_FLUXES(n_run, lanes, n, above, 0, c_pool, c_shared, dt, k_m,
+                    c_out0, pumping);
+        return;
+    }
+    LANE_FLUXES(n_run, lanes, n, above, 1, c_pool, 0.0, dt, k_m, c_out0,
+                pumping);
+    const double *restrict net_in = lanes + NET_IN * n,
+                 *restrict released = lanes + RELEASED * n;
+    for (long v = 0; v < n_run; v++) {
+        pool_th[v] -= dt * net_in[v];
+        pool_ts[v] += released[v];
+        c_pool[v] = free_conc(pool_th[v] / v_pool[v], consts[B0], consts[K_A]);
+    }
 }
 
 /* The root pass of one step: each lane's new free H+ into c_in, its
@@ -221,100 +234,102 @@ INLINE void log_crossing(long v, double c_prev, double c_now,
     log_t[m] = (double)k * dt + frac * dt;
 }
 
-/* The root pass of a pool of VEC_LANES lanes or more: lane_roots on
- * CHUNK_LANES lanes at a time, then the crossings of a chunk with flips.
- * Returns the log's new number of entries. Kept out of the step, whose
- * fused loop for fewer lanes then keeps its registers. */
-NOINLINE int64_t wide_roots(long n, double *lanes, unsigned char *above,
-                            const double *pool, int64_t *log_vd,
-                            double *log_t, long cap, int64_t m, long k,
-                            int *low)
+/* The root pass of the vector passes: lane_roots on CHUNK_LANES lanes
+ * at a time, then the crossings of a chunk with flips. Returns the log's
+ * new number of entries. Kept out of the step, whose fused loop for
+ * fewer lanes then keeps its registers. */
+NOINLINE int64_t wide_roots(long n_run, long n, double *lanes,
+                            unsigned char *above, const double *consts,
+                            int64_t *log_vd, double *log_t, long cap,
+                            int64_t m, long k, int *low)
 {
     const double *v_in = lanes + V_IN * n, *c_switch = lanes + C_SWITCH * n,
                  *dep_threshold = lanes + DEP_THRESHOLD * n,
                  *th_in = lanes + TH_IN * n, *cs_in = lanes + CS_IN * n;
     double *c_in = lanes + C_IN * n, c_prev[CHUNK_LANES];
-    for (long v0 = 0; v0 < n; v0 += CHUNK_LANES) {
-        const long w = n - v0 < CHUNK_LANES ? n - v0 : CHUNK_LANES;
+    for (long v0 = 0; v0 < n_run; v0 += CHUNK_LANES) {
+        const long w = n_run - v0 < CHUNK_LANES ? n_run - v0 : CHUNK_LANES;
         const long flips = lane_roots(w, th_in + v0, v_in + v0,
                                       c_switch + v0, above + v0, cs_in + v0,
                                       dep_threshold + v0, c_in + v0, c_prev,
-                                      pool[B0], pool[K_A], low);
+                                      consts[B0], consts[K_A], low);
         for (long v = v0; flips && v < v0 + w; v++)
             if ((c_in[v] >= c_switch[v]) != (above[v] != 0))
                 log_crossing(v, c_prev[v - v0], c_in[v], c_switch[v], above,
-                             log_vd, log_t, cap, m++, k, pool[DT]);
+                             log_vd, log_t, cap, m++, k, consts[DT]);
     }
     return m;
 }
 
 long vesim_fdm_steps(long n, double *lanes, unsigned char *above,
-                     double *pool, int64_t *n_log, int64_t *log_vd,
-                     double *log_t, long cap, double *rec_h_in,
-                     double *rec_s_in, double *rec_pool_h,
-                     double *rec_pool_s, long stride, long k0, long k1,
-                     int light)
+                     long n_pools, double *pools, const double *consts,
+                     int64_t *n_log, int64_t *log_vd, double *log_t,
+                     long cap, double *rec_h_in, double *rec_s_in,
+                     double *rec_pool_h, double *rec_pool_s, long stride,
+                     long n_run, long k0, long k1)
 {
-    const double *v_in = lanes + V_IN * n, *gamma_p = lanes + GAMMA_P * n,
-                 *gamma_l = lanes + GAMMA_L * n,
-                 *gamma_s = lanes + GAMMA_S * n,
-                 *gamma_h = lanes + GAMMA_H * n,
-                 *c_switch = lanes + C_SWITCH * n,
-                 *dep_threshold = lanes + DEP_THRESHOLD * n;
-    double *th_in = lanes + TH_IN * n, *cs_in = lanes + CS_IN * n,
-           *c_in = lanes + C_IN * n, *net_in = lanes + NET_IN * n,
-           *released = lanes + RELEASED * n;
-    const double dt = pool[DT], v_pool = pool[V_POOL], b0 = pool[B0],
-                 k_a = pool[K_A], k_m = pool[K_M], c_out0 = pool[C_OUT0];
-    const int pumping = light && c_out0 > 0.0;  /* model.pump_flux */
-    double pool_th = pool[POOL_TH], pool_ts = pool[POOL_TS],
-           c_pool = pool[C_POOL];
+    const double *v_in = lanes + V_IN * n, *c_switch = lanes + C_SWITCH * n,
+                 *dep_threshold = lanes + DEP_THRESHOLD * n,
+                 *th_in = lanes + TH_IN * n, *cs_in = lanes + CS_IN * n,
+                 *net_in = lanes + NET_IN * n,
+                 *released = lanes + RELEASED * n;
+    double *c_in = lanes + C_IN * n, *pool_th = pools + POOL_TH * n_pools,
+           *pool_ts = pools + POOL_TS * n_pools,
+           *c_pool = pools + C_POOL * n_pools,
+           *v_pool = pools + V_POOL * n_pools;
+    const double dt = consts[DT], b0 = consts[B0], k_a = consts[K_A];
+    const int own_pools = n_pools > 1, wide = own_pools || n_run >= VEC_LANES;
+    /* a shared pool's state, kept in registers */
+    double th = *pool_th, ts = *pool_ts, c = *c_pool;
     long k, r = (k0 + stride - 1) / stride;  /* the next record */
     int64_t m = *n_log;
+    int pumping = 0;  /* whether some lane is lit and c_out0 > 0 */
+    for (long v = 0; consts[C_OUT0] > 0.0 && v < n_run; v++)
+        pumping |= lanes[GAMMA_P * n + v] != 0.0;
 
     for (k = k0; k < k1; k++) {
         if (k == r * stride) {
-            memcpy(rec_h_in + r * n, c_in, n * sizeof(double));
-            memcpy(rec_s_in + r * n, cs_in, n * sizeof(double));
-            rec_pool_h[r] = c_pool;
-            rec_pool_s[r] = pool_ts / v_pool;
+            memcpy(rec_h_in + r * n, c_in, n_run * sizeof(double));
+            memcpy(rec_s_in + r * n, cs_in, n_run * sizeof(double));
+            for (long p = 0; p < (own_pools ? n_run : 1); p++) {
+                rec_pool_h[r * n_pools + p] = c_pool[p];
+                rec_pool_s[r * n_pools + p] = pool_ts[p] / v_pool[p];
+            }
             r++;
         }
-        const double ratio = pumping ? c_pool / c_out0 : 0.0;
         int low = 0;
-        if (n < VEC_LANES)
-            lane_fluxes(n, v_in, gamma_p, gamma_l, gamma_s, gamma_h, above,
-                        c_in, th_in, cs_in, net_in, released, dt, k_m,
-                        c_pool, pumping, ratio);
+        if (wide)
+            wide_fluxes(n_run, lanes, n, above, own_pools, pool_th, pool_ts,
+                        c_pool, v_pool, c, consts, pumping);
         else
-            lane_fluxes_cloned(n, v_in, gamma_p, gamma_l, gamma_s, gamma_h,
-                               above, c_in, th_in, cs_in, net_in, released,
-                               dt, k_m, c_pool, pumping, ratio);
-        pool_th -= dt * (0.0 + pairwise_sum(net_in, n));
-        pool_ts += 0.0 + pairwise_sum(released, n);
-        if (n < VEC_LANES) {
-            /* one fused loop: a one-lane run makes no second pass */
-            for (long v = 0; v < n; v++) {
-                const double c_prev = c_in[v];
-                c_in[v] = free_conc(th_in[v] / v_in[v], b0, k_a);
-                if ((c_in[v] >= c_switch[v]) != (above[v] != 0))
-                    log_crossing(v, c_prev, c_in[v], c_switch[v], above,
-                                 log_vd, log_t, cap, m++, k, dt);
-                low |= cs_in[v] < dep_threshold[v];
-            }
-        } else {
-            m = wide_roots(n, lanes, above, pool, log_vd, log_t, cap, m, k,
-                           &low);
+            LANE_FLUXES(n_run, lanes, n, above, 0, c_pool, c, consts[DT],
+                        consts[K_M], consts[C_OUT0], pumping);
+        if (!own_pools) {
+            th -= dt * (0.0 + pairwise_sum(net_in, n_run));
+            ts += 0.0 + pairwise_sum(released, n_run);
         }
-        c_pool = free_conc(pool_th / v_pool, b0, k_a);
+        if (wide)
+            m = wide_roots(n_run, n, lanes, above, consts, log_vd, log_t,
+                           cap, m, k, &low);
+        /* else one fused loop: a one-lane run makes no second pass */
+        for (long v = 0; !wide && v < n_run; v++) {
+            const double c_prev = c_in[v];
+            c_in[v] = free_conc(th_in[v] / v_in[v], b0, k_a);
+            if ((c_in[v] >= c_switch[v]) != (above[v] != 0))
+                log_crossing(v, c_prev, c_in[v], c_switch[v], above, log_vd,
+                             log_t, cap, m++, k, dt);
+            low |= cs_in[v] < dep_threshold[v];
+        }
+        if (!own_pools) {  /* the registers, stored for the records */
+            *pool_th = th;
+            *pool_ts = ts;
+            *c_pool = c = free_conc(th / *v_pool, b0, k_a);
+        }
         if (low || m + n > cap) {
             k = -(k + 1);
             break;
         }
     }
-    pool[POOL_TH] = pool_th;
-    pool[POOL_TS] = pool_ts;
-    pool[C_POOL] = c_pool;
     *n_log = m;
     return k;
 }

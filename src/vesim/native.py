@@ -119,8 +119,8 @@ class Library:
         lib = ctypes.CDLL(str(path))  # its calls release the GIL
         long, ptr = ctypes.c_long, ctypes.c_void_p
         steps = self.fdm_steps = lib.vesim_fdm_steps
-        steps.argtypes = (long, *[ptr] * 6, long, *[ptr] * 4, long, long,
-                          long, ctypes.c_int)
+        steps.argtypes = (long, ptr, ptr, long, *[ptr] * 5, long,
+                          *[ptr] * 4, long, long, long, long)
         steps.restype = long
         fmt = lib.vesim_format_rows
         fmt.argtypes = (ptr, ptr, long, ptr, long, long, ptr, long)

@@ -442,25 +442,3 @@ def schedule_from_crossings(signal: LightSignal, crossings,
         t4s.append(t4)
     return schedule_from_times(signal, t2s, t4s)
 
-
-def schedule_final_time(signal: LightSignal, crossings,
-                        active_at_start: bool) -> float:
-    """The time from which no later crossing can change the schedule.
-
-    `crossings` are those found so far, in the form
-    `schedule_from_crossings` takes; the schedule is final at any time t
-    past them with t >= the returned time. Every cycle before the last
-    one is bounded by the next cycle's t1, so only the last cycle can
-    still move. It is final once a downward crossing after its t2 is
-    known (-inf), or from its t3 on if it has no t2 (type b); with a t2
-    and no such crossing yet, more crossings are needed (inf). A signal
-    without cycles is final at once.
-    """
-    if not signal.intervals:
-        return -math.inf
-    t1, t3, t1_next = signal.cycle_bounds(signal.n_cycles - 1)
-    t2_est, t4_est = _symport_estimates(crossings, active_at_start, t1, t3,
-                                        t1_next)
-    if t2_est == NO_CROSSING:
-        return t3
-    return -math.inf if t4_est != NO_CROSSING else math.inf

@@ -11,16 +11,15 @@ Each sweep yields one row per point; per-point failures are recorded in
 the row and do not abort the sweep. fig6's closed points run as one
 `run_analytic_batch` call per kinetics, each point a lane with its own
 permeability and light signal; a point whose inputs break a model
-condition is an error row before the batch runs. Each point
-cross-checks its closed symport duration with its own FDM run, which
-stops once its cycle schedule is final, since no later step can change
-the duration it reports.
+condition is an error row before the batch runs. All points then
+cross-check their closed symport durations in one FDM call
+(`simulate_svs_batch`), each point a lane with its own pool, kinetics,
+light and horizon; a point that the FDM refuses alone is an error row.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import traceback
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ import numpy as np
 
 from .analytic import run_analytic_batch
 from .ensemble import PopulationDistributions
-from .fdm import FdmConfig, simulate_svs
+from .fdm import FdmConfig, simulate_svs_batch
 from .model import (VesicleLanes, default_environment, default_kinetics,
                     default_vesicle)
 from .presets import fig9_scenario
@@ -84,22 +83,23 @@ def _fig6_inputs(point: dict):
             LightSignal([(0.0, dur)], horizon=dur + FIG6_TAIL))
 
 
-def _fig6_closed(points: list[dict]) -> list[dict]:
-    """Each point's row with its closed columns, or its error row.
+# fig6 reads only the FDM schedules, which no record stride moves: a
+# stride past every horizon records each lane's first and last state
+FIG6_FDM = FdmConfig(dt=1e-2, record_stride=2**30)
+
+
+def _fig6_closed(rows: list[dict], runs: list[tuple]) -> None:
+    """Adds the closed columns to the rows of `runs`, or makes them error
+    rows.
 
     The points of one kinetics run as one batch sampled on {0} and their
     durations, which must lie within the smallest horizon of its lanes:
     the points past it form the next batch.
     """
-    rows, lanes = [], {}  # kinetics -> [(duration, row, vesicle, signal)]
-    for k, point in enumerate(points):
-        try:
-            spec, kin, signal = _fig6_inputs(point)
-        except Exception as exc:  # noqa: BLE001 - per-point isolation
-            rows.append(_error_row(point, exc))
-            continue
-        rows.append(dict(point))
-        lanes.setdefault(kin, []).append((point["duration"], k, spec, signal))
+    lanes = {}  # kinetics -> [(duration, row, vesicle, signal)]
+    for k, spec, kin, signal in runs:
+        lanes.setdefault(kin, []).append((rows[k]["duration"], k, spec,
+                                          signal))
     for kin, todo in lanes.items():
         todo.sort()  # by duration, then row: no two lanes tie
         while todo:
@@ -113,7 +113,7 @@ def _fig6_closed(points: list[dict]) -> list[dict]:
                     signals, "closed", grid)
             except Exception as exc:  # noqa: BLE001 - per-batch isolation
                 for k in ks:
-                    rows[k] = _error_row(points[k], exc)
+                    rows[k] = _error_row(rows[k], exc)
                 continue
             c_s_out = batch.c_s_out[np.arange(len(ks)),
                                     np.searchsorted(grid, durations)]
@@ -125,18 +125,39 @@ def _fig6_closed(points: list[dict]) -> list[dict]:
                                c_s_out_end_illumination=c_s,
                                depletion_time=None if math.isnan(t_dep)
                                else t_dep)
-    return rows
 
 
-def _fig6_fdm(row: dict) -> dict:
-    """`row` with its point's FDM symport duration, from a run that stops
-    once its cycle schedule is final."""
-    spec, kin, signal = _fig6_inputs(row)
-    fdm = simulate_svs(spec, kin, default_environment(), signal,
-                       FdmConfig(dt=1e-2, record_stride=100),
-                       until_settled=True)
-    return {**row,
-            "symport_duration_fdm": fdm.schedule.cycles[0].symport_duration}
+def _fig6_fdm(rows: list[dict], runs: list[tuple]) -> None:
+    """Adds the FDM symport duration to the rows of `runs`, or makes them
+    error rows.
+
+    A point that the FDM refuses alone (`FdmConfig.check_stability`) is
+    an error row; the others run as independent lanes of one
+    `simulate_svs_batch` call, each to its own horizon.
+    """
+    env, ok = default_environment(), []
+    for k, spec, kin, signal in runs:
+        if "error" in rows[k]:
+            continue
+        try:
+            FIG6_FDM.check_stability(spec, kin, env)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            rows[k] = _error_row(rows[k], exc)
+            continue
+        ok.append((k, spec, kin, signal))
+    if not ok:
+        return
+    ks, specs, kins, signals = zip(*ok)
+    try:
+        trajs = simulate_svs_batch(VesicleLanes.of(specs), kins, env,
+                                   signals, FIG6_FDM)
+    except Exception as exc:  # noqa: BLE001 - per-batch isolation
+        for k in ks:
+            rows[k] = _error_row(rows[k], exc)
+        return
+    for k, traj in zip(ks, trajs):
+        rows[k]["symport_duration_fdm"] = \
+            traj.schedule.cycles[0].symport_duration
 
 
 # --- fig10 / fig11 -----------------------------------------------------------
@@ -207,25 +228,26 @@ def _error_row(point: dict, exc: Exception) -> dict:
 def run_sweep(sweep: SweepSpec) -> SweepResult:
     """Execute every sweep point in order; a failing point does not abort.
 
-    fig6's closed batches run first, then each row's FDM cross-check;
-    an ensemble sweep runs each point's ensemble. An error row passes
-    through as is, and a point that raises becomes its error row.
+    A fig6 point whose inputs raise is an error row before any batch
+    runs; the others run as `_fig6_closed` batches, and `_fig6_fdm`
+    cross-checks the rows these leave without an error. An ensemble
+    sweep runs each point's ensemble, and a point that raises becomes its
+    error row.
     """
-    if sweep.kind == "illumination":
-        rows, point_run = _fig6_closed(sweep.points), _fig6_fdm
-    else:
-        rows = sweep.points
-        point_run = functools.partial(_ensemble_point, seed=sweep.seed)
-    done = []
-    for row in rows:
-        if "error" not in row:
-            try:
-                row = point_run(row)
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                row = _error_row(row, exc)
-        done.append(row)
-    return SweepResult(name=sweep.name, rows=done,
-                       summary=_summarize(sweep, done))
+    rows, runs = [], []  # fig6's runs: (row, vesicle, kinetics, signal)
+    for k, point in enumerate(sweep.points):
+        try:
+            if sweep.kind == "illumination":
+                runs.append((k, *_fig6_inputs(point)))
+                rows.append(dict(point))
+            else:
+                rows.append(_ensemble_point(point, sweep.seed))
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            rows.append(_error_row(point, exc))
+    _fig6_closed(rows, runs)
+    _fig6_fdm(rows, runs)
+    return SweepResult(name=sweep.name, rows=rows,
+                       summary=_summarize(sweep, rows))
 
 
 def _line_fit(xs, ys) -> tuple[float, float]:

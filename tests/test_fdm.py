@@ -5,7 +5,6 @@ import os
 import shutil
 import tempfile
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +14,12 @@ from vesim import fdm, native
 from vesim.analytic import DEPLETION_FRACTION_OF_KM, run_analytic
 from vesim.buffering import total_conc_from_free
 from vesim.fdm import (FdmConfig, FdmStabilityError, simulate_mvs_shared_pool,
-                       simulate_svs, stability_coefficient, stable_dt)
+                       simulate_svs, simulate_svs_batch, stability_coefficient,
+                       stable_dt)
 from vesim.model import (VesicleLanes, VesicleSpec, default_environment,
                          default_kinetics, default_vesicle, derive_rates)
 from vesim.presets import RUN_PRESETS
-from vesim.schedule import (NO_CROSSING, LightSignal, _symport_estimates,
-                            schedule_from_crossings)
+from vesim.schedule import LightSignal, schedule_from_crossings
 from vesim.trajectory import sample_grid, write_trajectory_csv
 
 
@@ -397,73 +396,91 @@ def _pulses(draw):
     return intervals, k + draw(st.integers(1, 8000))
 
 
-@given(pulses=_pulses(), b0=st.sampled_from([0.0, 10.0, 20.0]),
-       c_s_in0=st.floats(-4.0, 2.5).map(lambda e: 10.0 ** e),
-       active_at_start=st.booleans())
-# a last pulse too short to trigger symport (type b)
-@example(pulses=([(0, 800), (2000, 2010)], 5000), b0=20.0, c_s_in0=300.0,
-         active_at_start=False)
-# symport on from t = 0, with substrate that runs dry before it ends
-@example(pulses=([(0, 200)], 20000), b0=10.0, c_s_in0=0.01,
-         active_at_start=True)
-@settings(derandomize=True, deadline=None, max_examples=60)
-def test_settled_run_is_a_prefix_with_the_full_schedule(
-        pulses, b0, c_s_in0, active_at_start):
-    # pulse times are in steps of dt, the buffered runs' dt is coarse but
-    # stable, and an active start puts C_H_in 20% above C_switch
-    kin = default_kinetics()
-    spec = default_vesicle()
-    env = default_environment(buffer_total=b0, c_s_in0=c_s_in0)
-    if active_at_start:
-        env = dataclasses.replace(env, c_h_in0=1.2 * env.c_h_out0)
-    dt = min(stable_dt(spec, kin, env), 5e-2)
-    intervals, horizon = pulses
-    sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
-    cfg = FdmConfig(dt=dt, record_stride=10)
-    with mock.patch.object(fdm, "schedule_from_crossings",
-                           wraps=schedule_from_crossings) as spy:
-        full = simulate_svs(spec, kin, env, sig, cfg)
-    settled = simulate_svs(spec, kin, env, sig, cfg, until_settled=True)
-    assert (settled.c_h_in[0] >= full.derived.switch_conc) == active_at_start
-    assert settled.schedule.cycles == full.schedule.cycles
-    # the stop is the first record step at which the full run's last
-    # cycle is final: t3 without a t2, else its t4 crossing (or never)
-    _, crossings, active = spy.call_args.args
-    t1, t3, t1_next = sig.cycle_bounds(sig.n_cycles - 1)
-    t2, t4 = _symport_estimates(crossings, active, t1, t3, t1_next)
-    final = t3 if t2 == NO_CROSSING else t4
-    n = len(settled)
-    assert n == min(np.searchsorted(full.t, final) + 1, len(full))
+@st.composite
+def _lane_runs(draw):
+    """2-6 random vesicles, each with its own symport rate and 1-3 light
+    pulses in steps of dt, and a shared environment: the arguments of
+    `simulate_svs_batch`."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = [VesicleSpec(d_in=d, d_mem=14e-9, n_pumps=int(p), n_sym=int(s),
+                         permeability=10.0 ** e)
+             for d, p, s, e in zip(rng.uniform(40e-9, 300e-9, n),
+                                   rng.integers(0, 200, n),
+                                   rng.integers(1, 300, n),
+                                   rng.uniform(-7.0, -5.0, n))]
+    kins = [dataclasses.replace(default_kinetics(),
+                                symport_rate_per_protein=r)
+            for r in rng.choice([0.004, 0.006, 0.01], n)]
+    env = default_environment(
+        buffer_total=draw(st.sampled_from([0.0, 10.0, 20.0])),
+        c_s_in0=10.0 ** draw(st.floats(-3.0, 2.5)))
+    dt = min(1e-2, *(stable_dt(s, k, env) for s, k in zip(specs, kins)))
+    signals = []
+    for _ in range(n):
+        intervals, horizon = draw(_pulses())
+        signals.append(LightSignal([(a * dt, b * dt) for a, b in intervals],
+                                   horizon * dt))
+    return (VesicleLanes.of(specs), kins, env, signals,
+            FdmConfig(dt=dt, record_stride=draw(st.sampled_from([1, 7, 100]))))
+
+
+def _assert_same_traj(a, b):
     for name in ("t", "c_h_in", "c_h_out", "c_s_in", "c_s_out", "light",
                  "cycle"):
-        assert np.array_equal(getattr(settled, name),
-                              getattr(full, name)[:n]), name
-    assert list(settled.phase) == list(full.phase[:n])
-    assert settled.events == full.events[:len(settled.events)]
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.phase == b.phase
+    assert a.schedule.cycles == b.schedule.cycles
+    assert a.events == b.events
+    assert a.derived == b.derived
+    assert a.conservation_drift == b.conservation_drift
 
 
-@given(pulses=_pulses(), n_steps=st.integers(0, 25000))
+@given(runs=_lane_runs())
+@settings(derandomize=True, deadline=None, max_examples=25)
+@pytest.mark.filterwarnings("ignore:vesicle has no pumps")
+def test_independent_lanes_equal_their_own_runs(runs):
+    # each lane of one call, with its own pool, light and horizon, runs
+    # as the lane alone: records, schedule and events bit for bit, though
+    # the lanes retire in turn, longest horizon last
+    lanes, kins, env, signals, cfg = runs
+    batch = simulate_svs_batch(lanes, kins, env, signals, cfg)
+    assert len(batch) == len(lanes)
+    for m, traj in enumerate(batch):
+        spec = VesicleSpec(float(lanes.d_in[m]), lanes.d_mem,
+                           int(lanes.n_pumps[m]), int(lanes.n_sym[m]),
+                           float(lanes.permeability[m]))
+        _assert_same_traj(traj, simulate_svs(spec, kins[m], env, signals[m],
+                                             cfg))
+
+
+@given(pulses=st.lists(_pulses(), min_size=1, max_size=3))
 @settings(derandomize=True, deadline=None, max_examples=60)
-def test_step_blocks_tile_the_run_at_every_decision_step(pulses, n_steps):
+def test_step_blocks_tile_the_run_at_every_decision_step(pulses):
     # the one block schedule both kernels walk: contiguous blocks that
-    # start at 0 and only at every drift check and light switch (the
-    # step writes the records itself), each lit as all its steps are
+    # start at 0 and only at every drift check, light switch and lane's
+    # end (the step writes the records itself), each lane lit or dark in
+    # all of a block's steps
     dt = 1e-2
-    intervals, horizon = pulses
-    sig = LightSignal([(a * dt, b * dt) for a, b in intervals], horizon * dt)
-    blocks = np.array(list(fdm._step_blocks(sig, dt, n_steps)), dtype=int)
-    k0, k1, lit = blocks.reshape(-1, 3).T
-    assert np.array_equal(np.append(0, k1), np.append(k0, n_steps))
+    signals = [LightSignal([(a * dt, b * dt) for a, b in intervals],
+                           horizon * dt) for intervals, horizon in pulses]
+    edges, lit = fdm._step_blocks(signals, dt)
+    n_steps = [round(s.horizon / dt) for s in signals]
+    k0, k1 = edges[:-1], edges[1:]
+    assert edges[0] == 0 and edges[-1] == max(n_steps)
     assert np.all(k0 < k1)
-    switches = {min(round(t / dt), n_steps) for iv in sig.intervals
-                for t in iv}
-    assert set(k0.tolist()) == ({0, *range(1, n_steps, 1000), *switches}
-                                - {n_steps})
-    # the per-step illumination on the step grid, k in [k_on, k_off)
-    light = np.zeros(n_steps, dtype=bool)
-    for t_on, t_off in sig.intervals:
-        light[round(t_on / dt):round(t_off / dt)] = True
-    assert np.array_equal(np.repeat(lit, k1 - k0), light)
+    switches = {min(round(t / dt), n) for s, n in zip(signals, n_steps)
+                for iv in s.intervals for t in iv}
+    assert set(edges.tolist()) == {0, *range(1, max(n_steps), 1000),
+                                   *switches, *n_steps}
+    assert lit.shape == (k0.size, len(signals))
+    # each lane's per-step illumination on the step grid, k in
+    # [k_on, k_off), clipped to its steps
+    for s, n, lit_lane in zip(signals, n_steps, lit.T):
+        light = np.zeros(max(n_steps), dtype=bool)
+        for t_on, t_off in s.intervals:
+            light[round(t_on / dt):min(round(t_off / dt), n)] = True
+        assert np.array_equal(np.repeat(lit_lane, k1 - k0)[:n], light[:n])
 
 
 def _six_lane_case():
@@ -652,9 +669,14 @@ def _c_step():
 
 
 def _run_pool_on(step, *args):
+    return _run_on(step, simulate_mvs_shared_pool, *args)
+
+
+def _run_on(step, kernel, *args):
+    """kernel(*args) on the FDM step `step`."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fdm, "_compiled_step", lambda: step)
-        return simulate_mvs_shared_pool(*args)
+        return kernel(*args)
 
 
 def _assert_same_pool(a, b):
@@ -675,40 +697,58 @@ def _assert_same_pool(a, b):
 @given(n_ves=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        b0=st.sampled_from([0.0, 10.0, 20.0]), pulses=_pulses(),
        c_s_in0=st.floats(-3.0, 2.5).map(lambda e: 10.0 ** e),
-       stride=st.sampled_from([1, 7, 10, 100]))
+       stride=st.sampled_from([1, 7, 10, 100]), own_pools=st.booleans())
 @example(n_ves=1, seed=0, b0=0.0, pulses=([(0, 300)], 2000), c_s_in0=0.01,
-         stride=10)
+         stride=10, own_pools=False)
 @example(n_ves=7, seed=1, b0=20.0, pulses=([(0, 800), (1000, 1200)], 2000),
-         c_s_in0=0.05, stride=10)
+         c_s_in0=0.05, stride=10, own_pools=False)
 @example(n_ves=8, seed=2, b0=10.0, pulses=([(0, 1500)], 2500), c_s_in0=1.0,
-         stride=7)
+         stride=7, own_pools=False)
 @example(n_ves=9, seed=3, b0=0.0, pulses=([(100, 600)], 2000),
-         c_s_in0=300.0, stride=1)
+         c_s_in0=300.0, stride=1, own_pools=False)
 @example(n_ves=128, seed=4, b0=20.0, pulses=([(0, 1000)], 1500),
-         c_s_in0=0.02, stride=100)
+         c_s_in0=0.02, stride=100, own_pools=False)
 @example(n_ves=129, seed=5, b0=10.0, pulses=([(0, 1000)], 1500),
-         c_s_in0=0.02, stride=10)
+         c_s_in0=0.02, stride=10, own_pools=False)
 @example(n_ves=300, seed=6, b0=0.0, pulses=([(0, 400), (600, 900)], 1200),
-         c_s_in0=0.03, stride=10)
+         c_s_in0=0.03, stride=10, own_pools=False)
 @example(n_ves=3, seed=2, b0=0.0, pulses=([(0, 800), (1000, 1300)], 1800),
-         c_s_in0=0.0005, stride=10)
+         c_s_in0=0.0005, stride=10, own_pools=False)
 @example(n_ves=4, seed=0, b0=20.0, pulses=([(200, 1200)], 1600),
-         c_s_in0=0.0005, stride=7)
+         c_s_in0=0.0005, stride=7, own_pools=False)
 @example(n_ves=5, seed=10, b0=10.0, pulses=([(0, 400), (700, 1000)], 1500),
-         c_s_in0=0.001, stride=1)
+         c_s_in0=0.001, stride=1, own_pools=False)
 @example(n_ves=17, seed=7, b0=0.0, pulses=([(0, 600)], 1500),
-         c_s_in0=0.001, stride=10)
+         c_s_in0=0.001, stride=10, own_pools=False)
 @example(n_ves=101, seed=11, b0=20.0,
-         pulses=([(100, 700), (900, 1000)], 1400), c_s_in0=0.02, stride=100)
+         pulses=([(100, 700), (900, 1000)], 1400), c_s_in0=0.02, stride=100,
+         own_pools=False)
+# Lanes with pools of their own take the vector passes, 2 lanes in a
+# remainder alone; the lanes retire in turn, and of the 5 and the 17 lanes
+# some run dry
+@example(n_ves=2, seed=14, b0=0.0, pulses=([(0, 300)], 1200), c_s_in0=0.001,
+         stride=7, own_pools=True)
+@example(n_ves=5, seed=12, b0=10.0, pulses=([(0, 400), (700, 1000)], 1500),
+         c_s_in0=0.001, stride=1, own_pools=True)
+@example(n_ves=17, seed=13, b0=20.0, pulses=([(100, 700), (900, 1000)], 1400),
+         c_s_in0=0.02, stride=100, own_pools=True)
 @settings(derandomize=True, deadline=None, max_examples=12)
 @pytest.mark.filterwarnings("ignore:vesicle has no pumps")
 def test_compiled_step_matches_numpy_step_on_random_pools(
-        n_ves, seed, b0, pulses, c_s_in0, stride):
-    # heterogeneous vesicles against one pool: every record array, event,
-    # schedule and drift of the compiled step equals the numpy step's
+        n_ves, seed, b0, pulses, c_s_in0, stride, own_pools):
+    # heterogeneous vesicles against one pool, or each against its own
+    # under a light, horizon and symport rate of its own: every record
+    # array, event, schedule and drift of the compiled step equals the
+    # numpy step's
     args = _random_pool(n_ves, seed, b0, pulses, c_s_in0, stride)
-    _assert_same_pool(_run_pool_on(_c_step(), *args),
-                      _run_pool_on(fdm._step_numpy, *args))
+    if not own_pools:
+        _assert_same_pool(_run_pool_on(_c_step(), *args),
+                          _run_pool_on(fdm._step_numpy, *args))
+        return
+    args = _own_pools(args, seed, pulses)
+    for a, b in zip(*(_run_on(step, simulate_svs_batch, *args)
+                      for step in (_c_step(), fdm._step_numpy))):
+        _assert_same_traj(a, b)
 
 
 def _random_pool(n_ves, seed, b0, pulses, c_s_in0, stride):
@@ -731,6 +771,67 @@ def _random_pool(n_ves, seed, b0, pulses, c_s_in0, stride):
             sig, FdmConfig(dt=dt, record_stride=stride))
 
 
+def _own_pools(args, seed, pulses):
+    """simulate_svs_batch's arguments for `_random_pool`'s vesicles, each
+    against a pool of its own with a symport rate of its own, under the
+    pulses shifted and cut to a horizon of its own."""
+    vesicles, kin, env_total, _, cfg = args
+    n, dt = len(vesicles), cfg.dt
+    rng = np.random.default_rng(seed)
+    intervals, horizon = pulses
+    kins, signals = [], []
+    for shift, tail, rate in zip(
+            rng.integers(0, 300, n),
+            rng.integers(1, horizon - intervals[-1][1] + 1, n),
+            rng.choice([0.004, 0.006, 0.009], n)):
+        kins.append(dataclasses.replace(kin, symport_rate_per_protein=rate))
+        signals.append(LightSignal(
+            [((a + shift) * dt, (b + shift) * dt) for a, b in intervals],
+            (intervals[-1][1] + shift + tail) * dt))
+    env = dataclasses.replace(env_total, v_out=env_total.v_out / n)
+    return vesicles, kins, env, signals, cfg
+
+
+@pytest.mark.parametrize("case", ["buffered", "depletion", "unbuffered"])
+def test_drift_is_the_largest_drift_sampled(case, monkeypatch):
+    # the run keeps only each inventory's extremes over its samples
+    # (the state after every step k with k % 1000 == 0, and the end):
+    # they give the largest relative drift of a sample, bit for bit
+    spec, env, sig, cfg, checked, _ = PIN_CASES[case]()
+    if not checked:
+        monkeypatch.setattr(FdmConfig, "check_stability",
+                            lambda self, *args: 0.0)
+    bind, row, samples = fdm._compiled_step(), fdm._LANE_ROWS.index, []
+
+    def watching(lanes, above, pools, *state):
+        steps = bind(lanes, above, pools, *state)
+
+        def inventory():
+            return (lanes[row("th_in")].sum() + pools[0, 0],
+                    (lanes[row("cs_in")] * lanes[row("v_in")]).sum()
+                    + pools[1, 0])
+
+        def run(k0, k1, n_run):
+            if k0 % 1000 == 1 and k0 > samples[-1][0]:
+                samples.append((k0, inventory()))
+            k = steps(k0, k1, n_run)
+            if k == k1 == k_end:
+                samples.append((k, inventory()))
+            return k
+        samples.append((0, inventory()))
+        return run
+
+    k_end = round(sig.horizon / cfg.dt)
+    monkeypatch.setattr(fdm, "_compiled_step", lambda: watching)
+    traj = simulate_svs(spec, default_kinetics(), env, sig, cfg)
+    (_, (h0, s0)), *rest = samples
+    assert len(rest) == (k_end - 2) // 1000 + 2
+    assert traj.conservation_drift == max(
+        max(abs(h - h0) / h0, abs(s - s0) / s0 if s0 > 0 else 0.0)
+        for _, (h, s) in rest)
+    assert traj.conservation_drift > abs(rest[-1][1][0] - h0) / h0
+
+
 @pytest.mark.parametrize("step", ["compiled", "numpy"])
 @pytest.mark.parametrize("stride", [7, 100])
 @pytest.mark.parametrize("case", ["clamp", "clamp_checked", "depletion",
@@ -748,9 +849,9 @@ def test_records_are_every_stride_th_sample_of_stride_one(case, stride, step,
     monkeypatch.setattr(fdm, "_compiled_step", lambda: step)
 
     def run(s):
-        return fdm._run_lanes(
+        return simulate_mvs_shared_pool(
             VesicleLanes.of([spec]), default_kinetics(), env, sig,
-            dataclasses.replace(cfg, record_stride=s), False)[0]
+            dataclasses.replace(cfg, record_stride=s))
 
     every, res = run(1), run(stride)
     n_steps = len(every.t) - 1
@@ -764,14 +865,18 @@ def test_records_are_every_stride_th_sample_of_stride_one(case, stride, step,
 
 
 def test_compiled_step_refuses_steps_outside_the_run():
-    # the step writes record k // stride for k in [k0, k1): a range past
-    # the run's n_steps = 10 would write past the record buffers
-    steps = _c_step()(np.zeros((len(fdm._LANE_ROWS), 1)),
-                      np.zeros(1, dtype=bool), np.zeros(len(fdm._POOL_FIELDS)),
-                      fdm._CrossingLog(1), fdm._Records(10, 5, 1))
-    for k0, k1 in ((0, 11), (-1, 3), (4, 3)):
+    # the step writes record k // stride of its lanes for k in [k0, k1):
+    # a range past the run's n_steps = 10, or more lanes than the run's
+    # 2, would write past the record buffers
+    steps = _c_step()(np.zeros((len(fdm._LANE_ROWS), 2)),
+                      np.zeros(2, dtype=bool),
+                      np.zeros((len(fdm._POOL_ROWS), 2)),
+                      np.zeros(len(fdm._CONSTS)), fdm._CrossingLog(2),
+                      fdm._Records(10, 5, 2, 2))
+    for k0, k1, n_run in ((0, 11, 2), (-1, 3, 2), (4, 3, 2), (0, 3, 3),
+                          (0, 3, -1)):
         with pytest.raises(ValueError, match="outside the run"):
-            steps(k0, k1, False)
+            steps(k0, k1, n_run)
 
 
 def _nan_lane_state(b0: float, n: int = 2, nan_lane: int = 1,
@@ -792,13 +897,13 @@ def _nan_lane_state(b0: float, n: int = 2, nan_lane: int = 1,
     lanes[row["th_in"], nan_lane] = np.nan
     lanes[row["cs_in"]], lanes[row["c_in"]] = env.c_s_in0, env.c_h_in0
     v_pool = n * env.v_out
-    pool = np.array([total_conc_from_free(env.c_h_out0, b0, env.k_a)
-                     * v_pool, 0.0, env.c_h_out0, dt, v_pool, b0, env.k_a,
-                     kin.k_m, env.c_h_out0])
-    rec = fdm._Records(1, 1, n)
+    pools = np.array([[total_conc_from_free(env.c_h_out0, b0, env.k_a)
+                       * v_pool], [0.0], [env.c_h_out0], [v_pool]])
+    consts = np.array([dt, b0, env.k_a, kin.k_m, env.c_h_out0])
+    rec = fdm._Records(1, 1, n, 1)
     for buf in (rec.c_h_in, rec.c_s_in, rec.pool_h, rec.pool_s):
         buf.fill(0.0)
-    return (lanes, np.zeros(n, dtype=bool), pool,
+    return (lanes, np.zeros(n, dtype=bool), pools, consts,
             fdm._CrossingLog(n + fdm._LOG_ROOM), rec)
 
 
@@ -808,10 +913,10 @@ def _step_both(make_state):
     after = []
     for bind in (_c_step(), fdm._step_numpy):
         state = make_state()
-        k = bind(*state)(0, 1, True)
-        lanes, above, pool, log, rec = state
+        lanes, above, pools, _, log, rec = state
+        k = bind(*state)(0, 1, above.size)
         m = int(log.n[0])
-        after.append((k, lanes, above, pool, log.vd[:, :m], log.t[:m],
+        after.append((k, lanes, above, pools, log.vd[:, :m], log.t[:m],
                       rec.c_h_in, rec.c_s_in, rec.pool_h, rec.pool_s))
     for c, n in zip(*after):
         assert np.array_equal(c, n, equal_nan=True)
@@ -963,35 +1068,3 @@ class TestCompiledStepBuild:
         (tmp_path / "tmp").mkdir()
         assert native._cache_dir() == (tmp_path / "tmp"
                                        / f"vesim-{os.getuid()}")
-
-
-def test_a_chattering_settled_run_stops_alike_on_either_step(
-        base_kinetics):
-    # the lane chatters across its threshold in its first cycle, and
-    # every crossing returns from the step; on either step the run stops at
-    # the first record step at which its last cycle is final, a prefix
-    # of the full run with the full run's schedule
-    spec = dataclasses.replace(default_vesicle(), n_pumps=10, n_sym=60)
-    sig = LightSignal([(10, 200), (300, 500)], 900)
-    args = (spec, base_kinetics, default_environment(), sig,
-            FdmConfig(dt=1e-2, record_stride=10))
-    with mock.patch.object(fdm, "schedule_from_crossings",
-                           wraps=schedule_from_crossings) as spy:
-        full = simulate_svs(*args)
-    _, crossings, active = spy.call_args.args
-    t1, t3, t1_next = sig.cycle_bounds(sig.n_cycles - 1)
-    t2, t4 = _symport_estimates(crossings, active, t1, t3, t1_next)
-    assert np.count_nonzero(crossings[:, 0] < t1) > 20 and t4 < t3
-    n = np.searchsorted(full.t, t4) + 1
-    names = ("t", "c_h_in", "c_h_out", "c_s_in", "c_s_out", "light",
-             "cycle")
-    for step in (_c_step(), fdm._step_numpy):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(fdm, "_compiled_step", lambda: step)
-            settled = simulate_svs(*args, until_settled=True)
-        assert len(settled) == n
-        assert settled.schedule.cycles == full.schedule.cycles
-        for name in names:
-            assert np.array_equal(getattr(settled, name),
-                                  getattr(full, name)[:n]), name
-        assert settled.events == full.events[:len(settled.events)]

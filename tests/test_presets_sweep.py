@@ -12,14 +12,14 @@ import pytest
 
 import vesim
 from vesim.ensemble import EnsembleConfig, PopulationDistributions, run_ensemble
-from vesim.fdm import FdmConfig, simulate_svs
+from vesim.fdm import FdmConfig, FdmStabilityError, simulate_svs
 from vesim.model import default_environment, default_kinetics, default_vesicle
 from vesim.presets import (FIG4_EXPECTED_TYPES, RUN_PRESETS,
                            describe_presets, fig4_scenario, fig9_scenario)
 from vesim.runner import execute_run, run_scenario, write_sweep_artifacts
 from vesim.schedule import LightSignal
-from vesim.sweep import (FIG6_TAIL, SweepSpec, _fig6_fdm, fig6_sweep,
-                         fig10_sweep, run_sweep)
+from vesim.sweep import (FIG6_FDM, FIG6_TAIL, SweepSpec, _fig6_fdm,
+                         _fig6_inputs, fig6_sweep, fig10_sweep, run_sweep)
 
 
 def test_preset_registry_complete():
@@ -207,13 +207,23 @@ def test_ensemble_sweep_keys_rows_by_the_point_parameter():
     assert "d_mean_nm" not in summary["rows"]["100"]
 
 
+def _fig6_fdm_rows(points: list[dict]) -> list[dict]:
+    """The rows of `points` after fig6's batched FDM cross-check alone."""
+    rows = [dict(point) for point in points]
+    _fig6_fdm(rows, [(k, *_fig6_inputs(p)) for k, p in enumerate(points)])
+    return rows
+
+
 def test_sweep_worker_roundtrip():
-    # a fig6 point's per-point work adds its FDM cross-check to the row
-    point = {"symport_rate": 0.006, "permeability": 3e-6, "duration": 60.0}
-    row = _fig6_fdm(point)
-    assert row["symport_duration_fdm"] > 0
-    assert "error" not in row
-    assert row == {**point, "symport_duration_fdm": row["symport_duration_fdm"]}
+    # fig6's batched FDM cross-check adds exactly its column to each row
+    points = [{"symport_rate": 0.006, "permeability": 3e-6, "duration": 60.0},
+              {"symport_rate": 0.008, "permeability": 1e-5, "duration": 15.0}]
+    for point, row in zip(points, _fig6_fdm_rows(points)):
+        assert "error" not in row
+        assert row == {**point,
+                       "symport_duration_fdm": row["symport_duration_fdm"]}
+    assert row["symport_duration_fdm"] == 0.0  # 15 s triggers no symport
+    assert _fig6_fdm_rows(points[:1])[0]["symport_duration_fdm"] > 0
 
 
 def test_fig6_sweep_spec_covers_required_grid():
@@ -226,8 +236,10 @@ def test_fig6_sweep_spec_covers_required_grid():
 
 @pytest.mark.parametrize("duration", [15.0, 45.0, 600.0])
 def test_fig6_point_stops_with_the_full_run_duration(duration):
-    # the point's FDM run stops once its schedule is final; the 15 s
-    # point never triggers symport (type b)
+    # the point's lane stops at its own horizon, in a batch whose other
+    # lanes run longer and shorter under other kinetics, with the
+    # duration of its full one-lane run; the 15 s point never triggers
+    # symport (type b)
     point = {"symport_rate": 0.006, "permeability": 3e-6,
              "duration": duration}
     spec = dataclasses.replace(default_vesicle(), permeability=3e-6)
@@ -238,7 +250,30 @@ def test_fig6_point_stops_with_the_full_run_duration(duration):
                         FdmConfig(dt=1e-2, record_stride=100))
     (cyc,) = full.schedule.cycles
     assert (cyc.cycle_type == "b") == (duration == 15.0)
-    assert _fig6_fdm(point)["symport_duration_fdm"] == cyc.symport_duration
+    others = [{"symport_rate": 0.008, "permeability": 1e-5, "duration": d}
+              for d in (30.0, 300.0)]
+    rows = _fig6_fdm_rows([others[0], point, others[1]])
+    assert rows[1]["symport_duration_fdm"] == cyc.symport_duration
+
+
+def test_an_unstable_fig6_point_is_its_own_error_row():
+    # the FDM refuses one point at fig6's dt while its closed columns
+    # exist: that point is the one error row, and the other points keep
+    # the rows of a sweep without it
+    good = [{"symport_rate": 0.006, "permeability": 3e-6, "duration": 60.0},
+            {"symport_rate": 0.008, "permeability": 1e-5, "duration": 400.0}]
+    bad = {"symport_rate": 10.0, "permeability": 3e-6, "duration": 45.0}
+    sweep = SweepSpec(name="isolation", description="", kind="illumination")
+    mixed = run_sweep(dataclasses.replace(sweep, points=[good[0], bad,
+                                                         good[1]]))
+    clean = run_sweep(dataclasses.replace(sweep, points=good))
+    assert mixed.summary["failed"] == 1
+    assert mixed.rows[1]["error"].startswith("FdmStabilityError: dt=0.01 s")
+    assert "symport_duration_closed" in mixed.rows[1]
+    assert [mixed.rows[0], mixed.rows[2]] == clean.rows
+    with pytest.raises(FdmStabilityError):
+        FIG6_FDM.check_stability(*_fig6_inputs(bad)[:2],
+                                 default_environment())
 
 
 def test_fig6_summary_holds_its_bytes_on_any_blas_kernel(tmp_path):

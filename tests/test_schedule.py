@@ -9,8 +9,7 @@ from vesim.schedule import (NO_CROSSING, CycleRecord, LightSignal,
                             ScheduleError, _lag_kernel,
                             buffered_relaxation_time, classify_cycle,
                             clip_cycle_times, predict_buffered_crossing,
-                            schedule_from_crossings, schedule_from_times,
-                            schedule_final_time)
+                            schedule_from_crossings, schedule_from_times)
 
 
 class TestLightSignal:
@@ -333,26 +332,3 @@ class TestScheduleFromCrossings:
         for c in sched.cycles:
             flat += [c.t1, c.t2, c.t3, c.t4]
         assert flat == sorted(flat)
-
-
-class TestScheduleIsFinal:
-    sig = LightSignal([(10, 80), (100, 150)], 400)
-
-    def test_last_cycle_needs_its_symport_end(self):
-        ups = [(20.0, 1), (90.0, -1), (110.0, 1)]
-        assert schedule_final_time(self.sig, ups, False) == math.inf
-        done = ups + [(160.0, -1)]
-        assert schedule_final_time(self.sig, done, False) == -math.inf
-
-    def test_untriggered_last_cycle_is_final_from_its_t3(self):
-        crossings = [(20.0, 1), (90.0, -1)]
-        assert schedule_final_time(self.sig, crossings, False) == 150.0
-
-    def test_active_start_needs_a_downward_crossing(self):
-        sig = LightSignal([(0, 10)], 100)
-        assert schedule_final_time(sig, [], True) == math.inf
-        assert schedule_final_time(sig, [(5.0, -1)], True) == -math.inf
-
-    def test_no_cycles_is_final(self):
-        assert schedule_final_time(LightSignal([], 100), [], False) \
-            == -math.inf
